@@ -114,8 +114,9 @@ class FieldConfig:
     orientation: str = NORMAL
 
     def __post_init__(self):
-        if self.b_tesla < 0:
-            raise ValueError("B must be non-negative")
+        if not (math.isfinite(self.b_tesla) and self.b_tesla >= 0):
+            raise ValueError("b_tesla must be finite and non-negative, "
+                             f"got {self.b_tesla!r}")
         if self.orientation not in (NORMAL, INPLANE):
             raise ValueError(f"unknown orientation {self.orientation!r}")
 
@@ -138,6 +139,10 @@ class SpectralWindow:
     lineshape: str = GAUSSIAN
 
     def __post_init__(self):
+        for name in ("bandwidth_uev", "center_offset_uev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.bandwidth_uev <= 0:
             raise ValueError("bandwidth must be positive")
         if self.lineshape not in (GAUSSIAN, LORENTZIAN):

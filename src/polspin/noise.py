@@ -32,6 +32,10 @@ class NoiseModel:
     transport_loss: float = 0.0
 
     def __post_init__(self):
+        for name in ("t2_iii_v_ns", "t2_si_ns", "transport_time_ns"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.t2_iii_v_ns <= 0 or self.t2_si_ns <= 0:
             raise ValueError("T2 times must be positive")
         if self.transport_time_ns < 0:

@@ -4,9 +4,11 @@ averages, process tomography, device-constraint checks and parameter sweeps.
 Every stage of a scenario is a conditional linear map on the 2x2 logical
 qubit density matrix (logical amplitudes mean: alpha on the first slot of
 the declared photon basis).  Stages compose into one superoperator, so a
-Monte Carlo run is a single vectorised contraction and is deterministic by
-construction: sample i draws from a counter-based stream derived from
-(seed, i) regardless of execution order.
+Monte Carlo run is a single vectorised contraction.  It is deterministic
+for a given (seed, sample count), and prefix-stable: the first m of n
+samples do not depend on n.  Sample i is not tied to a fixed slice of the
+random stream (the normal sampler rejects and redraws), so a run cannot be
+split into independently seeded chunks that reproduce the whole.
 
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
@@ -96,8 +98,14 @@ class ScenarioConfig:
         # HeavyHoleTopmost when the scheme is built
         if not 0.0 <= self.absorption_efficiency <= 1.0:
             problems.append("absorption efficiency must lie in [0, 1]")
-        if self.storage_time_ns < 0 or self.hadamard_time_ns < 0:
-            problems.append("times must be non-negative")
+        for name in ("storage_time_ns", "hadamard_time_ns"):
+            t = getattr(self, name)
+            if not (math.isfinite(t) and t >= 0):
+                problems.append(f"{name} must be finite and non-negative, "
+                                f"got {t!r}")
+        if self.emission_direction is not None and not all(
+                math.isfinite(x) for x in self.emission_direction):
+            problems.append("emission_direction must be finite")
         if self.mc_samples < 1:
             problems.append("mc_samples must be at least 1")
         n = abs(self.input_qubit[0]) ** 2 + abs(self.input_qubit[1]) ** 2
@@ -122,18 +130,10 @@ class ScenarioConfig:
 # stages as superoperators
 # ---------------------------------------------------------------------------
 
-_NOISE_STAGES = frozenset({"transport", "shuttle_in", "storage",
-                           "shuttle_out", "transport_back"})
-
-
 @dataclass(frozen=True)
 class Stage:
     name: str
     superop: np.ndarray = field(repr=False)   # 4x4, row-major vec convention
-
-    @property
-    def is_noise(self) -> bool:
-        return self.name in _NOISE_STAGES
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
         return (self.superop @ rho.reshape(4)).reshape(2, 2)
@@ -309,9 +309,11 @@ def _compose(stages: list[Stage]) -> np.ndarray:
 def haar_qubits(seed: int, n: int) -> np.ndarray:
     """n Haar-random qubit amplitude pairs, shape (n, 2) complex.
 
-    Drawn from a counter-based Philox stream keyed by the seed; sample i
-    always consumes draws 4i..4i+3, so the result is independent of how a
-    consumer schedules or partitions the work.
+    Drawn from a Philox stream keyed by the seed.  The result is
+    prefix-stable: haar_qubits(seed, m) equals haar_qubits(seed, n)[:m]
+    for m < n.  Sample i does not consume a fixed block of draws (the
+    ziggurat normal sampler rejects and redraws), so sample i cannot be
+    reproduced on its own by advancing the generator.
     """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     z = gen.standard_normal((n, 4))
@@ -402,7 +404,9 @@ class ChannelReport:
     n_samples: int
 
 
-def _stage_trace(cfg, stages, q) -> list[StageFidelity]:
+def _stage_trace(stages, q) -> tuple[list[StageFidelity], np.ndarray]:
+    """Per-stage fidelity and success of the pure input q, and the final
+    (unnormalised) output density matrix."""
     rho = np.outer(q, q.conj())
     out = []
     for st in stages:
@@ -413,11 +417,12 @@ def _stage_trace(cfg, stages, q) -> list[StageFidelity]:
             continue
         fid = float(np.real(q.conj() @ (rho / tr) @ q))
         out.append(StageFidelity(st.name, fid, tr))
-    return out
+    return out, rho
 
 
-def _reference_input(cfg: ScenarioConfig) -> np.ndarray:
-    return np.array(cfg.input_qubit, dtype=complex)
+def _unit(q) -> np.ndarray:
+    q = np.asarray(q, dtype=complex)
+    return q / np.linalg.norm(q)
 
 
 def _absorption_diagnostics(cfg, scheme, amps) -> tuple[np.ndarray, np.ndarray]:
@@ -432,19 +437,12 @@ def _absorption_diagnostics(cfg, scheme, amps) -> tuple[np.ndarray, np.ndarray]:
     return leak, purity
 
 
-def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
-    """Absorb a photon qubit, cross the interface and park the qubit in the
-    donor chain; returns the loaded chain plus per-stage diagnostics."""
-    _require_valid(cfg)
-    q = np.asarray(q, dtype=complex)
-    q = q / np.linalg.norm(q)
-    scheme = cfg.scheme()
-    stages = detection_stages(cfg, scheme)
-    trace = _stage_trace(cfg, stages, q)
+# The private _run_* helpers below take prebuilt stages (or their composed
+# superoperator) so that scenario_report builds them once; the public
+# functions build their own and delegate.
 
-    rho = np.outer(q, q.conj())
-    for st in stages:
-        rho = st.apply(rho)
+def _run_detection(q, cfg, scheme, stages) -> DetectionResult:
+    trace, rho = _stage_trace(stages, q)
     tr = float(np.trace(rho).real)
     logical = rho / tr if tr > 0 else rho
 
@@ -471,19 +469,16 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
         entanglement_entropy_bits=float(ent))
 
 
-def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
-    """Detection, storage dephasing, retrieval and re-emission; the output
-    photon is compared with the input in the canonical logical basis."""
+def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
+    """Absorb a photon qubit, cross the interface and park the qubit in the
+    donor chain; returns the loaded chain plus per-stage diagnostics."""
     _require_valid(cfg)
-    q = np.asarray(q, dtype=complex)
-    q = q / np.linalg.norm(q)
     scheme = cfg.scheme()
-    stages = detection_stages(cfg, scheme) + return_stages(cfg, scheme)
-    trace = _stage_trace(cfg, stages, q)
+    return _run_detection(_unit(q), cfg, scheme, detection_stages(cfg, scheme))
 
-    rho = np.outer(q, q.conj())
-    for st in stages:
-        rho = st.apply(rho)
+
+def _run_end_to_end(q, cfg, scheme, stages) -> EndToEndResult:
+    trace, rho = _stage_trace(stages, q)
     tr = float(np.trace(rho).real)
     photon_rho = rho / tr if tr > 0 else rho
     fid = float(np.real(q.conj() @ photon_rho @ q))
@@ -502,15 +497,23 @@ def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
         hole_purity=float(pur[0]), collection_fraction=collection)
 
 
-def monte_carlo_average_fidelity(cfg: ScenarioConfig,
-                                 n_samples: int | None = None) -> MonteCarloResult:
-    """Haar-averaged round-trip fidelity, deterministic for a given seed."""
+def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
+    """Detection, storage dephasing, retrieval and re-emission; the output
+    photon is compared with the input in the canonical logical basis."""
     _require_valid(cfg)
+    scheme = cfg.scheme()
+    stages = detection_stages(cfg, scheme) + return_stages(cfg, scheme)
+    return _run_end_to_end(_unit(q), cfg, scheme, stages)
+
+
+def _sample_count(cfg: ScenarioConfig, n_samples: int | None = None) -> int:
     n = int(n_samples if n_samples is not None else cfg.mc_samples)
     if n < 1:
         raise ValueError("need at least one sample")
-    scheme = cfg.scheme()
-    s = _compose(detection_stages(cfg, scheme) + return_stages(cfg, scheme))
+    return n
+
+
+def _run_monte_carlo(cfg, scheme, s, n: int) -> MonteCarloResult:
     amps = haar_qubits(cfg.seed, n)
 
     rho_in = np.einsum("ni,nj->nij", amps, amps.conj())
@@ -528,24 +531,45 @@ def monte_carlo_average_fidelity(cfg: ScenarioConfig,
                             float(np.mean(leak)), float(np.mean(pur)), pur_std)
 
 
-def process_tomography(cfg: ScenarioConfig) -> TomographyResult:
-    """Choi matrix of the photon -> photon logical channel, its physicality
-    verdict (conditional maps allowed) and process fidelity to identity."""
+def monte_carlo_average_fidelity(cfg: ScenarioConfig,
+                                 n_samples: int | None = None) -> MonteCarloResult:
+    """Haar-averaged round-trip fidelity, deterministic for a given seed."""
     _require_valid(cfg)
+    n = _sample_count(cfg, n_samples)
     scheme = cfg.scheme()
     s = _compose(detection_stages(cfg, scheme) + return_stages(cfg, scheme))
+    return _run_monte_carlo(cfg, scheme, s, n)
+
+
+def _run_tomography(s) -> TomographyResult:
     choi = choi_of_map(lambda rho: (s @ rho.reshape(4)).reshape(2, 2))
     verdict = is_cptp(choi, tol=1e-8, conditional=True)
     return TomographyResult(choi, verdict, process_fidelity(choi))
 
 
+def process_tomography(cfg: ScenarioConfig) -> TomographyResult:
+    """Choi matrix of the photon -> photon logical channel, its physicality
+    verdict (conditional maps allowed) and process fidelity to identity."""
+    _require_valid(cfg)
+    scheme = cfg.scheme()
+    return _run_tomography(
+        _compose(detection_stages(cfg, scheme) + return_stages(cfg, scheme)))
+
+
 def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
-    """Run the reference input, the Monte Carlo average and tomography."""
-    q = _reference_input(cfg)
-    e2e = run_end_to_end(q, cfg)
-    det = run_detection(q, cfg)
-    mc = monte_carlo_average_fidelity(cfg)
-    tomo = process_tomography(cfg)
+    """Run the reference input, the Monte Carlo average and tomography,
+    building the scheme and the stage list once for all of them."""
+    _require_valid(cfg)
+    n = _sample_count(cfg)
+    scheme = cfg.scheme()
+    detection = detection_stages(cfg, scheme)
+    stages = detection + return_stages(cfg, scheme)
+    s = _compose(stages)
+    q = _unit(cfg.input_qubit)
+    e2e = _run_end_to_end(q, cfg, scheme, stages)
+    det = _run_detection(q, cfg, scheme, detection)
+    mc = _run_monte_carlo(cfg, scheme, s, n)
+    tomo = _run_tomography(s)
     return ChannelReport(
         case=cfg.case,
         round_trip_fidelity=e2e.round_trip_fidelity,

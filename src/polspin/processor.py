@@ -10,6 +10,7 @@ gates.  Gate noise is a single depolarizing parameter per touched site.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -93,20 +94,23 @@ def load_site(chain: DonorChain, site: int, qubit_rho: np.ndarray) -> DonorChain
 
 
 def _embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
-    """Lift an operator on the given adjacent-or-not sites to the full chain."""
-    full = np.array([[1.0]], dtype=complex)
+    """Lift an operator on contiguous sites, starting at sites[0], to the
+    full chain: I(left) ⊗ op ⊗ I(right)."""
     span = int(round(math.log2(op.shape[0])))
     assert span == len(sites)
-    # operators here act on contiguous or single sites only
-    j = 0
-    while j < n:
-        if j == sites[0]:
-            full = np.kron(full, op)
-            j += span
-        else:
-            full = np.kron(full, np.eye(2, dtype=complex))
-            j += 1
-    return full
+    left = sites[0]
+    right = n - left - span
+    return np.kron(np.kron(np.eye(2 ** left, dtype=complex), op),
+                   np.eye(2 ** right, dtype=complex))
+
+
+@functools.lru_cache(maxsize=24)
+def _site_pauli(axis: str, site: int, n: int) -> np.ndarray:
+    """Pauli `axis` at one site of an n-site chain, read-only and shared.
+    The cache holds every site Pauli of chains up to 8 sites."""
+    u = _embed(_PAULI[axis], (site,), n)
+    u.setflags(write=False)
+    return u
 
 
 def _depolarize(rho: np.ndarray, sites: tuple[int, ...], n: int,
@@ -118,7 +122,7 @@ def _depolarize(rho: np.ndarray, sites: tuple[int, ...], n: int,
     for s in sites:
         acc = (1.0 - strength) * rho
         for p in "xyz":
-            u = _embed(_PAULI[p], (s,), n)
+            u = _site_pauli(p, s, n)
             acc = acc + (strength / 3.0) * (u @ rho @ u.conj().T)
         rho = acc
     return rho

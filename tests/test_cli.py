@@ -105,6 +105,29 @@ def test_run_reports_all_config_problems(tmp_path, capsys):
     assert "efficiency" in err
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("case,orientation", [("A", "normal"), ("B", "inplane")])
+@pytest.mark.parametrize("field", ["field.b_tesla", "storage_time_ns",
+                                   "hadamard_time_ns", "noise.t2_iii_v_ns",
+                                   "noise.t2_si_ns", "noise.transport_time_ns",
+                                   "window.bandwidth_ueV",
+                                   "window.center_offset_ueV",
+                                   "emission_direction"])
+def test_run_non_finite_exit_2(tmp_path, capsys, field, case, orientation, value):
+    doc = {"case": case, "field": {"b_tesla": 1.0, "orientation": orientation},
+           "noise": {}, "window": {"bandwidth_ueV": 100.0}}
+    section, _, key = field.rpartition(".")
+    if key == "emission_direction":
+        value = [0.0, 0.0, value]
+    (doc[section] if section else doc)[key] = value
+    cfg = write_config(tmp_path, **doc)
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert code == 2
+    assert out == ""
+    assert "config error" in err
+    assert key.lower() in err.lower()
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_csv_shape(tmp_path, capsys):

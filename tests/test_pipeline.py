@@ -172,10 +172,10 @@ def test_haar_sampling_moments():
 
 
 def test_haar_sampling_prefix_stable():
-    # sample i depends only on (seed, i), not on how many are drawn
-    a = haar_qubits(17, 10)
-    b = haar_qubits(17, 1000)[:10]
-    assert np.allclose(a, b, atol=0)
+    # the first m samples do not depend on how many are drawn, bit for bit
+    full = haar_qubits(17, 1000)
+    for m in (1, 10, 999):
+        assert np.array_equal(haar_qubits(17, m), full[:m])
 
 
 # --- tomography --------------------------------------------------------------
@@ -300,6 +300,57 @@ def test_scenario_report_fields():
     assert rep.choi.shape == (4, 4)
     assert rep.stages[0].name == "absorb"
     assert rep.stages[-1].name == "emit"
+
+
+REPORT_CONFIGS = {
+    "case_a_chain6": lambda: cfg_case_a(
+        window=None, mc_samples=300,
+        chain=ChainParams(n_sites=6, storage_site=5, gate_error=0.01)),
+    "case_b_window": lambda: cfg_case_b(
+        hadamard_time_ns=0.17862, mc_samples=300,
+        chain=ChainParams(n_sites=4, storage_site=3, gate_error=0.02)),
+    "degenerate": lambda: cfg_degenerate(mc_samples=300),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
+def test_scenario_report_equals_public_functions(name):
+    # building the stages once must not change a single bit
+    cfg = REPORT_CONFIGS[name]()
+    q = np.array(cfg.input_qubit, dtype=complex)
+    rep = scenario_report(cfg)
+    e2e = run_end_to_end(q, cfg)
+    det = run_detection(q, cfg)
+    mc = monte_carlo_average_fidelity(cfg)
+    tomo = process_tomography(cfg)
+    assert rep.round_trip_fidelity == e2e.round_trip_fidelity
+    assert rep.collection_fraction == e2e.collection_fraction
+    assert rep.stages == e2e.stages
+    assert rep.entanglement_entropy_bits == det.entanglement_entropy_bits
+    assert (rep.mean_fidelity, rep.stderr, rep.n_samples) == \
+        (mc.mean_fidelity, mc.stderr, mc.n_samples)
+    assert (rep.success_probability, rep.leakage) == \
+        (mc.success_probability, mc.leakage)
+    assert (rep.hole_purity_mean, rep.hole_purity_std) == \
+        (mc.hole_purity_mean, mc.hole_purity_std)
+    assert np.array_equal(rep.choi, tomo.choi)
+    assert (rep.cptp, rep.process_fidelity) == (tomo.cptp, tomo.process_fidelity)
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
+def test_scenario_report_builds_stages_once(name, monkeypatch):
+    from polspin import pipeline
+    calls = {"detection_stages": 0, "return_stages": 0}
+    for fn in calls:
+        original = getattr(pipeline, fn)
+
+        def counted(*args, _fn=fn, _original=original):
+            calls[_fn] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(pipeline, fn, counted)
+    scenario_report(REPORT_CONFIGS[name]())
+    assert calls == {"detection_stages": 1, "return_stages": 1}
 
 
 # --- dot constraints ---------------------------------------------------------

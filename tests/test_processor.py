@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from polspin.bands import zeeman_splitting
-from polspin.processor import (DonorChain, G_DONOR_LAYER, G_TUNING_LAYER,
-                               exchange_gate, fresh_chain, load_site,
-                               resonance_detuning, shuttle,
-                               single_qubit_gate, site_channel_map)
+from polspin.processor import (_PAULI, _embed, _site_pauli, DonorChain,
+                               G_DONOR_LAYER, G_TUNING_LAYER, exchange_gate,
+                               fresh_chain, load_site, resonance_detuning,
+                               shuttle, single_qubit_gate, site_channel_map)
+from polspin.pipeline import _superop_from_map
 from polspin.transfer import HADAMARD
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -273,3 +274,52 @@ def test_resonance_detuning_values():
 def test_layer_g_defaults():
     chain = fresh_chain(2)
     assert chain.layer_g == (1.563, 1.998)
+
+
+def _embed_by_kron_chain(op, site, span, n):
+    """The n-step kron product _embed replaced, kept as its oracle."""
+    full = np.array([[1.0]], dtype=complex)
+    j = 0
+    while j < n:
+        if j == site:
+            full = np.kron(full, op)
+            j += span
+        else:
+            full = np.kron(full, np.eye(2, dtype=complex))
+            j += 1
+    return full
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_embed_equals_kron_chain(n):
+    rng = np.random.default_rng(n)
+    for span in (1, 2):
+        op = (rng.standard_normal((2 ** span,) * 2)
+              + 1j * rng.standard_normal((2 ** span,) * 2))
+        for site in range(n - span + 1):
+            sites = tuple(range(site, site + span))
+            assert np.array_equal(_embed(op, sites, n),
+                                  _embed_by_kron_chain(op, site, span, n))
+    for site in range(n):
+        for axis, p in _PAULI.items():
+            assert np.array_equal(_site_pauli(axis, site, n),
+                                  _embed_by_kron_chain(p, site, 1, n))
+
+
+def test_site_pauli_is_read_only():
+    u = _site_pauli("y", 1, 3)
+    assert not u.flags.writeable
+    with pytest.raises(ValueError):
+        u[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("n,start,stop,eps", [(4, 0, 3, 0.01), (5, 0, 4, 0.05),
+                                              (6, 2, 0, 0.1)])
+def test_site_channel_map_closed_form(n, start, stop, eps):
+    """Shuttling with per-site depolarizing error e is the depolarizing
+    channel rho -> lam rho + (1 - lam) tr(rho) I/2, lam = (1 - 4e/3)^hops."""
+    lam = (1 - 4 * eps / 3) ** abs(stop - start)
+    expected = _superop_from_map(
+        lambda rho: lam * rho + (1 - lam) * np.trace(rho) * np.eye(2) / 2)
+    got = _superop_from_map(site_channel_map(n, start, stop, eps))
+    assert np.max(np.abs(got - expected)) < 1e-12
