@@ -8,6 +8,7 @@ S=1/2 (the J=3/2 quartet splits into light holes |mJ|=1/2 and heavy holes
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +29,7 @@ def _twice(x: float) -> int:
     return int(r)
 
 
+@functools.lru_cache(maxsize=256)
 def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
                    j: float, m: float) -> float:
     """Clebsch-Gordan coefficient <j1 m1; j2 m2 | j m> (Condon-Shortley).
@@ -35,7 +37,9 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
     Evaluated by the closed-form Racah sum with exact rational arithmetic,
     so the double-precision result is accurate to the last bit.  Returns 0
     for m1+m2 != m or when (j1, j2, j) violate the triangle rule; raises
-    ValueError on non-(half-)integer arguments or |m| > j.
+    ValueError on non-(half-)integer arguments or |m| > j.  Results are
+    memoized (a band scheme asks for a dozen distinct coefficients over
+    and over); errors are not, so a bad call raises every time.
     """
     tj1, tm1 = _twice(j1), _twice(m1)
     tj2, tm2 = _twice(j2), _twice(m2)

@@ -54,6 +54,11 @@ class MaterialParams:
     g_hh_inplane: float = 0.0
 
     def __post_init__(self):
+        for name in ("g_cb", "g_lh", "g_hh_normal", "strain_splitting_uev",
+                     "band_gap_uev"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, "
+                                 f"got {getattr(self, name)!r}")
         if self.g_hh_inplane != 0.0:
             raise ValueError("the in-plane heavy-hole g-factor is fixed at 0")
         if self.strain_splitting_uev <= 0:

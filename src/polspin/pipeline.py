@@ -4,7 +4,8 @@ averages, process tomography, device-constraint checks and parameter sweeps.
 Every stage of a scenario is a conditional linear map on the 2x2 logical
 qubit density matrix (logical amplitudes mean: alpha on the first slot of
 the declared photon basis).  Stages compose into one superoperator, so a
-Monte Carlo run is a single vectorised contraction.  It is deterministic
+Monte Carlo run evaluates every per-sample quantity as a quadratic form
+on x = vec(q q†) of the Haar inputs q.  It is deterministic
 for a given (seed, sample count), and prefix-stable: the first m of n
 samples do not depend on n.  Sample i is not tied to a fixed slice of the
 random stream (the normal sampler rejects and redraws), so a run cannot be
@@ -109,8 +110,9 @@ class ScenarioConfig:
         if self.mc_samples < 1:
             problems.append("mc_samples must be at least 1")
         n = abs(self.input_qubit[0]) ** 2 + abs(self.input_qubit[1]) ** 2
-        if abs(n - 1.0) > 1e-9:
-            problems.append("input qubit amplitudes must be normalized")
+        if not (math.isfinite(n) and abs(n - 1.0) <= 1e-9):
+            problems.append("input_qubit amplitudes must be finite and "
+                            "normalized")
         return problems
 
     def scheme(self) -> BandScheme:
@@ -183,14 +185,8 @@ def _absorption_kraus_logical(cfg: ScenarioConfig, scheme: BandScheme) -> list[n
     """Logical-frame Kraus branches of the absorption, scaled by the
     absorption efficiency and, if necessary, renormalised so the
     conditional map stays physical (sum K†K <= I)."""
-    if cfg.case == DEGENERATE:
-        phys = [np.array([[1, 0], [0, 0]], dtype=complex),
-                np.array([[0, 0], [0, 1]], dtype=complex)]
-    else:
-        phys = [br.kraus for br in absorption_branches(
-            scheme, cfg.window, cfg.compensate and cfg.case == CASE_A)]
     frame = _detection_frame(cfg.case)
-    ks = [frame @ k for k in phys]
+    ks = [frame @ k for k in _physical_absorption_kraus(cfg, scheme)]
     total = sum(k.conj().T @ k for k in ks)
     top = float(np.max(np.linalg.eigvalsh(total)).real)
     scale = math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
@@ -322,13 +318,47 @@ def haar_qubits(seed: int, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _branch_weights(kraus: list[np.ndarray], amps: np.ndarray) -> np.ndarray:
-    """Squared norms ||K_i q||² per branch, vectorised over samples."""
-    out = np.empty((amps.shape[0], len(kraus)))
-    for i, k in enumerate(kraus):
-        v = amps @ k.T
-        out[:, i] = np.sum(np.abs(v) ** 2, axis=1)
-    return out
+def _projectors(amps: np.ndarray) -> np.ndarray:
+    """x = vec(q q†) for each row q of amps, shape (n, 4) complex."""
+    return (amps[:, :, None] * amps.conj()[:, None, :]).reshape(-1, 4)
+
+
+def _haar_projectors(seed: int, n: int) -> np.ndarray:
+    """vec(q q†) of the n Haar inputs haar_qubits(seed, n)."""
+    return _projectors(haar_qubits(seed, n))
+
+
+# x = vec(q q†) is Hermitian in its two indices, so conj(x) = x[:, _SWAP]
+_SWAP = [0, 2, 1, 3]
+
+
+def _sample_quantities(cfg, scheme, s, x) -> tuple[np.ndarray, ...]:
+    """Per-sample (fidelity, trace, leakage, hole purity) of the pure inputs
+    x = vec(q q†) sent through the composed superoperator s.
+
+    Each quantity is a quadratic form in q, hence linear or bilinear in x:
+    with y = x sᵀ = vec S(q q†), the output trace is y₀ + y₃, the fidelity
+    numerator q† S(q q†) q is Re x†·y, and the weight ||K q||² of the
+    physical absorption branch K is Re x†·vec(K†K) = Re xᵀ·vec(K†K)*.
+    Both x† products are taken without conjugating x: x†·y = xᵀ·y[:, _SWAP]
+    and the swap leaves the trace slots 0 and 3 in place.
+    """
+    y = x @ s.T[:, _SWAP]
+    traces = (y[:, 0] + y[:, 3]).real
+    num = np.einsum("ni,ni->n", x, y).real
+    safe = np.where(traces <= 0, 1.0, traces)
+    fids = np.where(traces <= 0, 0.0, num / safe)
+
+    # one (n,) array per branch, as reductions over a length-2 axis are
+    # slow; clipped at 0 because the form can round below ||K q||² = 0
+    w = [np.maximum((x @ (k.conj().T @ k).conj().reshape(4)).real, 0.0)
+         for k in _physical_absorption_kraus(cfg, scheme)]
+    total = sum(w)
+    total = np.where(total <= 0, 1.0, total)
+    leak = w[1] / total if len(w) > 1 and cfg.case != DEGENERATE \
+        else np.zeros(x.shape[0])
+    purity = sum((wi / total) ** 2 for wi in w)
+    return fids, traces, leak, purity
 
 
 # ---------------------------------------------------------------------------
@@ -425,18 +455,6 @@ def _unit(q) -> np.ndarray:
     return q / np.linalg.norm(q)
 
 
-def _absorption_diagnostics(cfg, scheme, amps) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (leakage, hole purity) from the physical branch weights."""
-    kraus = _physical_absorption_kraus(cfg, scheme)
-    w = _branch_weights(kraus, amps)
-    total = np.sum(w, axis=1)
-    total = np.where(total <= 0, 1.0, total)
-    leak = w[:, 1] / total if w.shape[1] > 1 and cfg.case != DEGENERATE \
-        else np.zeros(amps.shape[0])
-    purity = np.sum((w / total[:, None]) ** 2, axis=1)
-    return leak, purity
-
-
 # The private _run_* helpers below take prebuilt stages (or their composed
 # superoperator) so that scenario_report builds them once; the public
 # functions build their own and delegate.
@@ -446,7 +464,8 @@ def _run_detection(q, cfg, scheme, stages) -> DetectionResult:
     tr = float(np.trace(rho).real)
     logical = rho / tr if tr > 0 else rho
 
-    leak, pur = _absorption_diagnostics(cfg, scheme, q[None, :])
+    _, _, leak, pur = _sample_quantities(cfg, scheme, _compose(stages),
+                                         _projectors(q[None, :]))
     photon = PhotonQubit(cfg.photon_basis(), q[0], q[1], window=cfg.window)
     if cfg.case == DEGENERATE:
         outcome = absorb_degenerate(photon, cfg.absorption_efficiency)
@@ -483,7 +502,8 @@ def _run_end_to_end(q, cfg, scheme, stages) -> EndToEndResult:
     photon_rho = rho / tr if tr > 0 else rho
     fid = float(np.real(q.conj() @ photon_rho @ q))
 
-    leak, pur = _absorption_diagnostics(cfg, scheme, q[None, :])
+    _, _, leak, pur = _sample_quantities(cfg, scheme, _compose(stages),
+                                         _projectors(q[None, :]))
     direction = (np.asarray(cfg.emission_direction, dtype=float)
                  if cfg.emission_direction is not None else scheme.canonical_k)
     _, _, _, fractions = _mode_map(scheme, direction / np.linalg.norm(direction))
@@ -513,17 +533,9 @@ def _sample_count(cfg: ScenarioConfig, n_samples: int | None = None) -> int:
     return n
 
 
-def _run_monte_carlo(cfg, scheme, s, n: int) -> MonteCarloResult:
-    amps = haar_qubits(cfg.seed, n)
-
-    rho_in = np.einsum("ni,nj->nij", amps, amps.conj())
-    rho_out = np.einsum("ab,nb->na", s, rho_in.reshape(n, 4)).reshape(n, 2, 2)
-    traces = np.real(np.trace(rho_out, axis1=1, axis2=2))
-    safe = np.where(traces <= 0, 1.0, traces)
-    fids = np.real(np.einsum("ni,nij,nj->n", amps.conj(), rho_out, amps)) / safe
-    fids = np.where(traces <= 0, 0.0, fids)
-
-    leak, pur = _absorption_diagnostics(cfg, scheme, amps)
+def _run_monte_carlo(cfg, scheme, s, x) -> MonteCarloResult:
+    fids, traces, leak, pur = _sample_quantities(cfg, scheme, s, x)
+    n = x.shape[0]
     mean = float(np.mean(fids))
     stderr = float(np.std(fids, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     pur_std = float(np.std(pur, ddof=1)) if n > 1 else 0.0
@@ -538,7 +550,7 @@ def monte_carlo_average_fidelity(cfg: ScenarioConfig,
     n = _sample_count(cfg, n_samples)
     scheme = cfg.scheme()
     s = _compose(detection_stages(cfg, scheme) + return_stages(cfg, scheme))
-    return _run_monte_carlo(cfg, scheme, s, n)
+    return _run_monte_carlo(cfg, scheme, s, _haar_projectors(cfg.seed, n))
 
 
 def _run_tomography(s) -> TomographyResult:
@@ -568,7 +580,7 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     q = _unit(cfg.input_qubit)
     e2e = _run_end_to_end(q, cfg, scheme, stages)
     det = _run_detection(q, cfg, scheme, detection)
-    mc = _run_monte_carlo(cfg, scheme, s, n)
+    mc = _run_monte_carlo(cfg, scheme, s, _haar_projectors(cfg.seed, n))
     tomo = _run_tomography(s)
     return ChannelReport(
         case=cfg.case,
@@ -626,14 +638,26 @@ def sweep_parameters() -> tuple[str, ...]:
 
 def sweep(cfg: ScenarioConfig, param: str, values,
           n_samples: int | None = None) -> list[dict]:
-    """One Monte Carlo row per value of a numeric config parameter."""
+    """One Monte Carlo row per value of a numeric config parameter.
+
+    Every row evaluates the same seeded Haar inputs (common random
+    numbers): a row equals monte_carlo_average_fidelity at that value, and
+    differences between rows are not sampling noise.  The inputs are drawn
+    once for the whole sweep.
+    """
     if param not in _SWEEPABLE:
         raise KeyError(f"unknown sweep parameter {param!r}; "
                        f"choose from {', '.join(sweep_parameters())}")
     rows = []
+    x = None
     for v in values:
         sub = _SWEEPABLE[param](cfg, float(v))
-        mc = monte_carlo_average_fidelity(sub, n_samples)
+        _require_valid(sub)
+        if x is None:
+            x = _haar_projectors(sub.seed, _sample_count(sub, n_samples))
+        scheme = sub.scheme()
+        s = _compose(detection_stages(sub, scheme) + return_stages(sub, scheme))
+        mc = _run_monte_carlo(sub, scheme, s, x)
         rows.append({
             "param": param,
             "value": float(v),

@@ -53,6 +53,33 @@ def test_invalid_m_rejected():
         clebsch_gordan(1, 2, 0.5, 0.5, 1.5, 2.5)
 
 
+def test_cached_equals_uncached():
+    """Memoized coefficients equal a fresh evaluation, on first and repeat."""
+    halves = [0.5 * k for k in range(-3, 4)]
+    for j1, j2, j in ((1, 0.5, 1.5), (1, 0.5, 0.5), (1.5, 1.5, 2), (0.5, 0.5, 1)):
+        for m1 in halves:
+            for m2 in halves:
+                if abs(m1) > j1 or abs(m2) > j2 or abs(m1 + m2) > j:
+                    continue
+                args = (j1, m1, j2, m2, j, m1 + m2)
+                try:
+                    want = clebsch_gordan.__wrapped__(*args)
+                except ValueError:
+                    continue
+                hits = clebsch_gordan.cache_info().hits
+                assert clebsch_gordan(*args) == want
+                assert clebsch_gordan(*args) == want
+                assert clebsch_gordan.cache_info().hits > hits
+
+
+def test_invalid_pair_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            clebsch_gordan(1, 2, 0.5, 0.5, 1.5, 2.5)
+        with pytest.raises(ValueError):
+            clebsch_gordan(0.3, 0.3, 0.5, 0.5, 0.8, 0.8)
+
+
 @pytest.mark.parametrize("j1", [0.5, 1.0, 1.5])
 @pytest.mark.parametrize("j2", [0.5, 1.0])
 def test_against_sympy(j1, j2):

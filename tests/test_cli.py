@@ -112,13 +112,22 @@ def test_run_reports_all_config_problems(tmp_path, capsys):
                                    "noise.t2_si_ns", "noise.transport_time_ns",
                                    "window.bandwidth_ueV",
                                    "window.center_offset_ueV",
-                                   "emission_direction"])
+                                   "emission_direction", "input_qubit",
+                                   "material.g_cb", "material.g_lh",
+                                   "material.g_hh_normal",
+                                   "material.strain_splitting_ueV",
+                                   "material.band_gap_ueV"])
 def test_run_non_finite_exit_2(tmp_path, capsys, field, case, orientation, value):
     doc = {"case": case, "field": {"b_tesla": 1.0, "orientation": orientation},
-           "noise": {}, "window": {"bandwidth_ueV": 100.0}}
+           "noise": {}, "window": {"bandwidth_ueV": 100.0},
+           "material": {"g_cb": 0.4, "g_lh": 8.87, "g_hh_normal": 1.0,
+                        "strain_splitting_ueV": 20000.0,
+                        "band_gap_ueV": 1.5e6}}
     section, _, key = field.rpartition(".")
     if key == "emission_direction":
         value = [0.0, 0.0, value]
+    if key == "input_qubit":
+        value = [[value, 0.0], [0.0, 0.0]]
     (doc[section] if section else doc)[key] = value
     cfg = write_config(tmp_path, **doc)
     code, out, err = run_cli(["--config", cfg, "run"], capsys)

@@ -27,8 +27,16 @@ DEGENERATE = {"case": "degenerate", "seed": 11, "mc_samples": 1000}
 GATE_ERROR_CHAIN = {"case": "A", "compensate": True, "seed": 5, "mc_samples": 500,
                     "chain": {"n_sites": 5, "storage_site": 4, "gate_error": 0.05}}
 
+CASE_A_WINDOW = {"case": "A", "compensate": True, "seed": 12345, "mc_samples": 2000,
+                 "window": {"bandwidth_ueV": 20.0, "lineshape": "gaussian"},
+                 "chain": {"n_sites": 2, "storage_site": 1, "gate_error": 0.0}}
+
 SWEEP = ["sweep", "--param", "chain.gate_error", "--from", "0", "--to", "0.05",
          "--steps", "4"]
+TRANSPORT_SWEEP = ["sweep", "--param", "noise.transport_time_ns", "--from", "0",
+                   "--to", "50", "--steps", "6"]
+BANDWIDTH_SWEEP = ["sweep", "--param", "window.bandwidth_ueV", "--from", "50",
+                   "--to", "2000", "--steps", "5"]
 
 CASES = {
     f"run_{name}_{fmt}": (doc, ["run", "--format", fmt])
@@ -41,6 +49,8 @@ CASES["tomography_chain5_text"] = (GATE_ERROR_CHAIN, ["tomography"])
 CASES["tomography_chain5_json-like"] = (GATE_ERROR_CHAIN,
                                         ["tomography", "--format", "json-like"])
 CASES["sweep_chain5_gate_error"] = (GATE_ERROR_CHAIN, SWEEP)
+CASES["sweep_case_b_window_transport_time"] = (CASE_B_WINDOW, TRANSPORT_SWEEP)
+CASES["sweep_case_a_bandwidth"] = (CASE_A_WINDOW, BANDWIDTH_SWEEP)
 
 
 def run_case(name: str, workdir: Path) -> bytes:

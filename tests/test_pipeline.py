@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from polspin import pipeline
 from polspin.bands import FieldConfig, INPLANE, NORMAL, SpectralWindow
 from polspin.constants import KB_UEV_PER_K
 from polspin.noise import NoiseModel
@@ -10,7 +12,9 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               dot_constraint_check, haar_qubits,
                               monte_carlo_average_fidelity,
                               process_tomography, run_detection,
-                              run_end_to_end, scenario_report, sweep)
+                              run_end_to_end, scenario_report, sweep,
+                              end_to_end_stages, _physical_absorption_kraus,
+                              _projectors, _sample_quantities)
 from polspin.bands import precession_period
 from polspin.qstate import is_cptp
 
@@ -176,6 +180,119 @@ def test_haar_sampling_prefix_stable():
     full = haar_qubits(17, 1000)
     for m in (1, 10, 999):
         assert np.array_equal(haar_qubits(17, m), full[:m])
+
+
+# --- the per-sample kernel against the density-matrix evaluation --------------
+
+def _composed(cfg):
+    s = np.eye(4, dtype=complex)
+    for st in end_to_end_stages(cfg):
+        s = st.superop @ s
+    return s
+
+
+def _density_matrix_oracle(cfg, s, amps):
+    """Per-sample (fidelity, trace, leakage, purity) from explicit density
+    matrices and branch amplitudes K q."""
+    n = amps.shape[0]
+    rho_in = np.einsum("ni,nj->nij", amps, amps.conj())
+    rho_out = np.einsum("ab,nb->na", s, rho_in.reshape(n, 4)).reshape(n, 2, 2)
+    traces = np.real(np.trace(rho_out, axis1=1, axis2=2))
+    safe = np.where(traces <= 0, 1.0, traces)
+    fids = np.real(np.einsum("ni,nij,nj->n", amps.conj(), rho_out, amps)) / safe
+    fids = np.where(traces <= 0, 0.0, fids)
+    kraus = _physical_absorption_kraus(cfg, cfg.scheme())
+    w = np.stack([np.sum(np.abs(amps @ k.T) ** 2, axis=1) for k in kraus], axis=1)
+    total = np.sum(w, axis=1)
+    total = np.where(total <= 0, 1.0, total)
+    leak = w[:, 1] / total if w.shape[1] > 1 and cfg.case != "degenerate" \
+        else np.zeros(n)
+    purity = np.sum((w / total[:, None]) ** 2, axis=1)
+    return fids, traces, leak, purity
+
+
+KERNEL_CONFIGS = {
+    "case_a": cfg_case_a(window=SpectralWindow(1000.0),
+                         noise=NoiseModel(transport_time_ns=30.0),
+                         storage_time_ns=2e5),
+    "case_b_window": cfg_case_b(window=SpectralWindow(600.0),
+                                hadamard_time_ns=0.17862,
+                                chain=ChainParams(4, 3, 0.02)),
+    "degenerate": cfg_degenerate(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+def test_sample_quantities_match_density_matrices(name):
+    cfg = KERNEL_CONFIGS[name]
+    amps = haar_qubits(cfg.seed, 1000)
+    s = _composed(cfg)
+    got = _sample_quantities(cfg, cfg.scheme(), s, _projectors(amps))
+    want = _density_matrix_oracle(cfg, s, amps)
+    for label, g, w in zip(("fidelity", "trace", "leakage", "purity"), got, want):
+        assert g.shape == (1000,), label
+        assert np.max(np.abs(g - w)) < 1e-12, label
+
+
+def _bloch_quadrature_mean(s, n_theta=48, n_phi=96):
+    """Seedless Haar average of q† S(q q†) q / tr S(q q†): Gauss-Legendre in
+    cos(theta), midpoint rule in phi."""
+    u, wu = np.polynomial.legendre.leggauss(n_theta)
+    phi = 2.0 * math.pi * (np.arange(n_phi) + 0.5) / n_phi
+    theta = np.arccos(u)[:, None]
+    q = np.stack(np.broadcast_arrays(np.cos(theta / 2) + 0j,
+                                     np.exp(1j * phi) * np.sin(theta / 2)),
+                 axis=-1).reshape(-1, 2)
+    rho = np.einsum("ni,nj->nij", q, q.conj()).reshape(-1, 4)
+    out = (rho @ s.T).reshape(-1, 2, 2)
+    ratio = (np.real(np.einsum("ni,nij,nj->n", q.conj(), out, q))
+             / np.real(np.trace(out, axis1=1, axis2=2)))
+    return float(wu @ ratio.reshape(n_theta, n_phi).mean(axis=1)) / 2.0
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+def test_mc_mean_matches_bloch_quadrature(name):
+    cfg = KERNEL_CONFIGS[name]
+    mc = monte_carlo_average_fidelity(cfg, 20_000)
+    want = _bloch_quadrature_mean(_composed(cfg))
+    assert abs(mc.mean_fidelity - want) <= 5 * mc.stderr + 1e-6
+
+
+SWEEP_CASES = {
+    "noise.transport_time_ns": (
+        cfg_case_b(hadamard_time_ns=0.17862), [0.0, 10.0, 35.0, 50.0],
+        lambda cfg, v: replace(cfg, noise=replace(cfg.noise, transport_time_ns=v))),
+    "window.bandwidth_ueV": (
+        cfg_case_a(), [50.0, 300.0, 1200.0],
+        lambda cfg, v: replace(cfg, window=replace(cfg.window, bandwidth_uev=v))),
+    "field.b_tesla": (
+        cfg_case_b(hadamard_time_ns=TAU), [0.2, 0.55, 1.0],
+        lambda cfg, v: replace(cfg, field=replace(cfg.field, b_tesla=v))),
+}
+
+
+@pytest.mark.parametrize("param", sorted(SWEEP_CASES))
+def test_sweep_rows_equal_monte_carlo(param, monkeypatch):
+    """A sweep draws its Haar inputs once, and each row is exactly the
+    Monte Carlo result of its point on those inputs."""
+    cfg, values, point = SWEEP_CASES[param]
+    draws = []
+
+    def counting_haar(seed, n):
+        draws.append((seed, n))
+        return haar_qubits(seed, n)
+
+    monkeypatch.setattr(pipeline, "haar_qubits", counting_haar)
+    rows = sweep(cfg, param, values, n_samples=500)
+    assert draws == [(cfg.seed, 500)]
+    assert len(rows) == len(values)
+    for row, v in zip(rows, values):
+        mc = monte_carlo_average_fidelity(point(cfg, v), 500)
+        assert row == {"param": param, "value": v,
+                       "mean_fidelity": mc.mean_fidelity, "stderr": mc.stderr,
+                       "success_prob": mc.success_probability,
+                       "leakage": mc.leakage,
+                       "hole_purity": mc.hole_purity_mean}
 
 
 # --- tomography --------------------------------------------------------------
