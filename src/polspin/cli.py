@@ -40,7 +40,10 @@ def fmt9(x: float) -> str:
 
 
 def _complex9(z: complex) -> str:
-    return f"{z.real:.9g}{z.imag:+.9g}j"
+    """Choi entries (|z| <= 1): each part rounded to 12 decimals first, so
+    round-off residues print as 0 (adding 0.0 turns -0.0 into 0.0)."""
+    real, imag = round(float(z.real), 12) + 0.0, round(float(z.imag), 12) + 0.0
+    return f"{real:.9g}{imag:+.9g}j"
 
 
 # ---------------------------------------------------------------------------

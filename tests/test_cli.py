@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from polspin.cli import main
+from polspin.cli import _complex9, main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -210,6 +210,19 @@ def test_tomography_nonphysical_matrix(tmp_path, capsys):
     code, out, _ = run_cli(["tomography", "--choi", str(path)], capsys)
     assert code == 0
     assert "cptp: false" in out
+
+
+@pytest.mark.parametrize("z", [0.0959716502 + 0j, 0.131319158 - 0.25j,
+                               -0.5 + 1e-3j, 0.0353475082j])
+def test_choi_entry_print_ignores_round_off(z):
+    assert _complex9(z + 1e-15) == _complex9(z)
+    assert _complex9(z - 1e-15j) == _complex9(z)
+
+
+def test_choi_entry_residue_prints_zero():
+    assert _complex9(1e-17 - 3e-40j) == "0+0j"
+    assert _complex9(-4.7e-17 - 0.0j) == "0+0j"
+    assert _complex9(0.0959716502 - 4.70125497e-17j) == "0.0959716502+0j"
 
 
 # --- check-dot ---------------------------------------------------------------
