@@ -300,8 +300,12 @@ def cmd_tomography(cfg: ScenarioConfig, fmt: str, out: str | None,
             with open(choi_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
             mat = np.array([[complex(c[0], c[1]) for c in row] for row in raw])
-        except (OSError, json.JSONDecodeError, TypeError, IndexError) as exc:
-            raise ConfigError(f"cannot parse choi file: {exc}")
+        except (OSError, json.JSONDecodeError, TypeError, IndexError,
+                ValueError) as exc:
+            raise ConfigError(f"cannot parse choi file {choi_file}: {exc}")
+        if mat.shape != (4, 4) or not np.all(np.isfinite(mat)):
+            raise ConfigError(f"choi file {choi_file} must hold a finite 4x4 "
+                              "matrix of [re, im] pairs")
         verdict = is_cptp(mat, tol=1e-8, conditional=True)
         pf = process_fidelity(mat) if np.trace(mat).real > 0 else 0.0
         lines = _choi_lines(mat)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .qstate import QuantumChannel, QuantumState, apply_channel
+from .qstate import ELECTRON, QuantumChannel, QuantumState, apply_channel
 
 # T2 defaults: ~0.5 ms for donor-bound spins in natural Si at ~1 K,
 # ~100 ns for conduction electrons in III-V material.
@@ -23,7 +23,14 @@ T2_III_V_NS = 100.0
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Timescales and knobs for the transport/storage noise stages."""
+    """Timescales and knobs for the transport/storage noise stages.
+
+    The two transport legs differ: both dephase with the III-V T2 over
+    transport_time_ns and lose transport_loss, but only the forward leg
+    (III-V absorber -> Si storage, across the wafer-fused interface) also
+    dephases by transport_dephasing_fraction.  The return leg to the
+    emitter leaves that fraction out.
+    """
 
     t2_iii_v_ns: float = T2_III_V_NS
     t2_si_ns: float = T2_SI_NS
@@ -65,6 +72,15 @@ def dephasing_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
+def _in_basis(kraus, basis: np.ndarray | None) -> list[np.ndarray]:
+    """Kraus operators of a channel diagonal in the eigenbasis held as the
+    columns of basis (None: the computational basis)."""
+    if basis is None:
+        return list(kraus)
+    u = np.asarray(basis, dtype=complex)
+    return [u @ k @ u.conj().T for k in kraus]
+
+
 def dephasing_channel(t_ns: float, t2_ns: float,
                       basis: np.ndarray | None = None) -> QuantumChannel:
     """Phase damping over t with time constant t2, as a QuantumChannel.
@@ -72,11 +88,7 @@ def dephasing_channel(t_ns: float, t2_ns: float,
     basis, when given, holds the energy eigenvectors as columns; the
     channel dephases in that eigenbasis rather than the computational one.
     """
-    from .qstate import ELECTRON
-    ks = dephasing_kraus(coherence_factor(t_ns, t2_ns))
-    if basis is not None:
-        u = np.asarray(basis, dtype=complex)
-        ks = [u @ k @ u.conj().T for k in ks]
+    ks = _in_basis(dephasing_kraus(coherence_factor(t_ns, t2_ns)), basis)
     return QuantumChannel(tuple(ks), (ELECTRON,))
 
 
@@ -96,9 +108,20 @@ def dephase(rho: QuantumState, t_ns: float, t2_ns: float,
     return apply_channel(rho, ch)
 
 
+def transport_kraus(noise: NoiseModel, basis: np.ndarray | None = None):
+    """Kraus pairs (T2 decay, dephasing fraction) of transport: the III-V
+    T2 phase damping over the transport time, which both legs apply, and
+    the forward-only transport_dephasing_fraction, both in the energy
+    eigenbasis held as the columns of basis."""
+    t2 = dephasing_kraus(coherence_factor(noise.transport_time_ns,
+                                          noise.t2_iii_v_ns))
+    extra = dephasing_kraus(1.0 - noise.transport_dephasing_fraction)
+    return _in_basis(t2, basis), _in_basis(extra, basis)
+
+
 def transport_channel(rho: QuantumState, noise: NoiseModel,
                       basis: np.ndarray | None = None):
-    """Electrostatic transport across the wafer-fused interface.
+    """Forward electrostatic transport across the wafer-fused interface.
 
     Dephases over the transport time with the III-V T2, applies the extra
     dephasing-fraction knob, and reports the arrival probability
@@ -108,14 +131,7 @@ def transport_channel(rho: QuantumState, noise: NoiseModel,
     arrival = 1.0 - noise.transport_loss
     if arrival <= 0.0:
         return None, 0.0
-    out = dephase(rho, noise.transport_time_ns, noise.t2_iii_v_ns, basis=basis)
-    extra = 1.0 - noise.transport_dephasing_fraction
-    if extra < 1.0:
-        ks = dephasing_kraus(extra)
-        if basis is not None:
-            u = np.asarray(basis, dtype=complex)
-            ks = [u @ k @ u.conj().T for k in ks]
-        idx = out.factor_index("electron_spin")
-        ch = QuantumChannel(tuple(ks), (out.factors[idx],))
-        out = apply_channel(out, ch)
-    return out, arrival
+    factor = (rho.factors[rho.factor_index("electron_spin")],)
+    for ks in transport_kraus(noise, basis):
+        rho = apply_channel(rho, QuantumChannel(tuple(ks), factor))
+    return rho, arrival

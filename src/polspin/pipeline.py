@@ -3,13 +3,16 @@ averages, process tomography, device-constraint checks and parameter sweeps.
 
 Every stage of a scenario is a conditional linear map on the 2x2 logical
 qubit density matrix (logical amplitudes mean: alpha on the first slot of
-the declared photon basis).  Stages compose into one superoperator, so a
-Monte Carlo run evaluates every per-sample quantity as a quadratic form
-on x = vec(q q†) of the Haar inputs q.  It is deterministic
-for a given (seed, sample count), and prefix-stable: the first m of n
-samples do not depend on n.  Sample i is not tied to a fixed slice of the
-random stream (the normal sampler rejects and redraws), so a run cannot be
-split into independently seeded chunks that reproduce the whole.
+the declared photon basis), held as its real 4x4 Pauli transfer matrix
+(PTM; conventions in qstate).  Stages compose by matrix product into one
+PTM R, so a Monte Carlo run evaluates every per-sample quantity as a
+quadratic form on the Pauli vectors c = (1, Bloch vector) of the Haar
+inputs: trace (R c)₀, fidelity numerator ½ c·R c, branch weights ½ c·m.
+It is deterministic for a given (seed, sample count), and prefix-stable:
+the first m of n samples do not depend on n.  Sample i is not tied to a
+fixed slice of the random stream (the normal sampler rejects and redraws),
+so a run cannot be split into independently seeded chunks that reproduce
+the whole.
 
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
@@ -32,10 +35,13 @@ from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, FieldConfig,
                     SpectralWindow, build_level_scheme, degenerate_scheme)
 from .constants import H_OVER_E2_OHM, charging_energy_uev, thermal_energy_uev
 from .noise import NoiseModel
-from .qstate import choi_of_map, is_cptp, process_fidelity
-from .transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit,
-                       absorption_branches, absorb_degenerate, emission_map,
-                       precession_unitary, _mode_map)
+from .qstate import (PAULIS, choi_from_ptm, choi_of_map, density_from_pauli,
+                     entanglement_entropy, is_cptp, pauli_vectors,
+                     process_fidelity, ptm_from_choi, ptm_from_kraus)
+from .transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit, absorb_case_a,
+                       absorb_case_b, absorb_degenerate, absorption_branches,
+                       emission_map, precession_unitary, _eigenbasis_matrix,
+                       _frame_inverse, _mode_map)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -129,31 +135,21 @@ class ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# stages as superoperators
+# stages as Pauli transfer matrices
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class Stage:
+    """One stage as a real 4x4 Pauli transfer matrix (conventions in qstate).
+
+    The absorb stage also holds the weight forms of the unscaled physical
+    absorption branches K, one row m_j = tr(σ_j K†K) per branch, which the
+    per-sample hole diagnostics read.
+    """
+
     name: str
-    superop: np.ndarray = field(repr=False)   # 4x4, row-major vec convention
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return (self.superop @ rho.reshape(4)).reshape(2, 2)
-
-
-def _superop_from_map(fn) -> np.ndarray:
-    s = np.zeros((4, 4), dtype=complex)
-    for k in range(2):
-        for l in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[k, l] = 1.0
-            s[:, 2 * k + l] = fn(e).reshape(4)
-    return s
-
-
-def _superop_from_kraus(kraus) -> np.ndarray:
-    return _superop_from_map(
-        lambda rho: sum(k @ rho @ k.conj().T for k in kraus))
+    ptm: np.ndarray = field(repr=False)
+    branch_forms: np.ndarray | None = field(default=None, repr=False)
 
 
 def _detection_frame(case: str) -> np.ndarray:
@@ -162,31 +158,23 @@ def _detection_frame(case: str) -> np.ndarray:
     return _X if case == CASE_A else _I2
 
 
-def _eigen_columns(scheme: BandScheme) -> np.ndarray:
-    return np.column_stack([scheme.conduction_levels[0].state,
-                            scheme.conduction_levels[-1].state])
-
-
 def _dephasing_basis(cfg: ScenarioConfig, scheme: BandScheme) -> np.ndarray | None:
     """Energy eigenbasis for transport dephasing, in logical coordinates.
 
     Case A: the logical basis states are the Zeeman eigenstates (None means
-    diagonal).  Case B: the eigenstates are the ± superpositions, expressed
-    here in the pre-readout logical frame.  Degenerate: no field, basis
+    diagonal).  Case B: the eigenstates are the ± superpositions; the
+    pre-readout logical frame is the mS frame.  Degenerate: no field, basis
     choice immaterial; the stored state is already diagonal.
     """
-    if cfg.case != CASE_B:
-        return None
-    f = _detection_frame(cfg.case)
-    return f @ _eigen_columns(scheme)
+    return _eigenbasis_matrix(scheme) if cfg.case == CASE_B else None
 
 
-def _absorption_kraus_logical(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]:
-    """Logical-frame Kraus branches of the absorption, scaled by the
-    absorption efficiency and, if necessary, renormalised so the
-    conditional map stays physical (sum K†K <= I)."""
+def _absorption_kraus_logical(cfg: ScenarioConfig, physical) -> list[np.ndarray]:
+    """Logical-frame Kraus branches of the absorption: the physical
+    branches scaled by the absorption efficiency and, if necessary,
+    renormalised so the conditional map stays physical (sum K†K <= I)."""
     frame = _detection_frame(cfg.case)
-    ks = [frame @ k for k in _physical_absorption_kraus(cfg, scheme)]
+    ks = [frame @ k for k in physical]
     total = sum(k.conj().T @ k for k in ks)
     top = float(np.max(np.linalg.eigvalsh(total)).real)
     scale = math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
@@ -202,6 +190,12 @@ def _physical_absorption_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[
         scheme, cfg.window, cfg.compensate and cfg.case == CASE_A)]
 
 
+def _emission_direction(cfg: ScenarioConfig, scheme: BandScheme) -> np.ndarray:
+    direction = (np.asarray(cfg.emission_direction, dtype=float)
+                 if cfg.emission_direction is not None else scheme.canonical_k)
+    return direction / np.linalg.norm(direction)
+
+
 def _emission_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]:
     """Logical Kraus of prep -> recombination -> collection -> compensation.
 
@@ -209,47 +203,36 @@ def _emission_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]
     degenerate case leaves which-path information in the hole, one Kraus
     branch per circular polarization.
     """
-    direction = (np.asarray(cfg.emission_direction, dtype=float)
-                 if cfg.emission_direction is not None else scheme.canonical_k)
-    direction = direction / np.linalg.norm(direction)
-    t, _, lossy, _ = _mode_map(scheme, direction)
-    if lossy or np.linalg.matrix_rank(t, tol=1e-10) < 2:
-        inv = np.linalg.pinv(t)
-    else:
-        inv = np.linalg.inv(t)
-    canonical = emission_map(scheme)
-    geometry = canonical @ inv @ t       # identity wherever t has full rank
-    prep = _X if cfg.case == CASE_A else _I2
+    t, _, lossy, _ = _mode_map(scheme, _emission_direction(cfg, scheme))
+    # identity wherever t has full rank
+    geometry = emission_map(scheme) @ _frame_inverse(t, lossy) @ t
+    prep = _detection_frame(cfg.case)
     if cfg.case == DEGENERATE:
         return [geometry @ np.array([[1, 0], [0, 0]], dtype=complex) @ prep,
                 geometry @ np.array([[0, 0], [0, 1]], dtype=complex) @ prep]
     return [geometry @ prep]
 
 
+def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
+    """The dense chain simulation, probed on the four matrix units."""
+    return ptm_from_choi(choi_of_map(processor.site_channel_map(
+        chain.n_sites, from_site, to_site, chain.gate_error)))
+
+
 def detection_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
-    stages = [Stage("absorb", _superop_from_kraus(
-        _absorption_kraus_logical(cfg, scheme)))]
+    physical = _physical_absorption_kraus(cfg, scheme)
+    # m_j = tr(σ_j K†K) of each unscaled physical branch K
+    forms = np.array([np.einsum("jab,ba->j", PAULIS, k.conj().T @ k).real
+                      for k in physical])
+    stages = [Stage("absorb", ptm_from_kraus(
+        _absorption_kraus_logical(cfg, physical)), forms)]
 
-    basis = _dephasing_basis(cfg, scheme)
-    nm = cfg.noise
-
-    def transport_map(rho):
-        ks = noise_mod.dephasing_kraus(
-            noise_mod.coherence_factor(nm.transport_time_ns, nm.t2_iii_v_ns))
-        extra = noise_mod.dephasing_kraus(1.0 - nm.transport_dephasing_fraction)
-        if basis is not None:
-            u = basis
-            ks = [u @ k @ u.conj().T for k in ks]
-            extra = [u @ k @ u.conj().T for k in extra]
-        out = sum(k @ rho @ k.conj().T for k in ks)
-        out = sum(k @ out @ k.conj().T for k in extra)
-        return (1.0 - nm.transport_loss) * out
-
-    stages.append(Stage("transport", _superop_from_map(transport_map)))
-
-    shuttle_in = processor.site_channel_map(
-        cfg.chain.n_sites, 0, cfg.chain.storage_site, cfg.chain.gate_error)
-    stages.append(Stage("shuttle_in", _superop_from_map(shuttle_in)))
+    t2, fraction = noise_mod.transport_kraus(cfg.noise,
+                                             _dephasing_basis(cfg, scheme))
+    stages.append(Stage("transport", (1.0 - cfg.noise.transport_loss)
+                        * ptm_from_kraus(fraction) @ ptm_from_kraus(t2)))
+    stages.append(Stage("shuttle_in",
+                        _shuttle_ptm(cfg.chain, 0, cfg.chain.storage_site)))
 
     if cfg.case == CASE_B:
         # physically: precess(t), then the Hadamard rotation onto the
@@ -257,33 +240,20 @@ def detection_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
         # the post-readout frame change (it is involutive), leaving only
         # the synchronization error of the precession phase.
         u = precession_unitary(scheme, cfg.hadamard_time_ns)
-        stages.append(Stage("hadamard", _superop_from_kraus([u])))
+        stages.append(Stage("hadamard", ptm_from_kraus([u])))
     return stages
 
 
 def return_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
-    stages = []
     gamma = noise_mod.coherence_factor(cfg.storage_time_ns, cfg.noise.t2_si_ns)
-    stages.append(Stage("storage", _superop_from_kraus(
-        noise_mod.dephasing_kraus(gamma))))
-
-    shuttle_out = processor.site_channel_map(
-        cfg.chain.n_sites, cfg.chain.storage_site, 0, cfg.chain.gate_error)
-    stages.append(Stage("shuttle_out", _superop_from_map(shuttle_out)))
-
-    basis = _dephasing_basis(cfg, scheme)
-    nm = cfg.noise
-
-    def transport_map(rho):
-        ks = noise_mod.dephasing_kraus(
-            noise_mod.coherence_factor(nm.transport_time_ns, nm.t2_iii_v_ns))
-        if basis is not None:
-            ks = [basis @ k @ basis.conj().T for k in ks]
-        return (1.0 - nm.transport_loss) * sum(k @ rho @ k.conj().T for k in ks)
-
-    stages.append(Stage("transport_back", _superop_from_map(transport_map)))
-    stages.append(Stage("emit", _superop_from_kraus(_emission_kraus(cfg, scheme))))
-    return stages
+    t2, _ = noise_mod.transport_kraus(cfg.noise, _dephasing_basis(cfg, scheme))
+    return [
+        Stage("storage", ptm_from_kraus(noise_mod.dephasing_kraus(gamma))),
+        Stage("shuttle_out", _shuttle_ptm(cfg.chain, cfg.chain.storage_site, 0)),
+        Stage("transport_back",
+              (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(t2)),
+        Stage("emit", ptm_from_kraus(_emission_kraus(cfg, scheme))),
+    ]
 
 
 def end_to_end_stages(cfg: ScenarioConfig) -> list[Stage]:
@@ -292,10 +262,10 @@ def end_to_end_stages(cfg: ScenarioConfig) -> list[Stage]:
 
 
 def _compose(stages: list[Stage]) -> np.ndarray:
-    s = np.eye(4, dtype=complex)
+    r = np.eye(4)
     for st in stages:
-        s = st.superop @ s
-    return s
+        r = st.ptm @ r
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -318,45 +288,29 @@ def haar_qubits(seed: int, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _projectors(amps: np.ndarray) -> np.ndarray:
-    """x = vec(q q†) for each row q of amps, shape (n, 4) complex."""
-    return (amps[:, :, None] * amps.conj()[:, None, :]).reshape(-1, 4)
+def _sample_quantities(cfg, r, forms, c) -> tuple[np.ndarray, ...]:
+    """Per-sample (fidelity, trace, leakage, hole purity) of pure inputs q
+    sent through the composed PTM r; row n of c is the Pauli vector
+    (1, Bloch vector) of input n.
 
-
-def _haar_projectors(seed: int, n: int) -> np.ndarray:
-    """vec(q q†) of the n Haar inputs haar_qubits(seed, n)."""
-    return _projectors(haar_qubits(seed, n))
-
-
-# x = vec(q q†) is Hermitian in its two indices, so conj(x) = x[:, _SWAP]
-_SWAP = [0, 2, 1, 3]
-
-
-def _sample_quantities(cfg, scheme, s, x) -> tuple[np.ndarray, ...]:
-    """Per-sample (fidelity, trace, leakage, hole purity) of the pure inputs
-    x = vec(q q†) sent through the composed superoperator s.
-
-    Each quantity is a quadratic form in q, hence linear or bilinear in x:
-    with y = x sᵀ = vec S(q q†), the output trace is y₀ + y₃, the fidelity
-    numerator q† S(q q†) q is Re x†·y, and the weight ||K q||² of the
-    physical absorption branch K is Re x†·vec(K†K) = Re xᵀ·vec(K†K)*.
-    Both x† products are taken without conjugating x: x†·y = xᵀ·y[:, _SWAP]
-    and the swap leaves the trace slots 0 and 3 in place.
+    The input q q† = ½ Σ c_j σ_j leaves as ½ Σ (r c)_i σ_i, so the output
+    trace is (r c)₀ and the fidelity numerator q† Φ(q q†) q is ½ c·r c.
+    The weight ||K q||² = tr(K†K q q†) of the physical absorption branch K
+    is ½ c·m, with m_j = tr(σ_j K†K) its row of forms.
     """
-    y = x @ s.T[:, _SWAP]
-    traces = (y[:, 0] + y[:, 3]).real
-    num = np.einsum("ni,ni->n", x, y).real
+    y = c @ r.T
+    traces = y[:, 0]
+    num = 0.5 * np.einsum("ni,ni->n", c, y)
     safe = np.where(traces <= 0, 1.0, traces)
     fids = np.where(traces <= 0, 0.0, num / safe)
 
     # one (n,) array per branch, as reductions over a length-2 axis are
     # slow; clipped at 0 because the form can round below ||K q||² = 0
-    w = [np.maximum((x @ (k.conj().T @ k).conj().reshape(4)).real, 0.0)
-         for k in _physical_absorption_kraus(cfg, scheme)]
+    w = [np.maximum(0.5 * (c @ m), 0.0) for m in forms]
     total = sum(w)
     total = np.where(total <= 0, 1.0, total)
     leak = w[1] / total if len(w) > 1 and cfg.case != DEGENERATE \
-        else np.zeros(x.shape[0])
+        else np.zeros(c.shape[0])
     purity = sum((wi / total) ** 2 for wi in w)
     return fids, traces, leak, purity
 
@@ -434,20 +388,21 @@ class ChannelReport:
     n_samples: int
 
 
-def _stage_trace(stages, q) -> tuple[list[StageFidelity], np.ndarray]:
-    """Per-stage fidelity and success of the pure input q, and the final
-    (unnormalised) output density matrix."""
-    rho = np.outer(q, q.conj())
+def _stage_trace(stages, c) -> tuple[list[StageFidelity], np.ndarray]:
+    """Per-stage fidelity and success of the pure input with Pauli vector
+    c, and the final output density matrix (normalised unless its trace
+    is 0)."""
+    v = c
     out = []
     for st in stages:
-        rho = st.apply(rho)
-        tr = float(np.trace(rho).real)
+        v = st.ptm @ v
+        tr = float(v[0])
         if tr <= 0:
             out.append(StageFidelity(st.name, 0.0, 0.0))
             continue
-        fid = float(np.real(q.conj() @ (rho / tr) @ q))
-        out.append(StageFidelity(st.name, fid, tr))
-    return out, rho
+        out.append(StageFidelity(st.name, float(0.5 * (c @ v) / tr), tr))
+    rho = density_from_pauli(v)
+    return out, (rho / v[0] if v[0] > 0 else rho)
 
 
 def _unit(q) -> np.ndarray:
@@ -456,27 +411,23 @@ def _unit(q) -> np.ndarray:
 
 
 # The private _run_* helpers below take prebuilt stages (or their composed
-# superoperator) so that scenario_report builds them once; the public
-# functions build their own and delegate.
+# PTM) so that scenario_report builds them once; the public functions build
+# their own and delegate.
 
 def _run_detection(q, cfg, scheme, stages) -> DetectionResult:
-    trace, rho = _stage_trace(stages, q)
-    tr = float(np.trace(rho).real)
-    logical = rho / tr if tr > 0 else rho
-
-    _, _, leak, pur = _sample_quantities(cfg, scheme, _compose(stages),
-                                         _projectors(q[None, :]))
+    c = pauli_vectors(q[None, :])
+    trace, logical = _stage_trace(stages, c[0])
+    _, _, leak, pur = _sample_quantities(cfg, _compose(stages),
+                                         stages[0].branch_forms, c)
     photon = PhotonQubit(cfg.photon_basis(), q[0], q[1], window=cfg.window)
     if cfg.case == DEGENERATE:
         outcome = absorb_degenerate(photon, cfg.absorption_efficiency)
     else:
-        from .transfer import absorb_case_a, absorb_case_b
         outcome = (absorb_case_a(photon, scheme, cfg.compensate,
                                  efficiency=cfg.absorption_efficiency)
                    if cfg.case == CASE_A
                    else absorb_case_b(photon, scheme,
                                       efficiency=cfg.absorption_efficiency))
-    from .qstate import entanglement_entropy
     ent = entanglement_entropy(outcome.state, ("electron_spin",))
 
     chain = processor.fresh_chain(cfg.chain.n_sites, cfg.chain.gate_error)
@@ -497,23 +448,18 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
 
 
 def _run_end_to_end(q, cfg, scheme, stages) -> EndToEndResult:
-    trace, rho = _stage_trace(stages, q)
-    tr = float(np.trace(rho).real)
-    photon_rho = rho / tr if tr > 0 else rho
-    fid = float(np.real(q.conj() @ photon_rho @ q))
-
-    _, _, leak, pur = _sample_quantities(cfg, scheme, _compose(stages),
-                                         _projectors(q[None, :]))
-    direction = (np.asarray(cfg.emission_direction, dtype=float)
-                 if cfg.emission_direction is not None else scheme.canonical_k)
-    _, _, _, fractions = _mode_map(scheme, direction / np.linalg.norm(direction))
-    prep = _X if cfg.case == CASE_A else _I2
-    e_amp = prep @ q
+    c = pauli_vectors(q[None, :])
+    trace, photon_rho = _stage_trace(stages, c[0])
+    _, _, leak, pur = _sample_quantities(cfg, _compose(stages),
+                                         stages[0].branch_forms, c)
+    _, _, _, fractions = _mode_map(scheme, _emission_direction(cfg, scheme))
+    e_amp = _detection_frame(cfg.case) @ q
     collection = float(np.sum(np.abs(e_amp) ** 2 * fractions))
 
     return EndToEndResult(
-        photon_rho=photon_rho, round_trip_fidelity=fid, stages=tuple(trace),
-        success_probability=trace[-1].success, leakage=float(leak[0]),
+        photon_rho=photon_rho, round_trip_fidelity=trace[-1].fidelity,
+        stages=tuple(trace), success_probability=trace[-1].success,
+        leakage=float(leak[0]),
         hole_purity=float(pur[0]), collection_fraction=collection)
 
 
@@ -533,9 +479,9 @@ def _sample_count(cfg: ScenarioConfig, n_samples: int | None = None) -> int:
     return n
 
 
-def _run_monte_carlo(cfg, scheme, s, x) -> MonteCarloResult:
-    fids, traces, leak, pur = _sample_quantities(cfg, scheme, s, x)
-    n = x.shape[0]
+def _run_monte_carlo(cfg, r, forms, c) -> MonteCarloResult:
+    fids, traces, leak, pur = _sample_quantities(cfg, r, forms, c)
+    n = c.shape[0]
     mean = float(np.mean(fids))
     stderr = float(np.std(fids, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
     pur_std = float(np.std(pur, ddof=1)) if n > 1 else 0.0
@@ -548,13 +494,13 @@ def monte_carlo_average_fidelity(cfg: ScenarioConfig,
     """Haar-averaged round-trip fidelity, deterministic for a given seed."""
     _require_valid(cfg)
     n = _sample_count(cfg, n_samples)
-    scheme = cfg.scheme()
-    s = _compose(detection_stages(cfg, scheme) + return_stages(cfg, scheme))
-    return _run_monte_carlo(cfg, scheme, s, _haar_projectors(cfg.seed, n))
+    stages = end_to_end_stages(cfg)
+    return _run_monte_carlo(cfg, _compose(stages), stages[0].branch_forms,
+                            pauli_vectors(haar_qubits(cfg.seed, n)))
 
 
-def _run_tomography(s) -> TomographyResult:
-    choi = choi_of_map(lambda rho: (s @ rho.reshape(4)).reshape(2, 2))
+def _run_tomography(r) -> TomographyResult:
+    choi = choi_from_ptm(r)
     verdict = is_cptp(choi, tol=1e-8, conditional=True)
     return TomographyResult(choi, verdict, process_fidelity(choi))
 
@@ -563,9 +509,7 @@ def process_tomography(cfg: ScenarioConfig) -> TomographyResult:
     """Choi matrix of the photon -> photon logical channel, its physicality
     verdict (conditional maps allowed) and process fidelity to identity."""
     _require_valid(cfg)
-    scheme = cfg.scheme()
-    return _run_tomography(
-        _compose(detection_stages(cfg, scheme) + return_stages(cfg, scheme)))
+    return _run_tomography(_compose(end_to_end_stages(cfg)))
 
 
 def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
@@ -576,12 +520,13 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     scheme = cfg.scheme()
     detection = detection_stages(cfg, scheme)
     stages = detection + return_stages(cfg, scheme)
-    s = _compose(stages)
+    r = _compose(stages)
     q = _unit(cfg.input_qubit)
     e2e = _run_end_to_end(q, cfg, scheme, stages)
     det = _run_detection(q, cfg, scheme, detection)
-    mc = _run_monte_carlo(cfg, scheme, s, _haar_projectors(cfg.seed, n))
-    tomo = _run_tomography(s)
+    mc = _run_monte_carlo(cfg, r, detection[0].branch_forms,
+                          pauli_vectors(haar_qubits(cfg.seed, n)))
+    tomo = _run_tomography(r)
     return ChannelReport(
         case=cfg.case,
         round_trip_fidelity=e2e.round_trip_fidelity,
@@ -649,15 +594,14 @@ def sweep(cfg: ScenarioConfig, param: str, values,
         raise KeyError(f"unknown sweep parameter {param!r}; "
                        f"choose from {', '.join(sweep_parameters())}")
     rows = []
-    x = None
+    c = None
     for v in values:
         sub = _SWEEPABLE[param](cfg, float(v))
         _require_valid(sub)
-        if x is None:
-            x = _haar_projectors(sub.seed, _sample_count(sub, n_samples))
-        scheme = sub.scheme()
-        s = _compose(detection_stages(sub, scheme) + return_stages(sub, scheme))
-        mc = _run_monte_carlo(sub, scheme, s, x)
+        if c is None:
+            c = pauli_vectors(haar_qubits(sub.seed, _sample_count(sub, n_samples)))
+        stages = end_to_end_stages(sub)
+        mc = _run_monte_carlo(sub, _compose(stages), stages[0].branch_forms, c)
         rows.append({
             "param": param,
             "value": float(v),

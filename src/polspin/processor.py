@@ -42,8 +42,6 @@ class DonorChain:
 
     n_sites: int
     rho: np.ndarray = field(repr=False)
-    layer_g: tuple[float, float] = (G_TUNING_LAYER, G_DONOR_LAYER)
-    b_tesla: float = 1.0
     gate_error: float = 0.0
 
     def __post_init__(self):
@@ -51,8 +49,6 @@ class DonorChain:
             raise ValueError("chain needs at least one site")
         if not 0.0 <= self.gate_error <= 1.0:
             raise ValueError("gate_error is a probability")
-        if any(g <= 0 for g in self.layer_g):
-            raise ValueError("layer g-factors must be positive")
         dim = 2 ** self.n_sites
         rho = np.asarray(self.rho, dtype=complex).reshape(dim, dim)
         rho.setflags(write=False)
@@ -74,13 +70,12 @@ class DonorChain:
             raise IndexError(f"site {site} outside chain of {self.n_sites}")
 
 
-def fresh_chain(n_sites: int = 4, gate_error: float = 0.0,
-                b_tesla: float = 1.0) -> DonorChain:
+def fresh_chain(n_sites: int = 4, gate_error: float = 0.0) -> DonorChain:
     """All sites initialised to |0>."""
     dim = 2 ** n_sites
     rho = np.zeros((dim, dim), dtype=complex)
     rho[0, 0] = 1.0
-    return DonorChain(n_sites, rho, gate_error=gate_error, b_tesla=b_tesla)
+    return DonorChain(n_sites, rho, gate_error=gate_error)
 
 
 def load_site(chain: DonorChain, site: int, qubit_rho: np.ndarray) -> DonorChain:

@@ -6,6 +6,14 @@ package is 16-dimensional.  All values are immutable and all operations are
 pure functions.
 
 Tolerances: 1e-12 for algebraic identities, 1e-10 for eigenvalue positivity.
+
+Qubit channels have one representation, the real Pauli transfer matrix
+(PTM) R_ij = ½ tr(σ_i Φ(σ_j)) over the Pauli basis σ = (I, X, Y, Z).  A
+qubit state ρ = ½ Σ c_i σ_i is the real vector c = (tr ρ, r) with r its
+Bloch vector; Φ maps c to R c, so channels compose as R₂ @ R₁, and a map is
+trace preserving iff the first row of R is (1, 0, 0, 0).  The Choi matrix,
+output factor first, is (1/d) Σ_kl Φ(|k><l|) ⊗ |k><l| = ¼ Σ_ij R_ij σ_i ⊗ σ_jᵀ:
+one fixed change of basis each way (`choi_from_ptm`, `ptm_from_choi`).
 """
 
 from __future__ import annotations
@@ -299,25 +307,57 @@ def apply_channel(state: QuantumState, channel: QuantumChannel):
     return QuantumState(state.factors, DENSITY, out)
 
 
+# Pauli basis (I, X, Y, Z) and, at 4 i + j, the Choi basis σ_i ⊗ σ_jᵀ
+PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
+                   [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_CHOI_BASIS = np.array([np.kron(a, b.T) for a in PAULIS for b in PAULIS])
+
+
+def ptm_from_kraus(kraus) -> np.ndarray:
+    """Pauli transfer matrix of rho -> sum_k K rho K† on a qubit."""
+    images = sum(k @ PAULIS @ k.conj().T for k in kraus)      # Φ(σ_j)
+    return 0.5 * np.einsum("iab,jba->ij", PAULIS, images).real
+
+
+def ptm_from_choi(choi: np.ndarray) -> np.ndarray:
+    """R_ij = tr(choi · σ_i ⊗ σ_jᵀ); real for a Hermitian Choi matrix."""
+    return np.einsum("kab,ba->k", _CHOI_BASIS, choi).real.reshape(4, 4)
+
+
+def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
+    """Choi matrix ¼ Σ_ij R_ij σ_i ⊗ σ_jᵀ of a qubit PTM."""
+    return 0.25 * np.einsum("k,kab->ab", np.ravel(ptm), _CHOI_BASIS)
+
+
+def pauli_vectors(amps: np.ndarray) -> np.ndarray:
+    """c = (q†q, q†Xq, q†Yq, q†Zq) of each row q of amps, shape (n, 4) real:
+    (1, r) with r the Bloch vector for unit q."""
+    a, b = amps[:, 0], amps[:, 1]
+    pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
+    ab = 2.0 * a.conj() * b
+    return np.stack([pa + pb, ab.real, ab.imag, pa - pb], axis=1)
+
+
+def density_from_pauli(c: np.ndarray) -> np.ndarray:
+    """The 2x2 matrix ½ Σ c_i σ_i."""
+    return 0.5 * np.einsum("i,iab->ab", c, PAULIS)
+
+
 def choi_matrix(channel: QuantumChannel) -> np.ndarray:
-    """Choi matrix (channel ⊗ id) |Ω><Ω| with |Ω> the maximally entangled pair.
+    """Choi matrix (channel ⊗ id) |Ω><Ω| of a qubit channel, with |Ω> the
+    maximally entangled pair.
 
     Normalised so a trace-preserving channel has Tr(choi) = 1 and partial
-    trace over the output factor equal to I/d.
+    trace over the output factor equal to I/2.
     """
-    d = channel.dimension
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e_ij = np.zeros((d, d), dtype=complex)
-            e_ij[i, j] = 1.0
-            out = sum(k @ e_ij @ k.conj().T for k in channel.kraus_operators)
-            choi += np.kron(out, e_ij)
-    return choi / d
+    if channel.dimension != 2:
+        raise ValueError("choi_matrix takes a qubit channel")
+    return choi_from_ptm(ptm_from_kraus(channel.kraus_operators))
 
 
 def choi_of_map(apply_map, dim: int = 2) -> np.ndarray:
-    """Choi matrix of an arbitrary linear map rho -> rho' given as a callable."""
+    """Choi matrix of an arbitrary linear map rho -> rho' given as a
+    callable, probed on the dim² matrix units |i><j|."""
     choi = np.zeros((dim * dim, dim * dim), dtype=complex)
     for i in range(dim):
         for j in range(dim):
@@ -330,12 +370,15 @@ def choi_of_map(apply_map, dim: int = 2) -> np.ndarray:
 def is_cptp(choi: np.ndarray, tol: float, conditional: bool = False) -> bool:
     """Check complete positivity and (sub-)trace preservation of a Choi matrix.
 
-    Positive semidefinite within tol, and the partial trace over the output
+    False for a matrix with a non-finite entry.  Otherwise: positive
+    semidefinite within tol, and the partial trace over the output
     factor equal to I/d within tol (or <= I/d for conditional maps).
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     choi = np.asarray(choi, dtype=complex)
+    if not np.all(np.isfinite(choi)):
+        return False
     n = choi.shape[0]
     d = int(round(math.sqrt(n)))
     if d * d != n:
@@ -361,8 +404,5 @@ def process_fidelity(choi: np.ndarray) -> float:
     tr = np.trace(choi).real
     if tr <= 0:
         raise ValueError("choi matrix has non-positive trace")
-    omega = np.zeros(n, dtype=complex)
-    for i in range(d):
-        omega[i * d + i] = 1.0
-    omega /= math.sqrt(d)
+    omega = np.eye(d).ravel() / math.sqrt(d)
     return float(np.real(omega.conj() @ (choi / tr) @ omega))

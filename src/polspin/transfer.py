@@ -369,16 +369,20 @@ def precession_unitary(scheme: BandScheme, t_ns: float) -> np.ndarray:
     return (u * phases) @ u.conj().T
 
 
-def precess(electron: QuantumState, scheme: BandScheme, t_ns: float) -> QuantumState:
-    """Evolve an electron spin state for t under the scheme's Zeeman field."""
-    if electron.labels() != ("electron_spin",):
-        raise ValueError("precess acts on a bare electron-spin state")
-    u = precession_unitary(scheme, t_ns)
+def _rotate(electron: QuantumState, u: np.ndarray) -> QuantumState:
+    """The state u|ψ> or u ρ u†, in the representation it came in."""
     if electron.is_pure():
         return QuantumState(electron.factors, electron.representation,
                             u @ electron.amplitudes)
     return QuantumState(electron.factors, electron.representation,
                         u @ electron.amplitudes @ u.conj().T)
+
+
+def precess(electron: QuantumState, scheme: BandScheme, t_ns: float) -> QuantumState:
+    """Evolve an electron spin state for t under the scheme's Zeeman field."""
+    if electron.labels() != ("electron_spin",):
+        raise ValueError("precess acts on a bare electron-spin state")
+    return _rotate(electron, precession_unitary(scheme, t_ns))
 
 
 def synchronized_hadamard(electron: QuantumState, scheme: BandScheme,
@@ -399,12 +403,7 @@ def synchronized_hadamard(electron: QuantumState, scheme: BandScheme,
         cycles = t_apply_ns / tau
         if abs(cycles - round(cycles)) > 1e-9:
             raise ValueError(f"t_apply={t_apply_ns} ns is not a multiple of tau={tau} ns")
-    u = HADAMARD @ precession_unitary(scheme, t_apply_ns)
-    if electron.is_pure():
-        return QuantumState(electron.factors, electron.representation,
-                            u @ electron.amplitudes)
-    return QuantumState(electron.factors, electron.representation,
-                        u @ electron.amplitudes @ u.conj().T)
+    return _rotate(electron, HADAMARD @ precession_unitary(scheme, t_apply_ns))
 
 
 # ---------------------------------------------------------------------------
@@ -570,6 +569,14 @@ def emit(electron: QuantumState, scheme: BandScheme,
                            basis_can, collection, lossy)
 
 
+def _frame_inverse(t: np.ndarray, lossy: bool) -> np.ndarray:
+    """Inverse of a frame map; the least-squares pseudo-inverse where the
+    direction is lossy or the map is rank-deficient."""
+    if lossy or np.linalg.matrix_rank(t, tol=1e-10) < 2:
+        return np.linalg.pinv(t)
+    return np.linalg.inv(t)
+
+
 def waveplate_compensation(outcome: EmissionOutcome) -> PhotonQubit:
     """Undo the direction dependence of an emitted photon.
 
@@ -580,11 +587,7 @@ def waveplate_compensation(outcome: EmissionOutcome) -> PhotonQubit:
     """
     if outcome.photon.basis in (LINEAR_ZX, CIRCULAR):
         return outcome.photon   # canonical direction: nothing to undo
-    t = outcome.frame_map
-    if outcome.lossy or np.linalg.matrix_rank(t, tol=1e-10) < 2:
-        inv = np.linalg.pinv(t)
-    else:
-        inv = np.linalg.inv(t)
+    inv = _frame_inverse(outcome.frame_map, outcome.lossy)
     restored = outcome.canonical_map @ inv @ outcome.photon.amplitudes
     norm = np.linalg.norm(restored)
     if norm < 1e-12:

@@ -212,6 +212,45 @@ def test_tomography_nonphysical_matrix(tmp_path, capsys):
     assert "cptp: false" in out
 
 
+IDENTITY_CHOI = [[[0.5, 0], [0, 0], [0, 0], [0.5, 0]],
+                 [[0, 0], [0, 0], [0, 0], [0, 0]],
+                 [[0, 0], [0, 0], [0, 0], [0, 0]],
+                 [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]]
+
+
+def _with_entry(value):
+    doc = json.loads(json.dumps(IDENTITY_CHOI))
+    doc[1][2] = value
+    return doc
+
+
+def test_tomography_choi_file_verdict(tmp_path, capsys):
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps(IDENTITY_CHOI), encoding="utf-8")
+    code, out, _ = run_cli(["tomography", "--choi", str(path)], capsys)
+    assert code == 0
+    assert "cptp: true" in out
+    assert "process_fidelity: 1" in out
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps(_with_entry([float("nan"), 0.0])),          # NaN
+    json.dumps(_with_entry([0.0, float("inf")])),          # Infinity
+    json.dumps([[[1, 0], [0, 0]], [[0, 0], [1, 0]]]),      # 2x2
+    json.dumps([[[1, 0]] * 3] * 3),                        # 3x3
+    json.dumps([]),
+    json.dumps([[[1, 0]] * 4] * 3 + [[[1, 0]] * 3]),       # ragged
+    json.dumps(IDENTITY_CHOI)[:-1],                        # not JSON
+])
+def test_tomography_choi_file_refused(tmp_path, capsys, text):
+    path = tmp_path / "bad-choi.json"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(["tomography", "--choi", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("config error:") and str(path) in err
+
+
 @pytest.mark.parametrize("z", [0.0959716502 + 0j, 0.131319158 - 0.25j,
                                -0.5 + 1e-3j, 0.0353475082j])
 def test_choi_entry_print_ignores_round_off(z):

@@ -13,10 +13,14 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               monte_carlo_average_fidelity,
                               process_tomography, run_detection,
                               run_end_to_end, scenario_report, sweep,
-                              end_to_end_stages, _physical_absorption_kraus,
-                              _projectors, _sample_quantities)
+                              end_to_end_stages, _absorption_kraus_logical,
+                              _compose, _emission_kraus,
+                              _physical_absorption_kraus, _sample_quantities)
 from polspin.bands import precession_period
-from polspin.qstate import is_cptp
+from polspin.noise import coherence_factor, dephasing_kraus
+from polspin.processor import site_channel_map
+from polspin.qstate import is_cptp, pauli_vectors
+from polspin.transfer import _eigenbasis_matrix, precession_unitary
 
 SQ2 = 1.0 / math.sqrt(2.0)
 TAU = precession_period(0.4, 1.0)
@@ -182,12 +186,66 @@ def test_haar_sampling_prefix_stable():
         assert np.array_equal(haar_qubits(17, m), full[:m])
 
 
-# --- the per-sample kernel against the density-matrix evaluation --------------
+# --- stage PTMs and the per-sample kernel against independent oracles ---------
+
+SIGMA = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
+         np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]).astype(complex)]
+
+
+def _superop_from_map(fn):
+    """Row-major vec superoperator of a map on 2x2 matrices, built column
+    by column from the images of the matrix units."""
+    s = np.zeros((4, 4), dtype=complex)
+    for k in range(2):
+        for l in range(2):
+            e = np.zeros((2, 2), dtype=complex)
+            e[k, l] = 1.0
+            s[:, 2 * k + l] = fn(e).reshape(4)
+    return s
+
+
+def _kraus_map(kraus):
+    return lambda rho: sum(k @ rho @ k.conj().T for k in kraus)
+
+
+def _stage_superops(cfg):
+    """(name, superoperator) of each stage, each written as a map on
+    density matrices and probed column by column."""
+    scheme = cfg.scheme()
+    nm, ch = cfg.noise, cfg.chain
+    u = _eigenbasis_matrix(scheme) if cfg.case == "B" else np.eye(2)
+    t2 = _kraus_map([u @ k @ u.conj().T for k in dephasing_kraus(
+        coherence_factor(nm.transport_time_ns, nm.t2_iii_v_ns))])
+    extra = _kraus_map([u @ k @ u.conj().T for k in dephasing_kraus(
+        1.0 - nm.transport_dephasing_fraction)])
+    arrive = 1.0 - nm.transport_loss
+    maps = [("absorb", _kraus_map(_absorption_kraus_logical(
+                cfg, _physical_absorption_kraus(cfg, scheme)))),
+            ("transport", lambda rho: arrive * extra(t2(rho))),
+            ("shuttle_in", site_channel_map(ch.n_sites, 0, ch.storage_site,
+                                            ch.gate_error))]
+    if cfg.case == "B":
+        maps.append(("hadamard", _kraus_map(
+            [precession_unitary(scheme, cfg.hadamard_time_ns)])))
+    maps += [("storage", _kraus_map(dephasing_kraus(
+                 coherence_factor(cfg.storage_time_ns, nm.t2_si_ns)))),
+             ("shuttle_out", site_channel_map(ch.n_sites, ch.storage_site, 0,
+                                              ch.gate_error)),
+             ("transport_back", lambda rho: arrive * t2(rho)),
+             ("emit", _kraus_map(_emission_kraus(cfg, scheme)))]
+    return [(name, _superop_from_map(fn)) for name, fn in maps]
+
+
+def _ptm_of_superop(s):
+    """R_ij = ½ tr(σ_i S(σ_j)) of a row-major superoperator S."""
+    return np.array([[0.5 * np.trace(a @ (s @ b.reshape(4)).reshape(2, 2))
+                      for b in SIGMA] for a in SIGMA])
+
 
 def _composed(cfg):
     s = np.eye(4, dtype=complex)
-    for st in end_to_end_stages(cfg):
-        s = st.superop @ s
+    for _, so in _stage_superops(cfg):
+        s = so @ s
     return s
 
 
@@ -219,19 +277,82 @@ KERNEL_CONFIGS = {
                                 hadamard_time_ns=0.17862,
                                 chain=ChainParams(4, 3, 0.02)),
     "degenerate": cfg_degenerate(),
+    "case_b_lossy": cfg_case_b(
+        hadamard_time_ns=0.1, absorption_efficiency=0.5, storage_time_ns=1e5,
+        emission_direction=(0.3, 0.2, 1.0), chain=ChainParams(3, 2, 0.05),
+        noise=NoiseModel(transport_time_ns=20.0, transport_loss=0.2,
+                         transport_dephasing_fraction=0.3)),
 }
+
+
+@pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
+def test_stage_ptm_matches_superoperator(name):
+    cfg = KERNEL_CONFIGS[name]
+    stages = end_to_end_stages(cfg)
+    want = _stage_superops(cfg)
+    assert [st.name for st in stages] == [n for n, _ in want]
+    for st, (_, so) in zip(stages, want):
+        oracle = _ptm_of_superop(so)
+        assert np.max(np.abs(oracle.imag)) < 1e-14, st.name
+        assert st.ptm.dtype == np.float64, st.name
+        assert np.max(np.abs(st.ptm - oracle.real)) < 1e-12, st.name
 
 
 @pytest.mark.parametrize("name", sorted(KERNEL_CONFIGS))
 def test_sample_quantities_match_density_matrices(name):
     cfg = KERNEL_CONFIGS[name]
     amps = haar_qubits(cfg.seed, 1000)
-    s = _composed(cfg)
-    got = _sample_quantities(cfg, cfg.scheme(), s, _projectors(amps))
-    want = _density_matrix_oracle(cfg, s, amps)
+    stages = end_to_end_stages(cfg)
+    got = _sample_quantities(cfg, _compose(stages), stages[0].branch_forms,
+                             pauli_vectors(amps))
+    want = _density_matrix_oracle(cfg, _composed(cfg), amps)
     for label, g, w in zip(("fidelity", "trace", "leakage", "purity"), got, want):
         assert g.shape == (1000,), label
         assert np.max(np.abs(g - w)) < 1e-12, label
+
+
+def test_branch_weights_ignore_absorption_efficiency():
+    """The hole diagnostics weigh the unscaled physical branches, so they
+    read the same at absorption_efficiency 0 as at 1."""
+    cfg = KERNEL_CONFIGS["case_b_window"]
+    full = monte_carlo_average_fidelity(cfg, 2000)
+    none = monte_carlo_average_fidelity(replace(cfg, absorption_efficiency=0.0),
+                                        2000)
+    assert none.success_probability == 0.0
+    assert none.leakage == full.leakage > 0.0
+    assert none.hole_purity_mean == full.hole_purity_mean < 1.0
+    assert none.hole_purity_std == full.hole_purity_std
+
+
+def test_sweep_builds_absorption_branches_once_per_point(monkeypatch):
+    calls = []
+    original = pipeline.absorption_branches
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(pipeline, "absorption_branches", counted)
+    sweep(cfg_case_b(hadamard_time_ns=0.17862), "noise.transport_time_ns",
+          [0.0, 10.0, 20.0], n_samples=100)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("make", [cfg_case_a, cfg_case_b])
+def test_dephasing_fraction_hits_forward_transport_only(make):
+    """transport_dephasing_fraction = 1 removes all coherence in the energy
+    eigenbasis on the way in and none on the way back."""
+    cfg = make(noise=NoiseModel(transport_dephasing_fraction=1.0))
+    stages = {st.name: st.ptm for st in end_to_end_stages(cfg)}
+    # the Bloch axis n of the energy eigenstates is the only one that
+    # survives full dephasing: R = diag(1, n nᵀ)
+    u = _eigenbasis_matrix(cfg.scheme()) if cfg.case == "B" else np.eye(2)
+    n = pauli_vectors(u.T)[0, 1:]
+    keep = np.zeros((4, 4))
+    keep[0, 0] = 1.0
+    keep[1:, 1:] = np.outer(n, n)
+    assert np.max(np.abs(stages["transport"] - keep)) < 1e-12
+    assert np.max(np.abs(stages["transport_back"] - np.eye(4))) < 1e-12
 
 
 def _bloch_quadrature_mean(s, n_theta=48, n_phi=96):

@@ -8,7 +8,7 @@ from polspin.processor import (_PAULI, _embed, _site_pauli, DonorChain,
                                G_DONOR_LAYER, G_TUNING_LAYER, exchange_gate,
                                fresh_chain, load_site, resonance_detuning,
                                shuttle, single_qubit_gate, site_channel_map)
-from polspin.pipeline import _superop_from_map
+from polspin.qstate import choi_of_map, ptm_from_choi
 from polspin.transfer import HADAMARD
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -272,8 +272,9 @@ def test_resonance_detuning_values():
 
 
 def test_layer_g_defaults():
-    chain = fresh_chain(2)
-    assert chain.layer_g == (1.563, 1.998)
+    # the layer g-factors are module constants; the chain holds no copy
+    assert (G_TUNING_LAYER, G_DONOR_LAYER) == (1.563, 1.998)
+    assert not hasattr(fresh_chain(2), "layer_g")
 
 
 def _embed_by_kron_chain(op, site, span, n):
@@ -317,9 +318,8 @@ def test_site_pauli_is_read_only():
                                               (6, 2, 0, 0.1)])
 def test_site_channel_map_closed_form(n, start, stop, eps):
     """Shuttling with per-site depolarizing error e is the depolarizing
-    channel rho -> lam rho + (1 - lam) tr(rho) I/2, lam = (1 - 4e/3)^hops."""
+    channel rho -> lam rho + (1 - lam) tr(rho) I/2, lam = (1 - 4e/3)^hops,
+    whose Pauli transfer matrix is diag(1, lam, lam, lam)."""
     lam = (1 - 4 * eps / 3) ** abs(stop - start)
-    expected = _superop_from_map(
-        lambda rho: lam * rho + (1 - lam) * np.trace(rho) * np.eye(2) / 2)
-    got = _superop_from_map(site_channel_map(n, start, stop, eps))
-    assert np.max(np.abs(got - expected)) < 1e-12
+    got = ptm_from_choi(choi_of_map(site_channel_map(n, start, stop, eps)))
+    assert np.max(np.abs(got - np.diag([1, lam, lam, lam]))) < 1e-12

@@ -5,9 +5,11 @@ import pytest
 
 from polspin.qstate import (ELECTRON, PHOTON, HilbertFactor, PURE,
                             QuantumChannel, QuantumState, apply_channel,
-                            choi_matrix, choi_of_map, density_state,
+                            choi_from_ptm, choi_matrix, choi_of_map,
+                            density_from_pauli, density_state,
                             entanglement_entropy, fidelity, is_cptp,
-                            partial_trace, process_fidelity, pure_state,
+                            partial_trace, pauli_vectors, process_fidelity,
+                            ptm_from_choi, ptm_from_kraus, pure_state,
                             purity, tensor_product)
 
 HOLE2 = HilbertFactor("hole", 2)
@@ -331,6 +333,59 @@ def test_cptp_conditional_subnormalized():
     choi = choi_matrix(ch)
     assert is_cptp(choi, tol=1e-8, conditional=True)
     assert not is_cptp(choi, tol=1e-8, conditional=False)
+
+
+def rand_kraus(rng, n_ops, scale):
+    """n_ops Kraus operators of a random map with sum K†K = scale² I."""
+    z = rng.standard_normal((2 * n_ops, 2)) + 1j * rng.standard_normal((2 * n_ops, 2))
+    v, _ = np.linalg.qr(z)                      # isometry: v†v = I
+    return [scale * v[2 * i:2 * i + 2] for i in range(n_ops)]
+
+
+@pytest.mark.parametrize("n_ops,scale", [(1, 1.0), (2, 1.0), (4, 1.0),
+                                         (1, 0.8), (3, 0.3)])
+def test_choi_ptm_round_trip(n_ops, scale):
+    rng = np.random.default_rng(100 * n_ops + int(10 * scale))
+    for _ in range(20):
+        kraus = rand_kraus(rng, n_ops, scale)
+        choi = choi_of_map(lambda rho: sum(k @ rho @ k.conj().T for k in kraus))
+        ptm = ptm_from_choi(choi)
+        assert ptm.dtype == np.float64
+        assert np.max(np.abs(ptm - ptm_from_kraus(kraus))) < 1e-14
+        assert np.max(np.abs(choi_from_ptm(ptm) - choi)) < 1e-14
+        # sum K†K = scale² I: the first row is scale² (1, 0, 0, 0)
+        assert np.max(np.abs(ptm[0] - [scale ** 2, 0, 0, 0])) < 1e-14
+        assert is_cptp(choi_from_ptm(ptm), tol=1e-10, conditional=True)
+
+
+def test_ptm_acts_on_pauli_vectors():
+    rng = np.random.default_rng(8)
+    kraus = rand_kraus(rng, 3, 0.9)
+    amps = np.array([rand_qubit(rng) for _ in range(10)])
+    c = pauli_vectors(amps)
+    assert np.max(np.abs(c[:, 0] - 1.0)) < 1e-14
+    for q, cq in zip(amps, c):
+        rho = np.outer(q, q.conj())
+        assert np.max(np.abs(density_from_pauli(cq) - rho)) < 1e-14
+        out = sum(k @ rho @ k.conj().T for k in kraus)
+        got = density_from_pauli(ptm_from_kraus(kraus) @ cq)
+        assert np.max(np.abs(got - out)) < 1e-14
+
+
+def test_choi_matrix_takes_qubit_channels_only():
+    ch = QuantumChannel((np.eye(4),), (HOLE4,))
+    with pytest.raises(ValueError, match="qubit"):
+        choi_matrix(ch)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 complex(0.0, math.nan)])
+def test_cptp_rejects_non_finite(bad):
+    choi = choi_matrix(QuantumChannel((np.eye(2),), (ELECTRON,))).copy()
+    assert is_cptp(choi, tol=1e-8)
+    choi[1, 2] = bad
+    assert not is_cptp(choi, tol=1e-8)
+    assert not is_cptp(choi, tol=1e-8, conditional=True)
 
 
 def test_process_fidelity_identity_and_depolarizing():
