@@ -299,31 +299,28 @@ def cmd_tomography(cfg: ScenarioConfig, fmt: str, out: str | None,
         try:
             with open(choi_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            mat = np.array([[complex(c[0], c[1]) for c in row] for row in raw])
+            choi = np.array([[complex(c[0], c[1]) for c in row] for row in raw])
         except (OSError, json.JSONDecodeError, TypeError, IndexError,
                 ValueError) as exc:
             raise ConfigError(f"cannot parse choi file {choi_file}: {exc}")
-        if mat.shape != (4, 4) or not np.all(np.isfinite(mat)):
+        if choi.shape != (4, 4) or not np.all(np.isfinite(choi)):
             raise ConfigError(f"choi file {choi_file} must hold a finite 4x4 "
                               "matrix of [re, im] pairs")
-        verdict = is_cptp(mat, tol=1e-8, conditional=True)
-        pf = process_fidelity(mat) if np.trace(mat).real > 0 else 0.0
-        lines = _choi_lines(mat)
-        lines.append(f"cptp: {str(verdict).lower()}")
-        lines.append(f"process_fidelity: {fmt9(pf)}")
-        _write(out, "\n".join(lines) + "\n")
-        return 0
-    res = process_tomography(cfg)
-    lines = _choi_lines(res.choi)
-    lines.append(f"cptp: {str(res.cptp).lower()}")
-    lines.append(f"process_fidelity: {fmt9(res.process_fidelity)}")
+        cptp = is_cptp(choi, tol=1e-8, conditional=True)
+        pf = process_fidelity(choi) if np.trace(choi).real > 0 else 0.0
+    else:
+        res = process_tomography(cfg)
+        choi, cptp, pf = res.choi, res.cptp, res.process_fidelity
     if fmt == "json-like":
         _write(out, json.dumps({
-            "choi": [[_complex9(z) for z in row] for row in res.choi],
-            "cptp": res.cptp,
-            "process_fidelity": fmt9(res.process_fidelity)},
+            "choi": [[_complex9(z) for z in row] for row in choi],
+            "cptp": cptp,
+            "process_fidelity": fmt9(pf)},
             indent=2, sort_keys=True) + "\n")
     else:
+        lines = _choi_lines(choi)
+        lines.append(f"cptp: {str(cptp).lower()}")
+        lines.append(f"process_fidelity: {fmt9(pf)}")
         _write(out, "\n".join(lines) + "\n")
     return 0
 

@@ -219,41 +219,72 @@ def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray
         chain.n_sites, from_site, to_site, chain.gate_error)))
 
 
-def detection_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
+def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
     physical = _physical_absorption_kraus(cfg, scheme)
     # m_j = tr(σ_j K†K) of each unscaled physical branch K
     forms = np.array([np.einsum("jab,ba->j", PAULIS, k.conj().T @ k).real
                       for k in physical])
-    stages = [Stage("absorb", ptm_from_kraus(
-        _absorption_kraus_logical(cfg, physical)), forms)]
+    return Stage("absorb", ptm_from_kraus(
+        _absorption_kraus_logical(cfg, physical)), forms)
 
+
+def _transport(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
     t2, fraction = noise_mod.transport_kraus(cfg.noise,
                                              _dephasing_basis(cfg, scheme))
-    stages.append(Stage("transport", (1.0 - cfg.noise.transport_loss)
-                        * ptm_from_kraus(fraction) @ ptm_from_kraus(t2)))
-    stages.append(Stage("shuttle_in",
-                        _shuttle_ptm(cfg.chain, 0, cfg.chain.storage_site)))
+    return Stage("transport", (1.0 - cfg.noise.transport_loss)
+                 * ptm_from_kraus(fraction) @ ptm_from_kraus(t2))
 
+
+def _shuttle_in(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+    return Stage("shuttle_in", _shuttle_ptm(cfg.chain, 0, cfg.chain.storage_site))
+
+
+def _hadamard(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+    # physically: precess(t), then the Hadamard rotation onto the
+    # eigenbasis.  In logical coordinates the Hadamard cancels against the
+    # post-readout frame change (it is involutive), leaving only the
+    # synchronization error of the precession phase.
+    u = precession_unitary(scheme, cfg.hadamard_time_ns)
+    return Stage("hadamard", ptm_from_kraus([u]))
+
+
+def _storage(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+    gamma = noise_mod.coherence_factor(cfg.storage_time_ns, cfg.noise.t2_si_ns)
+    return Stage("storage", ptm_from_kraus(noise_mod.dephasing_kraus(gamma)))
+
+
+def _shuttle_out(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+    return Stage("shuttle_out", _shuttle_ptm(cfg.chain, cfg.chain.storage_site, 0))
+
+
+def _transport_back(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+    t2, _ = noise_mod.transport_kraus(cfg.noise, _dephasing_basis(cfg, scheme))
+    return Stage("transport_back",
+                 (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(t2))
+
+
+def _emit(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+    return Stage("emit", ptm_from_kraus(_emission_kraus(cfg, scheme)))
+
+
+# One builder per stage name, so that a sweep can rebuild a single stage.
+_STAGE_BUILDERS = {
+    "absorb": _absorb, "transport": _transport, "shuttle_in": _shuttle_in,
+    "hadamard": _hadamard, "storage": _storage, "shuttle_out": _shuttle_out,
+    "transport_back": _transport_back, "emit": _emit,
+}
+
+
+def detection_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
+    names = ["absorb", "transport", "shuttle_in"]
     if cfg.case == CASE_B:
-        # physically: precess(t), then the Hadamard rotation onto the
-        # eigenbasis.  In logical coordinates the Hadamard cancels against
-        # the post-readout frame change (it is involutive), leaving only
-        # the synchronization error of the precession phase.
-        u = precession_unitary(scheme, cfg.hadamard_time_ns)
-        stages.append(Stage("hadamard", ptm_from_kraus([u])))
-    return stages
+        names.append("hadamard")
+    return [_STAGE_BUILDERS[name](cfg, scheme) for name in names]
 
 
 def return_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
-    gamma = noise_mod.coherence_factor(cfg.storage_time_ns, cfg.noise.t2_si_ns)
-    t2, _ = noise_mod.transport_kraus(cfg.noise, _dephasing_basis(cfg, scheme))
-    return [
-        Stage("storage", ptm_from_kraus(noise_mod.dephasing_kraus(gamma))),
-        Stage("shuttle_out", _shuttle_ptm(cfg.chain, cfg.chain.storage_site, 0)),
-        Stage("transport_back",
-              (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(t2)),
-        Stage("emit", ptm_from_kraus(_emission_kraus(cfg, scheme))),
-    ]
+    return [_STAGE_BUILDERS[name](cfg, scheme)
+            for name in ("storage", "shuttle_out", "transport_back", "emit")]
 
 
 def end_to_end_stages(cfg: ScenarioConfig) -> list[Stage]:
@@ -288,31 +319,35 @@ def haar_qubits(seed: int, n: int) -> np.ndarray:
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
-def _sample_quantities(cfg, r, forms, c) -> tuple[np.ndarray, ...]:
-    """Per-sample (fidelity, trace, leakage, hole purity) of pure inputs q
-    sent through the composed PTM r; row n of c is the Pauli vector
-    (1, Bloch vector) of input n.
+def _sample_fidelities(r, c) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (fidelity, trace) of pure inputs q sent through the
+    composed PTM r; column n of the C-contiguous (4, n) array c is the
+    Pauli vector (1, Bloch vector) of input n.
 
     The input q q† = ½ Σ c_j σ_j leaves as ½ Σ (r c)_i σ_i, so the output
     trace is (r c)₀ and the fidelity numerator q† Φ(q q†) q is ½ c·r c.
-    The weight ||K q||² = tr(K†K q q†) of the physical absorption branch K
-    is ½ c·m, with m_j = tr(σ_j K†K) its row of forms.
     """
-    y = c @ r.T
-    traces = y[:, 0]
-    num = 0.5 * np.einsum("ni,ni->n", c, y)
-    safe = np.where(traces <= 0, 1.0, traces)
-    fids = np.where(traces <= 0, 0.0, num / safe)
+    y = r @ c
+    traces = y[0]
+    num = 0.5 * np.einsum("in,in->n", c, y)
+    fids = np.divide(num, traces, out=np.zeros_like(num), where=traces > 0)
+    return fids, traces
 
-    # one (n,) array per branch, as reductions over a length-2 axis are
-    # slow; clipped at 0 because the form can round below ||K q||² = 0
-    w = [np.maximum(0.5 * (c @ m), 0.0) for m in forms]
+
+def _sample_hole(cfg, forms, c) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample (leakage, hole purity) of the inputs with Pauli vectors c.
+
+    The weight ||K q||² = tr(K†K q q†) of the physical absorption branch K
+    is ½ c·m, with m_j = tr(σ_j K†K) its row of forms.  The weights are
+    clipped at 0 because the form can round below ||K q||² = 0.
+    """
+    w = np.maximum(0.5 * (forms @ c), 0.0)
     total = sum(w)
     total = np.where(total <= 0, 1.0, total)
     leak = w[1] / total if len(w) > 1 and cfg.case != DEGENERATE \
-        else np.zeros(c.shape[0])
+        else np.zeros(c.shape[1])
     purity = sum((wi / total) ** 2 for wi in w)
-    return fids, traces, leak, purity
+    return leak, purity
 
 
 # ---------------------------------------------------------------------------
@@ -416,9 +451,8 @@ def _unit(q) -> np.ndarray:
 
 def _run_detection(q, cfg, scheme, stages) -> DetectionResult:
     c = pauli_vectors(q[None, :])
-    trace, logical = _stage_trace(stages, c[0])
-    _, _, leak, pur = _sample_quantities(cfg, _compose(stages),
-                                         stages[0].branch_forms, c)
+    trace, logical = _stage_trace(stages, c[:, 0])
+    leak, pur = _sample_hole(cfg, stages[0].branch_forms, c)
     photon = PhotonQubit(cfg.photon_basis(), q[0], q[1], window=cfg.window)
     if cfg.case == DEGENERATE:
         outcome = absorb_degenerate(photon, cfg.absorption_efficiency)
@@ -449,9 +483,8 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
 
 def _run_end_to_end(q, cfg, scheme, stages) -> EndToEndResult:
     c = pauli_vectors(q[None, :])
-    trace, photon_rho = _stage_trace(stages, c[0])
-    _, _, leak, pur = _sample_quantities(cfg, _compose(stages),
-                                         stages[0].branch_forms, c)
+    trace, photon_rho = _stage_trace(stages, c[:, 0])
+    leak, pur = _sample_hole(cfg, stages[0].branch_forms, c)
     _, _, _, fractions = _mode_map(scheme, _emission_direction(cfg, scheme))
     e_amp = _detection_frame(cfg.case) @ q
     collection = float(np.sum(np.abs(e_amp) ** 2 * fractions))
@@ -479,14 +512,24 @@ def _sample_count(cfg: ScenarioConfig, n_samples: int | None = None) -> int:
     return n
 
 
+def _fidelity_stats(r, c) -> dict:
+    fids, traces = _sample_fidelities(r, c)
+    n = c.shape[1]
+    return {"mean_fidelity": float(np.mean(fids)),
+            "stderr": float(np.std(fids, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
+            "success_probability": float(np.mean(traces))}
+
+
+def _hole_stats(cfg, forms, c) -> dict:
+    leak, pur = _sample_hole(cfg, forms, c)
+    return {"leakage": float(np.mean(leak)),
+            "hole_purity_mean": float(np.mean(pur)),
+            "hole_purity_std": float(np.std(pur, ddof=1)) if c.shape[1] > 1 else 0.0}
+
+
 def _run_monte_carlo(cfg, r, forms, c) -> MonteCarloResult:
-    fids, traces, leak, pur = _sample_quantities(cfg, r, forms, c)
-    n = c.shape[0]
-    mean = float(np.mean(fids))
-    stderr = float(np.std(fids, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-    pur_std = float(np.std(pur, ddof=1)) if n > 1 else 0.0
-    return MonteCarloResult(mean, stderr, n, float(np.mean(traces)),
-                            float(np.mean(leak)), float(np.mean(pur)), pur_std)
+    return MonteCarloResult(n_samples=c.shape[1], **_fidelity_stats(r, c),
+                            **_hole_stats(cfg, forms, c))
 
 
 def monte_carlo_average_fidelity(cfg: ScenarioConfig,
@@ -557,23 +600,39 @@ def _require_valid(cfg: ScenarioConfig):
 # parameter sweeps
 # ---------------------------------------------------------------------------
 
+# The band scheme feeds every stage but the shuttles and storage.
+_SCHEME_STAGES = frozenset({"scheme", "absorb", "transport", "hadamard",
+                            "transport_back", "emit"})
+_ABSORB = frozenset({"absorb"})
+_BOTH_TRANSPORTS = frozenset({"transport", "transport_back"})
+
+# parameter -> (config with the value set, what the value touches: stage
+# names, and "scheme" when the band scheme itself must be rebuilt)
 _SWEEPABLE = {
-    "field.b_tesla": lambda cfg, v: replace(cfg, field=replace(cfg.field, b_tesla=v)),
-    "window.bandwidth_ueV": lambda cfg, v: replace(
+    "field.b_tesla": (lambda cfg, v: replace(
+        cfg, field=replace(cfg.field, b_tesla=v)), _SCHEME_STAGES),
+    "window.bandwidth_ueV": (lambda cfg, v: replace(
         cfg, window=replace(cfg.window or SpectralWindow(v), bandwidth_uev=v)),
-    "window.center_offset_ueV": lambda cfg, v: replace(
-        cfg, window=replace(cfg.window or SpectralWindow(100.0), center_offset_uev=v)),
-    "noise.transport_time_ns": lambda cfg, v: replace(
-        cfg, noise=replace(cfg.noise, transport_time_ns=v)),
-    "noise.transport_loss": lambda cfg, v: replace(
-        cfg, noise=replace(cfg.noise, transport_loss=v)),
-    "noise.transport_dephasing_fraction": lambda cfg, v: replace(
+        _ABSORB),
+    "window.center_offset_ueV": (lambda cfg, v: replace(
+        cfg, window=replace(cfg.window or SpectralWindow(100.0),
+                            center_offset_uev=v)), _ABSORB),
+    "noise.transport_time_ns": (lambda cfg, v: replace(
+        cfg, noise=replace(cfg.noise, transport_time_ns=v)), _BOTH_TRANSPORTS),
+    "noise.transport_loss": (lambda cfg, v: replace(
+        cfg, noise=replace(cfg.noise, transport_loss=v)), _BOTH_TRANSPORTS),
+    "noise.transport_dephasing_fraction": (lambda cfg, v: replace(
         cfg, noise=replace(cfg.noise, transport_dephasing_fraction=v)),
-    "storage_time_ns": lambda cfg, v: replace(cfg, storage_time_ns=v),
-    "hadamard_time_ns": lambda cfg, v: replace(cfg, hadamard_time_ns=v),
-    "chain.gate_error": lambda cfg, v: replace(
+        frozenset({"transport"})),
+    "storage_time_ns": (lambda cfg, v: replace(cfg, storage_time_ns=v),
+                        frozenset({"storage"})),
+    "hadamard_time_ns": (lambda cfg, v: replace(cfg, hadamard_time_ns=v),
+                         frozenset({"hadamard"})),
+    "chain.gate_error": (lambda cfg, v: replace(
         cfg, chain=replace(cfg.chain, gate_error=v)),
-    "absorption_efficiency": lambda cfg, v: replace(cfg, absorption_efficiency=v),
+        frozenset({"shuttle_in", "shuttle_out"})),
+    "absorption_efficiency": (lambda cfg, v: replace(
+        cfg, absorption_efficiency=v), _ABSORB),
 }
 
 
@@ -588,28 +647,39 @@ def sweep(cfg: ScenarioConfig, param: str, values,
     Every row evaluates the same seeded Haar inputs (common random
     numbers): a row equals monte_carlo_average_fidelity at that value, and
     differences between rows are not sampling noise.  The inputs are drawn
-    once for the whole sweep.
+    once for the whole sweep.  So are the stages the parameter does not
+    touch, and the hole diagnostics unless the parameter touches the absorb
+    stage: each point rebuilds only its parameter's stages.
     """
     if param not in _SWEEPABLE:
         raise KeyError(f"unknown sweep parameter {param!r}; "
                        f"choose from {', '.join(sweep_parameters())}")
+    set_value, touched = _SWEEPABLE[param]
     rows = []
-    c = None
+    stages = None
     for v in values:
-        sub = _SWEEPABLE[param](cfg, float(v))
+        sub = set_value(cfg, float(v))
         _require_valid(sub)
-        if c is None:
+        if stages is None:
             c = pauli_vectors(haar_qubits(sub.seed, _sample_count(sub, n_samples)))
-        stages = end_to_end_stages(sub)
-        mc = _run_monte_carlo(sub, _compose(stages), stages[0].branch_forms, c)
+            scheme = sub.scheme()
+            stages = detection_stages(sub, scheme) + return_stages(sub, scheme)
+        else:
+            if "scheme" in touched:
+                scheme = sub.scheme()
+            stages = [_STAGE_BUILDERS[st.name](sub, scheme)
+                      if st.name in touched else st for st in stages]
+        if not rows or "absorb" in touched:
+            hole = _hole_stats(sub, stages[0].branch_forms, c)
+        fid = _fidelity_stats(_compose(stages), c)
         rows.append({
             "param": param,
             "value": float(v),
-            "mean_fidelity": mc.mean_fidelity,
-            "stderr": mc.stderr,
-            "success_prob": mc.success_probability,
-            "leakage": mc.leakage,
-            "hole_purity": mc.hole_purity_mean,
+            "mean_fidelity": fid["mean_fidelity"],
+            "stderr": fid["stderr"],
+            "success_prob": fid["success_probability"],
+            "leakage": hole["leakage"],
+            "hole_purity": hole["hole_purity_mean"],
         })
     return rows
 

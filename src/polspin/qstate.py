@@ -330,12 +330,13 @@ def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
 
 
 def pauli_vectors(amps: np.ndarray) -> np.ndarray:
-    """c = (q†q, q†Xq, q†Yq, q†Zq) of each row q of amps, shape (n, 4) real:
-    (1, r) with r the Bloch vector for unit q."""
+    """c = (q†q, q†Xq, q†Yq, q†Zq) of each row q of amps, as the columns of
+    a C-contiguous (4, n) real array: (1, r) with r the Bloch vector for
+    unit q, so that a PTM R maps all of them at once as R @ c."""
     a, b = amps[:, 0], amps[:, 1]
     pa, pb = np.abs(a) ** 2, np.abs(b) ** 2
     ab = 2.0 * a.conj() * b
-    return np.stack([pa + pb, ab.real, ab.imag, pa - pb], axis=1)
+    return np.stack([pa + pb, ab.real, ab.imag, pa - pb])
 
 
 def density_from_pauli(c: np.ndarray) -> np.ndarray:

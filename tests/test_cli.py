@@ -233,6 +233,19 @@ def test_tomography_choi_file_verdict(tmp_path, capsys):
     assert "process_fidelity: 1" in out
 
 
+def test_tomography_choi_file_json_like(tmp_path, capsys):
+    path = tmp_path / "choi.json"
+    path.write_text(json.dumps(IDENTITY_CHOI), encoding="utf-8")
+    code, out, _ = run_cli(["tomography", "--choi", str(path),
+                            "--format", "json-like"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert sorted(doc) == ["choi", "cptp", "process_fidelity"]
+    assert doc["choi"][0] == ["0.5+0j", "0+0j", "0+0j", "0.5+0j"]
+    assert doc["cptp"] is True
+    assert doc["process_fidelity"] == "1"
+
+
 @pytest.mark.parametrize("text", [
     json.dumps(_with_entry([float("nan"), 0.0])),          # NaN
     json.dumps(_with_entry([0.0, float("inf")])),          # Infinity

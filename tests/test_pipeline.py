@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polspin import pipeline
+from polspin import pipeline, processor
 from polspin.bands import FieldConfig, INPLANE, NORMAL, SpectralWindow
 from polspin.constants import KB_UEV_PER_K
 from polspin.noise import NoiseModel
@@ -15,7 +15,8 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               run_end_to_end, scenario_report, sweep,
                               end_to_end_stages, _absorption_kraus_logical,
                               _compose, _emission_kraus,
-                              _physical_absorption_kraus, _sample_quantities)
+                              _physical_absorption_kraus, _sample_fidelities,
+                              _sample_hole)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
@@ -303,8 +304,9 @@ def test_sample_quantities_match_density_matrices(name):
     cfg = KERNEL_CONFIGS[name]
     amps = haar_qubits(cfg.seed, 1000)
     stages = end_to_end_stages(cfg)
-    got = _sample_quantities(cfg, _compose(stages), stages[0].branch_forms,
-                             pauli_vectors(amps))
+    c = pauli_vectors(amps)
+    got = (_sample_fidelities(_compose(stages), c)
+           + _sample_hole(cfg, stages[0].branch_forms, c))
     want = _density_matrix_oracle(cfg, _composed(cfg), amps)
     for label, g, w in zip(("fidelity", "trace", "leakage", "purity"), got, want):
         assert g.shape == (1000,), label
@@ -324,18 +326,29 @@ def test_branch_weights_ignore_absorption_efficiency():
     assert none.hole_purity_std == full.hole_purity_std
 
 
-def test_sweep_builds_absorption_branches_once_per_point(monkeypatch):
-    calls = []
-    original = pipeline.absorption_branches
+def test_sweep_builds_untouched_stages_once(monkeypatch):
+    """A sweep builds each stage its parameter does not touch once, at the
+    first point, and rebuilds the touched ones at every point; the hole
+    diagnostics follow the absorb stage."""
+    targets = ((pipeline, "absorption_branches"),
+               (processor, "site_channel_map"), (pipeline, "_hole_stats"))
+    calls = {}
+    for module, name in targets:
+        def counted(*args, _name=name, _original=getattr(module, name)):
+            calls[_name] += 1
+            return _original(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(pipeline, "absorption_branches", counted)
-    sweep(cfg_case_b(hadamard_time_ns=0.17862), "noise.transport_time_ns",
-          [0.0, 10.0, 20.0], n_samples=100)
-    assert len(calls) == 3
+        monkeypatch.setattr(module, name, counted)
+    cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(3, 2, 0.01))
+    # calls per 3-point sweep, in the order of targets: the shuttles build
+    # two chain maps per point
+    cases = {"noise.transport_time_ns": ([0.0, 10.0, 20.0], [1, 2, 1]),
+             "window.bandwidth_ueV": ([50.0, 300.0, 1200.0], [3, 2, 3]),
+             "chain.gate_error": ([0.0, 0.01, 0.02], [1, 6, 1])}
+    for param, (values, counts) in cases.items():
+        calls.update((name, 0) for _, name in targets)
+        sweep(cfg, param, values, n_samples=100)
+        assert list(calls.values()) == counts, param
 
 
 @pytest.mark.parametrize("make", [cfg_case_a, cfg_case_b])
@@ -347,7 +360,7 @@ def test_dephasing_fraction_hits_forward_transport_only(make):
     # the Bloch axis n of the energy eigenstates is the only one that
     # survives full dephasing: R = diag(1, n nᵀ)
     u = _eigenbasis_matrix(cfg.scheme()) if cfg.case == "B" else np.eye(2)
-    n = pauli_vectors(u.T)[0, 1:]
+    n = pauli_vectors(u.T)[1:, 0]
     keep = np.zeros((4, 4))
     keep[0, 0] = 1.0
     keep[1:, 1:] = np.outer(n, n)
@@ -379,23 +392,83 @@ def test_mc_mean_matches_bloch_quadrature(name):
     assert abs(mc.mean_fidelity - want) <= 5 * mc.stderr + 1e-6
 
 
-SWEEP_CASES = {
-    "noise.transport_time_ns": (
-        cfg_case_b(hadamard_time_ns=0.17862), [0.0, 10.0, 35.0, 50.0],
-        lambda cfg, v: replace(cfg, noise=replace(cfg.noise, transport_time_ns=v))),
-    "window.bandwidth_ueV": (
-        cfg_case_a(), [50.0, 300.0, 1200.0],
-        lambda cfg, v: replace(cfg, window=replace(cfg.window, bandwidth_uev=v))),
-    "field.b_tesla": (
-        cfg_case_b(hadamard_time_ns=TAU), [0.2, 0.55, 1.0],
-        lambda cfg, v: replace(cfg, field=replace(cfg.field, b_tesla=v))),
+# No window and no transport loss: every input reaches the output with the
+# same probability R₀₀ (1 in the degenerate case; the absorption success of
+# the split cases otherwise), so the normalized channel is trace-preserving.
+CONSTANT_TRACE_CONFIGS = {
+    "case_a": cfg_case_a(window=None, storage_time_ns=2e5,
+                         chain=ChainParams(3, 2, 0.03),
+                         noise=NoiseModel(transport_time_ns=20.0)),
+    "case_b": cfg_case_b(window=None, hadamard_time_ns=0.1, storage_time_ns=2e5,
+                         chain=ChainParams(3, 2, 0.03),
+                         noise=NoiseModel(transport_time_ns=20.0,
+                                          transport_dephasing_fraction=0.2)),
+    "degenerate": cfg_degenerate(storage_time_ns=1e5,
+                                 chain=ChainParams(3, 2, 0.02),
+                                 noise=NoiseModel(transport_time_ns=20.0)),
 }
 
 
-@pytest.mark.parametrize("param", sorted(SWEEP_CASES))
+@pytest.mark.parametrize("name", sorted(CONSTANT_TRACE_CONFIGS))
+def test_mc_mean_matches_process_fidelity(name):
+    """Haar-average identity F_avg = (2 F_pro + 1) / 3 for a trace-preserving
+    qubit channel (Horodecki et al. 1999; Nielsen 2002), with F_pro from
+    process tomography."""
+    cfg = CONSTANT_TRACE_CONFIGS[name]
+    r = _compose(end_to_end_stages(cfg))
+    _, traces = _sample_fidelities(r, pauli_vectors(haar_qubits(cfg.seed, 20_000)))
+    assert np.max(np.abs(traces - r[0, 0])) < 1e-12
+    if cfg.case == "degenerate":
+        assert r[0, 0] == pytest.approx(1.0, abs=1e-12)
+    mc = monte_carlo_average_fidelity(cfg, 20_000)
+    f_pro = process_tomography(cfg).process_fidelity
+    assert abs(mc.mean_fidelity - (2 * f_pro + 1) / 3) <= 5 * mc.stderr + 1e-6
+
+
+SWEEP_CASES = {
+    "absorption_efficiency": (
+        cfg_case_b(window=SpectralWindow(600.0), hadamard_time_ns=0.17862),
+        [0.2, 0.5, 1.0],
+        lambda cfg, v: replace(cfg, absorption_efficiency=v)),
+    "chain.gate_error": (
+        cfg_case_a(chain=ChainParams(3, 2, 0.01)), [0.0, 0.01, 0.05],
+        lambda cfg, v: replace(cfg, chain=replace(cfg.chain, gate_error=v))),
+    "field.b_tesla": (
+        cfg_case_b(hadamard_time_ns=TAU), [0.2, 0.55, 1.0],
+        lambda cfg, v: replace(cfg, field=replace(cfg.field, b_tesla=v))),
+    "hadamard_time_ns": (
+        cfg_case_b(chain=ChainParams(3, 2, 0.02)), [0.0, 0.1, TAU],
+        lambda cfg, v: replace(cfg, hadamard_time_ns=v)),
+    "noise.transport_dephasing_fraction": (
+        cfg_case_b(hadamard_time_ns=TAU, noise=NoiseModel(transport_time_ns=10.0)),
+        [0.0, 0.3, 1.0],
+        lambda cfg, v: replace(cfg, noise=replace(
+            cfg.noise, transport_dephasing_fraction=v))),
+    "noise.transport_loss": (
+        cfg_case_a(chain=ChainParams(3, 2, 0.02)), [0.0, 0.2, 0.5],
+        lambda cfg, v: replace(cfg, noise=replace(cfg.noise, transport_loss=v))),
+    "noise.transport_time_ns": (
+        cfg_case_b(hadamard_time_ns=0.17862), [0.0, 10.0, 35.0, 50.0],
+        lambda cfg, v: replace(cfg, noise=replace(cfg.noise, transport_time_ns=v))),
+    "storage_time_ns": (
+        cfg_case_a(window=SpectralWindow(800.0)), [0.0, 1e5, 5e5],
+        lambda cfg, v: replace(cfg, storage_time_ns=v)),
+    "window.bandwidth_ueV": (
+        cfg_case_a(), [50.0, 300.0, 1200.0],
+        lambda cfg, v: replace(cfg, window=replace(cfg.window, bandwidth_uev=v))),
+    "window.center_offset_ueV": (
+        cfg_case_b(window=SpectralWindow(600.0)), [-200.0, 0.0, 300.0],
+        lambda cfg, v: replace(cfg, window=replace(cfg.window,
+                                                   center_offset_uev=v))),
+}
+
+
+@pytest.mark.parametrize("param", pipeline.sweep_parameters())
 def test_sweep_rows_equal_monte_carlo(param, monkeypatch):
     """A sweep draws its Haar inputs once, and each row is exactly the
-    Monte Carlo result of its point on those inputs."""
+    Monte Carlo result of its point on those inputs.  Every parameter is
+    covered, so a stage the sweep keeps from its first point but whose
+    parameter does change shows as a row that differs."""
     cfg, values, point = SWEEP_CASES[param]
     draws = []
 

@@ -363,8 +363,9 @@ def test_ptm_acts_on_pauli_vectors():
     kraus = rand_kraus(rng, 3, 0.9)
     amps = np.array([rand_qubit(rng) for _ in range(10)])
     c = pauli_vectors(amps)
-    assert np.max(np.abs(c[:, 0] - 1.0)) < 1e-14
-    for q, cq in zip(amps, c):
+    assert c.shape == (4, 10) and c.flags.c_contiguous
+    assert np.max(np.abs(c[0] - 1.0)) < 1e-14
+    for q, cq in zip(amps, c.T):
         rho = np.outer(q, q.conj())
         assert np.max(np.abs(density_from_pauli(cq) - rho)) < 1e-14
         out = sum(k @ rho @ k.conj().T for k in kraus)
