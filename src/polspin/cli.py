@@ -27,6 +27,9 @@ from .pipeline import (ChainParams, DotConstraints, ScenarioConfig,
 from .qstate import is_cptp, process_fidelity
 
 _FORMATS = ("text", "csv", "json-like")
+# the --format values each subcommand prints
+_COMMAND_FORMATS = {"levels": _FORMATS, "run": _FORMATS, "sweep": _FORMATS,
+                    "tomography": ("text", "json-like"), "check-dot": ("text",)}
 
 
 def fmt6(x: float) -> str:
@@ -277,18 +280,17 @@ def cmd_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
               steps: int, fmt: str, out: str | None) -> int:
     if steps < 0:
         raise ConfigError("steps must be non-negative")
-    values = (np.linspace(start, stop, steps) if steps > 0
-              else np.array([]))
-    rows = sweep(cfg, param, values)
-    header = "param,value,mean_fidelity,stderr,success_prob,leakage,hole_purity"
-    lines = [header]
-    for r in rows:
-        lines.append(",".join([
-            r["param"], fmt9(r["value"]), fmt6(r["mean_fidelity"]),
-            fmt6(r["stderr"]), fmt6(r["success_prob"]), fmt6(r["leakage"]),
-            fmt6(r["hole_purity"]),
-        ]))
-    _write(out, "\n".join(lines) + "\n")
+    values = np.linspace(start, stop, steps)
+    columns = {"param": str, "value": fmt9, "mean_fidelity": fmt6,
+               "stderr": fmt6, "success_prob": fmt6, "leakage": fmt6,
+               "hole_purity": fmt6}
+    rows = [{name: show(r[name]) for name, show in columns.items()}
+            for r in sweep(cfg, param, values)]
+    if fmt == "json-like":
+        _write(out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    else:
+        lines = [",".join(columns)] + [",".join(r.values()) for r in rows]
+        _write(out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -405,6 +407,10 @@ def main(argv: list[str] | None = None) -> int:
     fmt = getattr(args, "format", "text")
 
     try:
+        formats = _COMMAND_FORMATS[args.command]
+        if fmt not in formats:
+            raise ConfigError(f"{args.command} does not print --format {fmt} "
+                              f"(it prints {', '.join(formats)})")
         if args.command == "check-dot":
             return cmd_check_dot(args.capacitance, args.resistance,
                                  args.confinement, args.temperature, out)

@@ -7,7 +7,8 @@ the declared photon basis), held as its real 4x4 Pauli transfer matrix
 (PTM; conventions in qstate).  Stages compose by matrix product into one
 PTM R, so a Monte Carlo run evaluates every per-sample quantity as a
 quadratic form on the Pauli vectors c = (1, Bloch vector) of the Haar
-inputs: trace (R c)₀, fidelity numerator ½ c·R c, branch weights ½ c·m.
+inputs: trace (R c)₀, fidelity numerator ½ c·R c, and the absorption
+branches' Gram matrix G_ij = ½ c·m_ij, which fixes the hole state.
 It is deterministic for a given (seed, sample count), and prefix-stable:
 the first m of n samples do not depend on n.  Sample i is not tied to a
 fixed slice of the random stream (the normal sampler rejects and redraws),
@@ -36,15 +37,16 @@ from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, FieldConfig,
 from .constants import H_OVER_E2_OHM, charging_energy_uev, thermal_energy_uev
 from .noise import NoiseModel
 from .qstate import (PAULIS, choi_from_ptm, choi_of_map, density_from_pauli,
-                     entanglement_entropy, is_cptp, pauli_vectors,
-                     process_fidelity, ptm_from_choi, ptm_from_kraus)
-from .transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit, absorb_case_a,
-                       absorb_case_b, absorb_degenerate, absorption_branches,
-                       emission_map, precession_unitary, _eigenbasis_matrix,
-                       _frame_inverse, _mode_map)
+                     is_cptp, pauli_vectors, process_fidelity, ptm_from_choi,
+                     ptm_from_kraus)
+from .transfer import (absorption_branches, emission_map, precession_unitary,
+                       _eigenbasis_matrix, _frame_inverse, _mode_map)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
+# Degenerate case: the projectors onto the two electron spins, one per
+# heavy-hole branch, in absorption and in emission alike
+_DEGENERATE_BRANCHES = tuple(np.diag(e).astype(complex) for e in np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -110,9 +112,9 @@ class ScenarioConfig:
             if not (math.isfinite(t) and t >= 0):
                 problems.append(f"{name} must be finite and non-negative, "
                                 f"got {t!r}")
-        if self.emission_direction is not None and not all(
-                math.isfinite(x) for x in self.emission_direction):
-            problems.append("emission_direction must be finite")
+        d = self.emission_direction
+        if d is not None and not (all(map(math.isfinite, d)) and any(d)):
+            problems.append("emission_direction must be finite and non-zero")
         if self.mc_samples < 1:
             problems.append("mc_samples must be at least 1")
         n = abs(self.input_qubit[0]) ** 2 + abs(self.input_qubit[1]) ** 2
@@ -126,13 +128,6 @@ class ScenarioConfig:
             return degenerate_scheme(self.material)
         return build_level_scheme(self.material, self.field)
 
-    def photon_basis(self) -> str:
-        return LINEAR_ZX if self.case == CASE_A else CIRCULAR
-
-    def input_photon(self) -> PhotonQubit:
-        a, b = self.input_qubit
-        return PhotonQubit(self.photon_basis(), a, b, window=self.window)
-
 
 # ---------------------------------------------------------------------------
 # stages as Pauli transfer matrices
@@ -142,9 +137,9 @@ class ScenarioConfig:
 class Stage:
     """One stage as a real 4x4 Pauli transfer matrix (conventions in qstate).
 
-    The absorb stage also holds the weight forms of the unscaled physical
-    absorption branches K, one row m_j = tr(σ_j K†K) per branch, which the
-    per-sample hole diagnostics read.
+    The absorb stage also holds the Gram forms of the unscaled physical
+    absorption branches (`_gram_forms`), from which the hole diagnostics
+    read the hole state of each input.
     """
 
     name: str
@@ -184,8 +179,7 @@ def _absorption_kraus_logical(cfg: ScenarioConfig, physical) -> list[np.ndarray]
 def _physical_absorption_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]:
     """Unscaled physical-frame branches, for per-sample hole diagnostics."""
     if cfg.case == DEGENERATE:
-        return [np.array([[1, 0], [0, 0]], dtype=complex),
-                np.array([[0, 0], [0, 1]], dtype=complex)]
+        return list(_DEGENERATE_BRANCHES)
     return [br.kraus for br in absorption_branches(
         scheme, cfg.window, cfg.compensate and cfg.case == CASE_A)]
 
@@ -208,8 +202,7 @@ def _emission_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]
     geometry = emission_map(scheme) @ _frame_inverse(t, lossy) @ t
     prep = _detection_frame(cfg.case)
     if cfg.case == DEGENERATE:
-        return [geometry @ np.array([[1, 0], [0, 0]], dtype=complex) @ prep,
-                geometry @ np.array([[0, 0], [0, 1]], dtype=complex) @ prep]
+        return [geometry @ p @ prep for p in _DEGENERATE_BRANCHES]
     return [geometry @ prep]
 
 
@@ -219,13 +212,22 @@ def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray
         chain.n_sites, from_site, to_site, chain.gate_error)))
 
 
+def _gram_forms(kraus) -> np.ndarray:
+    """Real (k², 4) rows f: f @ c is the Gram matrix G_ij = ⟨K_j q|K_i q⟩
+    = ½ c·m_ij, m_ij,l = tr(σ_l K_j†K_i), of the k branches K at the input
+    q with Pauli vector c, in the orthonormal basis of Hermitian matrices:
+    G_ii, then √2 Re G_ij and √2 Im G_ij for i < j (length² Σ|G_ij|²)."""
+    m = np.einsum("lab,jcb,ica->ijl", PAULIS, np.conj(kraus), kraus)
+    d = np.arange(len(kraus))
+    i, j = np.triu_indices(len(kraus), 1)
+    return np.concatenate([0.5 * m[d, d].real, math.sqrt(0.5) * m[i, j].real,
+                           math.sqrt(0.5) * m[i, j].imag])
+
+
 def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
     physical = _physical_absorption_kraus(cfg, scheme)
-    # m_j = tr(σ_j K†K) of each unscaled physical branch K
-    forms = np.array([np.einsum("jab,ba->j", PAULIS, k.conj().T @ k).real
-                      for k in physical])
     return Stage("absorb", ptm_from_kraus(
-        _absorption_kraus_logical(cfg, physical)), forms)
+        _absorption_kraus_logical(cfg, physical)), _gram_forms(physical))
 
 
 def _transport(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
@@ -334,20 +336,34 @@ def _sample_fidelities(r, c) -> tuple[np.ndarray, np.ndarray]:
     return fids, traces
 
 
-def _sample_hole(cfg, forms, c) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (leakage, hole purity) of the inputs with Pauli vectors c.
+def _sample_hole(cfg, forms, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-sample (leakage, hole purity, tr G) of the inputs with Pauli
+    vectors c.  The hole levels are orthonormal, so the hole is left in
+    G / tr G: purity Σ|G_ij|² / (tr G)², leakage G₁₁ / tr G (0 in the
+    degenerate case, whose branches are both wanted).  The diagonal is
+    clipped at 0, as a form can round below ||K q||² = 0."""
+    k = math.isqrt(len(forms))
+    g = forms @ c
+    np.maximum(g[:k], 0.0, out=g[:k])
+    total = g[:k].sum(axis=0)
+    g /= np.where(total > 0, total, 1.0)
+    purity = np.einsum("in,in->n", g, g)
+    leak = g[1] if k > 1 and cfg.case != DEGENERATE else np.zeros(c.shape[1])
+    return leak, purity, total
 
-    The weight ||K q||² = tr(K†K q q†) of the physical absorption branch K
-    is ½ c·m, with m_j = tr(σ_j K†K) its row of forms.  The weights are
-    clipped at 0 because the form can round below ||K q||² = 0.
-    """
-    w = np.maximum(0.5 * (forms @ c), 0.0)
-    total = sum(w)
-    total = np.where(total <= 0, 1.0, total)
-    leak = w[1] / total if len(w) > 1 and cfg.case != DEGENERATE \
-        else np.zeros(c.shape[1])
-    purity = sum((wi / total) ** 2 for wi in w)
-    return leak, purity
+
+def _input_hole(cfg, forms, q) -> tuple[float, float, float]:
+    """(leakage, hole purity P, entanglement entropy in bits) of one input
+    q, which must couple.  The electron is a qubit, so the hole state has at
+    most two non-zero eigenvalues, λ± = (1 ± √(2P − 1))/2."""
+    leak, purity, total = _sample_hole(cfg, forms, pauli_vectors(q[None, :]))
+    if total[0] <= 0:
+        raise ValueError("photon does not couple to this scheme")
+    s = math.sqrt(min(max(2.0 * purity[0] - 1.0, 0.0), 1.0))
+    entropy = -sum(x * math.log2(x) for x in ((1 + s) / 2, (1 - s) / 2)
+                   if x > 0)
+    # adding 0.0 turns the -0.0 of a product state into 0.0
+    return float(leak[0]), float(purity[0]), entropy + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -378,8 +394,6 @@ class EndToEndResult:
     round_trip_fidelity: float
     stages: tuple[StageFidelity, ...]
     success_probability: float
-    leakage: float
-    hole_purity: float
     collection_fraction: float
 
 
@@ -449,42 +463,24 @@ def _unit(q) -> np.ndarray:
 # PTM) so that scenario_report builds them once; the public functions build
 # their own and delegate.
 
-def _run_detection(q, cfg, scheme, stages) -> DetectionResult:
-    c = pauli_vectors(q[None, :])
-    trace, logical = _stage_trace(stages, c[:, 0])
-    leak, pur = _sample_hole(cfg, stages[0].branch_forms, c)
-    photon = PhotonQubit(cfg.photon_basis(), q[0], q[1], window=cfg.window)
-    if cfg.case == DEGENERATE:
-        outcome = absorb_degenerate(photon, cfg.absorption_efficiency)
-    else:
-        outcome = (absorb_case_a(photon, scheme, cfg.compensate,
-                                 efficiency=cfg.absorption_efficiency)
-                   if cfg.case == CASE_A
-                   else absorb_case_b(photon, scheme,
-                                      efficiency=cfg.absorption_efficiency))
-    ent = entanglement_entropy(outcome.state, ("electron_spin",))
-
-    chain = processor.fresh_chain(cfg.chain.n_sites, cfg.chain.gate_error)
-    chain = processor.load_site(chain, cfg.chain.storage_site, logical)
-    return DetectionResult(
-        chain=chain, logical_rho=logical, stages=tuple(trace),
-        success_probability=trace[-1].success,
-        leakage=float(leak[0]), hole_purity=float(pur[0]),
-        entanglement_entropy_bits=float(ent))
-
-
 def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     """Absorb a photon qubit, cross the interface and park the qubit in the
     donor chain; returns the loaded chain plus per-stage diagnostics."""
     _require_valid(cfg)
-    scheme = cfg.scheme()
-    return _run_detection(_unit(q), cfg, scheme, detection_stages(cfg, scheme))
+    q = _unit(q)
+    stages = detection_stages(cfg, cfg.scheme())
+    leak, purity, entropy = _input_hole(cfg, stages[0].branch_forms, q)
+    trace, logical = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
+    chain = processor.fresh_chain(cfg.chain.n_sites, cfg.chain.gate_error)
+    chain = processor.load_site(chain, cfg.chain.storage_site, logical)
+    return DetectionResult(
+        chain=chain, logical_rho=logical, stages=tuple(trace),
+        success_probability=trace[-1].success, leakage=leak,
+        hole_purity=purity, entanglement_entropy_bits=entropy)
 
 
 def _run_end_to_end(q, cfg, scheme, stages) -> EndToEndResult:
-    c = pauli_vectors(q[None, :])
-    trace, photon_rho = _stage_trace(stages, c[:, 0])
-    leak, pur = _sample_hole(cfg, stages[0].branch_forms, c)
+    trace, photon_rho = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
     _, _, _, fractions = _mode_map(scheme, _emission_direction(cfg, scheme))
     e_amp = _detection_frame(cfg.case) @ q
     collection = float(np.sum(np.abs(e_amp) ** 2 * fractions))
@@ -492,8 +488,7 @@ def _run_end_to_end(q, cfg, scheme, stages) -> EndToEndResult:
     return EndToEndResult(
         photon_rho=photon_rho, round_trip_fidelity=trace[-1].fidelity,
         stages=tuple(trace), success_probability=trace[-1].success,
-        leakage=float(leak[0]),
-        hole_purity=float(pur[0]), collection_fraction=collection)
+        collection_fraction=collection)
 
 
 def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
@@ -521,7 +516,7 @@ def _fidelity_stats(r, c) -> dict:
 
 
 def _hole_stats(cfg, forms, c) -> dict:
-    leak, pur = _sample_hole(cfg, forms, c)
+    leak, pur, _ = _sample_hole(cfg, forms, c)
     return {"leakage": float(np.mean(leak)),
             "hole_purity_mean": float(np.mean(pur)),
             "hole_purity_std": float(np.std(pur, ddof=1)) if c.shape[1] > 1 else 0.0}
@@ -561,14 +556,13 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     _require_valid(cfg)
     n = _sample_count(cfg)
     scheme = cfg.scheme()
-    detection = detection_stages(cfg, scheme)
-    stages = detection + return_stages(cfg, scheme)
+    stages = detection_stages(cfg, scheme) + return_stages(cfg, scheme)
+    forms = stages[0].branch_forms
     r = _compose(stages)
     q = _unit(cfg.input_qubit)
+    _, _, entropy = _input_hole(cfg, forms, q)
     e2e = _run_end_to_end(q, cfg, scheme, stages)
-    det = _run_detection(q, cfg, scheme, detection)
-    mc = _run_monte_carlo(cfg, r, detection[0].branch_forms,
-                          pauli_vectors(haar_qubits(cfg.seed, n)))
+    mc = _run_monte_carlo(cfg, r, forms, pauli_vectors(haar_qubits(cfg.seed, n)))
     tomo = _run_tomography(r)
     return ChannelReport(
         case=cfg.case,
@@ -579,7 +573,7 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
         leakage=mc.leakage,
         hole_purity_mean=mc.hole_purity_mean,
         hole_purity_std=mc.hole_purity_std,
-        entanglement_entropy_bits=det.entanglement_entropy_bits,
+        entanglement_entropy_bits=entropy,
         collection_fraction=e2e.collection_fraction,
         choi=tomo.choi,
         cptp=tomo.cptp,

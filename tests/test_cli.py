@@ -92,6 +92,19 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["--config", cfg, "run"], capsys)
     assert code == 2
     assert "surface plane" in err
+    cfg = write_config(tmp_path, emission_direction=[0, 0, 0])
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert "emission_direction must be finite and non-zero" in err
+
+
+def test_run_dark_photon_exit_3(tmp_path, capsys):
+    # a window far off every transition: the reference photon is not absorbed
+    cfg = write_config(tmp_path, window={"bandwidth_ueV": 10.0,
+                                         "center_offset_ueV": 1e5})
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (3, "")
+    assert "photon does not couple" in err
 
 
 def test_run_reports_all_config_problems(tmp_path, capsys):
@@ -158,6 +171,22 @@ def test_sweep_bandwidth_leakage_monotone(tmp_path, capsys):
     assert code == 0
     leaks = [float(l.split(",")[5]) for l in out.strip().split("\n")[1:]]
     assert all(a <= b + 1e-12 for a, b in zip(leaks, leaks[1:]))
+
+
+def test_sweep_json_like_rows(tmp_path, capsys):
+    cfg = write_config(tmp_path, mc_samples=50)
+    args = ["--config", cfg, "sweep", "--param", "storage_time_ns",
+            "--from", "0", "--to", "1e5", "--steps", "3"]
+    code, csv, _ = run_cli(args + ["--format", "csv"], capsys)
+    assert code == 0
+    code, text, _ = run_cli(args, capsys)
+    assert code == 0 and text == csv
+    code, out, _ = run_cli(args + ["--format", "json-like"], capsys)
+    assert code == 0
+    rows = json.loads(out)
+    header, *lines = csv.strip().split("\n")
+    assert rows == [dict(zip(header.split(","), l.split(","))) for l in lines]
+    assert out == json.dumps(rows, indent=2, sort_keys=True) + "\n"
 
 
 def test_sweep_zero_steps_header_only(tmp_path, capsys):
@@ -302,6 +331,21 @@ def test_check_dot_tiny_temperature(capsys):
                             "--temperature", "0.001"], capsys)
     assert code == 0
     assert out.count("PASS") == 3
+
+
+# --- output formats ----------------------------------------------------------
+
+@pytest.mark.parametrize("command,fmt", [("tomography", "csv"),
+                                         ("check-dot", "csv"),
+                                         ("check-dot", "json-like")])
+def test_format_a_command_does_not_print_exit_2(tmp_path, capsys, command, fmt):
+    args = {"tomography": ["--config", write_config(tmp_path), "tomography"],
+            "check-dot": ["check-dot", "--capacitance", "1e-17",
+                          "--resistance", "26000", "--confinement", "2000",
+                          "--temperature", "4.0"]}[command]
+    code, out, err = run_cli(args + ["--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert f"{command} does not print --format {fmt}" in err
 
 
 # --- determinism -------------------------------------------------------------

@@ -15,13 +15,16 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               run_end_to_end, scenario_report, sweep,
                               end_to_end_stages, _absorption_kraus_logical,
                               _compose, _emission_kraus,
-                              _physical_absorption_kraus, _sample_fidelities,
-                              _sample_hole)
+                              _input_hole, _physical_absorption_kraus,
+                              _sample_fidelities, _sample_hole)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
-from polspin.qstate import is_cptp, pauli_vectors
-from polspin.transfer import _eigenbasis_matrix, precession_unitary
+from polspin.qstate import (entanglement_entropy, is_cptp, pauli_vectors,
+                            purity)
+from polspin.transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit, absorb_case_a,
+                              absorb_case_b, absorb_degenerate,
+                              _eigenbasis_matrix, precession_unitary)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 TAU = precession_period(0.4, 1.0)
@@ -250,9 +253,8 @@ def _composed(cfg):
     return s
 
 
-def _density_matrix_oracle(cfg, s, amps):
-    """Per-sample (fidelity, trace, leakage, purity) from explicit density
-    matrices and branch amplitudes K q."""
+def _density_matrix_oracle(s, amps):
+    """Per-sample (fidelity, trace) from explicit density matrices."""
     n = amps.shape[0]
     rho_in = np.einsum("ni,nj->nij", amps, amps.conj())
     rho_out = np.einsum("ab,nb->na", s, rho_in.reshape(n, 4)).reshape(n, 2, 2)
@@ -260,14 +262,26 @@ def _density_matrix_oracle(cfg, s, amps):
     safe = np.where(traces <= 0, 1.0, traces)
     fids = np.real(np.einsum("ni,nij,nj->n", amps.conj(), rho_out, amps)) / safe
     fids = np.where(traces <= 0, 0.0, fids)
-    kraus = _physical_absorption_kraus(cfg, cfg.scheme())
-    w = np.stack([np.sum(np.abs(amps @ k.T) ** 2, axis=1) for k in kraus], axis=1)
-    total = np.sum(w, axis=1)
-    total = np.where(total <= 0, 1.0, total)
-    leak = w[:, 1] / total if w.shape[1] > 1 and cfg.case != "degenerate" \
-        else np.zeros(n)
-    purity = np.sum((w / total[:, None]) ** 2, axis=1)
-    return fids, traces, leak, purity
+    return fids, traces
+
+
+def _absorbed_state_oracle(cfg, amps):
+    """Per-sample (leakage, hole purity, entanglement entropy) of the
+    electron ⊗ hole state that transfer.absorb_* leaves for each input."""
+    scheme = cfg.scheme()
+    out = []
+    for a, b in amps:
+        if cfg.case == "degenerate":
+            st = absorb_degenerate(PhotonQubit(CIRCULAR, a, b))
+        elif cfg.case == "A":
+            st = absorb_case_a(PhotonQubit(LINEAR_ZX, a, b, window=cfg.window),
+                               scheme, cfg.compensate)
+        else:
+            st = absorb_case_b(PhotonQubit(CIRCULAR, a, b, window=cfg.window),
+                               scheme)
+        out.append((st.leakage, purity(st.hole_state()),
+                    entanglement_entropy(st.state, ("electron_spin",))))
+    return tuple(np.array(out).T)
 
 
 KERNEL_CONFIGS = {
@@ -306,11 +320,40 @@ def test_sample_quantities_match_density_matrices(name):
     stages = end_to_end_stages(cfg)
     c = pauli_vectors(amps)
     got = (_sample_fidelities(_compose(stages), c)
-           + _sample_hole(cfg, stages[0].branch_forms, c))
-    want = _density_matrix_oracle(cfg, _composed(cfg), amps)
+           + _sample_hole(cfg, stages[0].branch_forms, c)[:2])
+    want = (_density_matrix_oracle(_composed(cfg), amps)
+            + _absorbed_state_oracle(cfg, amps)[:2])
     for label, g, w in zip(("fidelity", "trace", "leakage", "purity"), got, want):
         assert g.shape == (1000,), label
         assert np.max(np.abs(g - w)) < 1e-12, label
+
+
+# Windows from none (a single absorption branch) to 5000 µeV, wide enough
+# that both valence levels absorb and their branches interfere.
+HOLE_CONFIGS = {
+    f"case_{case.lower()}_{bw}": make(window=None if bw is None
+                                      else SpectralWindow(float(bw)))
+    for case, make in (("A", cfg_case_a), ("B", cfg_case_b))
+    for bw in (None, 100, 1000, 2000, 3000, 5000)
+}
+HOLE_CONFIGS["degenerate"] = cfg_degenerate()
+
+
+@pytest.mark.parametrize("name", sorted(HOLE_CONFIGS))
+def test_sample_hole_matches_absorbed_state(name):
+    """Leakage, hole purity and entanglement entropy of each sample equal
+    those of the electron ⊗ hole state from transfer.absorb_*."""
+    cfg = HOLE_CONFIGS[name]
+    amps = haar_qubits(cfg.seed, 200)
+    forms = end_to_end_stages(cfg)[0].branch_forms
+    leak, pur, total = _sample_hole(cfg, forms, pauli_vectors(amps))
+    one_by_one = np.array([_input_hole(cfg, forms, q) for q in amps]).T
+    want = _absorbed_state_oracle(cfg, amps)
+    assert np.all(total > 0)
+    assert np.max(np.abs(leak - want[0])) < 1e-12
+    assert np.max(np.abs(pur - want[1])) < 1e-12
+    assert np.max(np.abs(one_by_one[:2] - want[:2])) < 1e-12
+    assert np.max(np.abs(one_by_one[2] - want[2])) < 1e-10
 
 
 def test_branch_weights_ignore_absorption_efficiency():
@@ -662,6 +705,22 @@ def test_scenario_report_builds_stages_once(name, monkeypatch):
         monkeypatch.setattr(pipeline, fn, counted)
     scenario_report(REPORT_CONFIGS[name]())
     assert calls == {"detection_stages": 1, "return_stages": 1}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
+def test_scenario_report_builds_no_donor_chain(name, monkeypatch):
+    """The only donor chains a report builds are the shuttle stages'
+    probes of the chain channel."""
+    cfg = REPORT_CONFIGS[name]()
+    calls = []
+    original = processor.fresh_chain
+    monkeypatch.setattr(processor, "fresh_chain",
+                        lambda *args: calls.append(args) or original(*args))
+    end_to_end_stages(cfg)
+    probes = len(calls)
+    calls.clear()
+    scenario_report(cfg)
+    assert len(calls) == probes
 
 
 # --- dot constraints ---------------------------------------------------------
