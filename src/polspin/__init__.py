@@ -17,15 +17,14 @@ from .constants import (HBAR_UEV_NS, H_OVER_E2_OHM, KB_UEV_PER_K,
                         thermal_energy_uev)
 from .errors import (DarkDirection, HeavyHoleTopmost, NoPrecession,
                      NotResolvable, PolspinError)
-from .noise import NoiseModel, dephase, dephasing_channel, transport_channel
+from .noise import NoiseModel
 from .pipeline import (ChainParams, ChannelReport, DotConstraints,
                        ScenarioConfig, dot_constraint_check, haar_qubits,
                        monte_carlo_average_fidelity, process_tomography,
                        run_detection, run_end_to_end, scenario_report, sweep)
 from .processor import (DonorChain, exchange_gate, fresh_chain, load_site,
                         resonance_detuning, shuttle, single_qubit_gate)
-from .qstate import (HilbertFactor, QuantumChannel, QuantumState,
-                     apply_channel, choi_matrix, entanglement_entropy,
+from .qstate import (HilbertFactor, QuantumState, entanglement_entropy,
                      fidelity, is_cptp, partial_trace, process_fidelity,
                      purity, pure_state, density_state, tensor_product)
 from .transfer import (AbsorptionOutcome, EmissionOutcome, PhotonQubit,

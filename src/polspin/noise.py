@@ -1,5 +1,7 @@
-"""Decoherence channels: pure T2 dephasing and the wafer-crossing transport
-channel between the III-V absorber and the group-IV storage section.
+"""Decoherence channels as Kraus operators: pure T2 dephasing and the
+wafer-crossing transport between the III-V absorber and the group-IV
+storage section.  The pipeline stages turn them into Pauli transfer
+matrices.
 
 Only phase damping is modelled (the coherence budget is T2-driven; no T1).
 The decay law is exponential: off-diagonal elements in the relevant energy
@@ -12,8 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .qstate import ELECTRON, QuantumChannel, QuantumState, apply_channel
 
 # T2 defaults: ~0.5 ms for donor-bound spins in natural Si at ~1 K,
 # ~100 ns for conduction electrons in III-V material.
@@ -81,33 +81,6 @@ def _in_basis(kraus, basis: np.ndarray | None) -> list[np.ndarray]:
     return [u @ k @ u.conj().T for k in kraus]
 
 
-def dephasing_channel(t_ns: float, t2_ns: float,
-                      basis: np.ndarray | None = None) -> QuantumChannel:
-    """Phase damping over t with time constant t2, as a QuantumChannel.
-
-    basis, when given, holds the energy eigenvectors as columns; the
-    channel dephases in that eigenbasis rather than the computational one.
-    """
-    ks = _in_basis(dephasing_kraus(coherence_factor(t_ns, t2_ns)), basis)
-    return QuantumChannel(tuple(ks), (ELECTRON,))
-
-
-def dephase(rho: QuantumState, t_ns: float, t2_ns: float,
-            factor: str = "electron_spin",
-            basis: np.ndarray | None = None) -> QuantumState:
-    """Dephase one qubit factor of a state for time t.
-
-    Off-diagonals in the (possibly rotated) energy eigenbasis decay by
-    exp(-t/T2); populations are untouched.  Composes additively in t.
-    """
-    idx = rho.factor_index(factor)
-    if rho.factors[idx].dimension != 2:
-        raise ValueError("dephasing targets a single qubit factor")
-    ch = dephasing_channel(t_ns, t2_ns, basis)
-    ch = QuantumChannel(ch.kraus_operators, (rho.factors[idx],))
-    return apply_channel(rho, ch)
-
-
 def transport_kraus(noise: NoiseModel, basis: np.ndarray | None = None):
     """Kraus pairs (T2 decay, dephasing fraction) of transport: the III-V
     T2 phase damping over the transport time, which both legs apply, and
@@ -117,21 +90,3 @@ def transport_kraus(noise: NoiseModel, basis: np.ndarray | None = None):
                                           noise.t2_iii_v_ns))
     extra = dephasing_kraus(1.0 - noise.transport_dephasing_fraction)
     return _in_basis(t2, basis), _in_basis(extra, basis)
-
-
-def transport_channel(rho: QuantumState, noise: NoiseModel,
-                      basis: np.ndarray | None = None):
-    """Forward electrostatic transport across the wafer-fused interface.
-
-    Dephases over the transport time with the III-V T2, applies the extra
-    dephasing-fraction knob, and reports the arrival probability
-    1 - transport_loss.  Returns (state, arrival_probability); a total loss
-    returns (None, 0.0), the flagged vacuum outcome.
-    """
-    arrival = 1.0 - noise.transport_loss
-    if arrival <= 0.0:
-        return None, 0.0
-    factor = (rho.factors[rho.factor_index("electron_spin")],)
-    for ks in transport_kraus(noise, basis):
-        rho = apply_channel(rho, QuantumChannel(tuple(ks), factor))
-    return rho, arrival

@@ -113,7 +113,9 @@ class ScenarioConfig:
                 problems.append(f"{name} must be finite and non-negative, "
                                 f"got {t!r}")
         d = self.emission_direction
-        if d is not None and not (all(map(math.isfinite, d)) and any(d)):
+        if d is not None and len(d) != 3:
+            problems.append("emission_direction must have 3 components")
+        elif d is not None and not (all(map(math.isfinite, d)) and any(d)):
             problems.append("emission_direction must be finite and non-zero")
         if self.mc_samples < 1:
             problems.append("mc_samples must be at least 1")
@@ -516,7 +518,9 @@ def _fidelity_stats(r, c) -> dict:
 
 
 def _hole_stats(cfg, forms, c) -> dict:
-    leak, pur, _ = _sample_hole(cfg, forms, c)
+    leak, pur, total = _sample_hole(cfg, forms, c)
+    if not np.any(total > 0):
+        raise ValueError("photon does not couple to this scheme")
     return {"leakage": float(np.mean(leak)),
             "hole_purity_mean": float(np.mean(pur)),
             "hole_purity_std": float(np.std(pur, ddof=1)) if c.shape[1] > 1 else 0.0}

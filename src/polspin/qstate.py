@@ -1,4 +1,5 @@
-"""Finite-dimensional quantum state and channel algebra.
+"""Finite-dimensional quantum states and the Pauli-transfer-matrix algebra
+of qubit channels.
 
 States live on labelled tensor products of small Hilbert factors (photon,
 electron spin, hole).  Everything is dense numpy; the largest space in this
@@ -7,7 +8,7 @@ pure functions.
 
 Tolerances: 1e-12 for algebraic identities, 1e-10 for eigenvalue positivity.
 
-Qubit channels have one representation, the real Pauli transfer matrix
+Qubit channels are held only as their real Pauli transfer matrix
 (PTM) R_ij = ½ tr(σ_i Φ(σ_j)) over the Pauli basis σ = (I, X, Y, Z).  A
 qubit state ρ = ½ Σ c_i σ_i is the real vector c = (tr ρ, r) with r its
 Bloch vector; Φ maps c to R c, so channels compose as R₂ @ R₁, and a map is
@@ -133,10 +134,6 @@ def density_state(matrix, factors) -> QuantumState:
     return QuantumState(tuple(factors), DENSITY, m)
 
 
-def qubit(alpha: complex, beta: complex, factor: HilbertFactor = ELECTRON) -> QuantumState:
-    return pure_state([alpha, beta], (factor,))
-
-
 def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
     """Combined state on the concatenated factor list.
 
@@ -229,84 +226,6 @@ def _uhlmann(rho: np.ndarray, sigma: np.ndarray) -> float:
     return float(np.sum(np.sqrt(evals)) ** 2)
 
 
-@dataclass(frozen=True)
-class QuantumChannel:
-    """A channel in Kraus form acting on a declared factor set.
-
-    Trace preserving (sum K†K = I) unless flagged conditional, in which case
-    sum K†K <= I and applying the channel reports a success probability.
-    """
-
-    kraus_operators: tuple[np.ndarray, ...]
-    factors: tuple[HilbertFactor, ...]
-    conditional: bool = False
-
-    def __post_init__(self):
-        dim = int(np.prod([f.dimension for f in self.factors]))
-        ops = tuple(np.asarray(k, dtype=complex).reshape(dim, dim)
-                    for k in self.kraus_operators)
-        object.__setattr__(self, "kraus_operators", ops)
-        object.__setattr__(self, "factors", tuple(self.factors))
-        s = sum(k.conj().T @ k for k in ops)
-        gap = s - np.eye(dim)
-        if self.conditional:
-            if np.max(np.linalg.eigvalsh((gap + gap.conj().T) / 2)) > _EIG_TOL:
-                raise ValueError("conditional channel must satisfy sum K†K <= I")
-        else:
-            if np.max(np.abs(gap)) > _EIG_TOL:
-                raise ValueError("channel is not trace preserving "
-                                 "(pass conditional=True for post-selected maps)")
-
-    @property
-    def dimension(self) -> int:
-        return int(np.prod([f.dimension for f in self.factors]))
-
-
-def _embed_operator(op: np.ndarray, state: QuantumState,
-                    target_labels: tuple[str, ...]) -> np.ndarray:
-    """Lift an operator on a factor subset to the full space of `state`."""
-    labels = state.labels()
-    dims = state.dims
-    target_idx = [state.factor_index(lab) for lab in target_labels]
-    rest_idx = [i for i in range(len(labels)) if i not in target_idx]
-    perm = target_idx + rest_idx
-    d_t = int(np.prod([dims[i] for i in target_idx]))
-    d_r = int(np.prod([dims[i] for i in rest_idx])) if rest_idx else 1
-    big = np.kron(op.reshape(d_t, d_t), np.eye(d_r))
-    # permute the tensor legs back to the original factor order
-    n = len(dims)
-    src_dims = [dims[i] for i in perm]
-    big = big.reshape(src_dims + src_dims)
-    inv = np.argsort(perm)
-    big = big.transpose(list(inv) + [n + j for j in inv])
-    full = int(np.prod(dims))
-    return big.reshape(full, full)
-
-
-def apply_channel(state: QuantumState, channel: QuantumChannel):
-    """Apply sum_k K rho K†.
-
-    Trace-preserving channels return the output QuantumState.  Conditional
-    channels renormalise and return (QuantumState, success_probability).
-    """
-    for f in channel.factors:
-        if f.label not in state.labels():
-            raise ValueError(f"channel factor {f.label!r} absent from state")
-    target = tuple(f.label for f in channel.factors)
-    rho = state.densitymatrix()
-    out = np.zeros_like(rho)
-    for k in channel.kraus_operators:
-        kk = _embed_operator(k, state, target)
-        out += kk @ rho @ kk.conj().T
-    p = float(np.trace(out).real)
-    if channel.conditional:
-        if p <= 0:
-            raise ValueError("conditional channel annihilated the state")
-        result = QuantumState(state.factors, DENSITY, out / p)
-        return result, p
-    return QuantumState(state.factors, DENSITY, out)
-
-
 # Pauli basis (I, X, Y, Z) and, at 4 i + j, the Choi basis σ_i ⊗ σ_jᵀ
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
@@ -342,18 +261,6 @@ def pauli_vectors(amps: np.ndarray) -> np.ndarray:
 def density_from_pauli(c: np.ndarray) -> np.ndarray:
     """The 2x2 matrix ½ Σ c_i σ_i."""
     return 0.5 * np.einsum("i,iab->ab", c, PAULIS)
-
-
-def choi_matrix(channel: QuantumChannel) -> np.ndarray:
-    """Choi matrix (channel ⊗ id) |Ω><Ω| of a qubit channel, with |Ω> the
-    maximally entangled pair.
-
-    Normalised so a trace-preserving channel has Tr(choi) = 1 and partial
-    trace over the output factor equal to I/2.
-    """
-    if channel.dimension != 2:
-        raise ValueError("choi_matrix takes a qubit channel")
-    return choi_from_ptm(ptm_from_kraus(channel.kraus_operators))
 
 
 def choi_of_map(apply_map, dim: int = 2) -> np.ndarray:

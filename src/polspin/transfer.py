@@ -301,6 +301,35 @@ def absorb_degenerate(photon: PhotonQubit, efficiency: float = 1.0) -> Absorptio
                                   efficiency=efficiency, n_wanted=2)
 
 
+# split case -> (photon basis, refusal of another scheme, refusal of
+# another photon basis)
+_SPLIT_CASES = {
+    CASE_A: (LINEAR_ZX, "absorb_case_a needs a normal-field light-hole scheme",
+             "case A absorption takes a linear z/x qubit"),
+    CASE_B: (CIRCULAR, "absorb_case_b needs an in-plane-field light-hole scheme",
+             "case B absorption takes a circular qubit"),
+}
+
+
+def _absorb_split(case: str, photon: PhotonQubit, scheme: BandScheme,
+                  compensate: bool, strict: bool,
+                  efficiency: float) -> AbsorptionOutcome:
+    """The body of absorb_case_a / absorb_case_b."""
+    basis, wrong_scheme, wrong_photon = _SPLIT_CASES[case]
+    if scheme.case != case:
+        raise HeavyHoleTopmost(wrong_scheme)
+    if photon.basis != basis:
+        raise ValueError(wrong_photon)
+    window = photon.window
+    if window is not None:
+        rep = resolvability_check(window, scheme.material, scheme.field)
+        if strict and not rep.ok:
+            raise NotResolvable(f"spectral window fails selection: {rep}")
+    branches = absorption_branches(scheme, window, compensate)
+    return _outcome_from_branches(photon, branches, hole_dim=2,
+                                  efficiency=efficiency)
+
+
 def absorb_case_a(photon: PhotonQubit, scheme: BandScheme,
                   compensate: bool = False, strict: bool = False,
                   efficiency: float = 1.0) -> AbsorptionOutcome:
@@ -313,18 +342,7 @@ def absorb_case_a(photon: PhotonQubit, scheme: BandScheme,
     compensate=True pre-filters the photon.  A finite spectral window adds
     a leakage branch through the mJ=-1/2 level.
     """
-    if scheme.case != CASE_A:
-        raise HeavyHoleTopmost("absorb_case_a needs a normal-field light-hole scheme")
-    if photon.basis != LINEAR_ZX:
-        raise ValueError("case A absorption takes a linear z/x qubit")
-    window = photon.window
-    if window is not None:
-        rep = resolvability_check(window, scheme.material, scheme.field)
-        if strict and not rep.ok:
-            raise NotResolvable(f"spectral window fails selection: {rep}")
-    branches = absorption_branches(scheme, window, compensate)
-    return _outcome_from_branches(photon, branches, hole_dim=2,
-                                  efficiency=efficiency)
+    return _absorb_split(CASE_A, photon, scheme, compensate, strict, efficiency)
 
 
 def absorb_case_b(photon: PhotonQubit, scheme: BandScheme,
@@ -337,18 +355,7 @@ def absorb_case_b(photon: PhotonQubit, scheme: BandScheme,
     in psi+.  The created spin states are not eigenstates and precess; see
     `precess` and `synchronized_hadamard`.
     """
-    if scheme.case != CASE_B:
-        raise HeavyHoleTopmost("absorb_case_b needs an in-plane-field light-hole scheme")
-    if photon.basis != CIRCULAR:
-        raise ValueError("case B absorption takes a circular qubit")
-    window = photon.window
-    if window is not None:
-        rep = resolvability_check(window, scheme.material, scheme.field)
-        if strict and not rep.ok:
-            raise NotResolvable(f"spectral window fails selection: {rep}")
-    branches = absorption_branches(scheme, window)
-    return _outcome_from_branches(photon, branches, hole_dim=2,
-                                  efficiency=efficiency)
+    return _absorb_split(CASE_B, photon, scheme, False, strict, efficiency)
 
 
 # ---------------------------------------------------------------------------
@@ -552,8 +559,8 @@ def emit(electron: QuantumState, scheme: BandScheme,
     n = np.asarray(direction, dtype=float)
     n = n / np.linalg.norm(n)
     t, frame, lossy, fractions = _mode_map(scheme, n)
-    basis_can, conv_can = _frame_to_basis(scheme)
-    canonical_map = conv_can @ _mode_map(scheme, scheme.canonical_k)[0]
+    basis_can, _ = _frame_to_basis(scheme)
+    canonical_map = emission_map(scheme)
 
     a = electron.amplitudes
     canonical = bool(np.allclose(n, scheme.canonical_k, atol=1e-9))

@@ -18,12 +18,13 @@ from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
                            precession_period, resolvability_check,
                            zeeman_splitting)
 from polspin.constants import HBAR_UEV_NS, H_OVER_E2_OHM, MU_B_UEV_PER_T
-from polspin.noise import NoiseModel, dephase
+from polspin.noise import NoiseModel, coherence_factor, dephasing_kraus
 from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               dot_constraint_check, haar_qubits,
                               monte_carlo_average_fidelity,
                               process_tomography)
-from polspin.qstate import ELECTRON, is_cptp
+from polspin.qstate import (ELECTRON, density_from_pauli, is_cptp,
+                            ptm_from_kraus)
 from polspin.transfer import (CIRCULAR, HADAMARD, LINEAR_ZX, PhotonQubit,
                               absorb_case_a, absorb_case_b, absorb_degenerate,
                               dipole_matrix_element, synchronized_hadamard)
@@ -132,14 +133,22 @@ def criterion_06_resolvability():
     assert not rep.valence_resolved
 
 
+def _dephased(state, t_ns, t2_ns):
+    """An electron state after T2 phase damping over t, sent through the
+    dephasing transfer matrix the storage stage uses."""
+    r = ptm_from_kraus(dephasing_kraus(coherence_factor(t_ns, t2_ns)))
+    c = np.einsum("iab,ba->i", qs.PAULIS, state.densitymatrix()).real
+    return qs.density_state(density_from_pauli(r @ c), (ELECTRON,))
+
+
 def criterion_07_dephasing():
     """|+> fidelity (1+e^-1)/2 at t = T2; exact composition law."""
     plus = qs.pure_state([SQ2, SQ2], (ELECTRON,))
-    out = dephase(plus, 100.0, 100.0)
+    out = _dephased(plus, 100.0, 100.0)
     assert abs(qs.fidelity(plus, out) - (1 + math.exp(-1)) / 2) < 1e-12
     assert abs(qs.fidelity(plus, out) - 0.683940) < 1e-6
-    a = dephase(dephase(plus, 13.0, 80.0), 29.0, 80.0)
-    b = dephase(plus, 42.0, 80.0)
+    a = _dephased(_dephased(plus, 13.0, 80.0), 29.0, 80.0)
+    b = _dephased(plus, 42.0, 80.0)
     assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
 
 

@@ -96,6 +96,10 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
     code, out, err = run_cli(["--config", cfg, "run"], capsys)
     assert (code, out) == (2, "")
     assert "emission_direction must be finite and non-zero" in err
+    cfg = write_config(tmp_path, emission_direction=[1, 0])
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert "emission_direction must have 3 components" in err
 
 
 def test_run_dark_photon_exit_3(tmp_path, capsys):
@@ -196,6 +200,17 @@ def test_sweep_zero_steps_header_only(tmp_path, capsys):
                             "--steps", "0"], capsys)
     assert code == 0
     assert out.strip() == "param,value,mean_fidelity,stderr,success_prob,leakage,hole_purity"
+
+
+def test_sweep_dark_window_exit_3(tmp_path, capsys):
+    # the second point puts the window far off every transition, as in
+    # test_run_dark_photon_exit_3: refused, not printed as a zero row
+    cfg = write_config(tmp_path, window={"bandwidth_ueV": 10.0})
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param",
+                              "window.center_offset_ueV", "--from", "0",
+                              "--to", "1e5", "--steps", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert "photon does not couple" in err
 
 
 def test_sweep_unknown_param_exit_2(tmp_path, capsys):

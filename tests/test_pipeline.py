@@ -619,6 +619,16 @@ def test_sweep_unknown_parameter():
         sweep(cfg_case_a(), "nonsense.path", [1.0])
 
 
+def test_dark_window_refused_by_monte_carlo_and_sweep():
+    # a window 1e5 ueV off every transition absorbs no Haar input at all
+    dark = SpectralWindow(10.0, center_offset_uev=1e5)
+    with pytest.raises(ValueError, match="does not couple"):
+        monte_carlo_average_fidelity(cfg_case_a(window=dark), n_samples=50)
+    with pytest.raises(ValueError, match="does not couple"):
+        sweep(cfg_case_a(window=SpectralWindow(10.0)),
+              "window.center_offset_ueV", [0.0, 1e5], n_samples=50)
+
+
 def test_sweep_deterministic():
     cfg = cfg_case_a(seed=3)
     a = sweep(cfg, "storage_time_ns", [0.0, 1e5], n_samples=100)

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from polspin.qstate import (ELECTRON, PHOTON, HilbertFactor, PURE,
-                            QuantumChannel, QuantumState, apply_channel,
-                            choi_from_ptm, choi_matrix, choi_of_map,
+                            QuantumState, choi_from_ptm, choi_of_map,
                             density_from_pauli, density_state,
                             entanglement_entropy, fidelity, is_cptp,
                             partial_trace, pauli_vectors, process_fidelity,
@@ -224,58 +223,16 @@ def dephasing_kraus(gamma):
 
 
 def test_identity_channel():
-    ch = QuantumChannel((np.eye(2),), (ELECTRON,))
-    st = pure_state([0.6, 0.8], (ELECTRON,))
-    out = apply_channel(st, ch)
-    assert np.allclose(out.amplitudes, st.densitymatrix(), atol=1e-14)
+    assert np.array_equal(ptm_from_kraus([np.eye(2)]), np.eye(4))
+    c = pauli_vectors(np.array([[0.6, 0.8]]))[:, 0]
+    out = density_from_pauli(ptm_from_kraus([np.eye(2)]) @ c)
+    assert np.allclose(out, np.outer([0.6, 0.8], [0.6, 0.8]), atol=1e-14)
 
 
 def test_full_dephasing_on_plus():
-    ch = QuantumChannel(dephasing_kraus(0.0), (ELECTRON,))
-    plus = pure_state([SQ2, SQ2], (ELECTRON,))
-    out = apply_channel(plus, ch)
-    assert np.allclose(out.amplitudes, np.eye(2) / 2, atol=1e-12)
-
-
-def test_conditional_channel_renormalizes():
-    k = np.diag([math.sqrt(2 / 3), math.sqrt(1 / 3)]).astype(complex)
-    ch = QuantumChannel((k,), (ELECTRON,), conditional=True)
-    st = pure_state([SQ2, SQ2], (ELECTRON,))
-    out, p = apply_channel(st, ch)
-    # explicit Kraus-sum oracle
-    rho = st.densitymatrix()
-    raw = k @ rho @ k.conj().T
-    assert p == pytest.approx(np.trace(raw).real, abs=1e-12)
-    assert np.allclose(out.amplitudes, raw / np.trace(raw).real, atol=1e-12)
-    assert 0 < p <= 1
-
-
-def test_non_tp_without_flag_rejected():
-    k = np.diag([0.5, 0.5]).astype(complex)
-    with pytest.raises(ValueError):
-        QuantumChannel((k,), (ELECTRON,))
-
-
-def test_channel_on_subfactor():
-    ch = QuantumChannel(dephasing_kraus(0.0), (ELECTRON,))
-    st = tensor_product(pure_state([SQ2, SQ2], (ELECTRON,)),
-                        pure_state([1, 0], (HOLE2,)))
-    out = apply_channel(st, ch)
-    red = partial_trace(out, ("electron_spin",))
-    assert np.allclose(red.amplitudes, np.eye(2) / 2, atol=1e-12)
-
-
-def test_channel_on_non_leading_factor():
-    # dephase the hole factor of electron ⊗ hole: hole mixes, electron intact
-    el = pure_state([0.6, 0.8], (ELECTRON,))
-    hole = pure_state([SQ2, SQ2], (HOLE2,))
-    st = tensor_product(el, hole)
-    ch = QuantumChannel(dephasing_kraus(0.0), (HOLE2,))
-    out = apply_channel(st, ch)
-    red_h = partial_trace(out, ("hole",))
-    red_e = partial_trace(out, ("electron_spin",))
-    assert np.allclose(red_h.amplitudes, np.eye(2) / 2, atol=1e-12)
-    assert np.allclose(red_e.amplitudes, el.densitymatrix(), atol=1e-12)
+    c = pauli_vectors(np.array([[SQ2, SQ2]]))[:, 0]
+    out = density_from_pauli(ptm_from_kraus(dephasing_kraus(0.0)) @ c)
+    assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
 
 def test_uhlmann_matches_pure_overlap():
@@ -291,18 +248,16 @@ def test_uhlmann_matches_pure_overlap():
 
 def test_trace_preserved_random_states():
     rng = np.random.default_rng(21)
-    ch = QuantumChannel(dephasing_kraus(0.37), (ELECTRON,))
-    for _ in range(1000):
-        st = pure_state(rand_qubit(rng), (ELECTRON,))
-        out = apply_channel(st, ch)
-        assert np.trace(out.amplitudes).real == pytest.approx(1.0, abs=1e-12)
+    ptm = ptm_from_kraus(dephasing_kraus(0.37))
+    c = pauli_vectors(np.array([rand_qubit(rng) for _ in range(1000)]))
+    # the output trace is the first Pauli component
+    assert np.max(np.abs((ptm @ c)[0] - 1.0)) < 1e-12
 
 
 # --- choi / cptp -------------------------------------------------------------
 
 def test_choi_identity():
-    ch = QuantumChannel((np.eye(2),), (ELECTRON,))
-    choi = choi_matrix(ch)
+    choi = choi_from_ptm(ptm_from_kraus([np.eye(2)]))
     omega = np.zeros(4, dtype=complex)
     omega[0] = omega[3] = SQ2
     assert np.allclose(choi, np.outer(omega, omega.conj()), atol=1e-14)
@@ -314,8 +269,7 @@ def test_choi_identity():
 
 def test_choi_dephasing_off_diagonal():
     gamma = math.exp(-1.0)
-    ch = QuantumChannel(dephasing_kraus(gamma), (ELECTRON,))
-    choi = choi_matrix(ch)
+    choi = choi_from_ptm(ptm_from_kraus(dephasing_kraus(gamma)))
     # analytic form: off-diagonal |0><1| block scaled by gamma
     assert choi[0, 3] == pytest.approx(gamma / 2, abs=1e-12)
     assert choi[0, 0] == pytest.approx(0.5, abs=1e-12)
@@ -329,8 +283,7 @@ def test_cptp_rejects_negative_eigenvalue():
 
 def test_cptp_conditional_subnormalized():
     k = np.diag([0.5, 0.5]).astype(complex)
-    ch = QuantumChannel((k,), (ELECTRON,), conditional=True)
-    choi = choi_matrix(ch)
+    choi = choi_from_ptm(ptm_from_kraus([k]))
     assert is_cptp(choi, tol=1e-8, conditional=True)
     assert not is_cptp(choi, tol=1e-8, conditional=False)
 
@@ -373,16 +326,10 @@ def test_ptm_acts_on_pauli_vectors():
         assert np.max(np.abs(got - out)) < 1e-14
 
 
-def test_choi_matrix_takes_qubit_channels_only():
-    ch = QuantumChannel((np.eye(4),), (HOLE4,))
-    with pytest.raises(ValueError, match="qubit"):
-        choi_matrix(ch)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
                                  complex(0.0, math.nan)])
 def test_cptp_rejects_non_finite(bad):
-    choi = choi_matrix(QuantumChannel((np.eye(2),), (ELECTRON,))).copy()
+    choi = choi_from_ptm(np.eye(4))
     assert is_cptp(choi, tol=1e-8)
     choi[1, 2] = bad
     assert not is_cptp(choi, tol=1e-8)
@@ -390,8 +337,7 @@ def test_cptp_rejects_non_finite(bad):
 
 
 def test_process_fidelity_identity_and_depolarizing():
-    ch = QuantumChannel((np.eye(2),), (ELECTRON,))
-    assert process_fidelity(choi_matrix(ch)) == pytest.approx(1.0, abs=1e-12)
+    assert process_fidelity(choi_from_ptm(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
     # fully depolarizing: rho -> I/2, entanglement fidelity 1/4
     choi = choi_of_map(lambda rho: np.trace(rho) * np.eye(2) / 2)
     assert process_fidelity(choi) == pytest.approx(0.25, abs=1e-12)
