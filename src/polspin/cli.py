@@ -65,15 +65,29 @@ def _parse_amplitude(v) -> complex:
     raise ConfigError(f"amplitude must be a number or [re, im] pair, got {v!r}")
 
 
+def _integer(v, name: str) -> int:
+    """A JSON integer or an integral float such as 1e5; not a bool."""
+    if isinstance(v, bool) or not (isinstance(v, int) or
+                                   isinstance(v, float) and v.is_integer()):
+        raise ConfigError(f"{name} must be an integer, got {v!r}")
+    return int(v)
+
+
+def _boolean(v, name: str) -> bool:
+    if isinstance(v, bool):
+        return v
+    raise ConfigError(f"{name} must be true or false, got {v!r}")
+
+
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig; all problems reported together."""
     problems: list[str] = []
 
-    def grab(builder, what):
+    def grab(builder, what=None):
         try:
             return builder()
         except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"{what}: {exc}")
+            problems.append(f"{what}: {exc}" if what else str(exc))
             return None
 
     case = str(doc.get("case", CASE_A))
@@ -102,8 +116,8 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         transport_loss=float(ndoc.get("transport_loss", 0.0))), "noise")
     cdoc = doc.get("chain", {})
     chain = grab(lambda: ChainParams(
-        n_sites=int(cdoc.get("n_sites", 4)),
-        storage_site=int(cdoc.get("storage_site", 3)),
+        n_sites=_integer(cdoc.get("n_sites", 4), "n_sites"),
+        storage_site=_integer(cdoc.get("storage_site", 3), "storage_site"),
         gate_error=float(cdoc.get("gate_error", 0.0))), "chain")
     qdoc = doc.get("input_qubit", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]])
     input_qubit = grab(lambda: (_parse_amplitude(qdoc[0]),
@@ -112,6 +126,9 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     if direction is not None:
         direction = grab(lambda: tuple(float(x) for x in direction),
                          "emission_direction")
+    compensate = grab(lambda: _boolean(doc.get("compensate", True), "compensate"))
+    seed = grab(lambda: _integer(doc.get("seed", 0), "seed"))
+    mc_samples = grab(lambda: _integer(doc.get("mc_samples", 1000), "mc_samples"))
 
     if problems:
         raise ConfigError("; ".join(problems))
@@ -123,13 +140,13 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         window=window,
         noise=noise,
         chain=chain,
-        compensate=bool(doc.get("compensate", True)),
+        compensate=compensate,
         storage_time_ns=float(doc.get("storage_time_ns", 0.0)),
         hadamard_time_ns=float(doc.get("hadamard_time_ns", 0.0)),
         emission_direction=direction,
         absorption_efficiency=float(doc.get("absorption_efficiency", 1.0)),
-        seed=int(doc.get("seed", 0)),
-        mc_samples=int(doc.get("mc_samples", 1000)),
+        seed=seed,
+        mc_samples=mc_samples,
         input_qubit=input_qubit,
     )
     problems = cfg.validate()
@@ -148,11 +165,9 @@ def load_config(path: str | None, seed: int | None) -> ScenarioConfig:
             raise ConfigError(f"cannot read config {path}: {exc}")
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    cfg = config_from_dict(doc)
     if seed is not None:
-        from dataclasses import replace
-        cfg = replace(cfg, seed=int(seed))
-    return cfg
+        doc = {**doc, "seed": seed}
+    return config_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------

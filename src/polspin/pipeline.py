@@ -119,6 +119,8 @@ class ScenarioConfig:
             problems.append("emission_direction must be finite and non-zero")
         if self.mc_samples < 1:
             problems.append("mc_samples must be at least 1")
+        if not 0 <= self.seed < 2 ** 64:
+            problems.append(f"seed must be in [0, 2**64), got {self.seed}")
         n = abs(self.input_qubit[0]) ** 2 + abs(self.input_qubit[1]) ** 2
         if not (math.isfinite(n) and abs(n - 1.0) <= 1e-9):
             problems.append("input_qubit amplitudes must be finite and "
@@ -698,8 +700,8 @@ class DotConstraints:
     def __post_init__(self):
         for name in ("capacitance_farad", "tunnel_resistance_ohm",
                      "confinement_energy_uev", "temperature_k"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
 
 
 @dataclass(frozen=True)

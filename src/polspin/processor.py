@@ -4,13 +4,12 @@ Electrons bound to a row of donor ions hold the qubits.  Site-selective
 addressing comes from the layered g-factor contrast (Ge-like 1.563 in the
 tuning layer vs Si-like 1.998 in the donor layer): Stark-shifting one
 electron between layers pulls it in or out of resonance with a constant
-microwave background.  Neighbour exchange supplies SWAP-family two-qubit
+microwave background.  Adjacent-site exchange supplies SWAP-family two-qubit
 gates.  Gate noise is a single depolarizing parameter per touched site.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -38,7 +37,9 @@ _P_SINGLET = (np.eye(4, dtype=complex) - _SWAP) / 2.0
 
 @dataclass(frozen=True)
 class DonorChain:
-    """State of an n-site donor chain, stored as a dense density matrix."""
+    """State of an n-site donor chain as a dense 2^n x 2^n matrix.  Every
+    operation on it is linear, so `rho` may be any operator, not only a
+    density matrix: `site_channel_map` runs the chain on 2x2 matrix units."""
 
     n_sites: int
     rho: np.ndarray = field(repr=False)
@@ -99,27 +100,20 @@ def _embed(op: np.ndarray, sites: tuple[int, ...], n: int) -> np.ndarray:
                    np.eye(2 ** right, dtype=complex))
 
 
-@functools.lru_cache(maxsize=24)
-def _site_pauli(axis: str, site: int, n: int) -> np.ndarray:
-    """Pauli `axis` at one site of an n-site chain, read-only and shared.
-    The cache holds every site Pauli of chains up to 8 sites."""
-    u = _embed(_PAULI[axis], (site,), n)
-    u.setflags(write=False)
-    return u
-
-
 def _depolarize(rho: np.ndarray, sites: tuple[int, ...], n: int,
                 strength: float) -> np.ndarray:
     """Single-qubit depolarizing noise on each touched site:
-    rho -> (1-e) rho + e/3 (X rho X + Y rho Y + Z rho Z)."""
+    rho -> (1-e) rho + e/3 (X rho X + Y rho Y + Z rho Z)
+         = (1-4e/3) rho + 4e/3 (I/2 at the site ⊗ rho traced over the site),
+    since Σ P rho P over P = I, X, Y, Z at the site is 2 I ⊗ tr_site rho."""
     if strength <= 0:
         return rho
+    mix = 4.0 * strength / 3.0
     for s in sites:
-        acc = (1.0 - strength) * rho
-        for p in "xyz":
-            u = _site_pauli(p, s, n)
-            acc = acc + (strength / 3.0) * (u @ rho @ u.conj().T)
-        rho = acc
+        left, right = 2 ** s, 2 ** (n - s - 1)
+        traced = np.einsum("aibcid->abcd", rho.reshape(left, 2, right, left, 2, right))
+        mixed = np.einsum("abcd,ij->aibcjd", traced, np.eye(2) / 2.0)
+        rho = (1.0 - mix) * rho + mix * mixed.reshape(rho.shape)
     return rho
 
 
@@ -154,7 +148,7 @@ def exchange_gate(chain: DonorChain, site_i: int,
 
 
 def shuttle(chain: DonorChain, from_site: int, to_site: int) -> DonorChain:
-    """Move a logical qubit along the chain by nearest-neighbour SWAPs."""
+    """Move a logical qubit along the chain by SWAPs of adjacent sites."""
     chain._check_site(from_site)
     chain._check_site(to_site)
     step = 1 if to_site >= from_site else -1
@@ -178,30 +172,16 @@ def resonance_detuning(g_site: float, b_tesla: float,
 def site_channel_map(n_sites: int, from_site: int, to_site: int,
                      gate_error: float):
     """Effective qubit channel of load at from_site -> shuttle -> read at
-    to_site, as a function on 2x2 density matrices.
+    to_site, as a linear function on 2x2 matrices.
 
-    Obtained by driving the full chain simulation; ancilla sites start in
+    Obtained by driving the full chain simulation once on the given matrix;
+    the simulation is linear, so probing it on the four matrix units
+    (`qstate.choi_of_map`) gives the whole map.  Ancilla sites start in
     |0> and exchange is a permutation of tensor factors, so the data-qubit
     map extracted this way is exact, not an approximation.
     """
     def apply(rho2: np.ndarray) -> np.ndarray:
-        rho2 = np.asarray(rho2, dtype=complex)
-        herm = (rho2 + rho2.conj().T) / 2.0
-        anti = (rho2 - rho2.conj().T) / (2.0j)
-
-        def run(h: np.ndarray) -> np.ndarray:
-            # split a hermitian operator into rank-1 pieces the chain can hold
-            evals, vecs = np.linalg.eigh(h)
-            out = np.zeros((2, 2), dtype=complex)
-            for lam, v in zip(evals, vecs.T):
-                if abs(lam) < 1e-15:
-                    continue
-                chain = fresh_chain(n_sites, gate_error)
-                chain = load_site(chain, from_site, np.outer(v, v.conj()))
-                chain = shuttle(chain, from_site, to_site)
-                out = out + lam * chain.site_reduced(to_site)
-            return out
-
-        return run(herm) + 1j * run(anti)
+        chain = load_site(fresh_chain(n_sites, gate_error), from_site, rho2)
+        return shuttle(chain, from_site, to_site).site_reduced(to_site)
 
     return apply

@@ -2,9 +2,9 @@
 of qubit channels.
 
 States live on labelled tensor products of small Hilbert factors (photon,
-electron spin, hole).  Everything is dense numpy; the largest space in this
-package is 16-dimensional.  All values are immutable and all operations are
-pure functions.
+electron spin, hole).  Everything is dense numpy: labelled states of at most
+16 dimensions here, the 2^n_sites-dimensional donor chain in `processor`.
+All values are immutable and all operations are pure functions.
 
 Tolerances: 1e-12 for algebraic identities, 1e-10 for eigenvalue positivity.
 

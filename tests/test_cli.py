@@ -154,6 +154,38 @@ def test_run_non_finite_exit_2(tmp_path, capsys, field, case, orientation, value
     assert key.lower() in err.lower()
 
 
+
+@pytest.mark.parametrize("field,value", [
+    ("chain.n_sites", 4.7), ("chain.n_sites", True), ("chain.n_sites", "4"),
+    ("chain.storage_site", 2.9), ("mc_samples", 100.9), ("mc_samples", "200"),
+    ("seed", 1.5), ("seed", False), ("seed", -1), ("seed", 2 ** 64),
+    ("compensate", "false"),
+    ("compensate", 0), ("compensate", None)])
+def test_run_integer_and_boolean_fields_exit_2(tmp_path, capsys, field, value):
+    section, _, key = field.rpartition(".")
+    cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert f"{key} must be" in err
+
+
+def test_run_seed_flag_validated(tmp_path, capsys):
+    code, out, err = run_cli(["--config", write_config(tmp_path), "--seed", "-1",
+                              "run"], capsys)
+    assert (code, out) == (2, "")
+    assert "seed must be" in err
+
+
+def test_run_integral_float_fields_accepted(tmp_path, capsys):
+    ints = write_config(tmp_path, "ints.json", seed=42, mc_samples=200,
+                        chain={"n_sites": 4, "storage_site": 3})
+    floats = write_config(tmp_path, "floats.json", seed=42.0, mc_samples=2e2,
+                          chain={"n_sites": 4.0, "storage_site": 3.0})
+    first = run_cli(["--config", ints, "run"], capsys)
+    assert first[0] == 0
+    assert run_cli(["--config", floats, "run"], capsys) == first
+
+
 # --- sweep -------------------------------------------------------------------
 
 def test_sweep_csv_shape(tmp_path, capsys):
@@ -346,6 +378,22 @@ def test_check_dot_tiny_temperature(capsys):
                             "--temperature", "0.001"], capsys)
     assert code == 0
     assert out.count("PASS") == 3
+
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag,name", [("--capacitance", "capacitance_farad"),
+                                       ("--resistance", "tunnel_resistance_ohm"),
+                                       ("--confinement", "confinement_energy_uev"),
+                                       ("--temperature", "temperature_k")])
+def test_check_dot_non_finite_refused(capsys, flag, name, value):
+    args = {"--capacitance": "1e-18", "--resistance": "26000",
+            "--confinement": "1000", "--temperature": "4.0"}
+    args[flag] = value
+    code, out, err = run_cli(["check-dot"] + [f"{k}={v}" for k, v in args.items()],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert f"{name} must be finite and positive" in err
 
 
 # --- output formats ----------------------------------------------------------

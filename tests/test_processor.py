@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polspin.bands import zeeman_splitting
-from polspin.processor import (_PAULI, _embed, _site_pauli, DonorChain,
+from polspin.processor import (_PAULI, _depolarize, _embed, DonorChain,
                                G_DONOR_LAYER, G_TUNING_LAYER, exchange_gate,
                                fresh_chain, load_site, resonance_detuning,
                                shuttle, single_qubit_gate, site_channel_map)
@@ -301,17 +301,53 @@ def test_embed_equals_kron_chain(n):
             sites = tuple(range(site, site + span))
             assert np.array_equal(_embed(op, sites, n),
                                   _embed_by_kron_chain(op, site, span, n))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_depolarize_matches_kraus_sum(n, eps):
+    """The partial-trace form equals the Kraus sum (1-e)rho + e/3 Σ P rho P
+    with embedded site Paulis, on random non-Hermitian matrices."""
+    rng = np.random.default_rng(100 + n)
+    dim = 2 ** n
     for site in range(n):
-        for axis, p in _PAULI.items():
-            assert np.array_equal(_site_pauli(axis, site, n),
-                                  _embed_by_kron_chain(p, site, 1, n))
+        rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        want = (1 - eps) * rho
+        for p in _PAULI.values():
+            u = _embed(p, (site,), n)
+            want = want + eps / 3 * (u @ rho @ u.conj().T)
+        assert np.max(np.abs(_depolarize(rho, (site,), n, eps) - want)) < 1e-12
 
 
-def test_site_pauli_is_read_only():
-    u = _site_pauli("y", 1, 3)
-    assert not u.flags.writeable
-    with pytest.raises(ValueError):
-        u[0, 0] = 0.0
+def _site_channel_by_hermitian_split(n_sites, from_site, to_site, gate_error, rho2):
+    """The map as computed before the chain ran arbitrary matrices: split
+    into Hermitian and anti-Hermitian parts, each into rank-1 density
+    matrices, one chain run per piece.  Kept as the oracle."""
+    def run(h):
+        evals, vecs = np.linalg.eigh(h)
+        out = np.zeros((2, 2), dtype=complex)
+        for lam, v in zip(evals, vecs.T):
+            if abs(lam) < 1e-15:
+                continue
+            chain = fresh_chain(n_sites, gate_error)
+            chain = load_site(chain, from_site, np.outer(v, v.conj()))
+            chain = shuttle(chain, from_site, to_site)
+            out = out + lam * chain.site_reduced(to_site)
+        return out
+
+    herm = (rho2 + rho2.conj().T) / 2.0
+    anti = (rho2 - rho2.conj().T) / (2.0j)
+    return run(herm) + 1j * run(anti)
+
+
+@pytest.mark.parametrize("n,start,stop,eps", [(1, 0, 0, 0.2), (4, 0, 3, 0.05),
+                                              (5, 4, 1, 0.3)])
+def test_site_channel_map_equals_hermitian_split(n, start, stop, eps):
+    rng = np.random.default_rng(n)
+    rho2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    got = site_channel_map(n, start, stop, eps)(rho2)
+    want = _site_channel_by_hermitian_split(n, start, stop, eps, rho2)
+    assert np.max(np.abs(got - want)) < 1e-12
 
 
 @pytest.mark.parametrize("n,start,stop,eps", [(4, 0, 3, 0.01), (5, 0, 4, 0.05),
