@@ -65,6 +65,12 @@ def _parse_amplitude(v) -> complex:
     raise ConfigError(f"amplitude must be a number or [re, im] pair, got {v!r}")
 
 
+def _parse_qubit(v) -> tuple[complex, complex]:
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return _parse_amplitude(v[0]), _parse_amplitude(v[1])
+    raise ConfigError(f"expected a pair of amplitudes, got {v!r}")
+
+
 def _integer(v, name: str) -> int:
     """A JSON integer or an integral float such as 1e5; not a bool."""
     if isinstance(v, bool) or not (isinstance(v, int) or
@@ -79,8 +85,15 @@ def _boolean(v, name: str) -> bool:
     raise ConfigError(f"{name} must be true or false, got {v!r}")
 
 
+def _object(v, name: str) -> dict:
+    if isinstance(v, dict):
+        return v
+    raise ConfigError(f"{name} must be a JSON object")
+
+
 def config_from_dict(doc: dict) -> ScenarioConfig:
     """Build and validate a ScenarioConfig; all problems reported together."""
+    _object(doc, "config")
     problems: list[str] = []
 
     def grab(builder, what=None):
@@ -90,38 +103,41 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
             problems.append(f"{what}: {exc}" if what else str(exc))
             return None
 
+    def section(name, make):
+        """make(doc[name]), doc[name] being {} when absent."""
+        sdoc = doc.get(name, {})
+        if not isinstance(sdoc, dict):
+            problems.append(f"{name} must be a JSON object")
+            return None
+        return grab(lambda: make(sdoc), name)
+
     case = str(doc.get("case", CASE_A))
     material = INAS_GAAS_QW
     if "material" in doc:
-        material = grab(lambda: material_from_dict(doc["material"]), "material")
+        material = section("material", material_from_dict)
     default_orientation = INPLANE if case == CASE_B else NORMAL
-    fdoc = doc.get("field", {})
-    fieldcfg = grab(lambda: FieldConfig(
+    fieldcfg = section("field", lambda fdoc: FieldConfig(
         b_tesla=float(fdoc.get("b_tesla", 1.0)),
-        orientation=str(fdoc.get("orientation", default_orientation))), "field")
+        orientation=str(fdoc.get("orientation", default_orientation))))
     window = None
     if doc.get("window") is not None:
-        wdoc = doc["window"]
-        window = grab(lambda: SpectralWindow(
+        window = section("window", lambda wdoc: SpectralWindow(
             bandwidth_uev=float(wdoc["bandwidth_ueV"]),
             center_offset_uev=float(wdoc.get("center_offset_ueV", 0.0)),
-            lineshape=str(wdoc.get("lineshape", "gaussian"))), "window")
-    ndoc = doc.get("noise", {})
-    noise = grab(lambda: NoiseModel(
+            lineshape=str(wdoc.get("lineshape", "gaussian"))))
+    noise = section("noise", lambda ndoc: NoiseModel(
         t2_iii_v_ns=float(ndoc.get("t2_iii_v_ns", 100.0)),
         t2_si_ns=float(ndoc.get("t2_si_ns", 5.0e5)),
         transport_time_ns=float(ndoc.get("transport_time_ns", 0.0)),
         transport_dephasing_fraction=float(
             ndoc.get("transport_dephasing_fraction", 0.0)),
-        transport_loss=float(ndoc.get("transport_loss", 0.0))), "noise")
-    cdoc = doc.get("chain", {})
-    chain = grab(lambda: ChainParams(
+        transport_loss=float(ndoc.get("transport_loss", 0.0))))
+    chain = section("chain", lambda cdoc: ChainParams(
         n_sites=_integer(cdoc.get("n_sites", 4), "n_sites"),
         storage_site=_integer(cdoc.get("storage_site", 3), "storage_site"),
-        gate_error=float(cdoc.get("gate_error", 0.0))), "chain")
+        gate_error=float(cdoc.get("gate_error", 0.0))))
     qdoc = doc.get("input_qubit", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]])
-    input_qubit = grab(lambda: (_parse_amplitude(qdoc[0]),
-                                _parse_amplitude(qdoc[1])), "input_qubit")
+    input_qubit = grab(lambda: _parse_qubit(qdoc), "input_qubit")
     direction = doc.get("emission_direction")
     if direction is not None:
         direction = grab(lambda: tuple(float(x) for x in direction),
@@ -129,6 +145,12 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     compensate = grab(lambda: _boolean(doc.get("compensate", True), "compensate"))
     seed = grab(lambda: _integer(doc.get("seed", 0), "seed"))
     mc_samples = grab(lambda: _integer(doc.get("mc_samples", 1000), "mc_samples"))
+    storage_time = grab(lambda: float(doc.get("storage_time_ns", 0.0)),
+                        "storage_time_ns")
+    hadamard_time = grab(lambda: float(doc.get("hadamard_time_ns", 0.0)),
+                         "hadamard_time_ns")
+    efficiency = grab(lambda: float(doc.get("absorption_efficiency", 1.0)),
+                      "absorption_efficiency")
 
     if problems:
         raise ConfigError("; ".join(problems))
@@ -141,10 +163,10 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
         noise=noise,
         chain=chain,
         compensate=compensate,
-        storage_time_ns=float(doc.get("storage_time_ns", 0.0)),
-        hadamard_time_ns=float(doc.get("hadamard_time_ns", 0.0)),
+        storage_time_ns=storage_time,
+        hadamard_time_ns=hadamard_time,
         emission_direction=direction,
-        absorption_efficiency=float(doc.get("absorption_efficiency", 1.0)),
+        absorption_efficiency=efficiency,
         seed=seed,
         mc_samples=mc_samples,
         input_qubit=input_qubit,
@@ -166,7 +188,7 @@ def load_config(path: str | None, seed: int | None) -> ScenarioConfig:
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} is not valid JSON: {exc}")
     if seed is not None:
-        doc = {**doc, "seed": seed}
+        doc = {**_object(doc, "config"), "seed": seed}
     return config_from_dict(doc)
 
 

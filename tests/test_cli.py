@@ -169,6 +169,37 @@ def test_run_integer_and_boolean_fields_exit_2(tmp_path, capsys, field, value):
     assert f"{key} must be" in err
 
 
+@pytest.mark.parametrize("doc,section", [
+    ([1, 2], "config"), ("abc", "config"), ({"chain": [1]}, "chain"),
+    ({"noise": "x"}, "noise"), ({"field": None}, "field"),
+    ({"material": []}, "material"), ({"window": 5}, "window")])
+@pytest.mark.parametrize("seed_flag", [[], ["--seed", "3"]])
+def test_run_non_object_section_exit_2(tmp_path, capsys, doc, section, seed_flag):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["--config", str(path), *seed_flag, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {section} must be a JSON object\n"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("storage_time_ns", [1]), ("storage_time_ns", "abc"),
+    ("hadamard_time_ns", None), ("absorption_efficiency", {})])
+def test_run_non_number_scalar_exit_2(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, **{field: value})
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {field}: ")
+
+
+@pytest.mark.parametrize("value", [[[1, 0]], 5, [1, 0, 0]])
+def test_run_malformed_input_qubit_exit_2(tmp_path, capsys, value):
+    cfg = write_config(tmp_path, input_qubit=value)
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert "input_qubit: expected a pair of amplitudes" in err
+
+
 def test_run_seed_flag_validated(tmp_path, capsys):
     code, out, err = run_cli(["--config", write_config(tmp_path), "--seed", "-1",
                               "run"], capsys)

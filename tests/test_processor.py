@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from polspin.bands import zeeman_splitting
-from polspin.processor import (_PAULI, _depolarize, _embed, DonorChain,
+from polspin.processor import (_depolarize, DonorChain,
                                G_DONOR_LAYER, G_TUNING_LAYER, exchange_gate,
                                fresh_chain, load_site, resonance_detuning,
                                shuttle, single_qubit_gate, site_channel_map)
@@ -14,6 +14,7 @@ from polspin.transfer import HADAMARD
 SQ2 = 1.0 / math.sqrt(2.0)
 
 X = np.array([[0, 1], [1, 0]], dtype=complex)
+PAULIS = {"x": X, "y": np.array([[0, -1j], [1j, 0]]), "z": np.diag([1.0, -1.0])}
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
                  [0, 0, 0, 1],
@@ -277,30 +278,60 @@ def test_layer_g_defaults():
     assert not hasattr(fresh_chain(2), "layer_g")
 
 
-def _embed_by_kron_chain(op, site, span, n):
-    """The n-step kron product _embed replaced, kept as its oracle."""
+def _embed(op, first_site, n):
+    """I(left) ⊗ op ⊗ I(right): the dense 2^n x 2^n lift of a gate on the
+    contiguous sites from first_site, the oracle of the local gates."""
+    span = int(round(math.log2(op.shape[0])))
+    return np.kron(np.kron(np.eye(2 ** first_site, dtype=complex), op),
+                   np.eye(2 ** (n - first_site - span), dtype=complex))
+
+
+def _kron_chain(factors):
     full = np.array([[1.0]], dtype=complex)
-    j = 0
-    while j < n:
-        if j == site:
-            full = np.kron(full, op)
-            j += span
-        else:
-            full = np.kron(full, np.eye(2, dtype=complex))
-            j += 1
+    for f in factors:
+        full = np.kron(full, f)
     return full
+
+
+def _embed_by_kron_chain(op, site, span, n):
+    """The n-step kron product of the site factors."""
+    eye = np.eye(2, dtype=complex)
+    return _kron_chain([eye] * site + [op] + [eye] * (n - site - span))
 
 
 @pytest.mark.parametrize("n", range(1, 6))
 def test_embed_equals_kron_chain(n):
+    """The two-kron oracle `_embed` equals the n-step kron chain: it pins
+    the site order (site 0 most significant) that the gate oracles assume."""
     rng = np.random.default_rng(n)
     for span in (1, 2):
         op = (rng.standard_normal((2 ** span,) * 2)
               + 1j * rng.standard_normal((2 ** span,) * 2))
         for site in range(n - span + 1):
-            sites = tuple(range(site, site + span))
-            assert np.array_equal(_embed(op, sites, n),
+            assert np.array_equal(_embed(op, site, n),
                                   _embed_by_kron_chain(op, site, span, n))
+
+
+def _random_matrix(rng, dim):
+    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+
+
+def _exp_i(h):
+    """exp(-i h) of a Hermitian matrix, from its eigendecomposition."""
+    w, v = np.linalg.eigh(h)
+    return (v * np.exp(-1j * w)) @ v.conj().T
+
+
+def _depolarize_oracle(rho, sites, n, eps):
+    """The Kraus sum (1-e) rho + e/3 Σ P rho P with embedded site Paulis,
+    one site after the other."""
+    for site in sites:
+        out = (1 - eps) * rho
+        for p in PAULIS.values():
+            u = _embed(p, site, n)
+            out = out + eps / 3 * (u @ rho @ u.conj().T)
+        rho = out
+    return rho
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.3])
@@ -309,14 +340,74 @@ def test_depolarize_matches_kraus_sum(n, eps):
     """The partial-trace form equals the Kraus sum (1-e)rho + e/3 Σ P rho P
     with embedded site Paulis, on random non-Hermitian matrices."""
     rng = np.random.default_rng(100 + n)
-    dim = 2 ** n
     for site in range(n):
-        rho = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        want = (1 - eps) * rho
-        for p in _PAULI.values():
-            u = _embed(p, (site,), n)
-            want = want + eps / 3 * (u @ rho @ u.conj().T)
+        rho = _random_matrix(rng, 2 ** n)
+        want = _depolarize_oracle(rho, (site,), n, eps)
         assert np.max(np.abs(_depolarize(rho, (site,), n, eps) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.3])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_single_qubit_gate_matches_dense_oracle(n, eps):
+    """The local rotation equals the embedded 2^n x 2^n unitary, U = exp(-i
+    angle/2 σ), followed by the Kraus-sum noise, at every site and on every
+    axis, on random non-Hermitian chain matrices."""
+    rng = np.random.default_rng(300 + n)
+    for site in range(n):
+        for axis, pauli in PAULIS.items():
+            rho = _random_matrix(rng, 2 ** n)
+            angle = rng.uniform(0.0, 2 * math.pi)
+            u = _embed(_exp_i(angle / 2 * pauli), site, n)
+            want = _depolarize_oracle(u @ rho @ u.conj().T, (site,), n, eps)
+            got = single_qubit_gate(DonorChain(n, rho, gate_error=eps),
+                                    site, axis, angle).rho
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01, 0.3])
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exchange_gate_matches_dense_oracle(n, eps):
+    """The local exchange pulse equals the embedded 2^n x 2^n unitary
+    exp(-i pi f P_singlet) followed by the Kraus-sum noise on both sites,
+    for every adjacent pair, on random non-Hermitian chain matrices."""
+    rng = np.random.default_rng(400 + n)
+    swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
+                    dtype=complex)
+    p_singlet = (np.eye(4) - swap) / 2
+    for site in range(n - 1):
+        for f in (0.3, 0.5, 1.0):
+            rho = _random_matrix(rng, 2 ** n)
+            u = _embed(_exp_i(math.pi * f * p_singlet), site, n)
+            want = _depolarize_oracle(u @ rho @ u.conj().T, (site, site + 1), n, eps)
+            got = exchange_gate(DonorChain(n, rho, gate_error=eps), site, f).rho
+            assert np.max(np.abs(got - want)) < 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_load_site_matches_kron_chain(n):
+    """The loaded chain is |0><0| ⊗ ... ⊗ rho2 at the site ⊗ ... ⊗ |0><0|."""
+    rng = np.random.default_rng(500 + n)
+    ground = np.diag([1.0, 0.0]).astype(complex)
+    for site in range(n):
+        rho2 = _random_matrix(rng, 2)
+        want = _kron_chain([rho2 if j == site else ground for j in range(n)])
+        assert np.array_equal(load_site(fresh_chain(n), site, rho2).rho, want)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_site_reduced_matches_sequential_trace(n):
+    """The one-einsum reduced matrix equals tracing out the other sites one
+    by one with np.trace, on random non-Hermitian chain matrices."""
+    rng = np.random.default_rng(600 + n)
+    for site in range(n):
+        rho = _random_matrix(rng, 2 ** n)
+        want = rho.reshape([2] * (2 * n))
+        m = n
+        for other in reversed([j for j in range(n) if j != site]):
+            want = np.trace(want, axis1=other, axis2=other + m)
+            m -= 1
+        got = DonorChain(n, rho).site_reduced(site)
+        assert np.max(np.abs(got - want.reshape(2, 2))) < 1e-12
 
 
 def _site_channel_by_hermitian_split(n_sites, from_site, to_site, gate_error, rho2):
@@ -351,7 +442,7 @@ def test_site_channel_map_equals_hermitian_split(n, start, stop, eps):
 
 
 @pytest.mark.parametrize("n,start,stop,eps", [(4, 0, 3, 0.01), (5, 0, 4, 0.05),
-                                              (6, 2, 0, 0.1)])
+                                              (6, 2, 0, 0.1), (8, 0, 7, 0.01)])
 def test_site_channel_map_closed_form(n, start, stop, eps):
     """Shuttling with per-site depolarizing error e is the depolarizing
     channel rho -> lam rho + (1 - lam) tr(rho) I/2, lam = (1 - 4e/3)^hops,
