@@ -317,6 +317,9 @@ def cmd_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
               steps: int, fmt: str, out: str | None) -> int:
     if steps < 0:
         raise ConfigError("steps must be non-negative")
+    for flag, value in (("--from", start), ("--to", stop)):
+        if not np.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     values = np.linspace(start, stop, steps)
     columns = {"param": str, "value": fmt9, "mean_fidelity": fmt6,
                "stderr": fmt6, "success_prob": fmt6, "leakage": fmt6,

@@ -211,7 +211,7 @@ def _emission_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]
 
 
 def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
-    """The dense chain simulation, probed on the four matrix units."""
+    """The dense chain simulation, probed on two inputs: two chain runs."""
     return ptm_from_choi(choi_of_map(processor.site_channel_map(
         chain.n_sites, from_site, to_site, chain.gate_error)))
 

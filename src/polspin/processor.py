@@ -9,7 +9,8 @@ gates.  Gate noise is a single depolarizing parameter per touched site.
 
 Gates act locally: a d x d gate is contracted with the sites' axes of the
 dense 2^n x 2^n chain matrix, O(d 4^n) per gate, and no 2^n x 2^n operator
-is built.
+is built.  The chain is linear and preserves Hermiticity, so a shuttle's
+qubit map is fixed by two runs of the chain, on two probe inputs.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ class DonorChain:
     they touch, O(d 4^n) for a d x d gate, without building a 2^n x 2^n
     operator.  Every operation on the chain is linear, so `rho` may be any
     operator, not only a density matrix: `site_channel_map` runs the chain
-    on 2x2 matrix units."""
+    on the two non-Hermitian probes of `qstate.choi_of_map`."""
 
     n_sites: int
     rho: np.ndarray = field(repr=False)
@@ -180,10 +181,10 @@ def site_channel_map(n_sites: int, from_site: int, to_site: int,
     to_site, as a linear function on 2x2 matrices.
 
     Obtained by driving the full chain simulation once on the given matrix;
-    the simulation is linear, so probing it on the four matrix units
-    (`qstate.choi_of_map`) gives the whole map.  Ancilla sites start in
-    |0> and exchange is a permutation of tensor factors, so the data-qubit
-    map extracted this way is exact, not an approximation.
+    the simulation is linear and preserves Hermiticity, so probing it on
+    two inputs (`qstate.choi_of_map`) gives the whole map.  Ancilla sites
+    start in |0> and exchange is a permutation of tensor factors, so the
+    data-qubit map extracted this way is exact, not an approximation.
     """
     def apply(rho2: np.ndarray) -> np.ndarray:
         chain = load_site(fresh_chain(n_sites, gate_error), from_site, rho2)

@@ -263,16 +263,24 @@ def density_from_pauli(c: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("i,iab->ab", c, PAULIS)
 
 
-def choi_of_map(apply_map, dim: int = 2) -> np.ndarray:
-    """Choi matrix of an arbitrary linear map rho -> rho' given as a
-    callable, probed on the dim² matrix units |i><j|."""
-    choi = np.zeros((dim * dim, dim * dim), dtype=complex)
-    for i in range(dim):
-        for j in range(dim):
-            e_ij = np.zeros((dim, dim), dtype=complex)
-            e_ij[i, j] = 1.0
-            choi += np.kron(apply_map(e_ij), e_ij)
-    return choi / dim
+# probes P_0 = (σ_0 + iσ_3)/2 and P_1 = (σ_1 + iσ_2)/2 = |0><1|
+_PROBES = 0.5 * np.array([PAULIS[0] + 1j * PAULIS[3],
+                          PAULIS[1] + 1j * PAULIS[2]])
+
+
+def choi_of_map(apply_map) -> np.ndarray:
+    """Choi matrix ¼ Σ_k Φ(σ_k) ⊗ σ_kᵀ of a linear qubit map rho -> rho'
+    given as a callable, probed on two inputs.
+
+    Precondition: the map preserves Hermiticity, Φ(A†) = Φ(A)†, as every
+    CP map does.  Then Φ(σ_0) = Φ(P_0) + Φ(P_0)†, Φ(σ_3) = −i(Φ(P_0) −
+    Φ(P_0)†), and likewise σ_1, σ_2 from P_1, so two runs of the map fix
+    all four Pauli images.
+    """
+    a, b = (np.asarray(apply_map(p), dtype=complex) for p in _PROBES)
+    ah, bh = a.conj().T, b.conj().T
+    images = np.array([a + ah, b + bh, -1j * (b - bh), -1j * (a - ah)])
+    return 0.25 * np.einsum("kab,kdc->acbd", images, PAULIS).reshape(4, 4)
 
 
 def is_cptp(choi: np.ndarray, tol: float, conditional: bool = False) -> bool:

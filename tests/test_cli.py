@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from polspin.cli import _complex9, main
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -281,6 +287,24 @@ def test_sweep_unknown_param_exit_2(tmp_path, capsys):
     code, _, err = run_cli(["--config", cfg, "sweep", "--param", "bogus",
                             "--from", "0", "--to", "1", "--steps", "2"], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_sweep_non_finite_endpoint_exit_2(tmp_path, flag, bad):
+    # a fresh process, so that a numpy RuntimeWarning would reach stderr;
+    # "--from=-inf", since argparse reads a bare "-inf" as an option
+    cfg = write_config(tmp_path)
+    ends = {"--from": "0", "--to": "1", flag: bad}
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "polspin.cli", "--config", cfg, "sweep",
+         "--param", "field.b_tesla", "--steps", "3"]
+        + [f"{name}={value}" for name, value in ends.items()],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith(f"config error: {flag} must be finite")
+    assert "RuntimeWarning" not in proc.stderr
 
 
 # --- tomography --------------------------------------------------------------

@@ -733,8 +733,8 @@ def test_scenario_report_builds_no_donor_chain(name, monkeypatch):
     assert len(calls) == probes
 
 
-def test_scenario_report_runs_one_chain_per_matrix_unit(monkeypatch):
-    """Each shuttle stage runs the chain once per matrix unit: 2 stages x 4."""
+def test_scenario_report_runs_two_chains_per_shuttle_stage(monkeypatch):
+    """Each shuttle stage runs the chain once per probe: 2 stages x 2."""
     cfg = cfg_case_a(chain=ChainParams(n_sites=5, storage_site=3, gate_error=0.01),
                      mc_samples=20)
     calls = []
@@ -742,7 +742,7 @@ def test_scenario_report_runs_one_chain_per_matrix_unit(monkeypatch):
     monkeypatch.setattr(processor, "shuttle",
                         lambda *args: calls.append(args) or original(*args))
     scenario_report(cfg)
-    assert len(calls) == 8
+    assert len(calls) == 4
 
 
 # --- dot constraints ---------------------------------------------------------

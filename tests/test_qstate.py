@@ -311,6 +311,42 @@ def test_choi_ptm_round_trip(n_ops, scale):
         assert is_cptp(choi_from_ptm(ptm), tol=1e-10, conditional=True)
 
 
+def _choi_by_matrix_units(apply_map):
+    """Oracle: ½ Σ_ij Φ(|i><j|) ⊗ |i><j|, four runs of any linear map."""
+    units = np.eye(4, dtype=complex).reshape(4, 2, 2)
+    return 0.5 * sum(np.kron(apply_map(e), e) for e in units)
+
+
+def _kraus_map(kraus):
+    return lambda rho: sum(k @ rho @ k.conj().T for k in kraus)
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3, 4])
+def test_choi_of_map_two_probes_match_oracles(n_ops):
+    """Trace-preserving, conditional and unnormalized Kraus maps: the two
+    probes give the Choi matrix of the four matrix units and the PTM of
+    the Kraus operators."""
+    rng = np.random.default_rng(40 + n_ops)
+    for _ in range(20):
+        raw = rng.standard_normal((n_ops, 2, 2)) + 1j * rng.standard_normal((n_ops, 2, 2))
+        for kraus in (rand_kraus(rng, n_ops, 1.0), rand_kraus(rng, n_ops, 0.7), raw):
+            choi = choi_of_map(_kraus_map(kraus))
+            assert np.max(np.abs(choi - _choi_by_matrix_units(_kraus_map(kraus)))) < 1e-12
+            assert np.max(np.abs(ptm_from_choi(choi) - ptm_from_kraus(kraus))) < 1e-12
+
+
+def test_choi_of_map_needs_hermiticity_not_cp():
+    # the transpose preserves Hermiticity but is not completely positive
+    choi = choi_of_map(lambda rho: rho.T)
+    assert np.max(np.abs(choi - _choi_by_matrix_units(lambda rho: rho.T))) < 1e-12
+    assert np.max(np.abs(ptm_from_choi(choi) - np.diag([1, 1, -1, 1]))) < 1e-12
+    assert not is_cptp(choi, tol=1e-8)
+    # rho -> rho X does not preserve Hermiticity: two probes cannot fix it
+    x = np.array([[0, 1], [1, 0]], dtype=complex)
+    wrong = choi_of_map(lambda rho: rho @ x)
+    assert np.max(np.abs(wrong - _choi_by_matrix_units(lambda rho: rho @ x))) > 0.1
+
+
 def test_ptm_acts_on_pauli_vectors():
     rng = np.random.default_rng(8)
     kraus = rand_kraus(rng, 3, 0.9)
