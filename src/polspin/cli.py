@@ -391,6 +391,31 @@ def cmd_check_dot(capacitance: float, resistance: float, confinement: float,
 # entry point
 # ---------------------------------------------------------------------------
 
+# Flags that take a float.  argparse reads any token that starts with '-'
+# and is not a plain negative number (so "-1e1", "-.5e1", "-inf") for an
+# option; such a value is attached to its flag as "--flag=value" instead.
+_FLOAT_FLAGS = frozenset({"--from", "--to", "--capacitance", "--resistance",
+                          "--confinement", "--temperature"})
+
+
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
+def _attach_float_values(argv: list[str]) -> list[str]:
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _FLOAT_FLAGS and _is_float(token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def _build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)
@@ -437,7 +462,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_float_values(
+            sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 

@@ -211,9 +211,23 @@ def _emission_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]
 
 
 def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
-    """The dense chain simulation, probed on two inputs: two chain runs."""
-    return ptm_from_choi(choi_of_map(processor.site_channel_map(
-        chain.n_sites, from_site, to_site, chain.gate_error)))
+    """PTM of the shuttle from_site -> to_site, from the chain's light cone.
+
+    Each hop is an exchange SWAP on (pos, next).  The site ahead has not
+    been touched, so it is exactly |0><0| and a product with the rest; the
+    site left behind is never touched again and only to_site is read, so
+    tracing it out right after the hop commutes with every later gate.  The
+    shuttle's qubit map is therefore exactly the one-hop map raised to
+    |hops|: one hop on a two-site chain holding (qubit, |0>), probed on two
+    inputs, whatever the chain's length.
+    """
+    hops = to_site - from_site
+    if hops == 0:
+        return np.eye(4)
+    a, b = (0, 1) if hops > 0 else (1, 0)
+    hop = ptm_from_choi(choi_of_map(processor.site_channel_map(
+        2, a, b, chain.gate_error)))
+    return np.linalg.matrix_power(hop, abs(hops))
 
 
 def _gram_forms(kraus) -> np.ndarray:
@@ -383,7 +397,6 @@ class StageFidelity:
 
 @dataclass(frozen=True)
 class DetectionResult:
-    chain: processor.DonorChain
     logical_rho: np.ndarray
     stages: tuple[StageFidelity, ...]
     success_probability: float
@@ -469,16 +482,15 @@ def _unit(q) -> np.ndarray:
 
 def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     """Absorb a photon qubit, cross the interface and park the qubit in the
-    donor chain; returns the loaded chain plus per-stage diagnostics."""
+    donor chain; returns the stored qubit (`logical_rho`, normalised) plus
+    per-stage diagnostics."""
     _require_valid(cfg)
     q = _unit(q)
     stages = detection_stages(cfg, cfg.scheme())
     leak, purity, entropy = _input_hole(cfg, stages[0].branch_forms, q)
     trace, logical = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
-    chain = processor.fresh_chain(cfg.chain.n_sites, cfg.chain.gate_error)
-    chain = processor.load_site(chain, cfg.chain.storage_site, logical)
     return DetectionResult(
-        chain=chain, logical_rho=logical, stages=tuple(trace),
+        logical_rho=logical, stages=tuple(trace),
         success_probability=trace[-1].success, leakage=leak,
         hole_purity=purity, entanglement_entropy_bits=entropy)
 

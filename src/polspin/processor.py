@@ -10,7 +10,10 @@ gates.  Gate noise is a single depolarizing parameter per touched site.
 Gates act locally: a d x d gate is contracted with the sites' axes of the
 dense 2^n x 2^n chain matrix, O(d 4^n) per gate, and no 2^n x 2^n operator
 is built.  The chain is linear and preserves Hermiticity, so a shuttle's
-qubit map is fixed by two runs of the chain, on two probe inputs.
+qubit map is fixed by two runs of the chain, on two probe inputs.  The
+pipeline's shuttle stages probe a single hop on a two-site chain and raise
+its map to the number of hops (`pipeline._shuttle_ptm`), so their cost does
+not grow with the chain; the n-site simulation here is their oracle.
 """
 
 from __future__ import annotations
@@ -185,6 +188,9 @@ def site_channel_map(n_sites: int, from_site: int, to_site: int,
     two inputs (`qstate.choi_of_map`) gives the whole map.  Ancilla sites
     start in |0> and exchange is a permutation of tensor factors, so the
     data-qubit map extracted this way is exact, not an approximation.
+
+    The pipeline calls it on two sites only, for one hop; on n sites it
+    costs O(4^n) memory and is the oracle the tests check that hop against.
     """
     def apply(rho2: np.ndarray) -> np.ndarray:
         chain = load_site(fresh_chain(n_sites, gate_error), from_site, rho2)

@@ -86,6 +86,19 @@ def test_run_degenerate_mean(tmp_path, capsys):
     assert "0.66" in line or "0.67" in line
 
 
+def test_run_forty_site_chain(tmp_path, capsys):
+    """chain.n_sites is free: a 40-site chain runs like a short one."""
+    cfg = write_config(tmp_path, window=None,
+                       chain={"n_sites": 40, "storage_site": 39,
+                              "gate_error": 0.01})
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, err) == (0, "")
+    assert "cptp: true" in out
+    # 39 hops each way: the shuttle-in stage leaves (1 + λ)/2 of fidelity
+    lam = (1 - 4 * 0.01 / 3) ** 39
+    assert f"shuttle_in      fidelity={(1 + lam) / 2:.6f}" in out
+
+
 def test_run_missing_config_exit_2(capsys):
     code, _, err = run_cli(["--config", "/nonexistent/zzz.json", "run"], capsys)
     assert code == 2
@@ -292,8 +305,7 @@ def test_sweep_unknown_param_exit_2(tmp_path, capsys):
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--from", "--to"])
 def test_sweep_non_finite_endpoint_exit_2(tmp_path, flag, bad):
-    # a fresh process, so that a numpy RuntimeWarning would reach stderr;
-    # "--from=-inf", since argparse reads a bare "-inf" as an option
+    # a fresh process, so that a numpy RuntimeWarning would reach stderr
     cfg = write_config(tmp_path)
     ends = {"--from": "0", "--to": "1", flag: bad}
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
@@ -305,6 +317,37 @@ def test_sweep_non_finite_endpoint_exit_2(tmp_path, flag, bad):
     assert (proc.returncode, proc.stdout) == (2, "")
     assert proc.stderr.startswith(f"config error: {flag} must be finite")
     assert "RuntimeWarning" not in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+@pytest.mark.parametrize("exponent,plain", [("-1e1", "-10"), ("-1E-3", "-0.001"),
+                                            ("-.5e1", "-5")])
+def test_sweep_negative_exponent_endpoint(tmp_path, capsys, flag, exponent,
+                                          plain):
+    """A negative endpoint in exponent form is a value, not an option: the
+    output is byte-identical to the plain form."""
+    cfg = write_config(tmp_path)
+    outs = []
+    for value in (exponent, plain):
+        ends = {"--from": "0", "--to": "0", flag: value}
+        code, out, err = run_cli(
+            ["--config", cfg, "sweep", "--param", "window.center_offset_ueV",
+             "--steps", "3"] + [x for item in ends.items() for x in item], capsys)
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    assert f",{plain}," in outs[0]
+
+
+@pytest.mark.parametrize("flag", ["--from", "--to"])
+def test_sweep_bare_negative_infinity_exit_2(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path)
+    ends = {"--from": "0", "--to": "1", flag: "-inf"}
+    code, out, err = run_cli(
+        ["--config", cfg, "sweep", "--param", "field.b_tesla", "--steps", "3"]
+        + [x for item in ends.items() for x in item], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"config error: {flag} must be finite")
 
 
 # --- tomography --------------------------------------------------------------
@@ -447,6 +490,25 @@ def test_check_dot_non_finite_refused(capsys, flag, name, value):
     args[flag] = value
     code, out, err = run_cli(["check-dot"] + [f"{k}={v}" for k, v in args.items()],
                              capsys)
+    assert (code, out) == (3, "")
+    assert f"{name} must be finite and positive" in err
+
+
+@pytest.mark.parametrize("flag,name", [("--capacitance", "capacitance_farad"),
+                                       ("--resistance", "tunnel_resistance_ohm"),
+                                       ("--confinement", "confinement_energy_uev"),
+                                       ("--temperature", "temperature_k")])
+def test_check_dot_negative_exponent_is_a_value(capsys, flag, name):
+    """check-dot reads "-1e1" as a value, as it reads "-10": both are
+    refused as non-positive, with the same message."""
+    results = []
+    for value in ("-1e1", "-10"):
+        args = {"--capacitance": "1e-18", "--resistance": "26000",
+                "--confinement": "1000", "--temperature": "4.0", flag: value}
+        results.append(run_cli(
+            ["check-dot"] + [x for item in args.items() for x in item], capsys))
+    assert results[0] == results[1]
+    code, out, err = results[0]
     assert (code, out) == (3, "")
     assert f"{name} must be finite and positive" in err
 

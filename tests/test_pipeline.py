@@ -20,8 +20,8 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
-from polspin.qstate import (entanglement_entropy, is_cptp, pauli_vectors,
-                            purity)
+from polspin.qstate import (choi_of_map, entanglement_entropy, is_cptp,
+                            pauli_vectors, ptm_from_choi, purity)
 from polspin.transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit, absorb_case_a,
                               absorb_case_b, absorb_degenerate,
                               _eigenbasis_matrix, precession_unitary)
@@ -61,9 +61,26 @@ def test_detection_ideal_case_a():
     assert res.stages[-1].fidelity == pytest.approx(1.0, abs=1e-10)
     assert res.hole_purity == pytest.approx(1.0, abs=1e-10)
     assert res.entanglement_entropy_bits == pytest.approx(0.0, abs=1e-10)
-    # the qubit really sits in the chain at the storage site
-    site_rho = res.chain.site_reduced(3)
-    assert np.allclose(site_rho, np.outer(PLUS, PLUS.conj()), atol=1e-10)
+    # the stored qubit is the input
+    assert np.allclose(res.logical_rho, np.outer(PLUS, PLUS.conj()), atol=1e-10)
+
+
+def _depolarizing_ptm(eps, hops):
+    """diag(1, λ, λ, λ), λ = (1 − 4e/3)^|hops|: shuttling with per-site
+    depolarizing error e."""
+    lam = (1 - 4 * eps / 3) ** abs(hops)
+    return np.diag([1.0, lam, lam, lam])
+
+
+def test_detection_forty_site_chain():
+    """A 40-site chain stores the qubit after 39 depolarizing hops; no
+    2^40-dimensional chain is built."""
+    res = run_detection(PLUS, cfg_case_a(window=None,
+                                         chain=ChainParams(40, 39, 0.01)))
+    lam = _depolarizing_ptm(0.01, 39)[1, 1]
+    want = lam * np.outer(PLUS, PLUS.conj()) + (1 - lam) * np.eye(2) / 2
+    assert np.max(np.abs(res.logical_rho - want)) < 1e-12
+    assert res.stages[-1].fidelity == pytest.approx((1 + lam) / 2, abs=1e-12)
 
 
 def test_detection_degenerate_stored_half():
@@ -734,15 +751,69 @@ def test_scenario_report_builds_no_donor_chain(name, monkeypatch):
 
 
 def test_scenario_report_runs_two_chains_per_shuttle_stage(monkeypatch):
-    """Each shuttle stage runs the chain once per probe: 2 stages x 2."""
-    cfg = cfg_case_a(chain=ChainParams(n_sites=5, storage_site=3, gate_error=0.01),
-                     mc_samples=20)
+    """Each shuttle stage runs one hop once per probe: 2 stages x 2 probes,
+    each a single exchange gate on a two-site chain, whatever the chain's
+    length."""
+    calls = {"fresh_chain": [], "shuttle": [], "exchange_gate": []}
+    for name, seen in calls.items():
+        original = getattr(processor, name)
+        monkeypatch.setattr(processor, name, lambda *args, _seen=seen,
+                            _original=original: _seen.append(args)
+                            or _original(*args))
+    for n_sites in (2, 6, 40):
+        for seen in calls.values():
+            seen.clear()
+        scenario_report(cfg_case_a(chain=ChainParams(n_sites, n_sites - 1, 0.01),
+                                   mc_samples=20))
+        assert len(calls["shuttle"]) == len(calls["exchange_gate"]) == 4, n_sites
+        assert {args[0] for args in calls["fresh_chain"]} == {2}, n_sites
+
+
+def test_one_site_report_runs_no_chain(monkeypatch):
+    """With one site there is nothing to shuttle: both shuttle stages are
+    the identity, whatever the gate error, and no chain runs."""
     calls = []
-    original = processor.shuttle
-    monkeypatch.setattr(processor, "shuttle",
-                        lambda *args: calls.append(args) or original(*args))
+    for name in ("site_channel_map", "fresh_chain", "shuttle", "exchange_gate"):
+        monkeypatch.setattr(processor, name,
+                            lambda *args, _name=name: calls.append(_name))
+    cfg = cfg_case_a(chain=ChainParams(1, 0, 0.3), mc_samples=20)
     scenario_report(cfg)
-    assert len(calls) == 4
+    assert calls == []
+    stages = {st.name: st.ptm for st in end_to_end_stages(cfg)}
+    assert np.array_equal(stages["shuttle_in"], np.eye(4))
+    assert np.array_equal(stages["shuttle_out"], np.eye(4))
+
+
+# --- shuttle light cone ------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shuttle_ptm_matches_dense_chain(n):
+    """The light-cone shuttle, one hop on a two-site chain raised to
+    |hops|, equals the dense n-site chain simulation and the depolarizing
+    closed form, for every (from, to)."""
+    for eps in (0.0, 0.01, 0.3, 0.75, 1.0):
+        chain = ChainParams(n, 0, eps)
+        for start in range(n):
+            for stop in range(n):
+                got = pipeline._shuttle_ptm(chain, start, stop)
+                dense = ptm_from_choi(choi_of_map(
+                    site_channel_map(n, start, stop, eps)))
+                where = (n, start, stop, eps)
+                assert np.max(np.abs(got - dense)) < 1e-12, where
+                assert np.max(np.abs(
+                    got - _depolarizing_ptm(eps, stop - start))) < 1e-12, where
+
+
+def test_forty_site_chain_report():
+    """chain.n_sites is free: a 40-site report runs, and its shuttle stages
+    are the closed form of 39 hops."""
+    cfg = cfg_case_a(chain=ChainParams(40, 39, 0.01), mc_samples=200)
+    rep = scenario_report(cfg)
+    stages = {st.name: st.ptm for st in end_to_end_stages(cfg)}
+    for name in ("shuttle_in", "shuttle_out"):
+        assert np.max(np.abs(stages[name] - _depolarizing_ptm(0.01, 39))) < 1e-12
+    assert rep.cptp
+    assert 0.5 < rep.mean_fidelity < 1.0
 
 
 # --- dot constraints ---------------------------------------------------------
