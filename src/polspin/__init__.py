@@ -10,8 +10,7 @@ from .angular import AngularMomentumState, clebsch_gordan, expand_jmj
 from .bands import (BandScheme, FieldConfig, MaterialParams, SpectralWindow,
                     build_level_scheme, conduction_eigenstates,
                     degenerate_scheme, precession_period, resolvability_check,
-                    valence_eigenstates, zeeman_splitting, INAS_GAAS_QW,
-                    load_materials)
+                    valence_eigenstates, zeeman_splitting, INAS_GAAS_QW)
 from .constants import (HBAR_UEV_NS, H_OVER_E2_OHM, KB_UEV_PER_K,
                         MU_B_UEV_PER_T, charging_energy_uev,
                         thermal_energy_uev)
@@ -22,14 +21,12 @@ from .pipeline import (ChainParams, ChannelReport, DotConstraints,
                        ScenarioConfig, dot_constraint_check, haar_qubits,
                        monte_carlo_average_fidelity, process_tomography,
                        run_detection, run_end_to_end, scenario_report, sweep)
-from .processor import (DonorChain, exchange_gate, fresh_chain, load_site,
-                        resonance_detuning, shuttle, single_qubit_gate)
+from .processor import DonorChain, exchange_gate, fresh_chain, load_site, shuttle
 from .qstate import (HilbertFactor, QuantumState, entanglement_entropy,
                      fidelity, is_cptp, partial_trace, process_fidelity,
-                     purity, pure_state, density_state, tensor_product)
-from .transfer import (AbsorptionOutcome, EmissionOutcome, PhotonQubit,
-                       absorb_case_a, absorb_case_b, absorb_degenerate,
-                       dipole_matrix_element, emit, precess,
-                       synchronized_hadamard, waveplate_compensation)
+                     purity, pure_state, density_state)
+from .transfer import (AbsorptionOutcome, PhotonQubit, absorb_case_a,
+                       absorb_case_b, absorb_degenerate, dipole_matrix_element,
+                       precess, synchronized_hadamard)
 
 __version__ = "0.1.0"

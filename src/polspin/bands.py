@@ -82,34 +82,6 @@ INAS_GAAS_QW = MaterialParams(
     strain_sign=TENSILE,
 )
 
-BUILTIN_MATERIALS = {INAS_GAAS_QW.name: INAS_GAAS_QW}
-
-
-def material_from_dict(d: dict) -> MaterialParams:
-    """Build MaterialParams from a JSON-style mapping with unit-suffixed keys."""
-    return MaterialParams(
-        name=str(d.get("name", "custom")),
-        g_cb=float(d["g_cb"]),
-        g_lh=float(d["g_lh"]),
-        g_hh_normal=float(d.get("g_hh_normal", 1.0)),
-        strain_splitting_uev=float(d["strain_splitting_ueV"]),
-        band_gap_uev=float(d["band_gap_ueV"]),
-        strain_sign=str(d.get("strain_sign", TENSILE)),
-    )
-
-
-def load_materials(path) -> dict[str, MaterialParams]:
-    """Load a materials catalog from a JSON document {"materials": [...]}."""
-    import json
-
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    catalog = {}
-    for entry in doc["materials"]:
-        m = material_from_dict(entry)
-        catalog[m.name] = m
-    return catalog
-
 
 @dataclass(frozen=True)
 class FieldConfig:

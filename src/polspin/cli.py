@@ -16,9 +16,9 @@ import sys
 
 import numpy as np
 
-from .bands import (CASE_A, CASE_B, DEGENERATE, FieldConfig, INAS_GAAS_QW,
-                    NORMAL, INPLANE, SpectralWindow, build_level_scheme,
-                    material_from_dict, resolvability_check)
+from .bands import (CASE_A, CASE_B, DEGENERATE, FieldConfig, INAS_GAAS_QW, NORMAL,
+                    INPLANE, MaterialParams, SpectralWindow, TENSILE,
+                    resolvability_check)
 from .errors import PolspinError
 from .noise import NoiseModel
 from .pipeline import (ChainParams, DotConstraints, ScenarioConfig,
@@ -57,11 +57,21 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(v, name: str) -> float:
+    """A JSON number (integer or float); not a bool or a numeric string."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {v!r}")
+    try:
+        return float(v)
+    except OverflowError:
+        raise ConfigError(f"{name} is out of range, got {v!r}") from None
+
+
 def _parse_amplitude(v) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(v)
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return complex(float(v[0]), float(v[1]))
+    if not isinstance(v, (list, tuple)):
+        return complex(_number(v, "amplitude"))
+    if len(v) == 2:
+        return complex(_number(v[0], "amplitude"), _number(v[1], "amplitude"))
     raise ConfigError(f"amplitude must be a number or [re, im] pair, got {v!r}")
 
 
@@ -114,43 +124,48 @@ def config_from_dict(doc: dict) -> ScenarioConfig:
     case = str(doc.get("case", CASE_A))
     material = INAS_GAAS_QW
     if "material" in doc:
-        material = section("material", material_from_dict)
+        material = section("material", lambda mdoc: MaterialParams(
+            name=str(mdoc.get("name", "custom")),
+            g_cb=_number(mdoc["g_cb"], "g_cb"),
+            g_lh=_number(mdoc["g_lh"], "g_lh"),
+            g_hh_normal=_number(mdoc.get("g_hh_normal", 1.0), "g_hh_normal"),
+            strain_splitting_uev=_number(mdoc["strain_splitting_ueV"],
+                                         "strain_splitting_ueV"),
+            band_gap_uev=_number(mdoc["band_gap_ueV"], "band_gap_ueV"),
+            strain_sign=str(mdoc.get("strain_sign", TENSILE))))
     default_orientation = INPLANE if case == CASE_B else NORMAL
     fieldcfg = section("field", lambda fdoc: FieldConfig(
-        b_tesla=float(fdoc.get("b_tesla", 1.0)),
+        b_tesla=_number(fdoc.get("b_tesla", 1.0), "b_tesla"),
         orientation=str(fdoc.get("orientation", default_orientation))))
     window = None
     if doc.get("window") is not None:
         window = section("window", lambda wdoc: SpectralWindow(
-            bandwidth_uev=float(wdoc["bandwidth_ueV"]),
-            center_offset_uev=float(wdoc.get("center_offset_ueV", 0.0)),
+            bandwidth_uev=_number(wdoc["bandwidth_ueV"], "bandwidth_ueV"),
+            center_offset_uev=_number(wdoc.get("center_offset_ueV", 0.0),
+                                      "center_offset_ueV"),
             lineshape=str(wdoc.get("lineshape", "gaussian"))))
-    noise = section("noise", lambda ndoc: NoiseModel(
-        t2_iii_v_ns=float(ndoc.get("t2_iii_v_ns", 100.0)),
-        t2_si_ns=float(ndoc.get("t2_si_ns", 5.0e5)),
-        transport_time_ns=float(ndoc.get("transport_time_ns", 0.0)),
-        transport_dephasing_fraction=float(
-            ndoc.get("transport_dephasing_fraction", 0.0)),
-        transport_loss=float(ndoc.get("transport_loss", 0.0))))
+    noise = section("noise", lambda ndoc: NoiseModel(**{
+        name: _number(ndoc.get(name, default), name) for name, default in (
+            ("t2_iii_v_ns", 100.0), ("t2_si_ns", 5.0e5),
+            ("transport_time_ns", 0.0), ("transport_dephasing_fraction", 0.0),
+            ("transport_loss", 0.0))}))
     chain = section("chain", lambda cdoc: ChainParams(
         n_sites=_integer(cdoc.get("n_sites", 4), "n_sites"),
         storage_site=_integer(cdoc.get("storage_site", 3), "storage_site"),
-        gate_error=float(cdoc.get("gate_error", 0.0))))
+        gate_error=_number(cdoc.get("gate_error", 0.0), "gate_error")))
     qdoc = doc.get("input_qubit", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]])
     input_qubit = grab(lambda: _parse_qubit(qdoc), "input_qubit")
     direction = doc.get("emission_direction")
     if direction is not None:
-        direction = grab(lambda: tuple(float(x) for x in direction),
+        direction = grab(lambda: tuple(_number(x, "component") for x in direction),
                          "emission_direction")
     compensate = grab(lambda: _boolean(doc.get("compensate", True), "compensate"))
     seed = grab(lambda: _integer(doc.get("seed", 0), "seed"))
     mc_samples = grab(lambda: _integer(doc.get("mc_samples", 1000), "mc_samples"))
-    storage_time = grab(lambda: float(doc.get("storage_time_ns", 0.0)),
-                        "storage_time_ns")
-    hadamard_time = grab(lambda: float(doc.get("hadamard_time_ns", 0.0)),
-                         "hadamard_time_ns")
-    efficiency = grab(lambda: float(doc.get("absorption_efficiency", 1.0)),
-                      "absorption_efficiency")
+    storage_time, hadamard_time, efficiency = (
+        grab(lambda: _number(doc.get(name, default), name))
+        for name, default in (("storage_time_ns", 0.0), ("hadamard_time_ns", 0.0),
+                              ("absorption_efficiency", 1.0)))
 
     if problems:
         raise ConfigError("; ".join(problems))
@@ -427,17 +442,19 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="write output to a file instead of stdout")
     common.add_argument("--format", choices=_FORMATS, default=argparse.SUPPRESS)
 
+    # allow_abbrev=False everywhere: a flag is read by its full name only,
+    # as _attach_float_values matches full names
     p = argparse.ArgumentParser(
-        prog="polspin", parents=[common],
+        prog="polspin", parents=[common], allow_abbrev=False,
         description="Photon-polarization to electron-spin transfer simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("levels", parents=[common],
+    sub.add_parser("levels", parents=[common], allow_abbrev=False,
                    help="print the level scheme and resolvability")
-    sub.add_parser("run", parents=[common],
+    sub.add_parser("run", parents=[common], allow_abbrev=False,
                    help="run the configured scenario end to end")
 
-    sp = sub.add_parser("sweep", parents=[common],
+    sp = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
                         help="sweep one numeric parameter")
     sp.add_argument("--param", required=True,
                     help=f"one of: {', '.join(sweep_parameters())}")
@@ -445,12 +462,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--to", dest="stop", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
 
-    tp = sub.add_parser("tomography", parents=[common],
+    tp = sub.add_parser("tomography", parents=[common], allow_abbrev=False,
                         help="Choi matrix and CPTP verdict")
     tp.add_argument("--choi", dest="choi_file",
                     help="verdict mode: JSON 4x4 matrix of [re, im] pairs")
 
-    dp = sub.add_parser("check-dot", parents=[common],
+    dp = sub.add_parser("check-dot", parents=[common], allow_abbrev=False,
                         help="emitter quantum-dot constraints")
     dp.add_argument("--capacitance", type=float, required=True, metavar="FARAD")
     dp.add_argument("--resistance", type=float, required=True, metavar="OHM")

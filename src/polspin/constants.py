@@ -4,16 +4,11 @@ Every derived number in the package and its tests traces back to this table,
 so values are written out to full precision and never redefined elsewhere.
 """
 
-import math
-
 # Bohr magneton, µeV per tesla (CODATA 5.788 381 806e-5 eV/T)
 MU_B_UEV_PER_T = 57.8838180
 
 # Reduced Planck constant, µeV·ns (CODATA 6.582 119 569e-16 eV·s)
 HBAR_UEV_NS = 0.6582119569
-
-# Planck constant, µeV·ns
-H_UEV_NS = 2.0 * math.pi * HBAR_UEV_NS
 
 # Boltzmann constant, µeV per kelvin (CODATA 8.617 333 262e-5 eV/K)
 KB_UEV_PER_K = 86.173332

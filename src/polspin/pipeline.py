@@ -40,12 +40,12 @@ from .qstate import (PAULIS, choi_from_ptm, choi_of_map, density_from_pauli,
                      is_cptp, pauli_vectors, process_fidelity, ptm_from_choi,
                      ptm_from_kraus)
 from .transfer import (absorption_branches, emission_map, precession_unitary,
-                       _eigenbasis_matrix, _frame_inverse, _mode_map)
+                       _eigenbasis_matrix)
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
 # Degenerate case: the projectors onto the two electron spins, one per
-# heavy-hole branch, in absorption and in emission alike
+# heavy-hole branch, which split the emission by the path the hole keeps
 _DEGENERATE_BRANCHES = tuple(np.diag(e).astype(complex) for e in np.eye(2))
 
 
@@ -143,12 +143,14 @@ class Stage:
 
     The absorb stage also holds the Gram forms of the unscaled physical
     absorption branches (`_gram_forms`), from which the hole diagnostics
-    read the hole state of each input.
+    read the hole state of each input; the emit stage holds the collection
+    fractions of the two electron spin branches.
     """
 
     name: str
     ptm: np.ndarray = field(repr=False)
     branch_forms: np.ndarray | None = field(default=None, repr=False)
+    collection_fractions: np.ndarray | None = field(default=None, repr=False)
 
 
 def _detection_frame(case: str) -> np.ndarray:
@@ -182,32 +184,24 @@ def _absorption_kraus_logical(cfg: ScenarioConfig, physical) -> list[np.ndarray]
 
 def _physical_absorption_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]:
     """Unscaled physical-frame branches, for per-sample hole diagnostics."""
-    if cfg.case == DEGENERATE:
-        return list(_DEGENERATE_BRANCHES)
     return [br.kraus for br in absorption_branches(
         scheme, cfg.window, cfg.compensate and cfg.case == CASE_A)]
 
 
-def _emission_direction(cfg: ScenarioConfig, scheme: BandScheme) -> np.ndarray:
-    direction = (np.asarray(cfg.emission_direction, dtype=float)
-                 if cfg.emission_direction is not None else scheme.canonical_k)
-    return direction / np.linalg.norm(direction)
-
-
-def _emission_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]:
-    """Logical Kraus of prep -> recombination -> collection -> compensation.
+def _emission_kraus(cfg: ScenarioConfig,
+                    scheme: BandScheme) -> tuple[list[np.ndarray], np.ndarray]:
+    """Logical Kraus of prep -> recombination -> collection -> compensation,
+    and the collection fractions of the two electron spin branches.
 
     The split cases recombine coherently from a single hole level; the
     degenerate case leaves which-path information in the hole, one Kraus
     branch per circular polarization.
     """
-    t, _, lossy, _ = _mode_map(scheme, _emission_direction(cfg, scheme))
-    # identity wherever t has full rank
-    geometry = emission_map(scheme) @ _frame_inverse(t, lossy) @ t
+    geometry, fractions = emission_map(scheme, cfg.emission_direction)
     prep = _detection_frame(cfg.case)
     if cfg.case == DEGENERATE:
-        return [geometry @ p @ prep for p in _DEGENERATE_BRANCHES]
-    return [geometry @ prep]
+        return [geometry @ p @ prep for p in _DEGENERATE_BRANCHES], fractions
+    return [geometry @ prep], fractions
 
 
 def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
@@ -284,7 +278,8 @@ def _transport_back(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
 
 
 def _emit(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    return Stage("emit", ptm_from_kraus(_emission_kraus(cfg, scheme)))
+    kraus, fractions = _emission_kraus(cfg, scheme)
+    return Stage("emit", ptm_from_kraus(kraus), collection_fractions=fractions)
 
 
 # One builder per stage name, so that a sweep can rebuild a single stage.
@@ -495,11 +490,11 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
         hole_purity=purity, entanglement_entropy_bits=entropy)
 
 
-def _run_end_to_end(q, cfg, scheme, stages) -> EndToEndResult:
+def _run_end_to_end(q, cfg, stages) -> EndToEndResult:
     trace, photon_rho = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
-    _, _, _, fractions = _mode_map(scheme, _emission_direction(cfg, scheme))
     e_amp = _detection_frame(cfg.case) @ q
-    collection = float(np.sum(np.abs(e_amp) ** 2 * fractions))
+    collection = float(np.sum(np.abs(e_amp) ** 2
+                              * stages[-1].collection_fractions))
 
     return EndToEndResult(
         photon_rho=photon_rho, round_trip_fidelity=trace[-1].fidelity,
@@ -511,9 +506,7 @@ def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
     """Detection, storage dephasing, retrieval and re-emission; the output
     photon is compared with the input in the canonical logical basis."""
     _require_valid(cfg)
-    scheme = cfg.scheme()
-    stages = detection_stages(cfg, scheme) + return_stages(cfg, scheme)
-    return _run_end_to_end(_unit(q), cfg, scheme, stages)
+    return _run_end_to_end(_unit(q), cfg, end_to_end_stages(cfg))
 
 
 def _sample_count(cfg: ScenarioConfig, n_samples: int | None = None) -> int:
@@ -573,13 +566,12 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     building the scheme and the stage list once for all of them."""
     _require_valid(cfg)
     n = _sample_count(cfg)
-    scheme = cfg.scheme()
-    stages = detection_stages(cfg, scheme) + return_stages(cfg, scheme)
+    stages = end_to_end_stages(cfg)
     forms = stages[0].branch_forms
     r = _compose(stages)
     q = _unit(cfg.input_qubit)
     _, _, entropy = _input_hole(cfg, forms, q)
-    e2e = _run_end_to_end(q, cfg, scheme, stages)
+    e2e = _run_end_to_end(q, cfg, stages)
     mc = _run_monte_carlo(cfg, r, forms, pauli_vectors(haar_qubits(cfg.seed, n)))
     tomo = _run_tomography(r)
     return ChannelReport(

@@ -1,11 +1,10 @@
 """Gate-level model of the donor-chain storage and processing section.
 
-Electrons bound to a row of donor ions hold the qubits.  Site-selective
-addressing comes from the layered g-factor contrast (Ge-like 1.563 in the
-tuning layer vs Si-like 1.998 in the donor layer): Stark-shifting one
-electron between layers pulls it in or out of resonance with a constant
-microwave background.  Adjacent-site exchange supplies SWAP-family two-qubit
-gates.  Gate noise is a single depolarizing parameter per touched site.
+Electrons bound to a row of donor ions hold the qubits.  Adjacent-site
+exchange supplies the SWAP-family gates that shuttle a qubit along the
+chain; the g-factor-addressed single-site rotations of the device are not
+modelled, as no stage uses them.  Gate noise is a single depolarizing
+parameter per touched site.
 
 Gates act locally: a d x d gate is contracted with the sites' axes of the
 dense 2^n x 2^n chain matrix, O(d 4^n) per gate, and no 2^n x 2^n operator
@@ -22,17 +21,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .bands import zeeman_splitting
-
-G_TUNING_LAYER = 1.563   # Ge-like, <100> direction
-G_DONOR_LAYER = 1.998    # Si-like
-
-_PAULI = {
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 _SWAP = np.array([[1, 0, 0, 0],
                   [0, 0, 1, 0],
@@ -128,19 +116,6 @@ def _depolarize(rho: np.ndarray, sites: tuple[int, ...], n: int,
     return rho
 
 
-def single_qubit_gate(chain: DonorChain, site: int, axis: str,
-                      angle: float) -> DonorChain:
-    """Apply exp(-i angle/2 sigma_axis) at one site, then gate noise."""
-    chain._check_site(site)
-    if axis not in _PAULI:
-        raise ValueError("axis must be x, y or z")
-    u2 = (math.cos(angle / 2.0) * np.eye(2, dtype=complex)
-          - 1j * math.sin(angle / 2.0) * _PAULI[axis])
-    rho = _apply_local(chain.rho, u2, site)
-    rho = _depolarize(rho, (site,), chain.n_sites, chain.gate_error)
-    return replace(chain, rho=rho)
-
-
 def exchange_gate(chain: DonorChain, site_i: int,
                   duration_fraction: float) -> DonorChain:
     """Exchange pulse between site_i and site_i+1.
@@ -167,15 +142,6 @@ def shuttle(chain: DonorChain, from_site: int, to_site: int) -> DonorChain:
         chain = exchange_gate(chain, min(pos, nxt), 1.0)
         pos = nxt
     return chain
-
-
-def resonance_detuning(g_site: float, b_tesla: float,
-                       microwave_energy_uev: float) -> float:
-    """Detuning g·µB·B - E_mw in µeV; zero means the site is resonant with
-    the background microwave field."""
-    if g_site <= 0 or b_tesla < 0 or microwave_energy_uev < 0:
-        raise ValueError("inputs must be positive (B, E_mw non-negative)")
-    return zeeman_splitting(g_site, b_tesla) - microwave_energy_uev
 
 
 def site_channel_map(n_sites: int, from_site: int, to_site: int,

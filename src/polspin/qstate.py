@@ -134,21 +134,6 @@ def density_state(matrix, factors) -> QuantumState:
     return QuantumState(tuple(factors), DENSITY, m)
 
 
-def tensor_product(a: QuantumState, b: QuantumState) -> QuantumState:
-    """Combined state on the concatenated factor list.
-
-    Factor labels of the two inputs must be disjoint.  Two pure inputs give
-    a pure output; otherwise both sides are promoted to density form.
-    """
-    if set(a.labels()) & set(b.labels()):
-        raise ValueError("duplicate factor label across tensor operands")
-    factors = a.factors + b.factors
-    if a.is_pure() and b.is_pure():
-        return QuantumState(factors, PURE, np.kron(a.amplitudes, b.amplitudes))
-    return QuantumState(factors, DENSITY,
-                        np.kron(a.densitymatrix(), b.densitymatrix()))
-
-
 def partial_trace(state: QuantumState, keep: tuple[str, ...] | list[str]) -> QuantumState:
     """Reduced density matrix on the kept factors (in their original order)."""
     keep = tuple(keep)

@@ -22,6 +22,12 @@ topmost |3/2, +1/2> level this makes the z- versus x-coupled amplitudes
 √(2/3) and √(1/3), the √2 imbalance that the optional compensation
 prefilter (scale the z amplitude by 1/√2, renormalize, report the success
 probability) removes exactly.
+
+Re-emission runs the same selection rules backwards.  `emission_map` is
+its one implementation: the electron -> canonical-basis photon map along a
+collection direction, with the off-axis frame distortion compensated, and
+the per-branch collection fractions.  The pipeline's emit stage applies
+it, collected along the config's `emission_direction`.
 """
 
 from __future__ import annotations
@@ -32,16 +38,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import (AngularMomentumState, CONDUCTION, LIGHT_HOLE,
-                      HEAVY_HOLE, clebsch_gordan, expand_jmj)
+                      HEAVY_HOLE, expand_jmj)
 from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, SpectralWindow,
-                    resolvability_check)
+                    degenerate_scheme, resolvability_check)
 from .constants import HBAR_UEV_NS
 from .errors import DarkDirection, HeavyHoleTopmost, NotResolvable
 from .qstate import (ELECTRON, HilbertFactor, QuantumState, pure_state)
 
 LINEAR_ZX = "linear_zx"
 CIRCULAR = "circular"
-FRAME = "frame"
 
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
@@ -72,7 +77,7 @@ class PhotonQubit:
     k_direction: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.basis not in (LINEAR_ZX, CIRCULAR, FRAME):
+        if self.basis not in (LINEAR_ZX, CIRCULAR):
             raise ValueError(f"unknown photon basis {self.basis!r}")
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if abs(n - 1.0) > 1e-9:
@@ -221,10 +226,25 @@ def _lh_branch_kraus(level_state: np.ndarray, window: SpectralWindow | None,
 def absorption_branches(scheme: BandScheme,
                         window: SpectralWindow | None = None,
                         compensate: bool = False) -> list[AbsorptionBranch]:
-    """Kraus branches of the conditional photon -> electron ⊗ hole map for a
-    split (case A or B) scheme.  Branch 0 is the target topmost level;
+    """Kraus branches of the conditional photon -> electron ⊗ hole map.
+
+    Split (case A or B) scheme: branch 0 is the target topmost level;
     branch 1, present only with a finite window, is the unwanted partner
-    level a valence Zeeman splitting below."""
+    level a valence Zeeman splitting below.  Degenerate scheme: the two
+    stretched heavy-hole branches, hole indices 0 and 3 (k along +G: sigma+
+    empties mJ=-3/2 into a spin-down electron, sigma- the mirror); the
+    window and the prefilter do not apply there.
+    """
+    if scheme.case == DEGENERATE:
+        branches = []
+        for spin, (hole, pol) in enumerate(((0, "sigma_plus"), (3, "sigma_minus"))):
+            k = np.zeros((2, 2), dtype=complex)
+            k[spin, spin] = dipole_matrix_element(
+                AngularMomentumState(HEAVY_HOLE, j=1.5, mj=3 * spin - 1.5),
+                AngularMomentumState(CONDUCTION, j=0.5, mj=spin - 0.5), pol, +1)
+            branches.append(AbsorptionBranch(k, hole_index=hole,
+                                             hole_label=scheme.valence_levels[hole].label))
+        return branches
     if scheme.case == CASE_A:
         pols = ("z", "x")
         k_sign = -1          # irrelevant for linear light, kept for symmetry
@@ -284,21 +304,9 @@ def absorb_degenerate(photon: PhotonQubit, efficiency: float = 1.0) -> Absorptio
     """
     if photon.basis != CIRCULAR:
         raise ValueError("degenerate absorption takes a circular-basis qubit")
-    k_sign = +1   # canonical k is +G here; sigma+ then adds mL = +1
-    k_plus = np.zeros((2, 2), dtype=complex)
-    k_minus = np.zeros((2, 2), dtype=complex)
-    hh_lo = AngularMomentumState(HEAVY_HOLE, j=1.5, mj=-1.5)
-    hh_hi = AngularMomentumState(HEAVY_HOLE, j=1.5, mj=+1.5)
-    c_dn = AngularMomentumState(CONDUCTION, j=0.5, mj=-0.5)
-    c_up = AngularMomentumState(CONDUCTION, j=0.5, mj=+0.5)
-    # sigma+ empties mJ=-3/2 into a spin-down electron, sigma- the mirror
-    k_plus[0, 0] = dipole_matrix_element(hh_lo, c_dn, "sigma_plus", k_sign)
-    k_minus[1, 1] = dipole_matrix_element(hh_hi, c_up, "sigma_minus", k_sign)
-    branches = [AbsorptionBranch(k_plus, hole_index=0, hole_label="hh mJ=-3/2"),
-                AbsorptionBranch(k_minus, hole_index=3, hole_label="hh mJ=+3/2")]
     # both branches are intentional here; there is no "wrong" level
-    return _outcome_from_branches(photon, branches, hole_dim=4,
-                                  efficiency=efficiency, n_wanted=2)
+    return _outcome_from_branches(photon, absorption_branches(degenerate_scheme()),
+                                  hole_dim=4, efficiency=efficiency, n_wanted=2)
 
 
 # split case -> (photon basis, refusal of another scheme, refusal of
@@ -474,24 +482,9 @@ def branch_dipole_vectors(scheme: BandScheme) -> tuple[np.ndarray, np.ndarray]:
     return d[-0.5], d[+0.5]
 
 
-@dataclass(frozen=True)
-class EmissionOutcome:
-    """An emitted photon, its direction and local polarization frame, plus
-    the branch-to-frame map needed for downstream compensation."""
-
-    photon: PhotonQubit
-    direction: np.ndarray
-    polarization_frame: tuple[np.ndarray, np.ndarray]
-    frame_map: np.ndarray        # electron (down, up) -> frame amplitudes
-    canonical_map: np.ndarray    # electron -> canonical-basis amplitudes
-    canonical_basis: str
-    collection_fraction: float
-    lossy: bool
-
-
-def _mode_map(scheme: BandScheme, direction: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool, np.ndarray]:
-    """Frame map T (frame amplitudes = T @ electron amplitudes), the frame,
-    a lossy flag, and the per-branch transverse power fractions."""
+def _mode_map(scheme: BandScheme, direction) -> tuple[np.ndarray, bool, np.ndarray]:
+    """Frame map T (frame amplitudes = T @ electron amplitudes), a lossy
+    flag, and the per-branch transverse power fractions."""
     n = np.asarray(direction, dtype=float)
     nn = np.linalg.norm(n)
     if nn == 0:
@@ -514,66 +507,20 @@ def _mode_map(scheme: BandScheme, direction: np.ndarray) -> tuple[np.ndarray, np
         t[1, col] = np.vdot(e2, mode)
     if np.max(np.abs(t)) < 1e-12:
         raise DarkDirection("no recombination branch radiates into this direction")
-    return t, np.array([e1, e2]), lossy, fractions
+    return t, lossy, fractions
 
 
-def _frame_to_basis(scheme: BandScheme) -> tuple[str, np.ndarray]:
-    """Canonical basis tag and the frame -> basis conversion matrix at the
-    scheme's canonical direction (identity for the linear case, rows of
-    sigma± modes for circular schemes)."""
+def _frame_to_basis(scheme: BandScheme) -> np.ndarray:
+    """Frame -> canonical-basis conversion matrix at the scheme's canonical
+    direction: identity for the linear case, rows of sigma± modes for
+    circular schemes."""
     if scheme.case == CASE_A:
-        return LINEAR_ZX, np.eye(2, dtype=complex)   # frame is already (z, x)
+        return np.eye(2, dtype=complex)   # frame is already (z, x)
     k = scheme.canonical_k
     plus, minus = circular_mode_vectors(k)
     e1, e2 = transverse_frame(k)
-    conv = np.array([[np.vdot(plus, e1), np.vdot(plus, e2)],
+    return np.array([[np.vdot(plus, e1), np.vdot(plus, e2)],
                      [np.vdot(minus, e1), np.vdot(minus, e2)]], dtype=complex)
-    return CIRCULAR, conv
-
-
-def emission_map(scheme: BandScheme) -> np.ndarray:
-    """Electron (down, up) -> canonical-basis photon amplitudes at the
-    canonical direction; the exact inverse of the corresponding absorption
-    map up to a global phase and scale."""
-    t_can, _, _, _ = _mode_map(scheme, scheme.canonical_k)
-    _, conv = _frame_to_basis(scheme)
-    return conv @ t_can
-
-
-def emit(electron: QuantumState, scheme: BandScheme,
-         direction: np.ndarray | None = None) -> EmissionOutcome:
-    """Recombine an electron spin qubit with the scheme's abundant hole and
-    collect the photon along `direction` (default: the canonical k).
-
-    Each spin branch maps with unit weight onto its transverse-projected
-    dipole mode, so along the canonical direction emission inverts the
-    corresponding absorption map exactly; the dipole-magnitude asymmetry
-    and out-of-plane radiation only enter the collection fraction.  Off
-    axis the two modes lose orthogonality or rank; the frame map records
-    the distortion for `waveplate_compensation`.
-    """
-    if electron.labels() != ("electron_spin",) or not electron.is_pure():
-        raise ValueError("emit takes a pure electron-spin state")
-    if direction is None:
-        direction = scheme.canonical_k
-    n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
-    t, frame, lossy, fractions = _mode_map(scheme, n)
-    basis_can, _ = _frame_to_basis(scheme)
-    canonical_map = emission_map(scheme)
-
-    a = electron.amplitudes
-    canonical = bool(np.allclose(n, scheme.canonical_k, atol=1e-9))
-    raw = (canonical_map if canonical else t) @ a
-    norm = np.linalg.norm(raw)
-    if norm < 1e-12:
-        raise DarkDirection("this electron state radiates nothing into the direction")
-    amps = raw / norm
-    collection = float(np.sum(np.abs(a) ** 2 * fractions))
-    photon = PhotonQubit(basis_can if canonical else FRAME,
-                         amps[0], amps[1], k_direction=n)
-    return EmissionOutcome(photon, n, (frame[0], frame[1]), t, canonical_map,
-                           basis_can, collection, lossy)
 
 
 def _frame_inverse(t: np.ndarray, lossy: bool) -> np.ndarray:
@@ -584,20 +531,26 @@ def _frame_inverse(t: np.ndarray, lossy: bool) -> np.ndarray:
     return np.linalg.inv(t)
 
 
-def waveplate_compensation(outcome: EmissionOutcome) -> PhotonQubit:
-    """Undo the direction dependence of an emitted photon.
+def emission_map(scheme: BandScheme,
+                 direction=None) -> tuple[np.ndarray, np.ndarray]:
+    """Recombination of the electron spin with the scheme's abundant hole,
+    collected along `direction` (default: the canonical k) and compensated
+    back to the canonical photon basis.
 
-    Applies the inverse of the frame map and re-applies the canonical one,
-    so emit -> compensation is direction-independent wherever the
-    transverse projection has full rank; a rank-deficient direction is
-    compensated in the least-squares sense and stays lossy.
+    Returns the 2x2 map from electron (down, up) amplitudes to canonical
+    basis amplitudes (linear (z, x) for case A, (sigma+, sigma-) otherwise)
+    and the two branches' collection fractions, the share of each branch's
+    dipole power transverse to the direction.  Each spin branch maps with
+    unit weight onto its transverse-projected dipole mode, so along the
+    canonical direction the map inverts the corresponding absorption map
+    up to a global phase and scale.  Off axis the frame map T is undone by
+    its inverse, a waveplate-like correction, wherever it has full rank; a
+    lossy or rank-deficient direction is compensated in the least-squares
+    sense (pseudo-inverse) and stays lossy.
     """
-    if outcome.photon.basis in (LINEAR_ZX, CIRCULAR):
-        return outcome.photon   # canonical direction: nothing to undo
-    inv = _frame_inverse(outcome.frame_map, outcome.lossy)
-    restored = outcome.canonical_map @ inv @ outcome.photon.amplitudes
-    norm = np.linalg.norm(restored)
-    if norm < 1e-12:
-        raise DarkDirection("compensation cannot recover a fully dark emission")
-    restored = restored / norm
-    return PhotonQubit(outcome.canonical_basis, restored[0], restored[1])
+    t_can, lossy, fractions = _mode_map(scheme, scheme.canonical_k)
+    t = t_can
+    if direction is not None:
+        t, lossy, fractions = _mode_map(scheme, direction)
+    return (_frame_to_basis(scheme) @ t_can @ _frame_inverse(t, lossy) @ t,
+            fractions)

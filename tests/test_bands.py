@@ -187,18 +187,16 @@ def test_window_lineshapes():
     assert lw.amplitude(500.0) > gw.amplitude(500.0)   # heavier tails
 
 
-def test_materials_catalog_roundtrip(tmp_path):
-    import json
-    from polspin.bands import load_materials
-    doc = {"materials": [{
-        "name": "wide-well", "g_cb": 0.25, "g_lh": 6.1,
-        "strain_splitting_ueV": 15000.0, "band_gap_ueV": 1.2e6,
-        "strain_sign": "tensile"}]}
-    path = tmp_path / "materials.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    catalog = load_materials(path)
-    assert catalog["wide-well"].g_lh == 6.1
-    scheme = build_level_scheme(catalog["wide-well"], FieldConfig(0.5, NORMAL))
+def test_materials_catalog_roundtrip():
+    """A config's material entry, with the unit-suffixed fields of a
+    catalog entry, reaches the level scheme."""
+    from polspin.cli import config_from_dict
+    entry = {"name": "wide-well", "g_cb": 0.25, "g_lh": 6.1,
+             "strain_splitting_ueV": 15000.0, "band_gap_ueV": 1.2e6,
+             "strain_sign": "tensile"}
+    cfg = config_from_dict({"material": entry, "field": {"b_tesla": 0.5}})
+    assert (cfg.material.name, cfg.material.g_lh) == ("wide-well", 6.1)
+    scheme = build_level_scheme(cfg.material, cfg.field)
     assert scheme.valence_splitting_uev == pytest.approx(
         zeeman_splitting(6.1, 0.5), rel=1e-12)
 

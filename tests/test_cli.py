@@ -208,7 +208,30 @@ def test_run_non_number_scalar_exit_2(tmp_path, capsys, field, value):
     cfg = write_config(tmp_path, **{field: value})
     code, out, err = run_cli(["--config", cfg, "run"], capsys)
     assert (code, out) == (2, "")
-    assert err.startswith(f"config error: {field}: ")
+    assert err == f"config error: {field} must be a number, got {value!r}\n"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("field.b_tesla", True), ("field.b_tesla", "2.5"), ("storage_time_ns", True),
+    ("chain.gate_error", False), ("window.bandwidth_ueV", "1e2"),
+    ("emission_direction", [True, 0, 0]), ("input_qubit", [True, False])])
+def test_run_boolean_or_string_number_exit_2(tmp_path, capsys, field, value):
+    """A float field takes a JSON number only: a boolean or a numeric string
+    is refused by name, not read as 1, 0 or the number it spells."""
+    section, _, key = field.rpartition(".")
+    cfg = write_config(tmp_path, **({section: {key: value}} if section else {key: value}))
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    bad = value[0] if isinstance(value, list) else value
+    assert key in err
+    assert f"must be a number, got {bad!r}" in err
+
+
+def test_run_integer_beyond_float_range_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, field={"b_tesla": 10 ** 400})
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert "b_tesla is out of range" in err
 
 
 @pytest.mark.parametrize("value", [[[1, 0]], 5, [1, 0, 0]])
@@ -337,6 +360,19 @@ def test_sweep_negative_exponent_endpoint(tmp_path, capsys, flag, exponent,
         outs.append(out)
     assert outs[0] == outs[1]
     assert f",{plain}," in outs[0]
+
+
+def test_sweep_flag_prefix_refused(tmp_path, capsys):
+    """Flags are read by their full name only: the prefix --fro is refused
+    whatever its value, while --from takes a negative exponent value."""
+    cfg = write_config(tmp_path)
+    args = ["--config", cfg, "sweep", "--param", "window.center_offset_ueV",
+            "--to", "0", "--steps", "2"]
+    for flag, value, want in (("--fro", "-10", 2), ("--fro", "-1e1", 2),
+                              ("--from", "-1e1", 0)):
+        code, out, _ = run_cli(args + [flag, value], capsys)
+        assert code == want, (flag, value)
+        assert (out != "") == (want == 0)
 
 
 @pytest.mark.parametrize("flag", ["--from", "--to"])

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polspin import pipeline, processor
+from polspin import pipeline, processor, transfer
 from polspin.bands import FieldConfig, INPLANE, NORMAL, SpectralWindow
 from polspin.constants import KB_UEV_PER_K
 from polspin.noise import NoiseModel
@@ -253,7 +253,7 @@ def _stage_superops(cfg):
              ("shuttle_out", site_channel_map(ch.n_sites, ch.storage_site, 0,
                                               ch.gate_error)),
              ("transport_back", lambda rho: arrive * t2(rho)),
-             ("emit", _kraus_map(_emission_kraus(cfg, scheme)))]
+             ("emit", _kraus_map(_emission_kraus(cfg, scheme)[0]))]
     return [(name, _superop_from_map(fn)) for name, fn in maps]
 
 
@@ -732,6 +732,20 @@ def test_scenario_report_builds_stages_once(name, monkeypatch):
         monkeypatch.setattr(pipeline, fn, counted)
     scenario_report(REPORT_CONFIGS[name]())
     assert calls == {"detection_stages": 1, "return_stages": 1}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
+def test_scenario_report_maps_emission_modes_once(name, monkeypatch):
+    """A report maps the emission modes once along the canonical direction,
+    and once more along an explicit emission direction."""
+    calls = []
+    original = transfer._mode_map
+    monkeypatch.setattr(transfer, "_mode_map",
+                        lambda *args: calls.append(args) or original(*args))
+    for direction, count in ((None, 1), ((0.3, 0.2, 1.0), 2)):
+        calls.clear()
+        scenario_report(replace(REPORT_CONFIGS[name](), emission_direction=direction))
+        assert len(calls) == count, direction
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))

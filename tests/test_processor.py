@@ -3,11 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from polspin.bands import zeeman_splitting
-from polspin.processor import (_depolarize, DonorChain,
-                               G_DONOR_LAYER, G_TUNING_LAYER, exchange_gate,
-                               fresh_chain, load_site, resonance_detuning,
-                               shuttle, single_qubit_gate, site_channel_map)
+from polspin.processor import (_apply_local, _depolarize, DonorChain,
+                               exchange_gate, fresh_chain, load_site, shuttle,
+                               site_channel_map)
 from polspin.qstate import choi_of_map, ptm_from_choi
 from polspin.transfer import HADAMARD
 
@@ -41,20 +39,6 @@ def qubit_at(chain, site):
     return chain.site_reduced(site)
 
 
-def test_rotation_2pi_identity():
-    chain = fresh_chain(1)
-    chain = single_qubit_gate(chain, 0, "x", math.pi / 3)
-    before = chain.rho.copy()
-    chain = single_qubit_gate(chain, 0, "y", 2 * math.pi)
-    assert np.max(np.abs(chain.rho - before)) < 1e-12
-
-
-def test_x_pi_flips():
-    chain = fresh_chain(1)
-    chain = single_qubit_gate(chain, 0, "x", math.pi)
-    assert np.allclose(chain.rho, np.diag([0.0, 1.0]), atol=1e-12)
-
-
 def test_rotation_unitary_det_one():
     for axis in "xyz":
         for angle in (0.3, math.pi / 2, 2.2):
@@ -82,14 +66,13 @@ def test_hadamard_composition_matches_transfer():
 def test_bad_site_rejected():
     chain = fresh_chain(2)
     with pytest.raises(IndexError):
-        single_qubit_gate(chain, 2, "x", 1.0)
+        load_site(chain, 2, np.eye(2) / 2)
     with pytest.raises(IndexError):
         exchange_gate(chain, 1, 0.5)
 
 
 def test_full_swap_on_01():
-    chain = fresh_chain(2)
-    chain = single_qubit_gate(chain, 1, "x", math.pi)   # |01>
+    chain = load_site(fresh_chain(2), 1, np.diag([0.0, 1.0]))   # |01>
     chain = exchange_gate(chain, 0, 1.0)
     want = np.zeros((4, 4), dtype=complex)
     want[2, 2] = 1.0   # |10>
@@ -124,18 +107,21 @@ def test_cnot_from_sqrt_swap_truth_table():
     construction: Rz1(-pi/2)·Rz2(pi/2)·sqrtSWAP·Rz1(-pi)·sqrtSWAP);
     Hadamards on the target turn it into a CNOT, checked on all four
     basis states against the canonical matrix."""
+    def local(u, site):
+        return lambda c: DonorChain(c.n_sites, _apply_local(c.rho, u, site),
+                                    gate_error=c.gate_error)
+
+    def rz(theta):
+        return _exp_i(theta / 2 * PAULIS["z"])
+
     cz_ops = [
         lambda c: exchange_gate(c, 0, 0.5),
-        lambda c: single_qubit_gate(c, 0, "z", -math.pi),
+        local(rz(-math.pi), 0),
         lambda c: exchange_gate(c, 0, 0.5),
-        lambda c: single_qubit_gate(c, 1, "z", math.pi / 2),
-        lambda c: single_qubit_gate(c, 0, "z", -math.pi / 2),
+        local(rz(math.pi / 2), 1),
+        local(rz(-math.pi / 2), 0),
     ]
-
-    def hadamard_t(c):
-        u = np.kron(np.eye(2), HADAMARD)
-        return DonorChain(c.n_sites, u @ c.rho @ u.conj().T,
-                          gate_error=c.gate_error)
+    hadamard_t = local(HADAMARD, 1)
 
     seq = [hadamard_t] + cz_ops + [hadamard_t]
     outs = chain_unitary(seq, n=2)
@@ -263,21 +249,6 @@ def test_site_channel_map_matches_direct_simulation():
     assert np.max(np.abs(fn(rho) - qubit_at(chain, 2))) < 1e-12
 
 
-def test_resonance_detuning_values():
-    mw = zeeman_splitting(G_DONOR_LAYER, 1.0)
-    assert resonance_detuning(G_DONOR_LAYER, 1.0, mw) == pytest.approx(0.0, abs=1e-12)
-    det = resonance_detuning(G_TUNING_LAYER, 1.0, mw)
-    assert det == pytest.approx((1.563 - 1.998) * 57.8838180, rel=1e-9)
-    assert det == pytest.approx(-25.18, abs=5e-3)
-    assert resonance_detuning(1.0, 0.0, 7.0) == pytest.approx(-7.0)
-
-
-def test_layer_g_defaults():
-    # the layer g-factors are module constants; the chain holds no copy
-    assert (G_TUNING_LAYER, G_DONOR_LAYER) == (1.563, 1.998)
-    assert not hasattr(fresh_chain(2), "layer_g")
-
-
 def _embed(op, first_site, n):
     """I(left) ⊗ op ⊗ I(right): the dense 2^n x 2^n lift of a gate on the
     contiguous sites from first_site, the oracle of the local gates."""
@@ -349,18 +320,18 @@ def test_depolarize_matches_kraus_sum(n, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.01, 0.3])
 @pytest.mark.parametrize("n", range(1, 7))
 def test_single_qubit_gate_matches_dense_oracle(n, eps):
-    """The local rotation equals the embedded 2^n x 2^n unitary, U = exp(-i
-    angle/2 σ), followed by the Kraus-sum noise, at every site and on every
-    axis, on random non-Hermitian chain matrices."""
+    """A one-site rotation U = exp(-i angle/2 σ) contracted locally
+    (`_apply_local` with d = 2), then the site's depolarizing noise, equals
+    the embedded 2^n x 2^n unitary followed by the Kraus-sum noise, at
+    every site and on every axis, on random non-Hermitian chain matrices."""
     rng = np.random.default_rng(300 + n)
     for site in range(n):
-        for axis, pauli in PAULIS.items():
+        for pauli in PAULIS.values():
             rho = _random_matrix(rng, 2 ** n)
-            angle = rng.uniform(0.0, 2 * math.pi)
-            u = _embed(_exp_i(angle / 2 * pauli), site, n)
+            u2 = _exp_i(rng.uniform(0.0, 2 * math.pi) / 2 * pauli)
+            u = _embed(u2, site, n)
             want = _depolarize_oracle(u @ rho @ u.conj().T, (site,), n, eps)
-            got = single_qubit_gate(DonorChain(n, rho, gate_error=eps),
-                                    site, axis, angle).rho
+            got = _depolarize(_apply_local(rho, u2, site), (site,), n, eps)
             assert np.max(np.abs(got - want)) < 1e-12
 
 

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from polspin.qstate import (ELECTRON, PHOTON, HilbertFactor, PURE,
+from polspin.qstate import (ELECTRON, HilbertFactor, PURE,
                             QuantumState, choi_from_ptm, choi_of_map,
                             density_from_pauli, density_state,
                             entanglement_entropy, fidelity, is_cptp,
                             partial_trace, pauli_vectors, process_fidelity,
                             ptm_from_choi, ptm_from_kraus, pure_state,
-                            purity, tensor_product)
+                            purity)
 
 HOLE2 = HilbertFactor("hole", 2)
 HOLE4 = HilbertFactor("hole", 4)
@@ -58,40 +58,22 @@ def test_density_invariants():
 
 # --- tensor product ---------------------------------------------------------
 
-def test_tensor_basis_states():
-    zero = pure_state([1, 0], (PHOTON,))
-    one = pure_state([0, 1], (ELECTRON,))
-    combined = tensor_product(zero, one)
-    assert np.allclose(combined.amplitudes, [0, 1, 0, 0])
-
-
-def test_tensor_superposition():
-    plus = pure_state([SQ2, SQ2], (PHOTON,))
-    zero = pure_state([1, 0], (ELECTRON,))
-    combined = tensor_product(plus, zero)
-    assert np.allclose(combined.amplitudes, [SQ2, 0, SQ2, 0])
-
-
 def test_tensor_product_schmidt_rank_one():
     rng = np.random.default_rng(3)
-    q = pure_state(rand_qubit(rng), (ELECTRON,))
-    h = pure_state([1, 0], (HOLE2,))
-    st = tensor_product(q, h)
+    st = pure_state(np.kron(rand_qubit(rng), [1, 0]), (ELECTRON, HOLE2))
     assert entanglement_entropy(st, ("electron_spin",)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tensor_duplicate_label_rejected():
-    a = pure_state([1, 0], (ELECTRON,))
     with pytest.raises(ValueError):
-        tensor_product(a, a)
+        pure_state([1, 0, 0, 0], (ELECTRON, ELECTRON))
 
 
 # --- partial trace ----------------------------------------------------------
 
 def test_partial_trace_product_state_pure():
-    q = pure_state([0.6, 0.8], (ELECTRON,))
-    h = pure_state([SQ2, SQ2], (HOLE2,))
-    red = partial_trace(tensor_product(q, h), ("electron_spin",))
+    st = pure_state(np.kron([0.6, 0.8], [SQ2, SQ2]), (ELECTRON, HOLE2))
+    red = partial_trace(st, ("electron_spin",))
     assert purity(red) == pytest.approx(1.0, abs=1e-12)
     assert np.allclose(red.amplitudes, np.outer([0.6, 0.8], [0.6, 0.8]))
 

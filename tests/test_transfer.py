@@ -9,12 +9,11 @@ from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
                            SpectralWindow, build_level_scheme,
                            degenerate_scheme, precession_period)
 from polspin.errors import DarkDirection, HeavyHoleTopmost, NotResolvable
-from polspin.transfer import (CIRCULAR, FRAME, HADAMARD, LINEAR_ZX,
-                              PhotonQubit, absorb_case_a, absorb_case_b,
-                              absorb_degenerate, branch_dipole_vectors,
-                              dipole_matrix_element, emit, precess,
-                              synchronized_hadamard, waveplate_compensation,
-                              _mode_map)
+from polspin.pipeline import ScenarioConfig, end_to_end_stages, run_end_to_end
+from polspin.transfer import (CIRCULAR, HADAMARD, LINEAR_ZX, PhotonQubit,
+                              absorb_case_a, absorb_case_b, absorb_degenerate,
+                              branch_dipole_vectors, dipole_matrix_element,
+                              precess, synchronized_hadamard, _mode_map)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -413,90 +412,80 @@ def test_synchronized_hadamard_strict(scheme_b):
 
 
 # --- emission ---------------------------------------------------------------
+# Emission is the pipeline's emit stage: an ideal scenario (no window, noise
+# or gate error) returns the input photon exactly where emission inverts
+# absorption.
 
-def test_emit_case_a_inverts_compensated_absorption(scheme_a):
+def ideal(case, **kw):
+    field = {"A": FieldConfig(1.0, NORMAL), "B": FieldConfig(1.0, INPLANE),
+             "degenerate": FieldConfig(0.0, NORMAL)}[case]
+    return ScenarioConfig(case=case, field=field, **kw)
+
+
+def test_emit_case_a_inverts_compensated_absorption():
+    cfg = ideal("A", compensate=True)
     for q in rand_qubits(1000, seed=10):
-        out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), scheme_a,
-                            compensate=True)
-        st = qs.pure_state(electron_vector(out), (qs.ELECTRON,))
-        photon = waveplate_compensation(emit(st, scheme_a))
-        assert abs(np.vdot(q, photon.amplitudes)) ** 2 == pytest.approx(
+        assert run_end_to_end(q, cfg).round_trip_fidelity == pytest.approx(
             1.0, abs=1e-10)
 
 
-def test_emit_case_b_round_trip(scheme_b):
+def test_emit_case_b_round_trip():
+    cfg = ideal("B")
     for q in rand_qubits(1000, seed=11):
-        out = absorb_case_b(PhotonQubit(CIRCULAR, q[0], q[1]), scheme_b)
-        st = qs.pure_state(electron_vector(out), (qs.ELECTRON,))
-        photon = waveplate_compensation(emit(st, scheme_b))
-        assert photon.basis == CIRCULAR
-        assert abs(np.vdot(q, photon.amplitudes)) ** 2 == pytest.approx(
+        assert run_end_to_end(q, cfg).round_trip_fidelity == pytest.approx(
             1.0, abs=1e-10)
 
 
 def test_emit_degenerate_round_trip():
-    scheme = degenerate_scheme()
-    for q in rand_qubits(100, seed=12):
-        st = qs.pure_state(q, (qs.ELECTRON,))   # branch amplitudes directly
-        photon = waveplate_compensation(emit(st, scheme))
-        assert abs(np.vdot(q, photon.amplitudes)) ** 2 == pytest.approx(
-            1.0, abs=1e-10)
+    # each heavy-hole branch re-emits the circular polarization that made
+    # it, with unit weight; the hole keeps the which-path information, so
+    # the emit stage fully dephases the branch basis
+    emit = end_to_end_stages(ideal("degenerate"))[-1]
+    assert emit.name == "emit"
+    assert np.max(np.abs(emit.ptm - np.diag([1.0, 0.0, 0.0, 1.0]))) < 1e-12
 
 
-def test_emit_case_b_single_branch_circular(scheme_b):
-    # spin-down electron, i.e. (|0>+|1>)/sqrt2, returns the polarization
-    # that excited it: pure sigma+
-    st = qs.pure_state([1, 0], (qs.ELECTRON,))
-    out = emit(st, scheme_b)
-    assert out.photon.basis == CIRCULAR
-    assert abs(out.photon.alpha) == pytest.approx(1.0, abs=1e-12)
-    assert abs(out.photon.beta) < 1e-14
+def test_emit_case_b_single_branch_circular():
+    # sigma+ excites a spin-down electron, which returns pure sigma+
+    rho = run_end_to_end([1, 0], ideal("B")).photon_rho
+    assert abs(rho[0, 0]) == pytest.approx(1.0, abs=1e-12)
+    assert abs(rho[1, 1]) < 1e-14
 
 
-def test_emit_off_axis_restored_by_waveplate(scheme_a, scheme_b):
+def test_emit_off_axis_restored_by_waveplate():
     # 90 degrees away from each canonical direction, chosen so the two
-    # projected dipole modes stay linearly independent
-    for scheme, direction, prep in ((scheme_a, [1.0, 0.0, 0.0], True),
-                                    (scheme_b, [0.0, 1.0, 0.0], False)):
+    # projected dipole modes stay linearly independent: the emit stage
+    # undoes the frame map
+    for case, direction in (("A", (1.0, 0.0, 0.0)), ("B", (0.0, 1.0, 0.0))):
+        cfg = ideal(case, emission_direction=direction)
         for q in rand_qubits(100, seed=13):
-            if prep:
-                out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), scheme,
-                                    compensate=True)
-            else:
-                out = absorb_case_b(PhotonQubit(CIRCULAR, q[0], q[1]), scheme)
-            st = qs.pure_state(electron_vector(out), (qs.ELECTRON,))
-            em = emit(st, scheme, direction=direction)
-            assert em.photon.basis == FRAME
-            photon = waveplate_compensation(em)
-            assert abs(np.vdot(q, photon.amplitudes)) ** 2 == pytest.approx(
+            assert run_end_to_end(q, cfg).round_trip_fidelity == pytest.approx(
                 1.0, abs=1e-10)
 
 
 def test_emit_case_b_along_field_rank_deficient(scheme_b):
     # viewing along B the two circular branches project onto the same mode
-    st = qs.pure_state([SQ2, SQ2], (qs.ELECTRON,))
-    em = emit(st, scheme_b, direction=[1.0, 0.0, 0.0])
-    assert np.linalg.matrix_rank(em.frame_map, tol=1e-10) == 1
+    t, _, _ = _mode_map(scheme_b, [1.0, 0.0, 0.0])
+    assert np.linalg.matrix_rank(t, tol=1e-10) == 1
+    res = run_end_to_end([1, 0], ideal("B", emission_direction=(1.0, 0.0, 0.0)))
+    assert res.round_trip_fidelity < 1.0 - 1e-6
 
 
 def test_emit_off_axis_differs_before_compensation(scheme_a):
     q = np.array([SQ2, SQ2])
     out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), scheme_a,
                         compensate=True)
-    st = qs.pure_state(electron_vector(out), (qs.ELECTRON,))
-    em = emit(st, scheme_a, direction=[1.0, 0.0, 0.0])
-    assert abs(np.vdot(q, em.photon.amplitudes)) ** 2 < 1.0 - 1e-6
+    t, _, _ = _mode_map(scheme_a, [1.0, 0.0, 0.0])
+    raw = t @ electron_vector(out)
+    assert abs(np.vdot(q, raw / np.linalg.norm(raw))) ** 2 < 1.0 - 1e-6
 
 
 def test_emit_rank_deficient_lossy(scheme_a):
     # along +z the z-dipole branch is dark: rank-1 map, flagged lossy
-    st = qs.pure_state([SQ2, SQ2], (qs.ELECTRON,))
-    em = emit(st, scheme_a, direction=[0.0, 0.0, 1.0])
-    assert em.lossy
-    photon = waveplate_compensation(em)
-    restored = abs(np.vdot(np.array([SQ2, SQ2]),
-                           np.array([photon.alpha, photon.beta]))) ** 2
-    assert restored < 1.0 - 1e-6
+    _, lossy, _ = _mode_map(scheme_a, [0.0, 0.0, 1.0])
+    assert lossy
+    res = run_end_to_end([SQ2, SQ2], ideal("A", emission_direction=(0.0, 0.0, 1.0)))
+    assert res.round_trip_fidelity < 1.0 - 1e-6
 
 
 def test_emit_dark_direction():
@@ -515,20 +504,16 @@ def test_emit_dark_direction():
         tr.branch_dipole_vectors = orig
 
 
-def test_emit_collection_fractions(scheme_a, scheme_b):
-    # case A: z branch fully transverse at canonical k, circular branch half
-    st_up = qs.pure_state([0, 1], (qs.ELECTRON,))
-    st_dn = qs.pure_state([1, 0], (qs.ELECTRON,))
-    assert emit(st_up, scheme_a).collection_fraction == pytest.approx(1.0, abs=1e-12)
-    assert emit(st_dn, scheme_a).collection_fraction == pytest.approx(0.5, abs=1e-12)
+def test_emit_collection_fractions():
+    # case A: the logical |0> is the spin-up electron, whose z dipole is
+    # fully transverse at the canonical k; the circular spin-down branch half
+    assert run_end_to_end([1, 0], ideal("A")).collection_fraction == pytest.approx(
+        1.0, abs=1e-12)
+    assert run_end_to_end([0, 1], ideal("A")).collection_fraction == pytest.approx(
+        0.5, abs=1e-12)
     # case B: the z-dipole component never reaches a detector along G
-    assert emit(st_dn, scheme_b).collection_fraction == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_emit_requires_pure_electron(scheme_a):
-    mixed = qs.density_state(np.eye(2) / 2, (qs.ELECTRON,))
-    with pytest.raises(ValueError):
-        emit(mixed, scheme_a)
+    assert run_end_to_end([1, 0], ideal("B")).collection_fraction == pytest.approx(
+        1 / 3, abs=1e-12)
 
 
 def test_branch_dipoles_case_a(scheme_a):
