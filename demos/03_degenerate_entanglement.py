@@ -20,7 +20,7 @@ print(f"{'|alpha|^2':>10s} {'entropy/bits':>13s} {'hole purity':>12s}")
 for p in (1.0, 0.9, 0.75, 0.5):
     a, b = math.sqrt(p), math.sqrt(1 - p)
     out = absorb_degenerate(PhotonQubit(CIRCULAR, a, b))
-    ent = max(entanglement_entropy(out.state, ("electron_spin",)), 0.0)
+    ent = max(entanglement_entropy(out.amplitudes), 0.0)
     pur = purity(out.hole_state())
     print(f"{p:10.2f} {ent:13.6f} {pur:12.6f}")
 
@@ -28,7 +28,7 @@ print()
 print("An equal superposition leaves a FULL bit of entanglement behind.")
 print("Trace the hole out and the stored electron is maximally mixed:")
 out = absorb_degenerate(PhotonQubit(CIRCULAR, 2 ** -0.5, 2 ** -0.5))
-print(np.round(out.electron_state().amplitudes, 6))
+print(np.round(out.electron_state(), 6))
 print()
 
 print("=== split schemes: the hole factors out ===")

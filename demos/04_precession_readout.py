@@ -5,7 +5,6 @@ number of Larmor periods parks the qubit in the stationary eigenbasis.
 
 import numpy as np
 
-import polspin.qstate as qs
 from polspin import (FieldConfig, INAS_GAAS_QW, build_level_scheme,
                      precession_period)
 from polspin.transfer import (CIRCULAR, HADAMARD, PhotonQubit, absorb_case_b,
@@ -18,11 +17,11 @@ print()
 
 # a sigma+ photon creates a spin-down electron, which precesses
 out = absorb_case_b(PhotonQubit(CIRCULAR, 1.0, 0.0), scheme)
-st = qs.pure_state(out.state.amplitudes.reshape(2, 2)[:, 0], (qs.ELECTRON,))
+st = out.amplitudes[:, 0]
 print("spin-down population while precessing (sigma+ excitation):")
 for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
     evolved = precess(st, scheme, frac * tau)
-    pop = abs(evolved.amplitudes[0]) ** 2
+    pop = abs(evolved[0]) ** 2
     print(f"  t = {frac:4.2f} tau : P(mS=-1/2) = {pop:.6f}")
 print()
 
@@ -30,7 +29,7 @@ print("readout fidelity vs timing (input qubit (1, 0)):")
 q = np.array([1.0, 0.0])
 for frac in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 2.0, 5.0):
     stored = synchronized_hadamard(st, scheme, frac * tau)
-    logical = HADAMARD @ stored.amplitudes
+    logical = HADAMARD @ stored
     fid = abs(np.vdot(q, logical)) ** 2
     tag = "  <- synchronized" if abs(frac - round(frac)) < 1e-9 else ""
     print(f"  t = {frac:4.2f} tau : fidelity = {fid:.6f}{tag}")

@@ -22,9 +22,8 @@ from .pipeline import (ChainParams, ChannelReport, DotConstraints,
                        monte_carlo_average_fidelity, process_tomography,
                        run_detection, run_end_to_end, scenario_report, sweep)
 from .processor import DonorChain, exchange_gate, fresh_chain, load_site, shuttle
-from .qstate import (HilbertFactor, QuantumState, entanglement_entropy,
-                     fidelity, is_cptp, partial_trace, process_fidelity,
-                     purity, pure_state, density_state)
+from .qstate import (entanglement_entropy, is_cptp, process_fidelity,
+                     purity)
 from .transfer import (AbsorptionOutcome, PhotonQubit, absorb_case_a,
                        absorb_case_b, absorb_degenerate, dipole_matrix_element,
                        precess, synchronized_hadamard)

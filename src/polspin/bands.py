@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .angular import HEAVY_HOLE, LIGHT_HOLE
 from .constants import HBAR_UEV_NS, MU_B_UEV_PER_T
 from .errors import HeavyHoleTopmost, NoPrecession
 
@@ -40,8 +39,8 @@ class MaterialParams:
 
     g-factors are inputs, not computed: g_cb=0.4 and g_lh=8.87 describe an
     InAs/GaAs quantum well.  The in-plane heavy-hole g-factor is identically
-    zero (the parallel component of the heavy-hole g-tensor vanishes).
-    strain_splitting is a free catalog parameter.
+    zero (the parallel component of the heavy-hole g-tensor vanishes), so it
+    is not a parameter.  strain_splitting is a free catalog parameter.
     """
 
     name: str
@@ -51,7 +50,6 @@ class MaterialParams:
     strain_splitting_uev: float
     band_gap_uev: float
     strain_sign: str = TENSILE
-    g_hh_inplane: float = 0.0
 
     def __post_init__(self):
         for name in ("g_cb", "g_lh", "g_hh_normal", "strain_splitting_uev",
@@ -59,8 +57,6 @@ class MaterialParams:
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, "
                                  f"got {getattr(self, name)!r}")
-        if self.g_hh_inplane != 0.0:
-            raise ValueError("the in-plane heavy-hole g-factor is fixed at 0")
         if self.strain_splitting_uev <= 0:
             raise ValueError("strain_splitting must be positive")
         if self.band_gap_uev <= self.strain_splitting_uev:
@@ -170,11 +166,6 @@ class BandScheme:
         return (self.conduction_levels[-1].energy_uev
                 - self.conduction_levels[0].energy_uev)
 
-    def levels(self) -> tuple[Level, ...]:
-        """All levels, valence then conduction, ascending in energy."""
-        return tuple(sorted(self.valence_levels + self.conduction_levels,
-                            key=lambda l: (l.band != "valence", l.energy_uev)))
-
 
 def zeeman_splitting(g: float, b_tesla: float) -> float:
     """Zeeman energy g·µB·B in µeV; linear in both arguments."""
@@ -193,17 +184,13 @@ def precession_period(g_cb: float, b_tesla: float) -> float:
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 
-def valence_eigenstates(field: FieldConfig, band: str = LIGHT_HOLE):
-    """The two topmost-band valence eigenstates for the field orientation.
+def valence_eigenstates(field: FieldConfig):
+    """The two light-hole valence eigenstates for the field orientation.
 
     Normal field: the mJ = ±1/2 basis states themselves.  In-plane field:
     the equal superpositions psi± = (|mJ=-1/2> ± |mJ=+1/2>)/√2.  Basis
-    ordering is (mJ=-1/2, mJ=+1/2).  In-plane heavy holes are rejected:
-    their in-plane splitting is identically zero.
+    ordering is (mJ=-1/2, mJ=+1/2).
     """
-    if band == HEAVY_HOLE and field.orientation == INPLANE:
-        raise HeavyHoleTopmost(
-            "in-plane heavy-hole Zeeman splitting vanishes; no resolvable pair")
     if field.orientation == NORMAL:
         lo = np.array([1.0, 0.0], dtype=complex)   # mJ = -1/2
         hi = np.array([0.0, 1.0], dtype=complex)   # mJ = +1/2
@@ -246,7 +233,7 @@ def build_level_scheme(material: MaterialParams, field: FieldConfig) -> BandSche
     dv = zeeman_splitting(material.g_lh, field.b_tesla)
     dc = zeeman_splitting(material.g_cb, field.b_tesla)
     dhh = zeeman_splitting(
-        material.g_hh_normal if field.orientation == NORMAL else material.g_hh_inplane,
+        material.g_hh_normal if field.orientation == NORMAL else 0.0,
         field.b_tesla)
     strain = material.strain_splitting_uev
 

@@ -237,9 +237,17 @@ def _gram_forms(kraus) -> np.ndarray:
 
 
 def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+    """The absorb stage; a dark one is refused.  The diagonal Gram forms sum
+    to row 0 of the physical branches' PTM, t: an input with Bloch vector r
+    is absorbed with weight t₀ + t·r, at best t₀ + |t|.  Below the smallest
+    normal float that weight is dark, as every later ratio would overflow."""
     physical = _physical_absorption_kraus(cfg, scheme)
+    forms = _gram_forms(physical)
+    t = forms[:len(physical)].sum(axis=0)
+    if t[0] + np.linalg.norm(t[1:]) < np.finfo(float).tiny:
+        raise ValueError("photon does not couple to this scheme")
     return Stage("absorb", ptm_from_kraus(
-        _absorption_kraus_logical(cfg, physical)), _gram_forms(physical))
+        _absorption_kraus_logical(cfg, physical)), forms)
 
 
 def _transport(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
@@ -491,11 +499,16 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
 
 
 def _run_end_to_end(q, cfg, stages) -> EndToEndResult:
-    trace, photon_rho = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
-    e_amp = _detection_frame(cfg.case) @ q
-    collection = float(np.sum(np.abs(e_amp) ** 2
-                              * stages[-1].collection_fractions))
-
+    c = pauli_vectors(q[None, :])[:, 0]
+    trace, photon_rho = _stage_trace(stages, c)
+    # each spin branch is collected in proportion to its population in the
+    # electron that reaches the emitter, in physical (mS) coordinates
+    frame = _detection_frame(cfg.case)
+    electron = frame @ density_from_pauli(_compose(stages[:-1]) @ c) @ frame.conj().T
+    pops = np.diag(electron).real
+    total = pops.sum()
+    collection = (float(pops @ stages[-1].collection_fractions / total)
+                  if total > 0 else 0.0)
     return EndToEndResult(
         photon_rho=photon_rho, round_trip_fidelity=trace[-1].fidelity,
         stages=tuple(trace), success_probability=trace[-1].success,
@@ -525,9 +538,7 @@ def _fidelity_stats(r, c) -> dict:
 
 
 def _hole_stats(cfg, forms, c) -> dict:
-    leak, pur, total = _sample_hole(cfg, forms, c)
-    if not np.any(total > 0):
-        raise ValueError("photon does not couple to this scheme")
+    leak, pur, _ = _sample_hole(cfg, forms, c)
     return {"leakage": float(np.mean(leak)),
             "hole_purity_mean": float(np.mean(pur)),
             "hole_purity_std": float(np.std(pur, ddof=1)) if c.shape[1] > 1 else 0.0}

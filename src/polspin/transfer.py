@@ -43,7 +43,6 @@ from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, SpectralWindow,
                     degenerate_scheme, resolvability_check)
 from .constants import HBAR_UEV_NS
 from .errors import DarkDirection, HeavyHoleTopmost, NotResolvable
-from .qstate import (ELECTRON, HilbertFactor, QuantumState, pure_state)
 
 LINEAR_ZX = "linear_zx"
 CIRCULAR = "circular"
@@ -65,16 +64,15 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQ2
 class PhotonQubit:
     """A polarization qubit with an optional spectral profile.
 
-    basis "linear_zx" requires k in the sample plane (k ⊥ G); "circular"
-    requires k along the growth axis.  window=None means an idealized
-    perfectly selective source (no leakage weight on other levels).
+    basis "linear_zx" propagates in the sample plane (k ⊥ G); "circular"
+    along the growth axis.  window=None means an idealized perfectly
+    selective source (no leakage weight on other levels).
     """
 
     basis: str
     alpha: complex
     beta: complex
     window: SpectralWindow | None = None
-    k_direction: np.ndarray | None = None
 
     def __post_init__(self):
         if self.basis not in (LINEAR_ZX, CIRCULAR):
@@ -86,18 +84,6 @@ class PhotonQubit:
             s = math.sqrt(n)
             object.__setattr__(self, "alpha", self.alpha / s)
             object.__setattr__(self, "beta", self.beta / s)
-        if self.k_direction is not None:
-            k = np.asarray(self.k_direction, dtype=float)
-            nk = np.linalg.norm(k)
-            if nk == 0:
-                raise ValueError("k direction must be a non-zero vector")
-            k = k / nk
-            k.setflags(write=False)
-            object.__setattr__(self, "k_direction", k)
-            if self.basis == LINEAR_ZX and abs(k @ Z_AXIS) > 1e-9:
-                raise ValueError("a linear z/x qubit propagates in-plane (k ⊥ G)")
-            if self.basis == CIRCULAR and np.linalg.norm(np.cross(k, Z_AXIS)) > 1e-9:
-                raise ValueError("a circular qubit propagates along the growth axis")
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -158,10 +144,6 @@ def dipole_matrix_element(valence: AngularMomentumState,
 # absorption maps
 # ---------------------------------------------------------------------------
 
-HOLE2 = HilbertFactor("hole", 2)
-HOLE4 = HilbertFactor("hole", 4)
-
-
 @dataclass(frozen=True)
 class AbsorptionBranch:
     """One Kraus branch of an absorption map: a 2x2 operator taking photon
@@ -175,21 +157,27 @@ class AbsorptionBranch:
 
 @dataclass(frozen=True)
 class AbsorptionOutcome:
-    """Result of one absorption: the electron ⊗ hole state, the success
+    """Result of one absorption: the electron ⊗ hole pure state, the success
     probability of the conditional map, and the weight absorbed through the
-    wrong valence level."""
+    wrong valence level.
 
-    state: QuantumState
+    The state is its normalised (2, hole_dim) coefficient matrix M: rows
+    are the electron spin (mS=-1/2, mS=+1/2), columns the hole levels.
+    """
+
+    amplitudes: np.ndarray
     success_probability: float
     leakage: float
 
-    def electron_state(self) -> QuantumState:
-        from .qstate import partial_trace
-        return partial_trace(self.state, ("electron_spin",))
+    def electron_state(self) -> np.ndarray:
+        """Reduced electron density matrix M M†."""
+        m = self.amplitudes
+        return m @ m.conj().T
 
-    def hole_state(self) -> QuantumState:
-        from .qstate import partial_trace
-        return partial_trace(self.state, ("hole",))
+    def hole_state(self) -> np.ndarray:
+        """Reduced hole density matrix Mᵀ M̄."""
+        m = self.amplitudes
+        return m.T @ m.conj()
 
 
 def _lh_branch_kraus(level_state: np.ndarray, window: SpectralWindow | None,
@@ -274,21 +262,17 @@ def _outcome_from_branches(photon: PhotonQubit, branches: list[AbsorptionBranch]
                            hole_dim: int, efficiency: float = 1.0,
                            n_wanted: int = 1) -> AbsorptionOutcome:
     q = photon.amplitudes
-    vec = np.zeros(2 * hole_dim, dtype=complex)
+    m = np.zeros((2, hole_dim), dtype=complex)
     weights = []
     for br in branches:
         amp = br.kraus @ q
         weights.append(float(np.vdot(amp, amp).real))
-        # electron ⊗ hole ordering: electron index is the slow axis
-        for e in range(2):
-            vec[e * hole_dim + br.hole_index] += amp[e]
-    total = float(np.vdot(vec, vec).real)
+        m[:, br.hole_index] += amp
+    total = float(np.vdot(m, m).real)
     if total <= 0:
         raise ValueError("photon does not couple to this scheme")
     leak = sum(weights[n_wanted:]) / total
-    factors = (ELECTRON, HOLE4 if hole_dim == 4 else HOLE2)
-    state = pure_state(vec, factors)
-    return AbsorptionOutcome(state, efficiency * total, leak)
+    return AbsorptionOutcome(m / np.linalg.norm(m), efficiency * total, leak)
 
 
 def absorb_degenerate(photon: PhotonQubit, efficiency: float = 1.0) -> AbsorptionOutcome:
@@ -384,27 +368,30 @@ def precession_unitary(scheme: BandScheme, t_ns: float) -> np.ndarray:
     return (u * phases) @ u.conj().T
 
 
-def _rotate(electron: QuantumState, u: np.ndarray) -> QuantumState:
-    """The state u|ψ> or u ρ u†, in the representation it came in."""
-    if electron.is_pure():
-        return QuantumState(electron.factors, electron.representation,
-                            u @ electron.amplitudes)
-    return QuantumState(electron.factors, electron.representation,
-                        u @ electron.amplitudes @ u.conj().T)
+def _rotate(electron, u: np.ndarray) -> np.ndarray:
+    """u|ψ> for a spin 2-vector, u ρ u† for a 2x2 density matrix."""
+    electron = np.asarray(electron)
+    if electron.shape == (2,):
+        return u @ electron
+    if electron.shape == (2, 2):
+        return u @ electron @ u.conj().T
+    raise ValueError("an electron spin state is a 2-vector or a 2x2 density "
+                     f"matrix, got shape {electron.shape}")
 
 
-def precess(electron: QuantumState, scheme: BandScheme, t_ns: float) -> QuantumState:
-    """Evolve an electron spin state for t under the scheme's Zeeman field."""
-    if electron.labels() != ("electron_spin",):
-        raise ValueError("precess acts on a bare electron-spin state")
+def precess(electron, scheme: BandScheme, t_ns: float) -> np.ndarray:
+    """Evolve an electron spin state, a (mS=-1/2, mS=+1/2) 2-vector or 2x2
+    density matrix, for t under the scheme's Zeeman field; returns the same
+    form."""
     return _rotate(electron, precession_unitary(scheme, t_ns))
 
 
-def synchronized_hadamard(electron: QuantumState, scheme: BandScheme,
+def synchronized_hadamard(electron, scheme: BandScheme,
                           t_apply_ns: float = 0.0,
-                          strict: bool = False) -> QuantumState:
+                          strict: bool = False) -> np.ndarray:
     """Precess for t_apply, then rotate the precessing mS pair onto the field
-    eigenstates with the Hadamard.
+    eigenstates with the Hadamard.  The electron state is a 2-vector or a
+    2x2 density matrix, and comes back in the same form.
 
     Timed at a whole number of precession periods the composite stores the
     absorbed qubit in the stationary eigenbasis with fidelity 1 (readout

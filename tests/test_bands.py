@@ -115,11 +115,6 @@ def test_valence_eigenstates_normal_are_mj_states():
     assert np.allclose(lo, [1, 0]) and np.allclose(hi, [0, 1])
 
 
-def test_heavy_hole_inplane_rejected():
-    with pytest.raises(HeavyHoleTopmost):
-        valence_eigenstates(FieldConfig(1.0, INPLANE), band="heavy_hole")
-
-
 def test_conduction_eigenstates():
     zero, one = conduction_eigenstates(FieldConfig(1.0, INPLANE))
     # |0> = (|mS=-1/2> - |mS=+1/2>)/sqrt2 in the (-1/2, +1/2) ordering
@@ -208,6 +203,3 @@ def test_material_validation():
     with pytest.raises(ValueError):
         MaterialParams("bad", 0.4, 8.87, 1.0, strain_splitting_uev=2e6,
                        band_gap_uev=1e6)
-    with pytest.raises(ValueError):
-        MaterialParams("bad", 0.4, 8.87, 1.0, strain_splitting_uev=2e4,
-                       band_gap_uev=1e6, g_hh_inplane=0.3)

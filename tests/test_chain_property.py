@@ -7,6 +7,7 @@ import json
 import math
 import re
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from polspin.cli import main
@@ -119,6 +120,7 @@ def section_docs(draw):
             "window": {"bandwidth_ueV": 100.0}, name: section}, kind
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=100, deadline=None)
 @given(section_docs())
 def test_section_config_reports_or_is_refused(tmp_path_factory, case):

@@ -130,6 +130,20 @@ def test_run_dark_photon_exit_3(tmp_path, capsys):
     assert "photon does not couple" in err
 
 
+@pytest.mark.parametrize("compensate,want", [(True, "0.680000"),
+                                              (False, "0.764706")])
+def test_run_collection_fraction_follows_the_absorbed_electron(
+        tmp_path, capsys, compensate, want):
+    # case A collects 1/2 of the spin-down branch and all of spin-up; the
+    # logical (0.6, 0.8) puts 0.64 on spin down, which the uncompensated
+    # √2 imbalance weighs 1/3 against 2/3: (0.32/3 + 0.72/3) / (1.36/3) = 13/17
+    cfg = write_config(tmp_path, window=None, compensate=compensate,
+                       input_qubit=[0.6, 0.8])
+    code, out, _ = run_cli(["--config", cfg, "run"], capsys)
+    assert code == 0
+    assert f"collection_fraction: {want}\n" in out
+
+
 def test_run_reports_all_config_problems(tmp_path, capsys):
     cfg = write_config(tmp_path, case="B",
                        field={"b_tesla": 0.0, "orientation": "normal"},
@@ -316,6 +330,46 @@ def test_sweep_dark_window_exit_3(tmp_path, capsys):
                               "--to", "1e5", "--steps", "2"], capsys)
     assert (code, out) == (3, "")
     assert "photon does not couple" in err
+
+
+# a window so narrow that its absorbed weight underflows: at 1 ueV the
+# absorb stage's R00 is 5e-324, a subnormal float; at 1.2 ueV it is 2e-225
+NARROW_WINDOW_COMMANDS = {
+    "run": ["run"],
+    "tomography": ["tomography"],
+    "sweep": ["sweep", "--param", "window.bandwidth_ueV", "--from", "1",
+              "--to", "100", "--steps", "3"],
+}
+
+
+def narrow_window_config(tmp_path, case, bandwidth):
+    orientation = "normal" if case == "A" else "inplane"
+    return write_config(tmp_path, case=case,
+                        field={"b_tesla": 1.0, "orientation": orientation},
+                        window={"bandwidth_ueV": bandwidth})
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(NARROW_WINDOW_COMMANDS))
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_underflowing_window_is_dark(tmp_path, capsys, case, command):
+    cfg = narrow_window_config(tmp_path, case, 1.0)
+    code, out, err = run_cli(["--config", cfg, *NARROW_WINDOW_COMMANDS[command]],
+                             capsys)
+    assert (code, out) == (3, "")
+    assert err == "scenario error: ValueError: photon does not couple to this scheme\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_narrow_window_above_underflow_runs(tmp_path, capsys, case):
+    cfg = narrow_window_config(tmp_path, case, 1.2)
+    code, out, err = run_cli(["--config", cfg, "run", "--format", "json-like"],
+                             capsys)
+    assert (code, err) == (0, "")
+    rep = json.loads(out)
+    assert 0.0 <= float(rep["mean_fidelity"]) <= 1.0
+    assert rep["cptp"] is True
 
 
 def test_sweep_unknown_param_exit_2(tmp_path, capsys):

@@ -3,28 +3,33 @@ import math
 import numpy as np
 import pytest
 
-import polspin.qstate as qs
 from polspin.noise import (NoiseModel, coherence_factor, dephasing_kraus,
                            transport_kraus)
 from polspin.pipeline import ScenarioConfig, _transport, _storage
-from polspin.qstate import (ELECTRON, choi_from_ptm, density_from_pauli,
-                            is_cptp, ptm_from_kraus)
+from polspin.qstate import (PAULIS, choi_from_ptm, density_from_pauli, is_cptp,
+                            pauli_vectors, ptm_from_kraus)
 
 SQ2 = 1.0 / math.sqrt(2.0)
+PLUS = np.array([SQ2, SQ2])
 
 
 def plus():
-    return qs.pure_state([SQ2, SQ2], (ELECTRON,))
+    return np.outer(PLUS, PLUS)
+
+
+def plus_fidelity(rho):
+    """<+|rho|+>."""
+    return float(np.real(PLUS @ rho @ PLUS))
 
 
 def dephasing_ptm(t_ns, t2_ns):
     return ptm_from_kraus(dephasing_kraus(coherence_factor(t_ns, t2_ns)))
 
 
-def apply_ptm(ptm, state):
-    """The state R·c, c the Pauli vector of the input, as a density state."""
-    c = np.einsum("iab,ba->i", qs.PAULIS, state.densitymatrix()).real
-    return qs.density_state(density_from_pauli(ptm @ c), state.factors)
+def apply_ptm(ptm, rho):
+    """The density matrix of R·c, c the Pauli vector of rho."""
+    c = np.einsum("iab,ba->i", PAULIS, rho).real
+    return density_from_pauli(ptm @ c)
 
 
 def dephased(state, t_ns, t2_ns):
@@ -37,23 +42,23 @@ def transport_ptm(noise):
 
 
 def test_zero_time_identity():
-    st = qs.pure_state([0.6, 0.8j], (ELECTRON,))
-    out = dephased(st, 0.0, 100.0)
-    assert np.allclose(out.amplitudes, st.densitymatrix(), atol=1e-14)
+    v = np.array([0.6, 0.8j])
+    rho = np.outer(v, v.conj())
+    assert np.allclose(dephased(rho, 0.0, 100.0), rho, atol=1e-14)
 
 
 def test_plus_fidelity_at_t2():
     # analytic off-diagonal decay: F = (1 + e^{-1})/2
     out = dephased(plus(), 100.0, 100.0)
     want = (1.0 + math.exp(-1.0)) / 2.0
-    assert qs.fidelity(plus(), out) == pytest.approx(want, abs=1e-12)
+    assert plus_fidelity(out) == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(0.683940, abs=1e-6)
 
 
 def test_long_time_fully_dephased():
     out = dephased(plus(), 1e9, 1.0)
-    assert np.allclose(out.amplitudes, np.eye(2) / 2, atol=1e-12)
-    assert qs.fidelity(plus(), out) == pytest.approx(0.5, abs=1e-12)
+    assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
+    assert plus_fidelity(out) == pytest.approx(0.5, abs=1e-12)
 
 
 def test_negative_time_rejected():
@@ -67,12 +72,11 @@ def test_populations_untouched():
         z = rng.standard_normal(4)
         v = np.array([z[0] + 1j * z[1], z[2] + 1j * z[3]])
         v /= np.linalg.norm(v)
-        st = qs.pure_state(v, (ELECTRON,))
-        out = dephased(st, 37.0, 100.0)
-        rho = st.densitymatrix()
-        assert out.amplitudes[0, 0] == pytest.approx(rho[0, 0], abs=1e-12)
-        assert out.amplitudes[1, 1] == pytest.approx(rho[1, 1], abs=1e-12)
-        assert out.amplitudes[0, 1] == pytest.approx(
+        rho = np.outer(v, v.conj())
+        out = dephased(rho, 37.0, 100.0)
+        assert out[0, 0] == pytest.approx(rho[0, 0], abs=1e-12)
+        assert out[1, 1] == pytest.approx(rho[1, 1], abs=1e-12)
+        assert out[0, 1] == pytest.approx(
             rho[0, 1] * math.exp(-0.37), abs=1e-12)
 
 
@@ -82,7 +86,7 @@ def test_composition_law():
     assert np.max(np.abs(a - dephasing_ptm(42.0, t2))) < 1e-12
     a = dephased(dephased(plus(), 13.0, t2), 29.0, t2)
     b = dephased(plus(), 42.0, t2)
-    assert np.max(np.abs(a.amplitudes - b.amplitudes)) < 1e-12
+    assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_commutes_with_diagonal_unitaries():
@@ -93,11 +97,9 @@ def test_commutes_with_diagonal_unitaries():
         v = rng.standard_normal(4)
         vec = np.array([v[0] + 1j * v[1], v[2] + 1j * v[3]])
         vec /= np.linalg.norm(vec)
-        st = qs.pure_state(vec, (ELECTRON,))
-        a = dephased(st, 11.0, 100.0).amplitudes
-        a = u @ a @ u.conj().T
-        rotated = qs.density_state(u @ st.densitymatrix() @ u.conj().T, (ELECTRON,))
-        b = dephased(rotated, 11.0, 100.0).amplitudes
+        rho = np.outer(vec, vec.conj())
+        a = u @ dephased(rho, 11.0, 100.0) @ u.conj().T
+        b = dephased(u @ rho @ u.conj().T, 11.0, 100.0)
         assert np.max(np.abs(a - b)) < 1e-12
         # the same law on the transfer matrices
         ru = ptm_from_kraus([u])
@@ -120,19 +122,19 @@ def test_dephasing_in_rotated_basis():
     t2, _ = transport_kraus(NoiseModel(t2_iii_v_ns=1.0,
                                        transport_time_ns=1e9), basis)
     out = apply_ptm(ptm_from_kraus(t2), plus())
-    assert qs.fidelity(plus(), out) == pytest.approx(1.0, abs=1e-12)
+    assert plus_fidelity(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transport_low_noise_bound():
     r = transport_ptm(NoiseModel(transport_time_ns=1.0))   # t ≪ T2 = 100 ns
     out = apply_ptm(r, plus())
-    assert np.trace(out.amplitudes).real == pytest.approx(1.0, abs=1e-12)
-    assert qs.fidelity(plus(), out) > 0.99
+    assert np.trace(out).real == pytest.approx(1.0, abs=1e-12)
+    assert plus_fidelity(out) > 0.99
 
 
 def test_transport_at_t2():
     out = apply_ptm(transport_ptm(NoiseModel(transport_time_ns=100.0)), plus())
-    assert qs.fidelity(plus(), out) == pytest.approx((1 + math.exp(-1)) / 2,
+    assert plus_fidelity(out) == pytest.approx((1 + math.exp(-1)) / 2,
                                                      abs=1e-12)
 
 
@@ -144,16 +146,16 @@ def test_transport_total_loss_vacuum():
 
 def test_transport_partial_loss_probability():
     r = transport_ptm(NoiseModel(transport_loss=0.25))
-    c = r @ qs.pauli_vectors(np.array([[SQ2, SQ2]]))[:, 0]
+    c = r @ pauli_vectors(np.array([[SQ2, SQ2]]))[:, 0]
     assert c[0] == pytest.approx(0.75)
-    out = qs.density_state(density_from_pauli(c / c[0]), (ELECTRON,))
-    assert qs.fidelity(plus(), out) == pytest.approx(1.0, abs=1e-12)
+    out = density_from_pauli(c / c[0])
+    assert plus_fidelity(out) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transport_extra_dephasing_knob():
     out = apply_ptm(transport_ptm(NoiseModel(transport_dephasing_fraction=1.0)),
                     plus())
-    assert np.allclose(out.amplitudes, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
 
 def test_noise_model_validation():

@@ -297,7 +297,7 @@ def _absorbed_state_oracle(cfg, amps):
             st = absorb_case_b(PhotonQubit(CIRCULAR, a, b, window=cfg.window),
                                scheme)
         out.append((st.leakage, purity(st.hole_state()),
-                    entanglement_entropy(st.state, ("electron_spin",))))
+                    entanglement_entropy(st.amplitudes)))
     return tuple(np.array(out).T)
 
 

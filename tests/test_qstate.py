@@ -3,16 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from polspin.qstate import (ELECTRON, HilbertFactor, PURE,
-                            QuantumState, choi_from_ptm, choi_of_map,
-                            density_from_pauli, density_state,
-                            entanglement_entropy, fidelity, is_cptp,
-                            partial_trace, pauli_vectors, process_fidelity,
-                            ptm_from_choi, ptm_from_kraus, pure_state,
+from polspin.qstate import (choi_from_ptm, choi_of_map, density_from_pauli,
+                            entanglement_entropy, is_cptp, pauli_vectors,
+                            process_fidelity, ptm_from_choi, ptm_from_kraus,
                             purity)
-
-HOLE2 = HilbertFactor("hole", 2)
-HOLE4 = HilbertFactor("hole", 4)
+from polspin.transfer import AbsorptionOutcome
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -23,125 +18,115 @@ def rand_qubit(rng):
     return v / np.linalg.norm(v)
 
 
+def rand_pair(rng):
+    """A random normalised 2x4 electron ⊗ hole coefficient matrix."""
+    m = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+    return m / np.linalg.norm(m)
+
+
 def entangled_pair(alpha, beta):
-    """alpha |h0 e0> + beta |h3 e1> on electron ⊗ hole(4), electron slow axis."""
-    vec = np.zeros(8, dtype=complex)
-    vec[0 * 4 + 0] = alpha
-    vec[1 * 4 + 3] = beta
-    return pure_state(vec, (ELECTRON, HOLE4))
+    """alpha |e0 h0> + beta |e1 h3> as a (2, 4) electron x hole matrix."""
+    m = np.zeros((2, 4), dtype=complex)
+    m[0, 0] = alpha
+    m[1, 3] = beta
+    return m
 
 
-# --- construction -----------------------------------------------------------
-
-def test_factor_constraints():
-    with pytest.raises(ValueError):
-        HilbertFactor("photon", 3)
-    with pytest.raises(ValueError):
-        HilbertFactor("hole", 3)
-    with pytest.raises(ValueError):
-        HilbertFactor("spin", 2)
-
-
-def test_pure_state_norm_enforced():
-    with pytest.raises(ValueError):
-        QuantumState((ELECTRON,), PURE, np.array([1.0, 1.0]))
-
-
-def test_density_invariants():
-    with pytest.raises(ValueError):
-        density_state(np.array([[0.5, 0.5], [0.1, 0.5]]), (ELECTRON,))
-    with pytest.raises(ValueError):
-        density_state(np.array([[0.9, 0.0], [0.0, 0.5]]), (ELECTRON,))
-    with pytest.raises(ValueError):
-        density_state(np.array([[1.5, 0.0], [0.0, -0.5]]), (ELECTRON,))
+def outcome(m):
+    return AbsorptionOutcome(m, 1.0, 0.0)
 
 
 # --- tensor product ---------------------------------------------------------
 
 def test_tensor_product_schmidt_rank_one():
     rng = np.random.default_rng(3)
-    st = pure_state(np.kron(rand_qubit(rng), [1, 0]), (ELECTRON, HOLE2))
-    assert entanglement_entropy(st, ("electron_spin",)) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_tensor_duplicate_label_rejected():
-    with pytest.raises(ValueError):
-        pure_state([1, 0, 0, 0], (ELECTRON, ELECTRON))
+    m = np.outer(rand_qubit(rng), [1, 0])
+    assert entanglement_entropy(m) == pytest.approx(0.0, abs=1e-12)
 
 
 # --- partial trace ----------------------------------------------------------
 
 def test_partial_trace_product_state_pure():
-    st = pure_state(np.kron([0.6, 0.8], [SQ2, SQ2]), (ELECTRON, HOLE2))
-    red = partial_trace(st, ("electron_spin",))
+    red = outcome(np.outer([0.6, 0.8], [SQ2, SQ2])).electron_state()
     assert purity(red) == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(red.amplitudes, np.outer([0.6, 0.8], [0.6, 0.8]))
+    assert np.allclose(red, np.outer([0.6, 0.8], [0.6, 0.8]))
 
 
 def test_partial_trace_bell_like_oracle():
     """Direct dense oracle: build the 8x8 density matrix by hand and trace
     the hole indices with explicit loops."""
-    st = entangled_pair(SQ2, SQ2)
-    rho = np.outer(st.amplitudes, st.amplitudes.conj())
+    m = entangled_pair(SQ2, SQ2)
+    vec = m.ravel()                    # electron index is the slow axis
+    rho = np.outer(vec, vec.conj())
     oracle = np.zeros((2, 2), dtype=complex)
     for e1 in range(2):
         for e2 in range(2):
             for h in range(4):
                 oracle[e1, e2] += rho[e1 * 4 + h, e2 * 4 + h]
-    red = partial_trace(st, ("electron_spin",))
-    assert np.allclose(red.amplitudes, oracle, atol=1e-14)
-    assert np.allclose(red.amplitudes, np.eye(2) / 2, atol=1e-12)
+    red = outcome(m).electron_state()
+    assert np.allclose(red, oracle, atol=1e-14)
+    assert np.allclose(red, np.eye(2) / 2, atol=1e-12)
 
 
 def test_partial_trace_keeps_trace_one():
     rng = np.random.default_rng(11)
     for _ in range(20):
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        st = pure_state(v, (ELECTRON, HOLE4))
-        red = partial_trace(st, ("hole",))
-        assert np.trace(red.amplitudes).real == pytest.approx(1.0, abs=1e-12)
-
-
-def test_partial_trace_unknown_label():
-    st = entangled_pair(1.0, 0.0)
-    with pytest.raises(ValueError):
-        partial_trace(st, ("photon",))
+        m = rand_pair(rng)
+        vec = m.ravel()
+        rho = np.outer(vec, vec.conj())
+        oracle = np.zeros((4, 4), dtype=complex)
+        for h1 in range(4):
+            for h2 in range(4):
+                for e in range(2):
+                    oracle[h1, h2] += rho[e * 4 + h1, e * 4 + h2]
+        red = outcome(m).hole_state()
+        assert np.max(np.abs(red - oracle)) < 1e-14
+        assert np.trace(red).real == pytest.approx(1.0, abs=1e-12)
 
 
 # --- entropy and purity -----------------------------------------------------
 
 def test_entropy_product_state_zero():
-    assert entanglement_entropy(entangled_pair(1.0, 0.0),
-                                ("hole",)) == pytest.approx(0.0, abs=1e-12)
+    assert entanglement_entropy(entangled_pair(1.0, 0.0)) == pytest.approx(
+        0.0, abs=1e-12)
 
 
 def test_entropy_symmetric_one_bit():
-    assert entanglement_entropy(entangled_pair(SQ2, SQ2),
-                                ("electron_spin",)) == pytest.approx(1.0, abs=1e-12)
+    assert entanglement_entropy(entangled_pair(SQ2, SQ2)) == pytest.approx(
+        1.0, abs=1e-12)
 
 
 def test_entropy_biased_oracle():
     # independent oracle: -sum p log2 p on the squared Schmidt coefficients
     p = 0.9
     want = -(p * math.log2(p) + (1 - p) * math.log2(1 - p))
-    st = entangled_pair(math.sqrt(p), math.sqrt(1 - p))
-    assert entanglement_entropy(st, ("electron_spin",)) == pytest.approx(want, abs=1e-12)
+    m = entangled_pair(math.sqrt(p), math.sqrt(1 - p))
+    assert entanglement_entropy(m) == pytest.approx(want, abs=1e-12)
     assert want == pytest.approx(0.468996, abs=1e-6)
 
 
-def test_entropy_requires_pure():
-    mixed = density_state(np.eye(2) / 2, (ELECTRON,))
-    with pytest.raises(ValueError):
-        entanglement_entropy(mixed, ("electron_spin",))
+def test_entropy_matches_reduced_state_eigenvalues():
+    """-Σ λ log₂ λ over the eigenvalues λ of the electron reduced matrix,
+    built with explicit loops."""
+    rng = np.random.default_rng(17)
+    for _ in range(50):
+        m = rand_pair(rng)
+        red = np.zeros((2, 2), dtype=complex)
+        for e1 in range(2):
+            for e2 in range(2):
+                for h in range(4):
+                    red[e1, e2] += m[e1, h] * np.conj(m[e2, h])
+        want = -sum(lam * math.log2(lam) for lam in np.linalg.eigvalsh(red)
+                    if lam > 0)
+        assert abs(entanglement_entropy(m) - want) < 1e-12
 
 
 def test_entropy_purity_equivalence():
     rng = np.random.default_rng(5)
     for _ in range(50):
-        v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-        st = pure_state(v, (ELECTRON, HOLE4))
-        ent = entanglement_entropy(st, ("electron_spin",))
-        pur = purity(partial_trace(st, ("electron_spin",)))
+        m = rand_pair(rng)
+        ent = entanglement_entropy(m)
+        pur = purity(outcome(m).electron_state())
         if ent < 1e-12:
             assert pur == pytest.approx(1.0, abs=1e-10)
         if abs(pur - 1.0) < 1e-12:
@@ -149,52 +134,8 @@ def test_entropy_purity_equivalence():
 
 
 def test_purity_extremes():
-    assert purity(pure_state([0.6, 0.8], (ELECTRON,))) == pytest.approx(1.0, abs=1e-12)
-    assert purity(density_state(np.eye(2) / 2, (ELECTRON,))) == pytest.approx(0.5, abs=1e-12)
-
-
-# --- fidelity ----------------------------------------------------------------
-
-def test_fidelity_identical_and_orthogonal():
-    a = pure_state([1, 0], (ELECTRON,))
-    b = pure_state([0, 1], (ELECTRON,))
-    assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
-    assert fidelity(a, b) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_fidelity_plus_vs_maximally_mixed():
-    plus = pure_state([SQ2, SQ2], (ELECTRON,))
-    mixed = density_state(np.eye(2) / 2, (ELECTRON,))
-    assert fidelity(plus, mixed) == pytest.approx(0.5, abs=1e-12)
-
-
-def test_fidelity_symmetric_random():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        a = pure_state(rand_qubit(rng), (ELECTRON,))
-        # random density matrix
-        m = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        rho = m @ m.conj().T
-        rho = rho / np.trace(rho).real
-        b = density_state(rho, (ELECTRON,))
-        assert fidelity(a, b) == pytest.approx(fidelity(b, a), abs=1e-12)
-        assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
-        assert fidelity(b, b) == pytest.approx(1.0, abs=1e-10)
-
-
-def test_fidelity_mixed_mixed_uhlmann_oracle():
-    # closed form for commuting diagonal states: F = (sum sqrt(p q))²
-    a = density_state(np.diag([0.7, 0.3]), (ELECTRON,))
-    b = density_state(np.diag([0.2, 0.8]), (ELECTRON,))
-    want = (math.sqrt(0.7 * 0.2) + math.sqrt(0.3 * 0.8)) ** 2
-    assert fidelity(a, b) == pytest.approx(want, abs=1e-12)
-
-
-def test_fidelity_dimension_mismatch():
-    a = pure_state([1, 0], (ELECTRON,))
-    b = pure_state([1, 0, 0, 0], (HOLE4,))
-    with pytest.raises(ValueError):
-        fidelity(a, b)
+    assert purity(np.outer([0.6, 0.8], [0.6, 0.8])) == pytest.approx(1.0, abs=1e-12)
+    assert purity(np.eye(2) / 2) == pytest.approx(0.5, abs=1e-12)
 
 
 # --- channels ----------------------------------------------------------------
@@ -215,17 +156,6 @@ def test_full_dephasing_on_plus():
     c = pauli_vectors(np.array([[SQ2, SQ2]]))[:, 0]
     out = density_from_pauli(ptm_from_kraus(dephasing_kraus(0.0)) @ c)
     assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
-
-
-def test_uhlmann_matches_pure_overlap():
-    # exercises the general eigendecomposition path with rank-1 inputs;
-    # its precision floor is set by sqrt of the clipped eigenvalue dust
-    rng = np.random.default_rng(13)
-    for _ in range(20):
-        a, b = rand_qubit(rng), rand_qubit(rng)
-        fa = fidelity(density_state(np.outer(a, a.conj()), (ELECTRON,)),
-                      density_state(np.outer(b, b.conj()), (ELECTRON,)))
-        assert fa == pytest.approx(abs(np.vdot(a, b)) ** 2, abs=1e-7)
 
 
 def test_trace_preserved_random_states():
