@@ -15,7 +15,7 @@ from .constants import (HBAR_UEV_NS, H_OVER_E2_OHM, KB_UEV_PER_K,
                         MU_B_UEV_PER_T, charging_energy_uev,
                         thermal_energy_uev)
 from .errors import (DarkDirection, HeavyHoleTopmost, NoPrecession,
-                     NotResolvable, PolspinError)
+                     PolspinError)
 from .noise import NoiseModel
 from .pipeline import (ChainParams, ChannelReport, DotConstraints,
                        ScenarioConfig, dot_constraint_check, haar_qubits,

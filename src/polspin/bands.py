@@ -33,7 +33,7 @@ GAUSSIAN = "gaussian"
 LORENTZIAN = "lorentzian"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class MaterialParams:
     """Catalog entry for one heterostructure configuration.
 
@@ -43,10 +43,10 @@ class MaterialParams:
     is not a parameter.  strain_splitting is a free catalog parameter.
     """
 
-    name: str
+    name: str = "custom"
     g_cb: float
     g_lh: float
-    g_hh_normal: float
+    g_hh_normal: float = 1.0
     strain_splitting_uev: float
     band_gap_uev: float
     strain_sign: str = TENSILE
@@ -83,7 +83,7 @@ INAS_GAAS_QW = MaterialParams(
 class FieldConfig:
     """Static magnetic field: magnitude in tesla and orientation vs G."""
 
-    b_tesla: float
+    b_tesla: float = 1.0
     orientation: str = NORMAL
 
     def __post_init__(self):

@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: levels, run, sweep, tomography, check-dot.  Configuration is a
-JSON document whose physical quantities carry unit-suffixed field names
-(b_tesla, bandwidth_ueV, storage_time_ns, ...).  Output is deterministic
-for a given (config, seed): fixed decimal formatting, '.' radix, LF line
-endings.  Exit codes: 0 success, 2 usage/config error, 3 scenario error,
+JSON document whose keys are the config dataclasses' field names, physical
+quantities unit-suffixed (b_tesla, bandwidth_ueV, storage_time_ns, ...);
+an unknown key is refused.  Output is deterministic for a given (config,
+seed): fixed decimal formatting, '.' radix, LF line endings.  Exit codes: 0 success, 2 usage/config error, 3 scenario error,
 1 failed device-constraint check.
 """
 
@@ -13,16 +13,16 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
-from .bands import (CASE_A, CASE_B, DEGENERATE, FieldConfig, INAS_GAAS_QW, NORMAL,
-                    INPLANE, MaterialParams, SpectralWindow, TENSILE,
-                    resolvability_check)
+from .bands import (CASE_B, DEGENERATE, FieldConfig, NORMAL, INPLANE,
+                    MaterialParams, SpectralWindow, resolvability_check)
 from .errors import PolspinError
 from .noise import NoiseModel
 from .pipeline import (ChainParams, DotConstraints, ScenarioConfig,
-                       dot_constraint_check, scenario_report, sweep,
+                       dot_constraint_check, json_key, scenario_report, sweep,
                        sweep_parameters, process_tomography)
 from .qstate import is_cptp, process_fidelity
 
@@ -67,20 +67,6 @@ def _number(v, name: str) -> float:
         raise ConfigError(f"{name} is out of range, got {v!r}") from None
 
 
-def _parse_amplitude(v) -> complex:
-    if not isinstance(v, (list, tuple)):
-        return complex(_number(v, "amplitude"))
-    if len(v) == 2:
-        return complex(_number(v[0], "amplitude"), _number(v[1], "amplitude"))
-    raise ConfigError(f"amplitude must be a number or [re, im] pair, got {v!r}")
-
-
-def _parse_qubit(v) -> tuple[complex, complex]:
-    if isinstance(v, (list, tuple)) and len(v) == 2:
-        return _parse_amplitude(v[0]), _parse_amplitude(v[1])
-    raise ConfigError(f"expected a pair of amplitudes, got {v!r}")
-
-
 def _integer(v, name: str) -> int:
     """A JSON integer or an integral float such as 1e5; not a bool."""
     if isinstance(v, bool) or not (isinstance(v, int) or
@@ -101,95 +87,78 @@ def _object(v, name: str) -> dict:
     raise ConfigError(f"{name} must be a JSON object")
 
 
-def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build and validate a ScenarioConfig; all problems reported together."""
-    _object(doc, "config")
-    problems: list[str] = []
+def _qubit(v, name: str) -> tuple[complex, complex]:
+    """A pair of amplitudes, each a number or an [re, im] pair."""
+    def amplitude(a) -> complex:
+        if not isinstance(a, (list, tuple)):
+            return complex(_number(a, f"{name}: amplitude"))
+        if len(a) == 2:
+            return complex(*(_number(x, f"{name}: amplitude") for x in a))
+        raise ConfigError(f"{name}: amplitude must be a number or [re, im] "
+                          f"pair, got {a!r}")
 
-    def grab(builder, what=None):
+    if isinstance(v, (list, tuple)) and len(v) == 2:
+        return amplitude(v[0]), amplitude(v[1])
+    raise ConfigError(f"{name}: expected a pair of amplitudes, got {v!r}")
+
+
+def _direction(v, name: str) -> tuple[float, ...] | None:
+    if v is None:
+        return None
+    if not isinstance(v, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {v!r}")
+    return tuple(_number(x, f"{name}: component") for x in v)
+
+
+# config dataclass field annotation -> reader of its JSON value
+_READERS = {"float": _number, "int": _integer, "bool": _boolean,
+            "str": lambda v, name: str(v)}
+
+
+def _build(cls, doc, where: str = "", **special):
+    """A cls built from the JSON object doc.  Each field is read from the
+    key json_key(name) by special[name], or else by the reader its
+    annotation names; an absent key keeps the field's default, and a key
+    that names no field is refused.  Every problem is reported together,
+    each prefixed "<where>: " inside a section."""
+    _object(doc, where or "config")
+    prefix = f"{where}: " if where else ""
+    by_key = {json_key(f.name): f for f in fields(cls)}
+    problems, kwargs = [], {}
+    for key, f in by_key.items():
+        if key in doc:
+            try:
+                read = special.get(f.name) or _READERS[f.type]
+                kwargs[f.name] = read(doc[key], key)
+            except ValueError as exc:
+                problems.append(prefix + str(exc))
+        elif f.default is MISSING:
+            problems.append(f"{prefix}missing key {key!r}")
+    problems += [f"{prefix}unknown key {k!r}" for k in doc if k not in by_key]
+    if not problems:
         try:
-            return builder()
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"{what}: {exc}" if what else str(exc))
-            return None
+            return cls(**kwargs)
+        except ValueError as exc:
+            problems.append(prefix + str(exc))
+    raise ConfigError("; ".join(problems))
 
-    def section(name, make):
-        """make(doc[name]), doc[name] being {} when absent."""
-        sdoc = doc.get(name, {})
-        if not isinstance(sdoc, dict):
-            problems.append(f"{name} must be a JSON object")
-            return None
-        return grab(lambda: make(sdoc), name)
 
-    case = str(doc.get("case", CASE_A))
-    material = INAS_GAAS_QW
-    if "material" in doc:
-        material = section("material", lambda mdoc: MaterialParams(
-            name=str(mdoc.get("name", "custom")),
-            g_cb=_number(mdoc["g_cb"], "g_cb"),
-            g_lh=_number(mdoc["g_lh"], "g_lh"),
-            g_hh_normal=_number(mdoc.get("g_hh_normal", 1.0), "g_hh_normal"),
-            strain_splitting_uev=_number(mdoc["strain_splitting_ueV"],
-                                         "strain_splitting_ueV"),
-            band_gap_uev=_number(mdoc["band_gap_ueV"], "band_gap_ueV"),
-            strain_sign=str(mdoc.get("strain_sign", TENSILE))))
-    default_orientation = INPLANE if case == CASE_B else NORMAL
-    fieldcfg = section("field", lambda fdoc: FieldConfig(
-        b_tesla=_number(fdoc.get("b_tesla", 1.0), "b_tesla"),
-        orientation=str(fdoc.get("orientation", default_orientation))))
-    window = None
-    if doc.get("window") is not None:
-        window = section("window", lambda wdoc: SpectralWindow(
-            bandwidth_uev=_number(wdoc["bandwidth_ueV"], "bandwidth_ueV"),
-            center_offset_uev=_number(wdoc.get("center_offset_ueV", 0.0),
-                                      "center_offset_ueV"),
-            lineshape=str(wdoc.get("lineshape", "gaussian"))))
-    noise = section("noise", lambda ndoc: NoiseModel(**{
-        name: _number(ndoc.get(name, default), name) for name, default in (
-            ("t2_iii_v_ns", 100.0), ("t2_si_ns", 5.0e5),
-            ("transport_time_ns", 0.0), ("transport_dephasing_fraction", 0.0),
-            ("transport_loss", 0.0))}))
-    chain = section("chain", lambda cdoc: ChainParams(
-        n_sites=_integer(cdoc.get("n_sites", 4), "n_sites"),
-        storage_site=_integer(cdoc.get("storage_site", 3), "storage_site"),
-        gate_error=_number(cdoc.get("gate_error", 0.0), "gate_error")))
-    qdoc = doc.get("input_qubit", [[2 ** -0.5, 0.0], [2 ** -0.5, 0.0]])
-    input_qubit = grab(lambda: _parse_qubit(qdoc), "input_qubit")
-    direction = doc.get("emission_direction")
-    if direction is not None:
-        direction = grab(lambda: tuple(_number(x, "component") for x in direction),
-                         "emission_direction")
-    compensate = grab(lambda: _boolean(doc.get("compensate", True), "compensate"))
-    seed = grab(lambda: _integer(doc.get("seed", 0), "seed"))
-    mc_samples = grab(lambda: _integer(doc.get("mc_samples", 1000), "mc_samples"))
-    storage_time, hadamard_time, efficiency = (
-        grab(lambda: _number(doc.get(name, default), name))
-        for name, default in (("storage_time_ns", 0.0), ("hadamard_time_ns", 0.0),
-                              ("absorption_efficiency", 1.0)))
+def config_from_dict(doc: dict) -> ScenarioConfig:
+    """Build and check a ScenarioConfig; all problems reported together.
+    A `field` section without an orientation takes the case's: in-plane
+    for case B, normal otherwise."""
+    case_b = _object(doc, "config").get("case") == CASE_B
 
-    if problems:
-        raise ConfigError("; ".join(problems))
+    def section(cls, **defaults):
+        return lambda v, key: _build(cls, {**defaults, **_object(v, key)}, key)
 
-    cfg = ScenarioConfig(
-        case=case,
-        material=material,
-        field=fieldcfg,
-        window=window,
-        noise=noise,
-        chain=chain,
-        compensate=compensate,
-        storage_time_ns=storage_time,
-        hadamard_time_ns=hadamard_time,
-        emission_direction=direction,
-        absorption_efficiency=efficiency,
-        seed=seed,
-        mc_samples=mc_samples,
-        input_qubit=input_qubit,
-    )
-    problems = cfg.validate()
-    if problems:
-        raise ConfigError("; ".join(problems))
-    return cfg
+    return _build(
+        ScenarioConfig, {"field": {}, **doc},
+        material=section(MaterialParams),
+        field=section(FieldConfig, orientation=INPLANE if case_b else NORMAL),
+        window=lambda v, key: None if v is None else section(SpectralWindow)(v, key),
+        noise=section(NoiseModel), chain=section(ChainParams),
+        input_qubit=_qubit, emission_direction=_direction)
 
 
 def load_config(path: str | None, seed: int | None) -> ScenarioConfig:

@@ -11,11 +11,6 @@ class HeavyHoleTopmost(PolspinError):
     single non-degenerate initial valence state."""
 
 
-class NotResolvable(PolspinError):
-    """Raised in strict mode when the spectral window cannot isolate the
-    target valence level while covering both conduction levels."""
-
-
 class NoPrecession(PolspinError):
     """Raised when a precession period is requested at zero g-factor or
     zero field."""

@@ -25,7 +25,7 @@ stages.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -53,6 +53,12 @@ _DEGENERATE_BRANCHES = tuple(np.diag(e).astype(complex) for e in np.eye(2))
 # configuration
 # ---------------------------------------------------------------------------
 
+def json_key(name: str) -> str:
+    """The JSON key of a config dataclass field: its name, with the µeV
+    suffix _uev written _ueV."""
+    return name[:-4] + "_ueV" if name.endswith("_uev") else name
+
+
 @dataclass(frozen=True)
 class ChainParams:
     """Donor-chain geometry used by the storage stages."""
@@ -76,7 +82,7 @@ class ScenarioConfig:
 
     case: str = CASE_A
     material: MaterialParams = INAS_GAAS_QW
-    field: FieldConfig = FieldConfig(1.0, NORMAL)
+    field: FieldConfig = FieldConfig()
     window: SpectralWindow | None = None
     noise: NoiseModel = NoiseModel()
     chain: ChainParams = ChainParams()
@@ -87,11 +93,10 @@ class ScenarioConfig:
     absorption_efficiency: float = 1.0
     seed: int = 0
     mc_samples: int = 1000
-    input_qubit: tuple[complex, complex] = (1.0 / math.sqrt(2.0),
-                                            1.0 / math.sqrt(2.0))
+    input_qubit: tuple[complex, complex] = (2 ** -0.5, 2 ** -0.5)
 
-    def validate(self) -> list[str]:
-        """All consistency violations, reported together."""
+    def __post_init__(self):
+        """Refuse an inconsistent config, every problem reported together."""
         problems = []
         if self.case not in (CASE_A, CASE_B, DEGENERATE):
             problems.append(f"unknown case {self.case!r}")
@@ -125,7 +130,8 @@ class ScenarioConfig:
         if not (math.isfinite(n) and abs(n - 1.0) <= 1e-9):
             problems.append("input_qubit amplitudes must be finite and "
                             "normalized")
-        return problems
+        if problems:
+            raise ValueError("; ".join(problems))
 
     def scheme(self) -> BandScheme:
         if self.case == DEGENERATE:
@@ -236,16 +242,21 @@ def _gram_forms(kraus) -> np.ndarray:
                            math.sqrt(0.5) * m[i, j].imag])
 
 
+def _refuse_dark(row):
+    """Refuse a map whose PTM has row 0 `row`: an input with Bloch vector r
+    passes with weight row₀ + row₁:₃·r, at best row₀ + |row₁:₃|.  Below the
+    smallest normal float that weight is dark, as every later ratio would
+    overflow."""
+    if row[0] + np.linalg.norm(row[1:]) < np.finfo(float).tiny:
+        raise ValueError("photon does not couple to this scheme")
+
+
 def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    """The absorb stage; a dark one is refused.  The diagonal Gram forms sum
-    to row 0 of the physical branches' PTM, t: an input with Bloch vector r
-    is absorbed with weight t₀ + t·r, at best t₀ + |t|.  Below the smallest
-    normal float that weight is dark, as every later ratio would overflow."""
+    """The absorb stage; one whose physical branches are dark is refused.
+    Their diagonal Gram forms sum to row 0 of the branches' PTM."""
     physical = _physical_absorption_kraus(cfg, scheme)
     forms = _gram_forms(physical)
-    t = forms[:len(physical)].sum(axis=0)
-    if t[0] + np.linalg.norm(t[1:]) < np.finfo(float).tiny:
-        raise ValueError("photon does not couple to this scheme")
+    _refuse_dark(forms[:len(physical)].sum(axis=0))
     return Stage("absorb", ptm_from_kraus(
         _absorption_kraus_logical(cfg, physical)), forms)
 
@@ -316,9 +327,11 @@ def end_to_end_stages(cfg: ScenarioConfig) -> list[Stage]:
 
 
 def _compose(stages: list[Stage]) -> np.ndarray:
+    """The stages' product PTM; one that passes no input is refused."""
     r = np.eye(4)
     for st in stages:
         r = st.ptm @ r
+    _refuse_dark(r[0])
     return r
 
 
@@ -487,7 +500,6 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     """Absorb a photon qubit, cross the interface and park the qubit in the
     donor chain; returns the stored qubit (`logical_rho`, normalised) plus
     per-stage diagnostics."""
-    _require_valid(cfg)
     q = _unit(q)
     stages = detection_stages(cfg, cfg.scheme())
     leak, purity, entropy = _input_hole(cfg, stages[0].branch_forms, q)
@@ -518,15 +530,7 @@ def _run_end_to_end(q, cfg, stages) -> EndToEndResult:
 def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
     """Detection, storage dephasing, retrieval and re-emission; the output
     photon is compared with the input in the canonical logical basis."""
-    _require_valid(cfg)
     return _run_end_to_end(_unit(q), cfg, end_to_end_stages(cfg))
-
-
-def _sample_count(cfg: ScenarioConfig, n_samples: int | None = None) -> int:
-    n = int(n_samples if n_samples is not None else cfg.mc_samples)
-    if n < 1:
-        raise ValueError("need at least one sample")
-    return n
 
 
 def _fidelity_stats(r, c) -> dict:
@@ -551,12 +555,13 @@ def _run_monte_carlo(cfg, r, forms, c) -> MonteCarloResult:
 
 def monte_carlo_average_fidelity(cfg: ScenarioConfig,
                                  n_samples: int | None = None) -> MonteCarloResult:
-    """Haar-averaged round-trip fidelity, deterministic for a given seed."""
-    _require_valid(cfg)
-    n = _sample_count(cfg, n_samples)
+    """Haar-averaged round-trip fidelity over cfg.mc_samples inputs, or
+    n_samples if given; deterministic for a given seed."""
+    if n_samples is not None:
+        cfg = replace(cfg, mc_samples=n_samples)
     stages = end_to_end_stages(cfg)
     return _run_monte_carlo(cfg, _compose(stages), stages[0].branch_forms,
-                            pauli_vectors(haar_qubits(cfg.seed, n)))
+                            pauli_vectors(haar_qubits(cfg.seed, cfg.mc_samples)))
 
 
 def _run_tomography(r) -> TomographyResult:
@@ -568,22 +573,20 @@ def _run_tomography(r) -> TomographyResult:
 def process_tomography(cfg: ScenarioConfig) -> TomographyResult:
     """Choi matrix of the photon -> photon logical channel, its physicality
     verdict (conditional maps allowed) and process fidelity to identity."""
-    _require_valid(cfg)
     return _run_tomography(_compose(end_to_end_stages(cfg)))
 
 
 def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     """Run the reference input, the Monte Carlo average and tomography,
     building the scheme and the stage list once for all of them."""
-    _require_valid(cfg)
-    n = _sample_count(cfg)
     stages = end_to_end_stages(cfg)
     forms = stages[0].branch_forms
     r = _compose(stages)
     q = _unit(cfg.input_qubit)
     _, _, entropy = _input_hole(cfg, forms, q)
     e2e = _run_end_to_end(q, cfg, stages)
-    mc = _run_monte_carlo(cfg, r, forms, pauli_vectors(haar_qubits(cfg.seed, n)))
+    mc = _run_monte_carlo(cfg, r, forms,
+                          pauli_vectors(haar_qubits(cfg.seed, cfg.mc_samples)))
     tomo = _run_tomography(r)
     return ChannelReport(
         case=cfg.case,
@@ -605,12 +608,6 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     )
 
 
-def _require_valid(cfg: ScenarioConfig):
-    problems = cfg.validate()
-    if problems:
-        raise ValueError("; ".join(problems))
-
-
 # ---------------------------------------------------------------------------
 # parameter sweeps
 # ---------------------------------------------------------------------------
@@ -621,33 +618,19 @@ _SCHEME_STAGES = frozenset({"scheme", "absorb", "transport", "hadamard",
 _ABSORB = frozenset({"absorb"})
 _BOTH_TRANSPORTS = frozenset({"transport", "transport_back"})
 
-# parameter -> (config with the value set, what the value touches: stage
-# names, and "scheme" when the band scheme itself must be rebuilt)
+# parameter, the dotted JSON name of a config field -> what its value
+# touches: stage names, and "scheme" when the band scheme must be rebuilt
 _SWEEPABLE = {
-    "field.b_tesla": (lambda cfg, v: replace(
-        cfg, field=replace(cfg.field, b_tesla=v)), _SCHEME_STAGES),
-    "window.bandwidth_ueV": (lambda cfg, v: replace(
-        cfg, window=replace(cfg.window or SpectralWindow(v), bandwidth_uev=v)),
-        _ABSORB),
-    "window.center_offset_ueV": (lambda cfg, v: replace(
-        cfg, window=replace(cfg.window or SpectralWindow(100.0),
-                            center_offset_uev=v)), _ABSORB),
-    "noise.transport_time_ns": (lambda cfg, v: replace(
-        cfg, noise=replace(cfg.noise, transport_time_ns=v)), _BOTH_TRANSPORTS),
-    "noise.transport_loss": (lambda cfg, v: replace(
-        cfg, noise=replace(cfg.noise, transport_loss=v)), _BOTH_TRANSPORTS),
-    "noise.transport_dephasing_fraction": (lambda cfg, v: replace(
-        cfg, noise=replace(cfg.noise, transport_dephasing_fraction=v)),
-        frozenset({"transport"})),
-    "storage_time_ns": (lambda cfg, v: replace(cfg, storage_time_ns=v),
-                        frozenset({"storage"})),
-    "hadamard_time_ns": (lambda cfg, v: replace(cfg, hadamard_time_ns=v),
-                         frozenset({"hadamard"})),
-    "chain.gate_error": (lambda cfg, v: replace(
-        cfg, chain=replace(cfg.chain, gate_error=v)),
-        frozenset({"shuttle_in", "shuttle_out"})),
-    "absorption_efficiency": (lambda cfg, v: replace(
-        cfg, absorption_efficiency=v), _ABSORB),
+    "field.b_tesla": _SCHEME_STAGES,
+    "window.bandwidth_ueV": _ABSORB,
+    "window.center_offset_ueV": _ABSORB,
+    "noise.transport_time_ns": _BOTH_TRANSPORTS,
+    "noise.transport_loss": _BOTH_TRANSPORTS,
+    "noise.transport_dephasing_fraction": frozenset({"transport"}),
+    "storage_time_ns": frozenset({"storage"}),
+    "hadamard_time_ns": frozenset({"hadamard"}),
+    "chain.gate_error": frozenset({"shuttle_in", "shuttle_out"}),
+    "absorption_efficiency": _ABSORB,
 }
 
 
@@ -655,8 +638,26 @@ def sweep_parameters() -> tuple[str, ...]:
     return tuple(sorted(_SWEEPABLE))
 
 
-def sweep(cfg: ScenarioConfig, param: str, values,
-          n_samples: int | None = None) -> list[dict]:
+def _setter(cfg: ScenarioConfig, param: str):
+    """v -> cfg with the sweep parameter param set to v.  A config without a
+    window gets SpectralWindow(v) from a bandwidth sweep; its other window
+    fields have no window to sweep."""
+    if param not in _SWEEPABLE:
+        raise KeyError(f"unknown sweep parameter {param!r}; "
+                       f"choose from {', '.join(sweep_parameters())}")
+    section, _, key = param.rpartition(".")
+    owner = getattr(cfg, section) if section else cfg
+    if owner is None:
+        if key != "bandwidth_ueV":
+            raise KeyError(f"sweeping {param} needs a window in the config")
+        return lambda v: replace(cfg, window=SpectralWindow(v))
+    name = next(f.name for f in fields(owner) if json_key(f.name) == key)
+    if not section:
+        return lambda v: replace(cfg, **{name: v})
+    return lambda v: replace(cfg, **{section: replace(owner, **{name: v})})
+
+
+def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     """One Monte Carlo row per value of a numeric config parameter.
 
     Every row evaluates the same seeded Haar inputs (common random
@@ -666,17 +667,14 @@ def sweep(cfg: ScenarioConfig, param: str, values,
     touch, and the hole diagnostics unless the parameter touches the absorb
     stage: each point rebuilds only its parameter's stages.
     """
-    if param not in _SWEEPABLE:
-        raise KeyError(f"unknown sweep parameter {param!r}; "
-                       f"choose from {', '.join(sweep_parameters())}")
-    set_value, touched = _SWEEPABLE[param]
+    set_value = _setter(cfg, param)
+    touched = _SWEEPABLE[param]
     rows = []
     stages = None
     for v in values:
-        sub = set_value(cfg, float(v))
-        _require_valid(sub)
+        sub = set_value(float(v))
         if stages is None:
-            c = pauli_vectors(haar_qubits(sub.seed, _sample_count(sub, n_samples)))
+            c = pauli_vectors(haar_qubits(sub.seed, sub.mc_samples))
             scheme = sub.scheme()
             stages = detection_stages(sub, scheme) + return_stages(sub, scheme)
         else:

@@ -40,9 +40,9 @@ import numpy as np
 from .angular import (AngularMomentumState, CONDUCTION, LIGHT_HOLE,
                       HEAVY_HOLE, expand_jmj)
 from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, SpectralWindow,
-                    degenerate_scheme, resolvability_check)
+                    degenerate_scheme)
 from .constants import HBAR_UEV_NS
-from .errors import DarkDirection, HeavyHoleTopmost, NotResolvable
+from .errors import DarkDirection, HeavyHoleTopmost
 
 LINEAR_ZX = "linear_zx"
 CIRCULAR = "circular"
@@ -259,8 +259,7 @@ def absorption_branches(scheme: BandScheme,
 
 
 def _outcome_from_branches(photon: PhotonQubit, branches: list[AbsorptionBranch],
-                           hole_dim: int, efficiency: float = 1.0,
-                           n_wanted: int = 1) -> AbsorptionOutcome:
+                           hole_dim: int, n_wanted: int = 1) -> AbsorptionOutcome:
     q = photon.amplitudes
     m = np.zeros((2, hole_dim), dtype=complex)
     weights = []
@@ -272,10 +271,10 @@ def _outcome_from_branches(photon: PhotonQubit, branches: list[AbsorptionBranch]
     if total <= 0:
         raise ValueError("photon does not couple to this scheme")
     leak = sum(weights[n_wanted:]) / total
-    return AbsorptionOutcome(m / np.linalg.norm(m), efficiency * total, leak)
+    return AbsorptionOutcome(m / np.linalg.norm(m), total, leak)
 
 
-def absorb_degenerate(photon: PhotonQubit, efficiency: float = 1.0) -> AbsorptionOutcome:
+def absorb_degenerate(photon: PhotonQubit) -> AbsorptionOutcome:
     """Absorption in the degenerate (unstrained) valence band.
 
     A circular qubit alpha sigma+ + beta sigma- (k along +G) promotes the
@@ -290,7 +289,7 @@ def absorb_degenerate(photon: PhotonQubit, efficiency: float = 1.0) -> Absorptio
         raise ValueError("degenerate absorption takes a circular-basis qubit")
     # both branches are intentional here; there is no "wrong" level
     return _outcome_from_branches(photon, absorption_branches(degenerate_scheme()),
-                                  hole_dim=4, efficiency=efficiency, n_wanted=2)
+                                  hole_dim=4, n_wanted=2)
 
 
 # split case -> (photon basis, refusal of another scheme, refusal of
@@ -304,27 +303,19 @@ _SPLIT_CASES = {
 
 
 def _absorb_split(case: str, photon: PhotonQubit, scheme: BandScheme,
-                  compensate: bool, strict: bool,
-                  efficiency: float) -> AbsorptionOutcome:
+                  compensate: bool) -> AbsorptionOutcome:
     """The body of absorb_case_a / absorb_case_b."""
     basis, wrong_scheme, wrong_photon = _SPLIT_CASES[case]
     if scheme.case != case:
         raise HeavyHoleTopmost(wrong_scheme)
     if photon.basis != basis:
         raise ValueError(wrong_photon)
-    window = photon.window
-    if window is not None:
-        rep = resolvability_check(window, scheme.material, scheme.field)
-        if strict and not rep.ok:
-            raise NotResolvable(f"spectral window fails selection: {rep}")
-    branches = absorption_branches(scheme, window, compensate)
-    return _outcome_from_branches(photon, branches, hole_dim=2,
-                                  efficiency=efficiency)
+    branches = absorption_branches(scheme, photon.window, compensate)
+    return _outcome_from_branches(photon, branches, hole_dim=2)
 
 
 def absorb_case_a(photon: PhotonQubit, scheme: BandScheme,
-                  compensate: bool = False, strict: bool = False,
-                  efficiency: float = 1.0) -> AbsorptionOutcome:
+                  compensate: bool = False) -> AbsorptionOutcome:
     """Absorption with B normal to the surface (linear z/x photon basis).
 
     The single topmost |3/2, +1/2> level feeds both conduction spins:
@@ -334,11 +325,10 @@ def absorb_case_a(photon: PhotonQubit, scheme: BandScheme,
     compensate=True pre-filters the photon.  A finite spectral window adds
     a leakage branch through the mJ=-1/2 level.
     """
-    return _absorb_split(CASE_A, photon, scheme, compensate, strict, efficiency)
+    return _absorb_split(CASE_A, photon, scheme, compensate)
 
 
-def absorb_case_b(photon: PhotonQubit, scheme: BandScheme,
-                  strict: bool = False, efficiency: float = 1.0) -> AbsorptionOutcome:
+def absorb_case_b(photon: PhotonQubit, scheme: BandScheme) -> AbsorptionOutcome:
     """Absorption with B in the surface plane (circular photon basis, k ∥ -G).
 
     The spectrally selected psi+ level couples sigma+ to mS=-1/2 and sigma-
@@ -347,7 +337,7 @@ def absorb_case_b(photon: PhotonQubit, scheme: BandScheme,
     in psi+.  The created spin states are not eigenstates and precess; see
     `precess` and `synchronized_hadamard`.
     """
-    return _absorb_split(CASE_B, photon, scheme, False, strict, efficiency)
+    return _absorb_split(CASE_B, photon, scheme, False)
 
 
 # ---------------------------------------------------------------------------
@@ -387,8 +377,7 @@ def precess(electron, scheme: BandScheme, t_ns: float) -> np.ndarray:
 
 
 def synchronized_hadamard(electron, scheme: BandScheme,
-                          t_apply_ns: float = 0.0,
-                          strict: bool = False) -> np.ndarray:
+                          t_apply_ns: float = 0.0) -> np.ndarray:
     """Precess for t_apply, then rotate the precessing mS pair onto the field
     eigenstates with the Hadamard.  The electron state is a 2-vector or a
     2x2 density matrix, and comes back in the same form.
@@ -396,15 +385,10 @@ def synchronized_hadamard(electron, scheme: BandScheme,
     Timed at a whole number of precession periods the composite stores the
     absorbed qubit in the stationary eigenbasis with fidelity 1 (readout
     frame: the upper eigenstate carries the alpha amplitude).  Off-sync
-    timing is allowed unless strict=True; fidelity then degrades.
+    timing degrades the fidelity.
     """
     if scheme.case != CASE_B:
         raise ValueError("synchronized readout applies to in-plane-field schemes")
-    if strict:
-        tau = 2.0 * math.pi * HBAR_UEV_NS / scheme.conduction_splitting_uev
-        cycles = t_apply_ns / tau
-        if abs(cycles - round(cycles)) > 1e-9:
-            raise ValueError(f"t_apply={t_apply_ns} ns is not a multiple of tau={tau} ns")
     return _rotate(electron, HADAMARD @ precession_unitary(scheme, t_apply_ns))
 
 

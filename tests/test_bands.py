@@ -79,7 +79,7 @@ def test_level_scheme_gaps_random():
     rng = np.random.default_rng(3)
     for _ in range(100):
         g_lh, g_cb, b = rng.uniform(1, 12), rng.uniform(0.05, 2), rng.uniform(0.01, 5)
-        mat = MaterialParams("m", g_cb=g_cb, g_lh=g_lh, g_hh_normal=1.0,
+        mat = MaterialParams(name="m", g_cb=g_cb, g_lh=g_lh, g_hh_normal=1.0,
                              strain_splitting_uev=20_000.0,
                              band_gap_uev=1_500_000.0)
         for orient in (NORMAL, INPLANE):
@@ -198,8 +198,8 @@ def test_materials_catalog_roundtrip():
 
 def test_material_validation():
     with pytest.raises(ValueError):
-        MaterialParams("bad", 0.4, 8.87, 1.0, strain_splitting_uev=-1.0,
-                       band_gap_uev=1e6)
+        MaterialParams(name="bad", g_cb=0.4, g_lh=8.87, g_hh_normal=1.0,
+                       strain_splitting_uev=-1.0, band_gap_uev=1e6)
     with pytest.raises(ValueError):
-        MaterialParams("bad", 0.4, 8.87, 1.0, strain_splitting_uev=2e6,
-                       band_gap_uev=1e6)
+        MaterialParams(name="bad", g_cb=0.4, g_lh=8.87, g_hh_normal=1.0,
+                       strain_splitting_uev=2e6, band_gap_uev=1e6)

@@ -1,16 +1,37 @@
 """Property tests over configs, run through `polspin run`: the `chain`
-section, then the `noise`, `field` and `window` sections."""
+section; the `noise`, `field` and `window` sections; the `material`
+section with the top-level scalars; and unknown keys at any level."""
 
 import contextlib
 import io
 import json
 import math
 import re
+import string
+from dataclasses import fields
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from polspin.bands import FieldConfig, MaterialParams, SpectralWindow
 from polspin.cli import main
+from polspin.noise import NoiseModel
+from polspin.pipeline import ChainParams, ScenarioConfig, json_key
+
+
+def _run(tmp_path_factory, name, doc):
+    """(exit code, stderr, parsed json-like report or None) of `polspin run`
+    on the config doc."""
+    path = tmp_path_factory.getbasetemp() / f"{name}.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    out = path.with_suffix(".out")
+    out.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["--config", str(path), "--out", str(out), "run",
+                     "--format", "json-like"])
+    rep = json.loads(out.read_text(encoding="utf-8")) if out.exists() else None
+    return code, err.getvalue(), rep
 
 
 @st.composite
@@ -37,24 +58,16 @@ def chain_docs(draw):
 @given(chain_docs())
 def test_chain_config_reports_or_is_refused(tmp_path_factory, case):
     chain, valid = case
-    path = tmp_path_factory.getbasetemp() / "chain_property.json"
-    path.write_text(json.dumps({"case": "A", "window": {"bandwidth_ueV": 100.0},
-                                "mc_samples": 50, "chain": chain}),
-                    encoding="utf-8")
-    out = path.with_suffix(".out")
-    out.unlink(missing_ok=True)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["--config", str(path), "--out", str(out), "run",
-                     "--format", "json-like"])
+    code, err, rep = _run(tmp_path_factory, "chain_property", {
+        "case": "A", "window": {"bandwidth_ueV": 100.0}, "mc_samples": 50,
+        "chain": chain})
     if not valid:
         assert code == 2
-        assert err.getvalue().startswith("config error: chain: ")
-        assert not out.exists()
+        assert err.startswith("config error: chain: ")
+        assert rep is None
         return
-    assert err.getvalue() == ""
+    assert err == ""
     assert code == 0
-    rep = json.loads(out.read_text(encoding="utf-8"))
     assert rep["cptp"] is True
     _assert_unit_figures(rep)
 
@@ -125,22 +138,107 @@ def section_docs(draw):
 @given(section_docs())
 def test_section_config_reports_or_is_refused(tmp_path_factory, case):
     doc, kind = case
-    path = tmp_path_factory.getbasetemp() / "section_property.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
-    out = path.with_suffix(".out")
-    out.unlink(missing_ok=True)
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        code = main(["--config", str(path), "--out", str(out), "run",
-                     "--format", "json-like"])
+    code, err, rep = _run(tmp_path_factory, "section_property", doc)
     if kind in ("bool", "string"):
         assert code == 2
-        assert "must be a number, got " in err.getvalue()
+        assert "must be a number, got " in err
     if code != 0:
         assert code in (2, 3) if kind else code == 3
-        assert re.match(r"(config error: |scenario error: \w+: )\S",
-                        err.getvalue())
-        assert not out.exists()
+        assert re.match(r"(config error: |scenario error: \w+: )\S", err)
+        assert rep is None
         return
-    assert err.getvalue() == ""
-    _assert_unit_figures(json.loads(out.read_text(encoding="utf-8")))
+    assert err == ""
+    _assert_unit_figures(rep)
+
+
+def _non_finite():
+    return st.sampled_from([math.inf, -math.inf, math.nan])
+
+
+# JSON key -> (valid values, out-of-range values), for the `material`
+# section and the numeric top-level fields.  The valid ranges keep a
+# 100 ueV window coupling, so a valid config always reports.
+MATERIAL_FIELDS = {
+    "g_cb": (st.floats(0.0, 1.0), _non_finite()),
+    "g_lh": (st.floats(1.0, 20.0), _non_finite()),
+    "g_hh_normal": (st.floats(-5.0, 5.0), _non_finite()),
+    "strain_splitting_ueV": (st.floats(1e3, 1e5),
+                             st.floats(max_value=0.0, allow_nan=False)),
+    "band_gap_ueV": (st.floats(1e6, 3e6), st.floats(max_value=1e3, allow_nan=False)),
+}
+SCALAR_FIELDS = {
+    "storage_time_ns": (st.floats(0.0, 1e6), st.one_of(st.floats(
+        max_value=0.0, exclude_max=True, allow_nan=False), _non_finite())),
+    "hadamard_time_ns": (st.floats(0.0, 10.0), st.one_of(st.floats(
+        max_value=0.0, exclude_max=True, allow_nan=False), _non_finite())),
+    "absorption_efficiency": (st.floats(0.01, 1.0), _out_of_unit_interval()),
+    "seed": (st.integers(0, 2 ** 64 - 1),
+             st.one_of(st.integers(max_value=-1), st.integers(min_value=2 ** 64))),
+    "mc_samples": (st.integers(1, 100), st.integers(max_value=0)),
+}
+
+
+@st.composite
+def valid_docs(draw):
+    """A config whose `material` section and top-level scalars are drawn
+    from their valid ranges."""
+    return {"case": draw(st.sampled_from(["A", "B", "degenerate"])),
+            "compensate": draw(st.booleans()),
+            "window": {"bandwidth_ueV": 100.0},
+            "material": {key: draw(valid)
+                         for key, (valid, _) in MATERIAL_FIELDS.items()},
+            **{key: draw(valid) for key, (valid, _) in SCALAR_FIELDS.items()}}
+
+
+@st.composite
+def material_and_scalar_docs(draw):
+    """A valid config, or, most of the time, one with a material field or a
+    numeric top-level field out of range, a JSON boolean or a numeric
+    string.  Returns (config, bad key or None, kind of the bad value)."""
+    doc = draw(valid_docs())
+    bad = draw(st.sampled_from([None, *sorted(SCALAR_FIELDS),
+                                *(f"material.{key}" for key in MATERIAL_FIELDS)]))
+    if bad is None:
+        return doc, None, None
+    section, _, key = bad.rpartition(".")
+    valid, out_of_range = (MATERIAL_FIELDS if section else SCALAR_FIELDS)[key]
+    kind = draw(st.sampled_from(["range", "bool", "string"]))
+    (doc[section] if section else doc)[key] = draw(
+        {"range": out_of_range, "bool": st.booleans(),
+         "string": st.one_of(valid, out_of_range).map(str)}[kind])
+    return doc, key, kind
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=100, deadline=None)
+@given(material_and_scalar_docs())
+def test_material_and_scalar_config_reports_or_is_refused(tmp_path_factory, case):
+    doc, key, kind = case
+    code, err, rep = _run(tmp_path_factory, "material_property", doc)
+    if key is None:
+        assert (code, err) == (0, "")
+        _assert_unit_figures(rep)
+        return
+    assert code in (2, 3) and rep is None
+    assert re.match(r"(config error: |scenario error: \w+: )\S", err)
+    if kind != "range":
+        assert code == 2
+        assert f"{key} must be a" in err
+
+
+SECTION_KEYS = {"": ScenarioConfig, "material": MaterialParams,
+                "field": FieldConfig, "window": SpectralWindow,
+                "noise": NoiseModel, "chain": ChainParams}
+
+
+@settings(max_examples=100, deadline=None)
+@given(valid_docs(), st.sampled_from(sorted(SECTION_KEYS)),
+       st.text(string.ascii_letters + "_", min_size=1, max_size=20),
+       st.one_of(st.floats(allow_nan=False), st.booleans(), st.text(max_size=5)))
+def test_unknown_key_is_refused(tmp_path_factory, doc, where, key, value):
+    assume(key not in {json_key(f.name) for f in fields(SECTION_KEYS[where])})
+    (doc.setdefault(where, {}) if where else doc)[key] = value
+    code, err, rep = _run(tmp_path_factory, "unknown_key", doc)
+    assert (code, rep) == (2, None)
+    prefix = f"{where}: " if where else ""
+    assert err == f"config error: {prefix}unknown key {key!r}\n"

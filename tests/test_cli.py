@@ -372,6 +372,52 @@ def test_narrow_window_above_underflow_runs(tmp_path, capsys, case):
     assert rep["cptp"] is True
 
 
+# configs that pass checks on their own but let no photon through: nothing
+# is absorbed, or everything is lost in transport
+PASSES_NOTHING = {"absorption_efficiency": {"absorption_efficiency": 0.0},
+                  "transport_loss": {"noise": {"transport_loss": 1.0}}}
+DARK_COMMANDS = {"run": ["run"], "tomography": ["tomography"],
+                 "sweep": ["sweep", "--param", "storage_time_ns", "--from", "0",
+                           "--to", "1e5", "--steps", "2"]}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", sorted(DARK_COMMANDS))
+@pytest.mark.parametrize("name", sorted(PASSES_NOTHING))
+def test_config_that_passes_nothing_is_dark(tmp_path, capsys, name, command):
+    cfg = write_config(tmp_path, **PASSES_NOTHING[name])
+    code, out, err = run_cli(["--config", cfg, *DARK_COMMANDS[command]], capsys)
+    assert (code, out) == (3, "")
+    assert err == "scenario error: ValueError: photon does not couple to this scheme\n"
+
+
+@pytest.mark.parametrize("param,end", [("absorption_efficiency", "0"),
+                                       ("noise.transport_loss", "1")])
+def test_sweep_to_a_dark_point_exit_3(tmp_path, capsys, param, end):
+    cfg = write_config(tmp_path)
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param", param,
+                              "--from", end, "--to", end, "--steps", "1"], capsys)
+    assert (code, out) == (3, "")
+    assert "photon does not couple" in err
+
+
+def test_unknown_keys_exit_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, noise={"t2_si": 1.0}, storage_time=1e9)
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert err == ("config error: noise: unknown key 't2_si'; "
+                   "unknown key 'storage_time'\n")
+
+
+def test_sweep_window_offset_needs_a_window(tmp_path, capsys):
+    cfg = write_config(tmp_path, window=None)
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param",
+                              "window.center_offset_ueV", "--from", "0",
+                              "--to", "1", "--steps", "2"], capsys)
+    assert (code, out) == (2, "")
+    assert "window.center_offset_ueV needs a window" in err
+
+
 def test_sweep_unknown_param_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code, _, err = run_cli(["--config", cfg, "sweep", "--param", "bogus",
