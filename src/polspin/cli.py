@@ -478,7 +478,9 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_tomography(cfg, fmt, out, args.choi_file)
         return 2
     except (ConfigError, KeyError) as exc:
-        sys.stderr.write(f"config error: {exc}\n")
+        # str() of a KeyError quotes its message
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
+        sys.stderr.write(f"config error: {message}\n")
         return 2
     except (PolspinError, ValueError) as exc:
         sys.stderr.write(f"scenario error: {type(exc).__name__}: {exc}\n")

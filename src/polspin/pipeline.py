@@ -13,7 +13,9 @@ It is deterministic for a given (seed, sample count), and prefix-stable:
 the first m of n samples do not depend on n.  Sample i is not tied to a
 fixed slice of the random stream (the normal sampler rejects and redraws),
 so a run cannot be split into independently seeded chunks that reproduce
-the whole.
+the whole.  The Monte Carlo sums accumulate over fixed blocks of samples,
+one pass for every point of a sweep, so a sweep row does not depend on
+how many points share its sweep.
 
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
@@ -342,32 +344,73 @@ def _compose(stages: list[Stage]) -> np.ndarray:
 def haar_qubits(seed: int, n: int) -> np.ndarray:
     """n Haar-random qubit amplitude pairs, shape (n, 2) complex.
 
-    Drawn from a Philox stream keyed by the seed.  The result is
-    prefix-stable: haar_qubits(seed, m) equals haar_qubits(seed, n)[:m]
-    for m < n.  Sample i does not consume a fixed block of draws (the
-    ziggurat normal sampler rejects and redraws), so sample i cannot be
-    reproduced on its own by advancing the generator.
+    Drawn from a Philox stream keyed by the seed: four standard normals per
+    sample, (re α, im α, re β, im β), normalized in place in real
+    arithmetic and viewed as complex pairs.  The result is prefix-stable:
+    haar_qubits(seed, m) equals haar_qubits(seed, n)[:m] for m < n.
+    Sample i does not consume a fixed block of draws (the ziggurat normal
+    sampler rejects and redraws), so sample i cannot be reproduced on its
+    own by advancing the generator.
     """
     gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     z = gen.standard_normal((n, 4))
-    amps = z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]
-    v = np.stack(amps, axis=1)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    norm = np.einsum("ij,ij->i", z, z)
+    np.sqrt(norm, out=norm)
+    z /= norm[:, None]
+    return z.view(complex)
 
 
-def _sample_fidelities(r, c) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (fidelity, trace) of pure inputs q sent through the
-    composed PTM r; column n of the C-contiguous (4, n) array c is the
-    Pauli vector (1, Bloch vector) of input n.
+# Monte Carlo sums accumulate over fixed blocks of this many samples, so a
+# point's figures do not depend on how many points share the pass.
+_MC_BLOCK = 2048
+# the ten products c_i c_j (i <= j) of a Pauli vector's entries, and the
+# row where the products c_k c_k.. of each k begin
+_PAIRS = np.triu_indices(4)
+_PAIR_ROWS = (0, 4, 7, 9)
+
+
+def _fidelity_stats(rs, c) -> list[dict]:
+    """Mean fidelity, its standard error and mean success of the pure
+    inputs whose Pauli vectors are the columns of the (4, n) array c, sent
+    through each composed PTM of the (P, 4, 4) stack rs; one dict per PTM.
 
     The input q q† = ½ Σ c_j σ_j leaves as ½ Σ (r c)_i σ_i, so the output
-    trace is (r c)₀ and the fidelity numerator q† Φ(q q†) q is ½ c·r c.
+    trace is t = (r c)₀ = Σ_j r_0j c₀c_j (c₀ = 1) and the fidelity
+    numerator q† Φ(q q†) q is ½ c·r c: both are linear in the ten products
+    c_i c_j.  Each block of _MC_BLOCK samples forms those products once and
+    gets every PTM's traces and numerators from one (2P, 10) @ (10, m)
+    product.  An annihilated input (t <= 0) has fidelity 0.  The sums of f
+    and f² are shifted by each PTM's first f, so that a constant fidelity
+    has a standard error of ~0.
     """
-    y = r @ c
-    traces = y[0]
-    num = 0.5 * np.einsum("in,in->n", c, y)
-    fids = np.divide(num, traces, out=np.zeros_like(num), where=traces > 0)
-    return fids, traces
+    p = len(rs)
+    i, j = _PAIRS
+    w = np.zeros((2 * p, len(i)))
+    w[:p, :4] = rs[:, 0]
+    w[p:] = np.where(i == j, 0.25, 0.5) * (rs + rs.transpose(0, 2, 1))[:, i, j]
+    n = c.shape[1]
+    products = np.empty((len(i), min(n, _MC_BLOCK)))
+    shift = sum_f = sum_f2 = sum_t = 0.0
+    for start in range(0, n, _MC_BLOCK):
+        block = c[:, start:start + _MC_BLOCK]
+        cc = products[:, :block.shape[1]]
+        for k, row in enumerate(_PAIR_ROWS):
+            np.multiply(block[k], block[k:], out=cc[row:row + 4 - k])
+        y = w @ cc
+        t, f = y[:p], y[p:]
+        sum_t = sum_t + t.sum(axis=1)
+        t[t <= 0] = np.inf
+        f /= t
+        if start == 0:
+            shift = f[:, 0].copy()
+        f -= shift[:, None]
+        sum_f = sum_f + f.sum(axis=1)
+        sum_f2 = sum_f2 + np.einsum("pm,pm->p", f, f)
+    mean = shift + sum_f / n
+    var = np.maximum(sum_f2 - sum_f * sum_f / n, 0.0) / max(n - 1, 1)
+    err = np.sqrt(var / n)
+    return [{"mean_fidelity": float(mean[k]), "stderr": float(err[k]),
+             "success_probability": float(sum_t[k] / n)} for k in range(p)]
 
 
 def _sample_hole(cfg, forms, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -533,14 +576,6 @@ def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
     return _run_end_to_end(_unit(q), cfg, end_to_end_stages(cfg))
 
 
-def _fidelity_stats(r, c) -> dict:
-    fids, traces = _sample_fidelities(r, c)
-    n = c.shape[1]
-    return {"mean_fidelity": float(np.mean(fids)),
-            "stderr": float(np.std(fids, ddof=1) / math.sqrt(n)) if n > 1 else 0.0,
-            "success_probability": float(np.mean(traces))}
-
-
 def _hole_stats(cfg, forms, c) -> dict:
     leak, pur, _ = _sample_hole(cfg, forms, c)
     return {"leakage": float(np.mean(leak)),
@@ -549,7 +584,7 @@ def _hole_stats(cfg, forms, c) -> dict:
 
 
 def _run_monte_carlo(cfg, r, forms, c) -> MonteCarloResult:
-    return MonteCarloResult(n_samples=c.shape[1], **_fidelity_stats(r, c),
+    return MonteCarloResult(n_samples=c.shape[1], **_fidelity_stats(r[None], c)[0],
                             **_hole_stats(cfg, forms, c))
 
 
@@ -665,14 +700,18 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     differences between rows are not sampling noise.  The inputs are drawn
     once for the whole sweep.  So are the stages the parameter does not
     touch, and the hole diagnostics unless the parameter touches the absorb
-    stage: each point rebuilds only its parameter's stages.
+    stage: each point rebuilds only its parameter's stages.  Every point is
+    composed, and a dark one refused, before the fidelities of all points
+    are summed in one pass over fixed blocks of samples; a row does not
+    depend on how many points share its sweep.
     """
     set_value = _setter(cfg, param)
     touched = _SWEEPABLE[param]
-    rows = []
+    values = [float(v) for v in values]
+    ptms, holes = [], []
     stages = None
     for v in values:
-        sub = set_value(float(v))
+        sub = set_value(v)
         if stages is None:
             c = pauli_vectors(haar_qubits(sub.seed, sub.mc_samples))
             scheme = sub.scheme()
@@ -682,19 +721,21 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
                 scheme = sub.scheme()
             stages = [_STAGE_BUILDERS[st.name](sub, scheme)
                       if st.name in touched else st for st in stages]
-        if not rows or "absorb" in touched:
+        if not holes or "absorb" in touched:
             hole = _hole_stats(sub, stages[0].branch_forms, c)
-        fid = _fidelity_stats(_compose(stages), c)
-        rows.append({
-            "param": param,
-            "value": float(v),
-            "mean_fidelity": fid["mean_fidelity"],
-            "stderr": fid["stderr"],
-            "success_prob": fid["success_probability"],
-            "leakage": hole["leakage"],
-            "hole_purity": hole["hole_purity_mean"],
-        })
-    return rows
+        holes.append(hole)
+        ptms.append(_compose(stages))
+    if not ptms:
+        return []
+    fids = _fidelity_stats(np.array(ptms), c)
+    return [{"param": param,
+             "value": v,
+             "mean_fidelity": fid["mean_fidelity"],
+             "stderr": fid["stderr"],
+             "success_prob": fid["success_probability"],
+             "leakage": hole["leakage"],
+             "hole_purity": hole["hole_purity_mean"]}
+            for v, fid, hole in zip(values, fids, holes)]
 
 
 # ---------------------------------------------------------------------------

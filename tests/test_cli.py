@@ -425,6 +425,28 @@ def test_sweep_unknown_param_exit_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("param, window, message", [
+    ("bogus", {"bandwidth_ueV": 100.0},
+     "unknown sweep parameter 'bogus'; choose from "
+     "absorption_efficiency, chain.gate_error, field.b_tesla, "
+     "hadamard_time_ns, noise.transport_dephasing_fraction, "
+     "noise.transport_loss, noise.transport_time_ns, storage_time_ns, "
+     "window.bandwidth_ueV, window.center_offset_ueV"),
+    ("window.center_offset_ueV", None,
+     "sweeping window.center_offset_ueV needs a window in the config"),
+], ids=["unknown", "offset_without_window"])
+def test_sweep_parameter_error_is_unquoted(tmp_path, capsys, param, window,
+                                           message):
+    """A refused sweep parameter prints its message as is: str() of the
+    KeyError would wrap it in quotes."""
+    cfg = write_config(tmp_path, window=window)
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param", param,
+                              "--from", "0", "--to", "1", "--steps", "2"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("flag", ["--from", "--to"])
 def test_sweep_non_finite_endpoint_exit_2(tmp_path, flag, bad):

@@ -15,13 +15,14 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               run_end_to_end, scenario_report, sweep,
                               end_to_end_stages, _absorption_kraus_logical,
                               _compose, _emission_kraus,
-                              _input_hole, _physical_absorption_kraus,
-                              _sample_fidelities, _sample_hole)
+                              _fidelity_stats, _input_hole,
+                              _physical_absorption_kraus, _sample_hole)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
 from polspin.qstate import (choi_of_map, entanglement_entropy, is_cptp,
-                            pauli_vectors, ptm_from_choi, purity)
+                            pauli_vectors, ptm_from_choi, ptm_from_kraus,
+                            purity)
 from polspin.transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit, absorb_case_a,
                               absorb_case_b, absorb_degenerate,
                               _eigenbasis_matrix, precession_unitary)
@@ -207,6 +208,27 @@ def test_haar_sampling_prefix_stable():
         assert np.array_equal(haar_qubits(17, m), full[:m])
 
 
+def _haar_complex_normalized(seed, n):
+    """The same normal draws as haar_qubits, normalized as complex pairs."""
+    gen = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    z = gen.standard_normal((n, 4))
+    v = np.stack((z[:, 0] + 1j * z[:, 1], z[:, 2] + 1j * z[:, 3]), axis=1)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def test_haar_matches_complex_normalization():
+    for n in (1, 2, 3, 2049, 100_000):
+        amps = haar_qubits(11, n)
+        assert amps.shape == (n, 2) and amps.dtype == complex
+        assert np.max(np.abs(amps - _haar_complex_normalized(11, n))) <= 1e-15
+
+
+def test_haar_prefix_stable_at_any_length():
+    full = haar_qubits(23, 5000)
+    for m in (1, 2, 3, 4, 5, 7, 8, 9, 2047, 2048, 2049, 4999):
+        assert np.array_equal(haar_qubits(23, m), full[:m]), m
+
+
 # --- stage PTMs and the per-sample kernel against independent oracles ---------
 
 SIGMA = [np.eye(2, dtype=complex), np.array([[0, 1], [1, 0]], dtype=complex),
@@ -268,6 +290,17 @@ def _composed(cfg):
     for _, so in _stage_superops(cfg):
         s = so @ s
     return s
+
+
+def _sample_fidelities(r, c):
+    """Dense per-sample (fidelity, trace) of the inputs with Pauli vectors
+    c (columns of a (4, n) array) sent through the composed PTM r: the
+    output trace is (r c)₀ and the fidelity numerator is ½ c·r c."""
+    y = r @ c
+    traces = y[0]
+    num = 0.5 * np.einsum("in,in->n", c, y)
+    fids = np.divide(num, traces, out=np.zeros_like(num), where=traces > 0)
+    return fids, traces
 
 
 def _density_matrix_oracle(s, amps):
@@ -343,6 +376,93 @@ def test_sample_quantities_match_density_matrices(name):
     for label, g, w in zip(("fidelity", "trace", "leakage", "purity"), got, want):
         assert g.shape == (1000,), label
         assert np.max(np.abs(g - w)) < 1e-12, label
+
+
+def _dense_stats(r, c):
+    """The figures of _fidelity_stats, from the dense per-sample oracle."""
+    fids, traces = _sample_fidelities(r, c)
+    n = c.shape[1]
+    return {"mean_fidelity": np.mean(fids),
+            "stderr": np.std(fids, ddof=1) / math.sqrt(n) if n > 1 else 0.0,
+            "success_probability": np.mean(traces)}
+
+
+_ANNIHILATED = np.array([1.0, 0.0, 0.0, -1.0])   # Pauli vector of |1>
+
+
+def _kernel_ptms():
+    """Composed PTMs of every KERNEL_CONFIGS case, then random CP maps,
+    half of them after a projection onto |0>, which leaves |1> with trace
+    exactly 0."""
+    rng = np.random.default_rng(2024)
+    project = ptm_from_kraus([np.diag([1.0, 0.0]).astype(complex)])
+    ptms = [_compose(end_to_end_stages(cfg)) for cfg in KERNEL_CONFIGS.values()]
+    for k in range(6):
+        kraus = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        kraus /= math.sqrt(np.linalg.eigvalsh(
+            sum(a.conj().T @ a for a in kraus)).max())
+        ptm = ptm_from_kraus(list(kraus))
+        ptms.append(ptm @ project if k % 2 else ptm)
+    return np.array(ptms)
+
+
+@pytest.mark.parametrize("n", [1, 2, 2047, 2048, 2049, 5000])
+def test_fidelity_stats_matches_dense_oracle(n):
+    """The blocked kernel gives the dense per-sample figures at 1e-12, with
+    every fifth input annihilated by the projecting maps (fidelity 0), and
+    each PTM's figures do not depend on the stack it is evaluated in."""
+    rs = _kernel_ptms()
+    c = pauli_vectors(haar_qubits(31, n))
+    c[:, ::5] = _ANNIHILATED[:, None]
+    got = _fidelity_stats(rs, c)
+    assert len(got) == len(rs)
+    for k, (r, stats) in enumerate(zip(rs, got)):
+        if k >= len(KERNEL_CONFIGS) and k % 2:
+            assert _sample_fidelities(r, c)[1][0] == 0.0
+        want = _dense_stats(r, c)
+        assert stats.keys() == want.keys()
+        for key, value in stats.items():
+            assert abs(value - want[key]) < 1e-12, (k, key)
+        assert _fidelity_stats(rs[k:k + 1], c) == [stats]
+    if n == 1:
+        assert all(stats["stderr"] == 0.0 for stats in got)
+
+
+def test_fidelity_stats_ideal_map_has_no_spread():
+    c = pauli_vectors(haar_qubits(3, 20_000))
+    [stats] = _fidelity_stats(np.eye(4)[None], c)
+    assert abs(stats["mean_fidelity"] - 1.0) < 1e-12
+    assert abs(stats["success_probability"] - 1.0) < 1e-12
+    assert stats["stderr"] <= 1e-10
+
+
+def test_fidelity_stats_resolves_a_tiny_spread():
+    """A dephasing of 1e-8 spreads the fidelity by ~1e-8 around ~1: the
+    shifted sums keep its standard error to 1e-6 of the dense value, where
+    unshifted sums of f and f² would lose it to cancellation."""
+    c = pauli_vectors(haar_qubits(3, 20_000))
+    r = ptm_from_kraus(dephasing_kraus(1.0 - 1e-8))
+    [stats] = _fidelity_stats(r[None], c)
+    want = _dense_stats(r, c)["stderr"]
+    assert want > 0.0
+    assert abs(stats["stderr"] - want) <= 1e-6 * want
+
+
+def test_sweep_rows_independent_of_point_count():
+    """At the benchmark's shape (case B with a window, a one-site chain,
+    1e5 samples), each row of a 21-point sweep is exactly the Monte Carlo
+    result at its value: no row depends on how many points share the
+    blocked pass."""
+    cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(1, 0, 0.0),
+                     mc_samples=100_000)
+    values = np.linspace(0.0, 50.0, 21)
+    rows = sweep(cfg, "noise.transport_time_ns", values)
+    assert len(rows) == len(values)
+    for row, v in zip(rows, values):
+        mc = monte_carlo_average_fidelity(replace(cfg, noise=replace(
+            cfg.noise, transport_time_ns=float(v))))
+        assert (row["mean_fidelity"], row["stderr"], row["success_prob"]) == (
+            mc.mean_fidelity, mc.stderr, mc.success_probability), v
 
 
 # Windows from none (a single absorption branch) to 5000 µeV, wide enough
