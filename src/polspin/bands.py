@@ -136,7 +136,9 @@ class Level:
 
     band: str
     label: str
-    state: np.ndarray          # amplitudes in the band's mJ (or mS) basis
+    # valence: amplitudes in the J=3/2 quartet (mJ=-3/2, -1/2, +1/2, +3/2);
+    # conduction: in (mS=-1/2, mS=+1/2)
+    state: np.ndarray
     energy_uev: float
 
 
@@ -189,7 +191,8 @@ def valence_eigenstates(field: FieldConfig):
 
     Normal field: the mJ = ±1/2 basis states themselves.  In-plane field:
     the equal superpositions psi± = (|mJ=-1/2> ± |mJ=+1/2>)/√2.  Basis
-    ordering is (mJ=-1/2, mJ=+1/2).
+    ordering is (mJ=-1/2, mJ=+1/2); a scheme's `Level.state` pads them into
+    the J=3/2 quartet.
     """
     if field.orientation == NORMAL:
         lo = np.array([1.0, 0.0], dtype=complex)   # mJ = -1/2
@@ -237,42 +240,28 @@ def build_level_scheme(material: MaterialParams, field: FieldConfig) -> BandSche
         field.b_tesla)
     strain = material.strain_splitting_uev
 
+    lo, hi = valence_eigenstates(field)
+    c_lo, c_hi = conduction_eigenstates(field)
     if field.orientation == NORMAL:
         case = CASE_A
-        lo, hi = valence_eigenstates(field)
-        vlevels = [
-            Level("valence", "lh mJ=-1/2", lo, -dv / 2.0),
-            Level("valence", "lh mJ=+1/2", hi, +dv / 2.0),
-        ]
-        cdown, cup = conduction_eigenstates(field)
-        clevels = [
-            Level("conduction", "cb mS=-1/2", cdown, -dc / 2.0),
-            Level("conduction", "cb mS=+1/2", cup, +dc / 2.0),
-        ]
+        labels = ("lh mJ=-1/2", "lh mJ=+1/2", "cb mS=-1/2", "cb mS=+1/2")
         canonical_k = np.array([0.0, 1.0, 0.0])   # in-plane, k ⊥ G ∥ B
     else:
         case = CASE_B
-        psi_plus, psi_minus = valence_eigenstates(field)
-        vlevels = [
-            Level("valence", "lh psi-", psi_minus, -dv / 2.0),
-            Level("valence", "lh psi+", psi_plus, +dv / 2.0),
-        ]
-        zero, one = conduction_eigenstates(field)
-        clevels = [
-            Level("conduction", "cb |0>", zero, -dc / 2.0),
-            Level("conduction", "cb |1>", one, +dc / 2.0),
-        ]
+        lo, hi = hi, lo                            # psi- lies below psi+
+        labels = ("lh psi-", "lh psi+", "cb |0>", "cb |1>")
         # k ∥ G ⊥ B; the -z orientation fixes which circular label couples
         # which spin (see transfer module)
         canonical_k = np.array([0.0, 0.0, -1.0])
-
-    hh_lo = np.array([1.0, 0.0], dtype=complex)   # mJ = -3/2
-    hh_hi = np.array([0.0, 1.0], dtype=complex)   # mJ = +3/2
-    vlevels = [
-        Level("valence", "hh mJ=-3/2", hh_lo, -strain - dhh / 2.0),
-        Level("valence", "hh mJ=+3/2", hh_hi, -strain + dhh / 2.0),
-    ] + vlevels
-    vlevels.sort(key=lambda l: l.energy_uev)
+    quartet = np.eye(4, dtype=complex)
+    vlevels = sorted([
+        Level("valence", "hh mJ=-3/2", quartet[0], -strain - dhh / 2.0),
+        Level("valence", "hh mJ=+3/2", quartet[3], -strain + dhh / 2.0),
+        Level("valence", labels[0], np.pad(lo, 1), -dv / 2.0),
+        Level("valence", labels[1], np.pad(hi, 1), +dv / 2.0),
+    ], key=lambda l: l.energy_uev)
+    clevels = [Level("conduction", labels[2], c_lo, -dc / 2.0),
+               Level("conduction", labels[3], c_hi, +dc / 2.0)]
     return BandScheme(case, material, field, tuple(vlevels), tuple(clevels),
                       canonical_k)
 

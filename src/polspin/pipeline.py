@@ -46,9 +46,6 @@ from .transfer import (absorption_branches, emission_map, precession_unitary,
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
-# Degenerate case: the projectors onto the two electron spins, one per
-# heavy-hole branch, which split the emission by the path the hole keeps
-_DEGENERATE_BRANCHES = tuple(np.diag(e).astype(complex) for e in np.eye(2))
 
 
 # ---------------------------------------------------------------------------
@@ -190,26 +187,14 @@ def _absorption_kraus_logical(cfg: ScenarioConfig, physical) -> list[np.ndarray]
     return [scale * k for k in ks]
 
 
-def _physical_absorption_kraus(cfg: ScenarioConfig, scheme: BandScheme) -> list[np.ndarray]:
-    """Unscaled physical-frame branches, for per-sample hole diagnostics."""
-    return [br.kraus for br in absorption_branches(
-        scheme, cfg.window, cfg.compensate and cfg.case == CASE_A)]
-
-
 def _emission_kraus(cfg: ScenarioConfig,
                     scheme: BandScheme) -> tuple[list[np.ndarray], np.ndarray]:
     """Logical Kraus of prep -> recombination -> collection -> compensation,
-    and the collection fractions of the two electron spin branches.
-
-    The split cases recombine coherently from a single hole level; the
-    degenerate case leaves which-path information in the hole, one Kraus
-    branch per circular polarization.
-    """
-    geometry, fractions = emission_map(scheme, cfg.emission_direction)
+    one per recombining hole (`transfer.emission_map`), and the collection
+    fractions of the two electron spin branches."""
+    kraus, fractions = emission_map(scheme, cfg.emission_direction)
     prep = _detection_frame(cfg.case)
-    if cfg.case == DEGENERATE:
-        return [geometry @ p @ prep for p in _DEGENERATE_BRANCHES], fractions
-    return [geometry @ prep], fractions
+    return [k @ prep for k in kraus], fractions
 
 
 def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
@@ -255,8 +240,10 @@ def _refuse_dark(row):
 
 def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
     """The absorb stage; one whose physical branches are dark is refused.
-    Their diagonal Gram forms sum to row 0 of the branches' PTM."""
-    physical = _physical_absorption_kraus(cfg, scheme)
+    Their diagonal Gram forms sum to row 0 of the branches' PTM.  The
+    unscaled physical branches' Gram forms give the hole diagnostics."""
+    physical = [br.kraus for br in absorption_branches(scheme, cfg.window,
+                                                       cfg.compensate)]
     forms = _gram_forms(physical)
     _refuse_dark(forms[:len(physical)].sum(axis=0))
     return Stage("absorb", ptm_from_kraus(

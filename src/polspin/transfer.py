@@ -4,8 +4,7 @@ electron spin, precession and synchronized readout, and reverse emission.
 Basis conventions (fixed package-wide):
 
 * electron spin vectors are in the (mS=-1/2, mS=+1/2) basis;
-* valence doublet vectors are in the (mJ=-1/2, mJ=+1/2) basis, the
-  degenerate quartet in (-3/2, -1/2, +1/2, +3/2) order;
+* every valence state is in the J=3/2 quartet (mJ=-3/2, -1/2, +1/2, +3/2);
 * a photon qubit is (alpha, beta) in its declared basis: (|z>, |x>) for a
   linear qubit, (|sigma+>, |sigma->) for a circular one.
 
@@ -15,19 +14,19 @@ translation to orbital selection rules; each scheme fixes a canonical k
 orientation, which is what reconciles the two circular-basis cases
 (degenerate absorption uses k ∥ +G, the in-plane-field case k ∥ -G).
 
-Absorption amplitudes per branch are the LS-expansion coefficients of the
-initial valence state with unit weight per allowed ΔmL channel; an
-x-polarized photon drives ΔmL = ±1 coherently with equal weight.  From the
-topmost |3/2, +1/2> level this makes the z- versus x-coupled amplitudes
-√(2/3) and √(1/3), the √2 imbalance that the optional compensation
-prefilter (scale the z amplitude by 1/√2, renormalize, report the success
-probability) removes exactly.
-
-Re-emission runs the same selection rules backwards.  `emission_map` is
-its one implementation: the electron -> canonical-basis photon map along a
-collection direction, with the off-axis frame distortion compensated, and
-the per-branch collection fractions.  The pipeline's emit stage applies
-it, collected along the config's `emission_direction`.
+The selection rules are written once.  `absorption_branches` builds every
+branch from one block, the level's quartet amplitudes times the LS
+expansion coefficients, with unit weight per allowed ΔmL channel (an
+x-polarized photon drives ΔmL = ±1 coherently).  From the topmost
+|3/2, +1/2> level the z- versus x-coupled amplitudes are √(2/3) and
+√(1/3), the √2 imbalance that the optional compensation prefilter (scale
+the z amplitude by 1/√2, renormalize, report the success probability)
+removes exactly.  `_RECOMBINING_HOLES` names the hole each electron spin
+falls back into, and `emission_map`, the one emission implementation,
+runs the same rules backwards: one Kraus branch per hole, collected along
+a direction with the off-axis frame distortion compensated, and the
+per-branch collection fractions.  The pipeline's emit stage collects
+along the config's `emission_direction`.
 """
 
 from __future__ import annotations
@@ -180,81 +179,73 @@ class AbsorptionOutcome:
         return m.T @ m.conj()
 
 
-def _lh_branch_kraus(level_state: np.ndarray, window: SpectralWindow | None,
-                     scheme: BandScheme, valence_offset: float,
-                     pols: tuple[str, str], k_sign: int) -> np.ndarray:
-    """2x2 Kraus block for absorption out of one light-hole doublet level.
+# The J=3/2 quartet, the basis of every valence `Level.state`, and the
+# conduction spins in (mS=-1/2, mS=+1/2) order.
+_QUARTET = tuple(AngularMomentumState(HEAVY_HOLE if abs(mj) > 1 else LIGHT_HOLE,
+                                      j=1.5, mj=mj)
+                 for mj in (-1.5, -0.5, 0.5, 1.5))
+_SPINS = (AngularMomentumState(CONDUCTION, j=0.5, mj=-0.5),
+          AngularMomentumState(CONDUCTION, j=0.5, mj=+0.5))
 
-    Columns are the photon basis (first polarization drives alpha), rows the
-    electron spin.  Each electron branch is weighted by the window amplitude
-    at its own transition offset.
+# The hole level, an index into scheme.valence_levels, that each electron
+# spin (mS=-1/2, mS=+1/2) recombines with: the abundant topmost level of a
+# split scheme; in the degenerate scheme the stretched heavy hole that the
+# spin's own absorption left (spin-down fills mJ=-3/2, spin-up mJ=+3/2).
+_RECOMBINING_HOLES = {CASE_A: (-1, -1), CASE_B: (-1, -1), DEGENERATE: (0, 3)}
+
+
+def _absorbing_holes(scheme: BandScheme, window: SpectralWindow | None):
+    """(hole index, valence level, transition offset) of each hole one
+    absorption may leave; an offset of None means no window weights it.
+
+    Split scheme: the target topmost light-hole level, and with a finite
+    window the unwanted partner a valence Zeeman splitting below.
+    Degenerate scheme: the two stretched heavy holes the electrons fall
+    back into, hole indices 0 and 3 of the quartet, which neither the
+    window nor the prefilter touches.
     """
-    lh_lo = AngularMomentumState(LIGHT_HOLE, j=1.5, mj=-0.5)
-    lh_hi = AngularMomentumState(LIGHT_HOLE, j=1.5, mj=+0.5)
-    cond = [AngularMomentumState(CONDUCTION, j=0.5, mj=-0.5),
-            AngularMomentumState(CONDUCTION, j=0.5, mj=+0.5)]
-    c_mid = 0.5 * (scheme.conduction_levels[0].energy_uev
-                   + scheme.conduction_levels[-1].energy_uev)
-    k = np.zeros((2, 2), dtype=complex)
-    for col, pol in enumerate(pols):
-        for row, c_state in enumerate(cond):
-            amp = (level_state[0] * dipole_matrix_element(lh_lo, c_state, pol, k_sign)
-                   + level_state[1] * dipole_matrix_element(lh_hi, c_state, pol, k_sign))
-            if amp == 0.0:
-                continue
-            # conduction level energies are stored ascending (mS=-1/2 first
-            # for a normal field); the mS branch row maps onto that order
-            e_c = scheme.conduction_levels[row].energy_uev
-            offset = (e_c - c_mid) + valence_offset
-            weight = 1.0 if window is None else window.amplitude(offset)
-            k[row, col] = amp * weight
-    return k
+    if scheme.case == DEGENERATE:
+        return [(i, scheme.valence_levels[i], None)
+                for i in _RECOMBINING_HOLES[DEGENERATE]]
+    *_, partner, top = [lv for lv in scheme.valence_levels
+                        if lv.label.startswith("lh")]
+    if window is None:
+        return [(0, top, None)]
+    return [(0, top, 0.0), (1, partner, top.energy_uev - partner.energy_uev)]
 
 
 def absorption_branches(scheme: BandScheme,
                         window: SpectralWindow | None = None,
                         compensate: bool = False) -> list[AbsorptionBranch]:
-    """Kraus branches of the conditional photon -> electron ⊗ hole map.
+    """Kraus branches of the conditional photon -> electron ⊗ hole map, one
+    per hole of `_absorbing_holes`; rows are the electron spin, columns the
+    photon basis (k along +G in the degenerate scheme: sigma+ empties
+    mJ=-3/2 into a spin-down electron, sigma- the mirror).
 
-    Split (case A or B) scheme: branch 0 is the target topmost level;
-    branch 1, present only with a finite window, is the unwanted partner
-    level a valence Zeeman splitting below.  Degenerate scheme: the two
-    stretched heavy-hole branches, hole indices 0 and 3 (k along +G: sigma+
-    empties mJ=-3/2 into a spin-down electron, sigma- the mirror); the
-    window and the prefilter do not apply there.
+    Each branch starts from its level's selection-rule block D.  A window
+    weights D in the conduction energy eigenbasis |e>, where energy
+    conservation fixes the photon frequency: K = Σ_e w(E_e - c_mid +
+    offset) |e><e| D.  compensate applies the √2 prefilter, in case A only.
     """
-    if scheme.case == DEGENERATE:
-        branches = []
-        for spin, (hole, pol) in enumerate(((0, "sigma_plus"), (3, "sigma_minus"))):
-            k = np.zeros((2, 2), dtype=complex)
-            k[spin, spin] = dipole_matrix_element(
-                AngularMomentumState(HEAVY_HOLE, j=1.5, mj=3 * spin - 1.5),
-                AngularMomentumState(CONDUCTION, j=0.5, mj=spin - 0.5), pol, +1)
-            branches.append(AbsorptionBranch(k, hole_index=hole,
-                                             hole_label=scheme.valence_levels[hole].label))
-        return branches
-    if scheme.case == CASE_A:
-        pols = ("z", "x")
-        k_sign = -1          # irrelevant for linear light, kept for symmetry
-    elif scheme.case == CASE_B:
-        pols = ("sigma_plus", "sigma_minus")
-        k_sign = int(round(scheme.canonical_k @ Z_AXIS))
-    else:
-        raise HeavyHoleTopmost("absorption branches need a split scheme")
-
-    lh_levels = [lv for lv in scheme.valence_levels if lv.label.startswith("lh")]
-    top = lh_levels[-1]
-    partner = lh_levels[-2]
-    prefilter = np.diag([_SQ2, 1.0]).astype(complex) if compensate else np.eye(2, dtype=complex)
-
-    branches = [AbsorptionBranch(
-        _lh_branch_kraus(top.state, window, scheme, 0.0, pols, k_sign) @ prefilter,
-        hole_index=0, hole_label=top.label)]
-    if window is not None:
-        dv = top.energy_uev - partner.energy_uev
-        k_leak = _lh_branch_kraus(partner.state, window, scheme, dv, pols, k_sign)
-        branches.append(AbsorptionBranch(k_leak @ prefilter,
-                                         hole_index=1, hole_label=partner.label))
+    pols = ("z", "x") if scheme.case == CASE_A else ("sigma_plus", "sigma_minus")
+    # the sign of k·G; 0 for case A's in-plane k, which linear light ignores
+    k_sign = int(np.sign(scheme.canonical_k @ Z_AXIS))
+    lo, hi = scheme.conduction_levels[0], scheme.conduction_levels[-1]
+    c_mid = 0.5 * (lo.energy_uev + hi.energy_uev)
+    u = _eigenbasis_matrix(scheme)
+    branches = []
+    for hole, level, offset in _absorbing_holes(scheme, window):
+        # D[spin, pol] = Σ_m state[m] · dipole_matrix_element(quartet[m], ...)
+        k = np.array([[sum(amp * dipole_matrix_element(mj, spin, pol, k_sign)
+                           for amp, mj in zip(level.state, _QUARTET) if amp != 0)
+                       for pol in pols] for spin in _SPINS], dtype=complex)
+        if offset is not None:
+            w = [window.amplitude((lv.energy_uev - c_mid) + offset)
+                 for lv in (lo, hi)]
+            k = (u * w) @ u.conj().T @ k
+        if compensate and scheme.case == CASE_A:
+            k = k @ np.diag([_SQ2, 1.0]).astype(complex)
+        branches.append(AbsorptionBranch(k, hole, level.label))
     return branches
 
 
@@ -430,32 +421,31 @@ def circular_mode_vectors(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def branch_dipole_vectors(scheme: BandScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Recombination dipole vectors (d_down, d_up) for the two electron spin
-    branches falling into the scheme's abundant hole level.
+    """Recombination dipole vectors (d_down, d_up) of the two electron spin
+    branches, each falling into its hole level of `_RECOMBINING_HOLES`.
 
     Each LS component (mL, mS) of the hole level radiates a photon carrying
     orbital momentum -mL along +z (the electron drops from mL=0), so the
-    branch vector is the coefficient-weighted sum of spherical unit vectors.
+    branch vector is the coefficient-weighted sum of spherical unit vectors
+    over the components with the electron's mS.
     """
-    if scheme.case == DEGENERATE:
-        # stretched heavy-hole recombination: spin-down fills mJ=-3/2
-        # (mL=-1) emitting +1 units along +z, and the mirror for spin-up
-        return E_SPH[+1].copy(), E_SPH[-1].copy()
-    lh_lo = AngularMomentumState(LIGHT_HOLE, j=1.5, mj=-0.5)
-    lh_hi = AngularMomentumState(LIGHT_HOLE, j=1.5, mj=+0.5)
-    level = scheme.topmost_valence
-    d = {-0.5: np.zeros(3, dtype=complex), +0.5: np.zeros(3, dtype=complex)}
-    for amp, mj_state in ((level.state[0], lh_lo), (level.state[1], lh_hi)):
-        if amp == 0:
-            continue
-        for coeff, term in expand_jmj(mj_state):
-            d[term.ms] = d[term.ms] + amp * coeff * E_SPH[-term.ml]
-    return d[-0.5], d[+0.5]
+    vectors = []
+    for ms, hole in zip((-0.5, +0.5), _RECOMBINING_HOLES[scheme.case]):
+        d = np.zeros(3, dtype=complex)
+        for amp, mj_state in zip(scheme.valence_levels[hole].state, _QUARTET):
+            if amp == 0:
+                continue
+            for coeff, term in expand_jmj(mj_state):
+                if term.ms == ms:
+                    d = d + amp * coeff * E_SPH[-term.ml]
+        vectors.append(d)
+    return vectors[0], vectors[1]
 
 
-def _mode_map(scheme: BandScheme, direction) -> tuple[np.ndarray, bool, np.ndarray]:
-    """Frame map T (frame amplitudes = T @ electron amplitudes), a lossy
-    flag, and the per-branch transverse power fractions."""
+def _mode_map(scheme: BandScheme, direction) -> tuple[np.ndarray, np.ndarray]:
+    """Frame map T (frame amplitudes = T @ electron amplitudes) and the
+    per-branch transverse power fractions; a branch with no transverse
+    power keeps a zero column."""
     n = np.asarray(direction, dtype=float)
     nn = np.linalg.norm(n)
     if nn == 0:
@@ -465,20 +455,18 @@ def _mode_map(scheme: BandScheme, direction) -> tuple[np.ndarray, bool, np.ndarr
     e1, e2 = transverse_frame(n)
     t = np.zeros((2, 2), dtype=complex)
     fractions = np.zeros(2)
-    lossy = False
     for col, d in enumerate((d_dn, d_up)):
         proj = d - (n @ d) * n.astype(complex)
         norm = np.linalg.norm(proj)
         fractions[col] = (norm / np.linalg.norm(d)) ** 2
         if norm < 1e-12:
-            lossy = True
             continue
         mode = proj / norm
         t[0, col] = np.vdot(e1, mode)
         t[1, col] = np.vdot(e2, mode)
     if np.max(np.abs(t)) < 1e-12:
         raise DarkDirection("no recombination branch radiates into this direction")
-    return t, lossy, fractions
+    return t, fractions
 
 
 def _frame_to_basis(scheme: BandScheme) -> np.ndarray:
@@ -494,34 +482,31 @@ def _frame_to_basis(scheme: BandScheme) -> np.ndarray:
                      [np.vdot(minus, e1), np.vdot(minus, e2)]], dtype=complex)
 
 
-def _frame_inverse(t: np.ndarray, lossy: bool) -> np.ndarray:
-    """Inverse of a frame map; the least-squares pseudo-inverse where the
-    direction is lossy or the map is rank-deficient."""
-    if lossy or np.linalg.matrix_rank(t, tol=1e-10) < 2:
-        return np.linalg.pinv(t)
-    return np.linalg.inv(t)
-
-
 def emission_map(scheme: BandScheme,
-                 direction=None) -> tuple[np.ndarray, np.ndarray]:
-    """Recombination of the electron spin with the scheme's abundant hole,
-    collected along `direction` (default: the canonical k) and compensated
-    back to the canonical photon basis.
+                 direction=None) -> tuple[list[np.ndarray], np.ndarray]:
+    """Recombination of the electron spin with its hole, collected along
+    `direction` (default: the canonical k) and compensated back to the
+    canonical photon basis.
 
-    Returns the 2x2 map from electron (down, up) amplitudes to canonical
-    basis amplitudes (linear (z, x) for case A, (sigma+, sigma-) otherwise)
-    and the two branches' collection fractions, the share of each branch's
-    dipole power transverse to the direction.  Each spin branch maps with
-    unit weight onto its transverse-projected dipole mode, so along the
-    canonical direction the map inverts the corresponding absorption map
-    up to a global phase and scale.  Off axis the frame map T is undone by
-    its inverse, a waveplate-like correction, wherever it has full rank; a
-    lossy or rank-deficient direction is compensated in the least-squares
-    sense (pseudo-inverse) and stays lossy.
+    Returns one 2x2 Kraus branch per recombining hole, from electron (down,
+    up) amplitudes to canonical basis amplitudes (linear (z, x) for case A,
+    (sigma+, sigma-) otherwise), and the two spin branches' collection
+    fractions, the share of each one's dipole power transverse to the
+    direction.  A split scheme has one branch, as both spins fall into the
+    same level and recombine coherently; the degenerate scheme has one per
+    heavy hole, as the hole keeps which-path information.  Each spin maps
+    with unit weight onto its transverse-projected dipole mode, so along
+    the canonical direction the map inverts the corresponding absorption
+    map up to a global phase and scale.  Off axis a waveplate-like
+    correction T_can pinv(T) takes the collected frame amplitudes T @ e to
+    the canonical ones: exactly wherever the frame map T has full rank, in
+    the least-squares sense where it does not, which stays lossy.
     """
-    t_can, lossy, fractions = _mode_map(scheme, scheme.canonical_k)
-    t = t_can
+    t_can, fractions = _mode_map(scheme, scheme.canonical_k)
+    geometry = _frame_to_basis(scheme) @ t_can
     if direction is not None:
-        t, lossy, fractions = _mode_map(scheme, direction)
-    return (_frame_to_basis(scheme) @ t_can @ _frame_inverse(t, lossy) @ t,
-            fractions)
+        t, fractions = _mode_map(scheme, direction)
+        geometry = geometry @ np.linalg.pinv(t) @ t
+    holes = _RECOMBINING_HOLES[scheme.case]
+    return ([geometry @ np.diag([float(h == hole) for h in holes])
+             for hole in dict.fromkeys(holes)], fractions)

@@ -30,6 +30,10 @@ GATE_ERROR_CHAIN = {"case": "A", "compensate": True, "seed": 5, "mc_samples": 50
 CASE_A_WINDOW = {"case": "A", "compensate": True, "seed": 12345, "mc_samples": 2000,
                  "window": {"bandwidth_ueV": 20.0, "lineshape": "gaussian"},
                  "chain": {"n_sites": 2, "storage_site": 1, "gate_error": 0.0}}
+# an off-centre window narrower than the conduction splitting: the window
+# weights the conduction energy eigenstates, not the mS spins
+CASE_B_OFFCENTRE = {"case": "B", "window": {"bandwidth_ueV": 23.0,
+                                            "center_offset_ueV": 10.0}}
 
 SWEEP = ["sweep", "--param", "chain.gate_error", "--from", "0", "--to", "0.05",
          "--steps", "4"]
@@ -48,6 +52,7 @@ CASES = {
 CASES["tomography_chain5_text"] = (GATE_ERROR_CHAIN, ["tomography"])
 CASES["tomography_chain5_json-like"] = (GATE_ERROR_CHAIN,
                                         ["tomography", "--format", "json-like"])
+CASES["tomography_case_b_offcentre_text"] = (CASE_B_OFFCENTRE, ["tomography"])
 CASES["sweep_chain5_gate_error"] = (GATE_ERROR_CHAIN, SWEEP)
 CASES["sweep_case_b_window_transport_time"] = (CASE_B_WINDOW, TRANSPORT_SWEEP)
 CASES["sweep_case_a_bandwidth"] = (CASE_A_WINDOW, BANDWIDTH_SWEEP)

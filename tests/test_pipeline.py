@@ -15,8 +15,7 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               run_end_to_end, scenario_report, sweep,
                               end_to_end_stages, _absorption_kraus_logical,
                               _compose, _emission_kraus,
-                              _fidelity_stats, _input_hole,
-                              _physical_absorption_kraus, _sample_hole)
+                              _fidelity_stats, _input_hole, _sample_hole)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
@@ -262,8 +261,9 @@ def _stage_superops(cfg):
     extra = _kraus_map([u @ k @ u.conj().T for k in dephasing_kraus(
         1.0 - nm.transport_dephasing_fraction)])
     arrive = 1.0 - nm.transport_loss
-    maps = [("absorb", _kraus_map(_absorption_kraus_logical(
-                cfg, _physical_absorption_kraus(cfg, scheme)))),
+    physical = [br.kraus for br in transfer.absorption_branches(
+        scheme, cfg.window, cfg.compensate)]
+    maps = [("absorb", _kraus_map(_absorption_kraus_logical(cfg, physical))),
             ("transport", lambda rho: arrive * extra(t2(rho))),
             ("shuttle_in", site_channel_map(ch.n_sites, 0, ch.storage_site,
                                             ch.gate_error))]

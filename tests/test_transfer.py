@@ -8,12 +8,15 @@ from polspin.angular import AngularMomentumState, CONDUCTION, HEAVY_HOLE, LIGHT_
 from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
                            SpectralWindow, build_level_scheme,
                            degenerate_scheme, precession_period)
+from polspin.constants import MU_B_UEV_PER_T
 from polspin.errors import DarkDirection, HeavyHoleTopmost
 from polspin.pipeline import ScenarioConfig, end_to_end_stages, run_end_to_end
 from polspin.transfer import (CIRCULAR, HADAMARD, LINEAR_ZX, PhotonQubit,
                               absorb_case_a, absorb_case_b, absorb_degenerate,
-                              branch_dipole_vectors, dipole_matrix_element,
-                              precess, synchronized_hadamard, _mode_map)
+                              absorption_branches, branch_dipole_vectors,
+                              dipole_matrix_element, emission_map, precess,
+                              synchronized_hadamard, _frame_to_basis,
+                              _mode_map)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -281,7 +284,6 @@ def test_case_b_scheme_mismatch(scheme_a):
 def test_absorption_channels_are_conditional_cptp(scheme_a, scheme_b):
     """Each absorption map, photon -> electron with the hole traced out,
     is a valid conditional channel."""
-    from polspin.transfer import absorption_branches
     from polspin.qstate import choi_of_map, is_cptp
 
     for branches in (
@@ -292,6 +294,162 @@ def test_absorption_channels_are_conditional_cptp(scheme_a, scheme_b):
         kraus = [br.kraus for br in branches]
         choi = choi_of_map(lambda rho: sum(k @ rho @ k.conj().T for k in kraus))
         assert is_cptp(choi, tol=1e-8, conditional=True)
+
+
+# --- absorption against its former per-case construction ------------------
+# The former code built a light-hole branch from the (mJ=-1/2, +1/2) doublet,
+# weighting electron row r by the window at conduction_levels[r]'s offset,
+# and the degenerate heavy-hole branches in a loop of their own.  Where the
+# conduction eigenstates are the mS states (case A, the degenerate scheme)
+# or no window applies, that is the same map, and the one selection-rule
+# formula must reproduce it bit for bit.
+
+def _old_lh_branch_kraus(level_state, window, scheme, valence_offset, pols,
+                         k_sign):
+    k = np.zeros((2, 2), dtype=complex)
+    c_mid = 0.5 * (scheme.conduction_levels[0].energy_uev
+                   + scheme.conduction_levels[-1].energy_uev)
+    for col, pol in enumerate(pols):
+        for row, c_state in enumerate((C_DN, C_UP)):
+            amp = (level_state[0] * dipole_matrix_element(LH_DN, c_state, pol, k_sign)
+                   + level_state[1] * dipole_matrix_element(LH_UP, c_state, pol, k_sign))
+            if amp == 0.0:
+                continue
+            e_c = scheme.conduction_levels[row].energy_uev
+            offset = (e_c - c_mid) + valence_offset
+            weight = 1.0 if window is None else window.amplitude(offset)
+            k[row, col] = amp * weight
+    return k
+
+
+def _old_absorption_kraus(scheme, window=None, compensate=False):
+    """(hole index, Kraus) of each branch, as the former code built them."""
+    if scheme.case == "degenerate":
+        branches = []
+        for spin, (hole, pol) in enumerate(((0, "sigma_plus"), (3, "sigma_minus"))):
+            k = np.zeros((2, 2), dtype=complex)
+            k[spin, spin] = dipole_matrix_element(
+                AngularMomentumState(HEAVY_HOLE, j=1.5, mj=3 * spin - 1.5),
+                AngularMomentumState(CONDUCTION, j=0.5, mj=spin - 0.5), pol, +1)
+            branches.append((hole, k))
+        return branches
+    pols, k_sign = ((("z", "x"), -1) if scheme.case == "A"
+                    else (("sigma_plus", "sigma_minus"), -1))
+    lh = [lv for lv in scheme.valence_levels if lv.label.startswith("lh")]
+    top, partner = lh[-1], lh[-2]
+    prefilter = np.diag([SQ2, 1.0]).astype(complex) if compensate else np.eye(2, dtype=complex)
+    branches = [(0, _old_lh_branch_kraus(top.state[1:3], window, scheme, 0.0,
+                                         pols, k_sign) @ prefilter)]
+    if window is not None:
+        dv = top.energy_uev - partner.energy_uev
+        branches.append((1, _old_lh_branch_kraus(partner.state[1:3], window, scheme,
+                                                 dv, pols, k_sign) @ prefilter))
+    return branches
+
+
+def _branch_pairs(scheme, window, compensate):
+    return [(br.hole_index, br.kraus)
+            for br in absorption_branches(scheme, window, compensate)]
+
+
+def _exactly_equal(new, old):
+    return (len(new) == len(old)
+            and all(hn == ho and np.array_equal(kn, ko)
+                    for (hn, kn), (ho, ko) in zip(new, old)))
+
+
+OLD_WINDOWS = [None, SpectralWindow(23.0), SpectralWindow(23.0, 10.0),
+               SpectralWindow(100.0, -11.5), SpectralWindow(300.0),
+               SpectralWindow(100.0, 40.0, "lorentzian"),
+               SpectralWindow(2000.0, 0.0, "lorentzian")]
+
+
+@pytest.mark.parametrize("compensate", [False, True])
+@pytest.mark.parametrize("window", OLD_WINDOWS, ids=repr)
+def test_case_a_branches_equal_old_construction(scheme_a, window, compensate):
+    assert _exactly_equal(_branch_pairs(scheme_a, window, compensate),
+                          _old_absorption_kraus(scheme_a, window, compensate))
+
+
+@pytest.mark.parametrize("compensate", [False, True])
+@pytest.mark.parametrize("window", [None, SpectralWindow(23.0, 10.0)], ids=repr)
+def test_degenerate_branches_equal_old_construction(window, compensate):
+    # neither the window nor the prefilter touches the degenerate branches
+    scheme = degenerate_scheme()
+    assert _exactly_equal(_branch_pairs(scheme, window, compensate),
+                          _old_absorption_kraus(scheme))
+
+
+@pytest.mark.parametrize("compensate", [False, True])
+def test_case_b_branches_without_window_equal_old_construction(scheme_b,
+                                                               compensate):
+    # the √2 prefilter belongs to case A alone
+    assert _exactly_equal(_branch_pairs(scheme_b, None, compensate),
+                          _old_absorption_kraus(scheme_b))
+
+
+def _time_domain_kraus(case, window, partner, b_tesla=1.0):
+    """First-order absorption out of the top (or partner) light-hole level,
+    integrated in time with numpy only: K = ∫ f(t) e^{i(H_c + Δv - c)t} dt · D
+    / ∫ f(t) dt, with H_c the conduction Zeeman Hamiltonian in the mS basis,
+    Δv the level's depth below the top level, c the window's centre offset
+    and f the pulse whose spectrum is the window (Gaussian <-> Gaussian,
+    Lorentzian <-> two-sided exponential), peak 1."""
+    dc = INAS_GAAS_QW.g_cb * MU_B_UEV_PER_T * b_tesla
+    dv = INAS_GAAS_QW.g_lh * MU_B_UEV_PER_T * b_tesla if partner else 0.0
+    if case == "A":   # B ∥ z: σ_z in (mS=-1/2, mS=+1/2) order
+        n_sigma = np.diag([-1.0, 1.0]).astype(complex)
+        level = [(1.0, LH_DN)] if partner else [(1.0, LH_UP)]
+        pols = ("z", "x")
+    else:             # B ∥ x: the LH eigenstates are psi± = (|-1/2> ± |+1/2>)/√2
+        n_sigma = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+        level = [(SQ2, LH_DN), (-SQ2 if partner else SQ2, LH_UP)]
+        pols = ("sigma_plus", "sigma_minus")
+    d = np.array([[sum(a * dipole_matrix_element(v, c, pol, -1) for a, v in level)
+                   for pol in pols] for c in (C_DN, C_UP)], dtype=complex)
+    bw = window.bandwidth_uev
+    if window.lineshape == "gaussian":
+        sigma = bw / math.sqrt(8.0 * math.log(2.0))
+        t_max = 9.0 / sigma
+        pulse = lambda t: np.exp(-0.5 * (sigma * t) ** 2)
+    else:
+        gamma = bw / 2.0
+        t_max = 42.0 / gamma
+        pulse = lambda t: np.exp(-gamma * t)
+    # composite 20-point Gauss-Legendre on [0, t_max]; f is even, so the
+    # integrand's t and -t halves fold onto t > 0
+    omega = abs(dv) + abs(window.center_offset_uev) + dc
+    n_panels = int(math.ceil(t_max * omega / 2.0)) + 1
+    x, wx = np.polynomial.legendre.leggauss(20)
+    edges = np.linspace(0.0, t_max, n_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    t = ((edges[:-1, None] + edges[1:, None]) / 2 + half * x).ravel()
+    wt = (half * wx).ravel() * pulse(t)
+    phase = (dv - window.center_offset_uev) * t
+    # e^{iθ} + e^{-iθ} = 2 cos θ, with θ = φt + (dc t/2) n·σ and (n·σ)² = I
+    a = np.sum(wt * 2.0 * np.cos(phase) * np.cos(dc * t / 2))
+    b = np.sum(wt * -2.0 * np.sin(phase) * np.sin(dc * t / 2))
+    return (a * np.eye(2) + b * n_sigma) @ d / np.sum(2.0 * wt)
+
+
+DC = INAS_GAAS_QW.g_cb * MU_B_UEV_PER_T
+
+
+@pytest.mark.parametrize("offset", [0.0, DC / 2, -DC / 2, 10.0])
+@pytest.mark.parametrize("lineshape", ["gaussian", "lorentzian"])
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_window_weights_match_time_domain_oracle(case, lineshape, offset,
+                                                 scheme_a, scheme_b):
+    """The window weights the conduction energy eigenstates: each one is
+    reached at its own photon frequency.  In case B those are not the mS
+    states, and an off-centre window filters along them."""
+    scheme = scheme_a if case == "A" else scheme_b
+    for bw in (23.0, 100.0):
+        window = SpectralWindow(bw, offset, lineshape)
+        top, partner = absorption_branches(scheme, window)
+        for branch, is_partner in ((top, False), (partner, True)):
+            want = _time_domain_kraus(case, window, is_partner)
+            assert np.max(np.abs(branch.kraus - want)) < 1e-6, (bw, is_partner)
 
 
 # --- precession and synchronized readout ------------------------------------
@@ -438,7 +596,7 @@ def test_emit_off_axis_restored_by_waveplate():
 
 def test_emit_case_b_along_field_rank_deficient(scheme_b):
     # viewing along B the two circular branches project onto the same mode
-    t, _, _ = _mode_map(scheme_b, [1.0, 0.0, 0.0])
+    t, _ = _mode_map(scheme_b, [1.0, 0.0, 0.0])
     assert np.linalg.matrix_rank(t, tol=1e-10) == 1
     res = run_end_to_end([1, 0], ideal("B", emission_direction=(1.0, 0.0, 0.0)))
     assert res.round_trip_fidelity < 1.0 - 1e-6
@@ -448,15 +606,17 @@ def test_emit_off_axis_differs_before_compensation(scheme_a):
     q = np.array([SQ2, SQ2])
     out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), scheme_a,
                         compensate=True)
-    t, _, _ = _mode_map(scheme_a, [1.0, 0.0, 0.0])
+    t, _ = _mode_map(scheme_a, [1.0, 0.0, 0.0])
     raw = t @ electron_vector(out)
     assert abs(np.vdot(q, raw / np.linalg.norm(raw))) ** 2 < 1.0 - 1e-6
 
 
 def test_emit_rank_deficient_lossy(scheme_a):
-    # along +z the z-dipole branch is dark: rank-1 map, flagged lossy
-    _, lossy, _ = _mode_map(scheme_a, [0.0, 0.0, 1.0])
-    assert lossy
+    # along +z the spin-up branch's z dipole is dark: it collects nothing,
+    # and the frame map has rank 1
+    t, fractions = _mode_map(scheme_a, [0.0, 0.0, 1.0])
+    assert fractions[1] == 0.0 and fractions[0] > 0.0
+    assert np.linalg.matrix_rank(t, tol=1e-10) == 1
     res = run_end_to_end([SQ2, SQ2], ideal("A", emission_direction=(0.0, 0.0, 1.0)))
     assert res.round_trip_fidelity < 1.0 - 1e-6
 
@@ -496,3 +656,49 @@ def test_branch_dipoles_case_a(scheme_a):
     # spin-up branch radiates a pure z dipole
     assert abs(d_up[2]) == pytest.approx(SQ23, abs=1e-12)
     assert np.allclose(d_up[:2], 0.0, atol=1e-14)
+
+
+# --- emission against its former construction -------------------------------
+
+def _old_emission_kraus(scheme, direction=None):
+    """The former emission: canonical map @ inv(T) @ T, with the
+    pseudo-inverse where T is rank-deficient (a dark branch zeroes a
+    column, so that covers the former lossy flag too), split by the
+    projectors onto the two spins in the degenerate case."""
+    t_can, _ = _mode_map(scheme, scheme.canonical_k)
+    t = t_can if direction is None else _mode_map(scheme, direction)[0]
+    invert = (np.linalg.pinv if np.linalg.matrix_rank(t, tol=1e-10) < 2
+              else np.linalg.inv)
+    geometry = _frame_to_basis(scheme) @ t_can @ invert(t) @ t
+    if scheme.case == "degenerate":
+        return [geometry @ np.diag(e).astype(complex) for e in np.eye(2)]
+    return [geometry]
+
+
+EMISSION_SCHEMES = {
+    "A": lambda: build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, NORMAL)),
+    "B": lambda: build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, INPLANE)),
+    "degenerate": degenerate_scheme,
+}
+
+
+@pytest.mark.parametrize("case", sorted(EMISSION_SCHEMES))
+def test_emission_default_direction_equals_old_construction(case):
+    scheme = EMISSION_SCHEMES[case]()
+    kraus, _ = emission_map(scheme)
+    old = _old_emission_kraus(scheme)
+    assert len(kraus) == len(old)
+    assert all(np.array_equal(k, o) for k, o in zip(kraus, old))
+
+
+@pytest.mark.parametrize("direction", [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                       (0.0, 0.0, 1.0), (0.0, 0.0, -1.0),
+                                       (0.3, 0.2, 1.0), (-1.0, 0.5, 0.2)])
+@pytest.mark.parametrize("case", sorted(EMISSION_SCHEMES))
+def test_emission_explicit_direction_matches_old_construction(case, direction):
+    scheme = EMISSION_SCHEMES[case]()
+    kraus, fractions = emission_map(scheme, direction)
+    old = _old_emission_kraus(scheme, direction)
+    assert len(kraus) == len(old)
+    assert max(np.max(np.abs(k - o)) for k, o in zip(kraus, old)) < 1e-14
+    assert np.array_equal(fractions, _mode_map(scheme, direction)[1])
