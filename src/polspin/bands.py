@@ -158,10 +158,18 @@ class BandScheme:
         return self.valence_levels[-1]
 
     @property
+    def light_hole_levels(self) -> tuple[Level, ...]:
+        """The two levels with no heavy-hole (mJ = ±3/2) weight, ascending
+        in energy."""
+        return tuple(lv for lv in self.valence_levels
+                     if lv.state[0] == 0 and lv.state[3] == 0)
+
+    @property
     def valence_splitting_uev(self) -> float:
-        top = self.valence_levels[-1].energy_uev
-        second = self.valence_levels[-2].energy_uev
-        return top - second
+        """The gap between the two light-hole levels, whatever lies between
+        them."""
+        lower, upper = self.light_hole_levels
+        return upper.energy_uev - lower.energy_uev
 
     @property
     def conduction_splitting_uev(self) -> float:
@@ -204,7 +212,9 @@ def valence_eigenstates(field: FieldConfig):
 
 
 def conduction_eigenstates(field: FieldConfig):
-    """Conduction spin eigenstates, ordered (lower, upper) in energy.
+    """Conduction spin eigenstates, ordered (lower, upper) in energy for
+    g_cb > 0; a negative g_cb swaps the order, which `build_level_scheme`
+    sorts out.
 
     Basis ordering is (mS=-1/2, mS=+1/2).  Normal field: the mS states.
     In-plane field: |0> = (|mS=-1/2> - |mS=+1/2>)/√2 and
@@ -253,15 +263,21 @@ def build_level_scheme(material: MaterialParams, field: FieldConfig) -> BandSche
         # k ∥ G ⊥ B; the -z orientation fixes which circular label couples
         # which spin (see transfer module)
         canonical_k = np.array([0.0, 0.0, -1.0])
-    quartet = np.eye(4, dtype=complex)
+    # quartet rows: the two heavy holes, then the light-hole doublet
+    # padded into the J=3/2 quartet
+    quartet = np.zeros((4, 4), dtype=complex)
+    quartet[0, 0] = quartet[1, 3] = 1.0
+    quartet[2:, 1:3] = lo, hi
     vlevels = sorted([
         Level("valence", "hh mJ=-3/2", quartet[0], -strain - dhh / 2.0),
-        Level("valence", "hh mJ=+3/2", quartet[3], -strain + dhh / 2.0),
-        Level("valence", labels[0], np.pad(lo, 1), -dv / 2.0),
-        Level("valence", labels[1], np.pad(hi, 1), +dv / 2.0),
+        Level("valence", "hh mJ=+3/2", quartet[1], -strain + dhh / 2.0),
+        Level("valence", labels[0], quartet[2], -dv / 2.0),
+        Level("valence", labels[1], quartet[3], +dv / 2.0),
     ], key=lambda l: l.energy_uev)
-    clevels = [Level("conduction", labels[2], c_lo, -dc / 2.0),
-               Level("conduction", labels[3], c_hi, +dc / 2.0)]
+    # a negative g_cb puts the second state below the first
+    clevels = sorted([Level("conduction", labels[2], c_lo, -dc / 2.0),
+                      Level("conduction", labels[3], c_hi, +dc / 2.0)],
+                     key=lambda l: l.energy_uev)
     return BandScheme(case, material, field, tuple(vlevels), tuple(clevels),
                       canonical_k)
 

@@ -72,21 +72,19 @@ def dephasing_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
-def _in_basis(kraus, basis: np.ndarray | None) -> list[np.ndarray]:
-    """Kraus operators of a channel diagonal in the eigenbasis held as the
-    columns of basis (None: the computational basis)."""
+def transport_kraus(noise: NoiseModel, basis: np.ndarray | None = None, *,
+                    forward: bool) -> np.ndarray:
+    """Kraus operators of one transport leg, stacked, in the energy
+    eigenbasis held as the columns of basis (None: the computational
+    basis).  Both legs apply the III-V T2 phase damping over the transport
+    time; the forward leg follows it with the transport_dephasing_fraction,
+    so its operators are the four products of the two Kraus pairs."""
+    kraus = np.array(dephasing_kraus(coherence_factor(noise.transport_time_ns,
+                                                      noise.t2_iii_v_ns)))
+    if forward:
+        extra = np.array(dephasing_kraus(1.0 - noise.transport_dephasing_fraction))
+        kraus = (extra[:, None] @ kraus).reshape(-1, 2, 2)
     if basis is None:
-        return list(kraus)
+        return kraus
     u = np.asarray(basis, dtype=complex)
-    return [u @ k @ u.conj().T for k in kraus]
-
-
-def transport_kraus(noise: NoiseModel, basis: np.ndarray | None = None):
-    """Kraus pairs (T2 decay, dephasing fraction) of transport: the III-V
-    T2 phase damping over the transport time, which both legs apply, and
-    the forward-only transport_dephasing_fraction, both in the energy
-    eigenbasis held as the columns of basis."""
-    t2 = dephasing_kraus(coherence_factor(noise.transport_time_ns,
-                                          noise.t2_iii_v_ns))
-    extra = dephasing_kraus(1.0 - noise.transport_dephasing_fraction)
-    return _in_basis(t2, basis), _in_basis(extra, basis)
+    return u @ kraus @ u.conj().T

@@ -175,16 +175,14 @@ def _dephasing_basis(cfg: ScenarioConfig, scheme: BandScheme) -> np.ndarray | No
     return _eigenbasis_matrix(scheme) if cfg.case == CASE_B else None
 
 
-def _absorption_kraus_logical(cfg: ScenarioConfig, physical) -> list[np.ndarray]:
-    """Logical-frame Kraus branches of the absorption: the physical
+def _absorption_kraus_logical(cfg: ScenarioConfig, physical) -> np.ndarray:
+    """Logical-frame Kraus branches of the absorption, stacked: the physical
     branches scaled by the absorption efficiency and, if necessary,
     renormalised so the conditional map stays physical (sum K†K <= I)."""
-    frame = _detection_frame(cfg.case)
-    ks = [frame @ k for k in physical]
-    total = sum(k.conj().T @ k for k in ks)
+    ks = _detection_frame(cfg.case) @ np.asarray(physical)
+    total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
     top = float(np.max(np.linalg.eigvalsh(total)).real)
-    scale = math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
-    return [scale * k for k in ks]
+    return math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top)) * ks
 
 
 def _emission_kraus(cfg: ScenarioConfig,
@@ -217,14 +215,18 @@ def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray
     return np.linalg.matrix_power(hop, abs(hops))
 
 
+# branch count k (one or two holes) -> the diagonal of a k x k matrix and
+# its pairs i < j
+_GRAM_INDEX = {k: (np.arange(k), *np.triu_indices(k, 1)) for k in (1, 2)}
+
+
 def _gram_forms(kraus) -> np.ndarray:
     """Real (k², 4) rows f: f @ c is the Gram matrix G_ij = ⟨K_j q|K_i q⟩
     = ½ c·m_ij, m_ij,l = tr(σ_l K_j†K_i), of the k branches K at the input
     q with Pauli vector c, in the orthonormal basis of Hermitian matrices:
     G_ii, then √2 Re G_ij and √2 Im G_ij for i < j (length² Σ|G_ij|²)."""
     m = np.einsum("lab,jcb,ica->ijl", PAULIS, np.conj(kraus), kraus)
-    d = np.arange(len(kraus))
-    i, j = np.triu_indices(len(kraus), 1)
+    d, i, j = _GRAM_INDEX[len(kraus)]
     return np.concatenate([0.5 * m[d, d].real, math.sqrt(0.5) * m[i, j].real,
                            math.sqrt(0.5) * m[i, j].imag])
 
@@ -250,11 +252,15 @@ def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
         _absorption_kraus_logical(cfg, physical)), forms)
 
 
+def _transport_leg(cfg: ScenarioConfig, scheme: BandScheme, name: str,
+                   forward: bool) -> Stage:
+    kraus = noise_mod.transport_kraus(cfg.noise, _dephasing_basis(cfg, scheme),
+                                      forward=forward)
+    return Stage(name, (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(kraus))
+
+
 def _transport(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    t2, fraction = noise_mod.transport_kraus(cfg.noise,
-                                             _dephasing_basis(cfg, scheme))
-    return Stage("transport", (1.0 - cfg.noise.transport_loss)
-                 * ptm_from_kraus(fraction) @ ptm_from_kraus(t2))
+    return _transport_leg(cfg, scheme, "transport", forward=True)
 
 
 def _shuttle_in(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
@@ -280,9 +286,7 @@ def _shuttle_out(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
 
 
 def _transport_back(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    t2, _ = noise_mod.transport_kraus(cfg.noise, _dephasing_basis(cfg, scheme))
-    return Stage("transport_back",
-                 (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(t2))
+    return _transport_leg(cfg, scheme, "transport_back", forward=False)
 
 
 def _emit(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
@@ -350,9 +354,11 @@ def haar_qubits(seed: int, n: int) -> np.ndarray:
 # Monte Carlo sums accumulate over fixed blocks of this many samples, so a
 # point's figures do not depend on how many points share the pass.
 _MC_BLOCK = 2048
-# the ten products c_i c_j (i <= j) of a Pauli vector's entries, and the
-# row where the products c_k c_k.. of each k begin
+# the ten products c_i c_j (i <= j) of a Pauli vector's entries, the weight
+# of r_ij + r_ji on each in ½ c·r c, and the row where the products
+# c_k c_k.. of each k begin
 _PAIRS = np.triu_indices(4)
+_PAIR_WEIGHTS = np.where(_PAIRS[0] == _PAIRS[1], 0.25, 0.5)
 _PAIR_ROWS = (0, 4, 7, 9)
 
 
@@ -374,7 +380,7 @@ def _fidelity_stats(rs, c) -> list[dict]:
     i, j = _PAIRS
     w = np.zeros((2 * p, len(i)))
     w[:p, :4] = rs[:, 0]
-    w[p:] = np.where(i == j, 0.25, 0.5) * (rs + rs.transpose(0, 2, 1))[:, i, j]
+    w[p:] = _PAIR_WEIGHTS * (rs + rs.transpose(0, 2, 1))[:, i, j]
     n = c.shape[1]
     products = np.empty((len(i), min(n, _MC_BLOCK)))
     shift = sum_f = sum_f2 = sum_t = 0.0
@@ -500,21 +506,27 @@ class ChannelReport:
     n_samples: int
 
 
-def _stage_trace(stages, c) -> tuple[list[StageFidelity], np.ndarray]:
+def _stage_trace(stages, c) -> tuple[list[StageFidelity], list[np.ndarray]]:
     """Per-stage fidelity and success of the pure input with Pauli vector
-    c, and the final output density matrix (normalised unless its trace
-    is 0)."""
+    c, and the Pauli vector that leaves each stage."""
     v = c
-    out = []
+    out, vectors = [], []
     for st in stages:
         v = st.ptm @ v
+        vectors.append(v)
         tr = float(v[0])
         if tr <= 0:
             out.append(StageFidelity(st.name, 0.0, 0.0))
             continue
         out.append(StageFidelity(st.name, float(0.5 * (c @ v) / tr), tr))
+    return out, vectors
+
+
+def _output_state(v) -> np.ndarray:
+    """The density matrix of Pauli vector v, normalised unless its trace
+    is 0."""
     rho = density_from_pauli(v)
-    return out, (rho / v[0] if v[0] > 0 else rho)
+    return rho / v[0] if v[0] > 0 else rho
 
 
 def _unit(q) -> np.ndarray:
@@ -533,34 +545,36 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     q = _unit(q)
     stages = detection_stages(cfg, cfg.scheme())
     leak, purity, entropy = _input_hole(cfg, stages[0].branch_forms, q)
-    trace, logical = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
+    trace, vectors = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
     return DetectionResult(
-        logical_rho=logical, stages=tuple(trace),
+        logical_rho=_output_state(vectors[-1]), stages=tuple(trace),
         success_probability=trace[-1].success, leakage=leak,
         hole_purity=purity, entanglement_entropy_bits=entropy)
 
 
 def _run_end_to_end(q, cfg, stages) -> EndToEndResult:
-    c = pauli_vectors(q[None, :])[:, 0]
-    trace, photon_rho = _stage_trace(stages, c)
+    trace, vectors = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
     # each spin branch is collected in proportion to its population in the
     # electron that reaches the emitter, in physical (mS) coordinates
     frame = _detection_frame(cfg.case)
-    electron = frame @ density_from_pauli(_compose(stages[:-1]) @ c) @ frame.conj().T
+    electron = frame @ density_from_pauli(vectors[-2]) @ frame.conj().T
     pops = np.diag(electron).real
     total = pops.sum()
     collection = (float(pops @ stages[-1].collection_fractions / total)
                   if total > 0 else 0.0)
     return EndToEndResult(
-        photon_rho=photon_rho, round_trip_fidelity=trace[-1].fidelity,
+        photon_rho=_output_state(vectors[-1]), round_trip_fidelity=trace[-1].fidelity,
         stages=tuple(trace), success_probability=trace[-1].success,
         collection_fraction=collection)
 
 
 def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
     """Detection, storage dephasing, retrieval and re-emission; the output
-    photon is compared with the input in the canonical logical basis."""
-    return _run_end_to_end(_unit(q), cfg, end_to_end_stages(cfg))
+    photon is compared with the input in the canonical logical basis.  A
+    scenario that passes no input is refused."""
+    stages = end_to_end_stages(cfg)
+    _compose(stages)
+    return _run_end_to_end(_unit(q), cfg, stages)
 
 
 def _hole_stats(cfg, forms, c) -> dict:

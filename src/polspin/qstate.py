@@ -11,6 +11,11 @@ Bloch vector; Φ maps c to R c, so channels compose as R₂ @ R₁, and a map is
 trace preserving iff the first row of R is (1, 0, 0, 0).  The Choi matrix,
 output factor first, is (1/d) Σ_kl Φ(|k><l|) ⊗ |k><l| = ¼ Σ_ij R_ij σ_i ⊗ σ_jᵀ:
 one fixed change of basis each way (`choi_from_ptm`, `ptm_from_choi`).
+
+A channel given by Kraus operators K goes to its PTM through its
+superoperator S = Σ_k K ⊗ K̄ (row-major vec), R = ½ Re(V† S V) with vec σ_j
+the columns of V: one product of the stacked operators and one constant
+matrix, however many operators there are (`ptm_from_kraus`).
 """
 
 from __future__ import annotations
@@ -38,12 +43,22 @@ def entanglement_entropy(amplitudes: np.ndarray) -> float:
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 _CHOI_BASIS = np.array([np.kron(a, b.T) for a in PAULIS for b in PAULIS])
+# V† · V as one map: row 4 i + j, column (a, b, c, d) holds
+# conj(σ_i[a, c]) σ_j[b, d], the weight of K[a, b] K̄[c, d] in R_ij
+_SANDWICH = np.einsum("iac,jbd->ijabcd", PAULIS.conj(), PAULIS).reshape(16, 16)
 
 
 def ptm_from_kraus(kraus) -> np.ndarray:
-    """Pauli transfer matrix of rho -> sum_k K rho K† on a qubit."""
-    images = sum(k @ PAULIS @ k.conj().T for k in kraus)      # Φ(σ_j)
-    return 0.5 * np.einsum("iab,jba->ij", PAULIS, images).real
+    """Pauli transfer matrix of rho -> sum_k K rho K† on a qubit.
+
+    Row-major vec takes K ρ K† to (K ⊗ K̄) vec ρ, so the channel's
+    superoperator is S = Σ_k K ⊗ K̄ and R = ½ Re(V† S V), where the columns
+    of V are vec σ_j.  S is formed in its reshuffled order, Σ_k vec K
+    (vec K)†, which is one product of the stacked, flattened Kraus
+    operators; V† · V is then the constant (16, 16) `_SANDWICH`.
+    """
+    k = np.asarray(kraus, dtype=complex).reshape(-1, 4)
+    return 0.5 * (_SANDWICH @ (k.T @ k.conj()).ravel()).real.reshape(4, 4)
 
 
 def ptm_from_choi(choi: np.ndarray) -> np.ndarray:
@@ -101,22 +116,23 @@ def is_cptp(choi: np.ndarray, tol: float, conditional: bool = False) -> bool:
     if tol <= 0:
         raise ValueError("tol must be positive")
     choi = np.asarray(choi, dtype=complex)
-    if not np.all(np.isfinite(choi)):
+    if not np.isfinite(choi).all():
         return False
     n = choi.shape[0]
     d = int(round(math.sqrt(n)))
     if d * d != n:
         raise ValueError("choi matrix must be d².d² for some d")
-    if np.max(np.abs(choi - choi.conj().T)) > tol:
+    adjoint = choi.conj().T
+    if np.abs(choi - adjoint).max() > tol:
         return False
-    if np.min(np.linalg.eigvalsh((choi + choi.conj().T) / 2)) < -tol:
+    if np.linalg.eigvalsh((choi + adjoint) / 2).min() < -tol:
         return False
     # trace out the output (first) factor
     red = choi.reshape(d, d, d, d).trace(axis1=0, axis2=2)
     gap = red - np.eye(d) / d
     if conditional:
-        return bool(np.max(np.linalg.eigvalsh((gap + gap.conj().T) / 2)) <= tol)
-    return bool(np.max(np.abs(gap)) <= tol)
+        return bool(np.linalg.eigvalsh((gap + gap.conj().T) / 2).max() <= tol)
+    return bool(np.abs(gap).max() <= tol)
 
 
 def process_fidelity(choi: np.ndarray) -> float:

@@ -109,6 +109,22 @@ def _polarization_deltas(pol: str, k_sign: int = -1) -> list[tuple[int, float]]:
     raise ValueError(f"unknown polarization {pol!r}")
 
 
+def _dipole_block(valence: AngularMomentumState, pols,
+                  k_sign: int) -> np.ndarray:
+    """Dipole amplitudes of one valence state, from one LS expansion: row
+    the conduction spin (mS=-1/2, mS=+1/2), column the polarization in
+    pols.  Entry [s, p] is `dipole_matrix_element` of that spin and
+    polarization."""
+    block = np.zeros((2, len(pols)))
+    for coeff, term in expand_jmj(valence):
+        row = block[int(term.ms > 0)]
+        for col, pol in enumerate(pols):
+            for dml, weight in _polarization_deltas(pol, k_sign):
+                if term.ml + dml == 0:   # conduction band is mL = 0
+                    row[col] += weight * coeff
+    return block
+
+
 def dipole_matrix_element(valence: AngularMomentumState,
                           conduction: AngularMomentumState,
                           pol: str, k_sign: int = -1) -> float:
@@ -119,7 +135,7 @@ def dipole_matrix_element(valence: AngularMomentumState,
     The amplitude is the LS-expansion coefficient of the matching valence
     component (summed over channels), so from |3/2, +1/2> a z photon
     reaches mS=+1/2 with √(2/3) and an x photon reaches mS=-1/2 with
-    √(1/3).
+    √(1/3).  One entry of `_dipole_block`.
     """
     if valence.band not in (LIGHT_HOLE, HEAVY_HOLE):
         raise ValueError("first argument must be a valence state")
@@ -129,14 +145,7 @@ def dipole_matrix_element(valence: AngularMomentumState,
         ms_c = conduction.mj
     else:
         ms_c = conduction.ms
-    amp = 0.0
-    for coeff, term in expand_jmj(valence):
-        if term.ms != ms_c:
-            continue
-        for dml, weight in _polarization_deltas(pol, k_sign):
-            if term.ml + dml == 0:   # conduction band is mL = 0
-                amp += weight * coeff
-    return amp
+    return float(_dipole_block(valence, (pol,), k_sign)[int(ms_c > 0), 0])
 
 
 # ---------------------------------------------------------------------------
@@ -179,13 +188,10 @@ class AbsorptionOutcome:
         return m.T @ m.conj()
 
 
-# The J=3/2 quartet, the basis of every valence `Level.state`, and the
-# conduction spins in (mS=-1/2, mS=+1/2) order.
+# The J=3/2 quartet, the basis of every valence `Level.state`.
 _QUARTET = tuple(AngularMomentumState(HEAVY_HOLE if abs(mj) > 1 else LIGHT_HOLE,
                                       j=1.5, mj=mj)
                  for mj in (-1.5, -0.5, 0.5, 1.5))
-_SPINS = (AngularMomentumState(CONDUCTION, j=0.5, mj=-0.5),
-          AngularMomentumState(CONDUCTION, j=0.5, mj=+0.5))
 
 # The hole level, an index into scheme.valence_levels, that each electron
 # spin (mS=-1/2, mS=+1/2) recombines with: the abundant topmost level of a
@@ -207,8 +213,7 @@ def _absorbing_holes(scheme: BandScheme, window: SpectralWindow | None):
     if scheme.case == DEGENERATE:
         return [(i, scheme.valence_levels[i], None)
                 for i in _RECOMBINING_HOLES[DEGENERATE]]
-    *_, partner, top = [lv for lv in scheme.valence_levels
-                        if lv.label.startswith("lh")]
+    partner, top = scheme.light_hole_levels
     if window is None:
         return [(0, top, None)]
     return [(0, top, 0.0), (1, partner, top.energy_uev - partner.energy_uev)]
@@ -222,7 +227,8 @@ def absorption_branches(scheme: BandScheme,
     photon basis (k along +G in the degenerate scheme: sigma+ empties
     mJ=-3/2 into a spin-down electron, sigma- the mirror).
 
-    Each branch starts from its level's selection-rule block D.  A window
+    Each branch starts from its level's selection-rule block D, the sum
+    of its quartet amplitudes times their `_dipole_block`s.  A window
     weights D in the conduction energy eigenbasis |e>, where energy
     conservation fixes the photon frequency: K = Σ_e w(E_e - c_mid +
     offset) |e><e| D.  compensate applies the √2 prefilter, in case A only.
@@ -236,9 +242,8 @@ def absorption_branches(scheme: BandScheme,
     branches = []
     for hole, level, offset in _absorbing_holes(scheme, window):
         # D[spin, pol] = Σ_m state[m] · dipole_matrix_element(quartet[m], ...)
-        k = np.array([[sum(amp * dipole_matrix_element(mj, spin, pol, k_sign)
-                           for amp, mj in zip(level.state, _QUARTET) if amp != 0)
-                       for pol in pols] for spin in _SPINS], dtype=complex)
+        k = sum(amp * _dipole_block(mj, pols, k_sign)
+                for amp, mj in zip(level.state, _QUARTET) if amp != 0)
         if offset is not None:
             w = [window.amplitude((lv.energy_uev - c_mid) + offset)
                  for lv in (lo, hi)]
@@ -396,74 +401,65 @@ E_SPH = {
 }
 
 
-def transverse_frame(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Deterministic orthonormal transverse pair (e1, e2) for a direction.
+def transverse_frame(direction: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal transverse pair (e1, e2) for a direction,
+    as the rows of a real (2, 3) array.
 
     e1 is the projection of the growth axis when possible (so the canonical
-    in-plane direction gets the (z, x) linear frame), otherwise +x.
+    in-plane direction gets the (z, x) linear frame), otherwise +x;
+    e2 = n × e1.
     """
     n = np.asarray(direction, dtype=float)
-    n = n / np.linalg.norm(n)
-    e1 = Z_AXIS - (n @ Z_AXIS) * n
-    if np.linalg.norm(e1) < 1e-9:
-        e1 = np.array([1.0, 0.0, 0.0])
-    e1 = e1 / np.linalg.norm(e1)
-    e2 = np.cross(n, e1)
-    return e1.astype(complex), e2.astype(complex)
+    n = n / math.sqrt(n @ n)
+    e1 = Z_AXIS - n[2] * n
+    e1_norm = math.sqrt(e1 @ e1)
+    if e1_norm < 1e-9:
+        e1, e1_norm = np.array([1.0, 0.0, 0.0]), 1.0
+    (a0, a1, a2), (b0, b1, b2) = n.tolist(), (e1 / e1_norm).tolist()
+    return np.array([[b0, b1, b2],
+                     [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]])
 
 
-def circular_mode_vectors(direction: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(sigma+, sigma-) polarization vectors for propagation along direction."""
-    e1, e2 = transverse_frame(direction)
-    plus = -(e1 + 1j * e2) * _SQ2
-    minus = (e1 - 1j * e2) * _SQ2
-    return plus, minus
-
-
-def branch_dipole_vectors(scheme: BandScheme) -> tuple[np.ndarray, np.ndarray]:
-    """Recombination dipole vectors (d_down, d_up) of the two electron spin
-    branches, each falling into its hole level of `_RECOMBINING_HOLES`.
+def branch_dipole_vectors(scheme: BandScheme) -> np.ndarray:
+    """Recombination dipole vectors of the two electron spin branches, each
+    falling into its hole level of `_RECOMBINING_HOLES`, as the rows
+    (d_down, d_up) of a (2, 3) array.
 
     Each LS component (mL, mS) of the hole level radiates a photon carrying
     orbital momentum -mL along +z (the electron drops from mL=0), so the
     branch vector is the coefficient-weighted sum of spherical unit vectors
-    over the components with the electron's mS.
+    over the components with the electron's mS.  Each quartet state of a
+    hole level is expanded once, for both spins.
     """
-    vectors = []
-    for ms, hole in zip((-0.5, +0.5), _RECOMBINING_HOLES[scheme.case]):
-        d = np.zeros(3, dtype=complex)
+    holes = _RECOMBINING_HOLES[scheme.case]
+    d = np.zeros((2, 3), dtype=complex)
+    for hole in dict.fromkeys(holes):
         for amp, mj_state in zip(scheme.valence_levels[hole].state, _QUARTET):
             if amp == 0:
                 continue
             for coeff, term in expand_jmj(mj_state):
-                if term.ms == ms:
-                    d = d + amp * coeff * E_SPH[-term.ml]
-        vectors.append(d)
-    return vectors[0], vectors[1]
+                spin = int(term.ms > 0)
+                if holes[spin] == hole:
+                    d[spin] += amp * coeff * E_SPH[-term.ml]
+    return d
 
 
 def _mode_map(scheme: BandScheme, direction) -> tuple[np.ndarray, np.ndarray]:
     """Frame map T (frame amplitudes = T @ electron amplitudes) and the
     per-branch transverse power fractions; a branch with no transverse
-    power keeps a zero column."""
+    power keeps a zero column.  Both spin branches at once: the columns of
+    d are their dipole vectors."""
     n = np.asarray(direction, dtype=float)
-    nn = np.linalg.norm(n)
+    nn = math.sqrt(n @ n)
     if nn == 0:
         raise ValueError("emission direction must be non-zero")
     n = n / nn
-    d_dn, d_up = branch_dipole_vectors(scheme)
-    e1, e2 = transverse_frame(n)
-    t = np.zeros((2, 2), dtype=complex)
-    fractions = np.zeros(2)
-    for col, d in enumerate((d_dn, d_up)):
-        proj = d - (n @ d) * n.astype(complex)
-        norm = np.linalg.norm(proj)
-        fractions[col] = (norm / np.linalg.norm(d)) ** 2
-        if norm < 1e-12:
-            continue
-        mode = proj / norm
-        t[0, col] = np.vdot(e1, mode)
-        t[1, col] = np.vdot(e2, mode)
+    d = np.transpose(branch_dipole_vectors(scheme))
+    proj = d - np.outer(n, n @ d)
+    norms = np.linalg.norm(proj, axis=0)
+    fractions = (norms / np.linalg.norm(d, axis=0)) ** 2
+    modes = np.divide(proj, norms, out=np.zeros_like(proj), where=norms >= 1e-12)
+    t = transverse_frame(n) @ modes
     if np.max(np.abs(t)) < 1e-12:
         raise DarkDirection("no recombination branch radiates into this direction")
     return t, fractions
@@ -475,11 +471,9 @@ def _frame_to_basis(scheme: BandScheme) -> np.ndarray:
     circular schemes."""
     if scheme.case == CASE_A:
         return np.eye(2, dtype=complex)   # frame is already (z, x)
-    k = scheme.canonical_k
-    plus, minus = circular_mode_vectors(k)
-    e1, e2 = transverse_frame(k)
-    return np.array([[np.vdot(plus, e1), np.vdot(plus, e2)],
-                     [np.vdot(minus, e1), np.vdot(minus, e2)]], dtype=complex)
+    e1, e2 = frame = transverse_frame(scheme.canonical_k)
+    modes = np.array([-(e1 + 1j * e2), e1 - 1j * e2]) * _SQ2   # sigma+, sigma-
+    return modes.conj() @ frame.T
 
 
 def emission_map(scheme: BandScheme,

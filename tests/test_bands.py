@@ -90,6 +90,53 @@ def test_level_scheme_gaps_random():
                 zeeman_splitting(g_cb, b), rel=1e-12)
 
 
+def test_valence_splitting_is_the_light_hole_gap():
+    """A small strain splitting puts a heavy hole between the light holes;
+    the valence splitting stays the gap between the light holes."""
+    mat = MaterialParams(name="low-strain", g_cb=0.4, g_lh=8.87,
+                         strain_splitting_uev=100.0, band_gap_uev=1_500_000.0)
+    for orient in (NORMAL, INPLANE):
+        scheme = build_level_scheme(mat, FieldConfig(1.0, orient))
+        lower, upper = scheme.light_hole_levels
+        assert [lv.label[:2] for lv in (lower, upper)] == ["lh", "lh"]
+        assert lower.energy_uev < upper.energy_uev
+        assert scheme.valence_splitting_uev == pytest.approx(
+            zeeman_splitting(8.87, 1.0), rel=1e-12)
+    # case A: a heavy hole lies between the two light-hole levels
+    labels = [lv.label[:2] for lv in build_level_scheme(
+        mat, FieldConfig(1.0, NORMAL)).valence_levels]
+    assert labels == ["lh", "hh", "hh", "lh"]
+
+
+def _conduction_hamiltonian(g_cb, b_tesla, orientation):
+    """g_cb µB B S·b̂ in the (mS=-1/2, mS=+1/2) basis: b̂ = +z for a normal
+    field, +x for an in-plane one."""
+    sigma = (np.diag([-1.0, 1.0]) if orientation == NORMAL
+             else np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return 0.5 * g_cb * MU_B_UEV_PER_T * b_tesla * sigma.astype(complex)
+
+
+@pytest.mark.parametrize("g_cb", [0.4, -0.4, 1.7, -2.3])
+@pytest.mark.parametrize("orient", [NORMAL, INPLANE])
+def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, orient):
+    """Whatever the sign of g_cb the conduction levels ascend, and the
+    eigenbasis matrix holds the (lower, upper) eigenvectors of H_c."""
+    from polspin.transfer import _eigenbasis_matrix
+    mat = MaterialParams(name="m", g_cb=g_cb, g_lh=8.87,
+                         strain_splitting_uev=20_000.0, band_gap_uev=1_500_000.0)
+    scheme = build_level_scheme(mat, FieldConfig(0.8, orient))
+    energies = [lv.energy_uev for lv in scheme.conduction_levels]
+    assert energies[0] < energies[1]
+    assert scheme.conduction_splitting_uev == pytest.approx(
+        abs(zeeman_splitting(g_cb, 0.8)), rel=1e-12)
+    values, vectors = np.linalg.eigh(_conduction_hamiltonian(g_cb, 0.8, orient))
+    assert np.allclose(energies, values, rtol=0, atol=1e-12)
+    u = _eigenbasis_matrix(scheme)
+    # each column is its numpy eigenvector up to a phase
+    overlaps = np.abs(np.diag(vectors.conj().T @ u))
+    assert np.allclose(overlaps, 1.0, rtol=0, atol=1e-12)
+
+
 def test_level_scheme_case_b_zero_field_degenerate():
     scheme = build_level_scheme(INAS_GAAS_QW, FieldConfig(0.0, INPLANE))
     assert scheme.valence_splitting_uev == 0.0

@@ -45,6 +45,28 @@ def test_levels_default_config(tmp_path, capsys):
     assert "valence_resolved: true" in out
 
 
+LOW_STRAIN = {"name": "low-strain", "g_cb": 0.4, "g_lh": 8.87,
+              "strain_splitting_ueV": 100.0, "band_gap_ueV": 1500000.0}
+
+
+def test_levels_valence_splitting_skips_heavy_holes(tmp_path, capsys):
+    # the strain splitting puts a heavy hole between the light holes
+    cfg = write_config(tmp_path, material=LOW_STRAIN)
+    code, out, _ = run_cli(["--config", cfg, "levels"], capsys)
+    assert code == 0
+    assert "valence_splitting_ueV: 513.429466" in out
+
+
+def test_levels_negative_g_cb_ascending(tmp_path, capsys):
+    cfg = write_config(tmp_path, material={
+        "name": "negative-g", "g_cb": -0.4, "g_lh": 8.87,
+        "strain_splitting_ueV": 20000.0, "band_gap_ueV": 1500000.0})
+    code, out, _ = run_cli(["--config", cfg, "levels"], capsys)
+    assert code == 0
+    assert "conduction_splitting_ueV: 23.1535272" in out
+    assert out.index("cb mS=+1/2") < out.index("cb mS=-1/2")
+
+
 def test_levels_compressive_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, material={
         "name": "compressive", "g_cb": 0.4, "g_lh": 8.87,

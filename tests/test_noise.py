@@ -5,7 +5,10 @@ import pytest
 
 from polspin.noise import (NoiseModel, coherence_factor, dephasing_kraus,
                            transport_kraus)
-from polspin.pipeline import ScenarioConfig, _transport, _storage
+from polspin.bands import FieldConfig, INPLANE, NORMAL
+from polspin.pipeline import (ScenarioConfig, _transport, _transport_back,
+                              _storage)
+from polspin.transfer import _eigenbasis_matrix
 from polspin.qstate import (PAULIS, choi_from_ptm, density_from_pauli, is_cptp,
                             pauli_vectors, ptm_from_kraus)
 
@@ -119,8 +122,8 @@ def test_dephasing_in_rotated_basis():
     # dephasing in the x eigenbasis keeps the x populations: |+> is a
     # fixed point of full dephasing there
     basis = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
-    t2, _ = transport_kraus(NoiseModel(t2_iii_v_ns=1.0,
-                                       transport_time_ns=1e9), basis)
+    t2 = transport_kraus(NoiseModel(t2_iii_v_ns=1.0, transport_time_ns=1e9),
+                         basis, forward=False)
     out = apply_ptm(ptm_from_kraus(t2), plus())
     assert plus_fidelity(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -136,6 +139,39 @@ def test_transport_at_t2():
     out = apply_ptm(transport_ptm(NoiseModel(transport_time_ns=100.0)), plus())
     assert plus_fidelity(out) == pytest.approx((1 + math.exp(-1)) / 2,
                                                      abs=1e-12)
+
+
+TRANSPORT_NOISE = [NoiseModel(),
+                   NoiseModel(transport_time_ns=10.0,
+                              transport_dephasing_fraction=0.3,
+                              transport_loss=0.2),
+                   NoiseModel(transport_time_ns=250.0,
+                              transport_dephasing_fraction=1.0),
+                   NoiseModel(t2_iii_v_ns=40.0, transport_time_ns=7.5,
+                              transport_dephasing_fraction=0.05,
+                              transport_loss=0.9)]
+
+
+@pytest.mark.parametrize("noise", TRANSPORT_NOISE, ids=repr)
+@pytest.mark.parametrize("case,field", [("A", FieldConfig(1.0, NORMAL)),
+                                        ("B", FieldConfig(1.0, INPLANE))])
+def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
+    """The forward stage's one Kraus set, the products of the T2 pair and
+    the fraction pair, is the fraction channel after the T2 channel, each
+    in the energy eigenbasis; the return stage is the T2 channel alone."""
+    cfg = ScenarioConfig(case=case, field=field, noise=noise)
+    scheme = cfg.scheme()
+    u = _eigenbasis_matrix(scheme) if case == "B" else np.eye(2)
+
+    def rotated_ptm(gamma):
+        return ptm_from_kraus([u @ k @ u.conj().T for k in dephasing_kraus(gamma)])
+
+    t2 = rotated_ptm(coherence_factor(noise.transport_time_ns, noise.t2_iii_v_ns))
+    fraction = rotated_ptm(1.0 - noise.transport_dephasing_fraction)
+    keep = 1.0 - noise.transport_loss
+    forward = _transport(cfg, scheme).ptm
+    assert np.max(np.abs(forward - keep * fraction @ t2)) < 1e-15
+    assert np.max(np.abs(_transport_back(cfg, scheme).ptm - keep * t2)) < 1e-15
 
 
 def test_transport_total_loss_vacuum():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polspin import pipeline, processor, transfer
+from polspin import noise, pipeline, processor, transfer
 from polspin.bands import FieldConfig, INPLANE, NORMAL, SpectralWindow
 from polspin.constants import KB_UEV_PER_K
 from polspin.noise import NoiseModel
@@ -511,9 +511,12 @@ def test_branch_weights_ignore_absorption_efficiency():
 def test_sweep_builds_untouched_stages_once(monkeypatch):
     """A sweep builds each stage its parameter does not touch once, at the
     first point, and rebuilds the touched ones at every point; the hole
-    diagnostics follow the absorb stage."""
+    diagnostics follow the absorb stage.  The forward transport builds two
+    dephasing pairs and the return leg one, so a transport-time point
+    makes three, and the first point one more for storage."""
     targets = ((pipeline, "absorption_branches"),
-               (processor, "site_channel_map"), (pipeline, "_hole_stats"))
+               (processor, "site_channel_map"), (pipeline, "_hole_stats"),
+               (noise, "dephasing_kraus"))
     calls = {}
     for module, name in targets:
         def counted(*args, _name=name, _original=getattr(module, name)):
@@ -524,13 +527,33 @@ def test_sweep_builds_untouched_stages_once(monkeypatch):
     cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(3, 2, 0.01))
     # calls per 3-point sweep, in the order of targets: the shuttles build
     # two chain maps per point
-    cases = {"noise.transport_time_ns": ([0.0, 10.0, 20.0], [1, 2, 1]),
-             "window.bandwidth_ueV": ([50.0, 300.0, 1200.0], [3, 2, 3]),
-             "chain.gate_error": ([0.0, 0.01, 0.02], [1, 6, 1])}
+    cases = {"noise.transport_time_ns": ([0.0, 10.0, 20.0], [1, 2, 1, 10]),
+             "window.bandwidth_ueV": ([50.0, 300.0, 1200.0], [3, 2, 3, 4]),
+             "chain.gate_error": ([0.0, 0.01, 0.02], [1, 6, 1, 4])}
     for param, (values, counts) in cases.items():
         calls.update((name, 0) for _, name in targets)
         sweep(replace(cfg, mc_samples=100), param, values)
         assert list(calls.values()) == counts, param
+
+
+@pytest.mark.parametrize("make,window,expansions",
+                         [(cfg_case_b, SpectralWindow(100.0), 4),
+                          (cfg_case_b, None, 2),
+                          (cfg_case_a, SpectralWindow(100.0), 2),
+                          (cfg_case_a, None, 1),
+                          (cfg_degenerate, None, 2)])
+def test_absorption_expands_each_quartet_state_once(make, window, expansions,
+                                                    monkeypatch):
+    """absorption_branches expands each non-zero quartet amplitude of each
+    absorbing hole once, for every spin and polarization: a windowed case B
+    absorption (two holes of two amplitudes) makes four LS expansions."""
+    calls = []
+    original = transfer.expand_jmj
+    monkeypatch.setattr(transfer, "expand_jmj",
+                        lambda state: calls.append(state) or original(state))
+    cfg = make(window=window)
+    transfer.absorption_branches(cfg.scheme(), cfg.window, cfg.compensate)
+    assert len(calls) == expansions
 
 
 @pytest.mark.parametrize("make", [cfg_case_a, cfg_case_b])
@@ -765,6 +788,13 @@ def test_dark_window_refused_by_monte_carlo_and_sweep():
     with pytest.raises(ValueError, match="does not couple"):
         sweep(cfg_case_a(window=SpectralWindow(10.0), mc_samples=50),
               "window.center_offset_ueV", [0.0, 1e5])
+
+
+def test_run_end_to_end_refuses_a_scenario_that_passes_nothing():
+    # transport loses every photon, so the stages compose to a dark map
+    cfg = cfg_case_a(noise=NoiseModel(transport_loss=1.0))
+    with pytest.raises(ValueError, match="does not couple"):
+        run_end_to_end(PLUS, cfg)
 
 
 def test_sweep_deterministic():

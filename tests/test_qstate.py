@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from polspin.qstate import (choi_from_ptm, choi_of_map, density_from_pauli,
-                            entanglement_entropy, is_cptp, pauli_vectors,
-                            process_fidelity, ptm_from_choi, ptm_from_kraus,
-                            purity)
+from polspin.qstate import (PAULIS, choi_from_ptm, choi_of_map,
+                            density_from_pauli, entanglement_entropy, is_cptp,
+                            pauli_vectors, process_fidelity, ptm_from_choi,
+                            ptm_from_kraus, purity)
 from polspin.transfer import AbsorptionOutcome
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -221,6 +221,28 @@ def test_choi_ptm_round_trip(n_ops, scale):
         # sum K†K = scale² I: the first row is scale² (1, 0, 0, 0)
         assert np.max(np.abs(ptm[0] - [scale ** 2, 0, 0, 0])) < 1e-14
         assert is_cptp(choi_from_ptm(ptm), tol=1e-10, conditional=True)
+
+
+def _ptm_by_pauli_images(kraus):
+    """Oracle: R_ij = ½ tr(σ_i Σ_k K σ_j K†), each Pauli image formed
+    operator by operator."""
+    images = sum(k @ PAULIS @ k.conj().T for k in kraus)      # Φ(σ_j)
+    return 0.5 * np.einsum("iab,jba->ij", PAULIS, images).real
+
+
+@pytest.mark.parametrize("n_ops", [1, 2, 3, 4])
+def test_ptm_from_kraus_matches_pauli_images(n_ops):
+    """The one-contraction superoperator route agrees with the Pauli images
+    of each operator, on trace-preserving and conditional random sets."""
+    rng = np.random.default_rng(70 + n_ops)
+    for _ in range(50):
+        for scale in (1.0, 0.6):
+            kraus = rand_kraus(rng, n_ops, scale)
+            got = ptm_from_kraus(kraus)
+            assert got.shape == (4, 4) and got.dtype == np.float64
+            assert np.max(np.abs(got - _ptm_by_pauli_images(kraus))) < 1e-15
+    # a stacked array and a list of arrays are the same Kraus set
+    assert np.array_equal(ptm_from_kraus(np.array(kraus)), ptm_from_kraus(kraus))
 
 
 def _choi_by_matrix_units(apply_map):

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 import polspin.qstate as qs
-from polspin.angular import AngularMomentumState, CONDUCTION, HEAVY_HOLE, LIGHT_HOLE
+from polspin.angular import (AngularMomentumState, CONDUCTION, HEAVY_HOLE,
+                             LIGHT_HOLE, expand_jmj)
 from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
                            SpectralWindow, build_level_scheme,
                            degenerate_scheme, precession_period)
 from polspin.constants import MU_B_UEV_PER_T
 from polspin.errors import DarkDirection, HeavyHoleTopmost
 from polspin.pipeline import ScenarioConfig, end_to_end_stages, run_end_to_end
-from polspin.transfer import (CIRCULAR, HADAMARD, LINEAR_ZX, PhotonQubit,
-                              absorb_case_a, absorb_case_b, absorb_degenerate,
-                              absorption_branches, branch_dipole_vectors,
-                              dipole_matrix_element, emission_map, precess,
-                              synchronized_hadamard, _frame_to_basis,
-                              _mode_map)
+from polspin.transfer import (CIRCULAR, E_SPH, HADAMARD, LINEAR_ZX,
+                              PhotonQubit, absorb_case_a, absorb_case_b,
+                              absorb_degenerate, absorption_branches,
+                              branch_dipole_vectors, dipole_matrix_element,
+                              emission_map, precess, synchronized_hadamard,
+                              transverse_frame, _RECOMBINING_HOLES,
+                              _dipole_block, _frame_to_basis, _mode_map,
+                              _polarization_deltas)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -89,6 +92,38 @@ def test_dipole_rejects_wrong_bands():
         dipole_matrix_element(C_UP, C_DN, "z")
     with pytest.raises(ValueError):
         dipole_matrix_element(LH_UP, LH_DN, "z")
+
+
+QUARTET = [AngularMomentumState(HEAVY_HOLE if abs(mj) > 1 else LIGHT_HOLE,
+                                j=1.5, mj=mj) for mj in (-1.5, -0.5, 0.5, 1.5)]
+POLS = ("z", "x", "sigma_plus", "sigma_minus")
+
+
+def _old_dipole_matrix_element(valence, conduction, pol, k_sign):
+    """The former single-entry reader: the LS expansion filtered by the
+    conduction spin, summed over the polarization's channels."""
+    amp = 0.0
+    for coeff, term in expand_jmj(valence):
+        if term.ms != conduction.mj:
+            continue
+        for dml, weight in _polarization_deltas(pol, k_sign):
+            if term.ml + dml == 0:
+                amp += weight * coeff
+    return amp
+
+
+@pytest.mark.parametrize("k_sign", [-1, 0, 1])
+def test_dipole_block_equals_single_entries(k_sign):
+    """Every entry of a quartet state's (spin x polarization) block is the
+    single-entry reading, bit for bit, and the former reading too."""
+    for valence in QUARTET:
+        block = _dipole_block(valence, POLS, k_sign)
+        assert block.shape == (2, len(POLS))
+        for s, spin in enumerate((C_DN, C_UP)):
+            for p, pol in enumerate(POLS):
+                entry = dipole_matrix_element(valence, spin, pol, k_sign)
+                old = _old_dipole_matrix_element(valence, spin, pol, k_sign)
+                assert block[s, p] == entry == old, (valence.mj, s, pol)
 
 
 def test_selection_rule_exclusivity(scheme_a):
@@ -656,6 +691,101 @@ def test_branch_dipoles_case_a(scheme_a):
     # spin-up branch radiates a pure z dipole
     assert abs(d_up[2]) == pytest.approx(SQ23, abs=1e-12)
     assert np.allclose(d_up[:2], 0.0, atol=1e-14)
+
+
+# --- emission geometry against its former per-column construction ----------
+
+def _old_transverse_frame(direction):
+    n = np.asarray(direction, dtype=float)
+    n = n / np.linalg.norm(n)
+    e1 = np.array([0.0, 0.0, 1.0]) - n[2] * n
+    if np.linalg.norm(e1) < 1e-9:
+        e1 = np.array([1.0, 0.0, 0.0])
+    e1 = e1 / np.linalg.norm(e1)
+    return e1.astype(complex), np.cross(n, e1).astype(complex)
+
+
+def _old_branch_dipole_vectors(scheme):
+    vectors = []
+    for ms, hole in zip((-0.5, +0.5), _RECOMBINING_HOLES[scheme.case]):
+        d = np.zeros(3, dtype=complex)
+        for amp, mj_state in zip(scheme.valence_levels[hole].state, QUARTET):
+            if amp == 0:
+                continue
+            for coeff, term in expand_jmj(mj_state):
+                if term.ms == ms:
+                    d = d + amp * coeff * E_SPH[-term.ml]
+        vectors.append(d)
+    return vectors
+
+
+def _old_mode_map(scheme, direction):
+    """The former frame map: one branch dipole at a time."""
+    n = np.asarray(direction, dtype=float)
+    n = n / np.linalg.norm(n)
+    e1, e2 = _old_transverse_frame(n)
+    t = np.zeros((2, 2), dtype=complex)
+    fractions = np.zeros(2)
+    for col, d in enumerate(_old_branch_dipole_vectors(scheme)):
+        proj = d - (n @ d) * n.astype(complex)
+        norm = np.linalg.norm(proj)
+        fractions[col] = (norm / np.linalg.norm(d)) ** 2
+        if norm < 1e-12:
+            continue
+        t[0, col] = np.vdot(e1, proj / norm)
+        t[1, col] = np.vdot(e2, proj / norm)
+    if np.max(np.abs(t)) < 1e-12:
+        raise DarkDirection("no recombination branch radiates into this direction")
+    return t, fractions
+
+
+EDGE_DIRECTIONS = [(0.0, 0.0, 1.0), (0.0, 0.0, -1.0), (1.0, 0.0, 0.0),
+                   (0.0, 1.0, 0.0), (1e-12, 0.0, 1.0), (0.3, 0.2, 1.0)]
+
+
+@pytest.mark.parametrize("case", ["A", "B", "degenerate"])
+def test_mode_map_matches_per_column_loop(case):
+    """Both spin branches at once give the per-branch loop's frame map and
+    fractions, and the written-out cross product np.cross's frame, over
+    random directions and the axes (where the frame falls back to +x)."""
+    scheme = EMISSION_SCHEMES[case]()
+    assert np.array_equal(branch_dipole_vectors(scheme),
+                          _old_branch_dipole_vectors(scheme))
+    rng = np.random.default_rng(sum(map(ord, case)))
+    for direction in list(rng.standard_normal((60, 3))) + EDGE_DIRECTIONS:
+        e1, e2 = _old_transverse_frame(direction)
+        assert np.array_equal(transverse_frame(direction), [e1, e2])
+        t, fractions = _mode_map(scheme, direction)
+        t_old, fractions_old = _old_mode_map(scheme, direction)
+        assert np.max(np.abs(t - t_old)) < 1e-15, direction
+        assert np.max(np.abs(fractions - fractions_old)) < 1e-15, direction
+
+
+@pytest.mark.parametrize("case,direction", [("B", (1.0, 0.0, 0.0)),
+                                            ("A", (0.0, 0.0, 1.0))])
+def test_mode_map_rank_deficient_matches_per_column_loop(case, direction):
+    # along B the two circular branches share a mode; along z case A's
+    # spin-up branch is dark and keeps a zero column
+    scheme = EMISSION_SCHEMES[case]()
+    t, fractions = _mode_map(scheme, direction)
+    t_old, fractions_old = _old_mode_map(scheme, direction)
+    assert np.linalg.matrix_rank(t, tol=1e-10) == 1
+    assert np.max(np.abs(t - t_old)) < 1e-15
+    assert np.array_equal(fractions == 0.0, fractions_old == 0.0)
+
+
+def test_mode_map_dark_direction_matches_per_column_loop(monkeypatch):
+    # both branch dipoles along z, collected along z: both constructions
+    # refuse the direction
+    import polspin.transfer as tr
+    dipoles = np.array([[0, 0, 1.0], [0, 0, 0.5]], dtype=complex)
+    monkeypatch.setattr(tr, "branch_dipole_vectors", lambda s: dipoles)
+    monkeypatch.setitem(globals(), "_old_branch_dipole_vectors",
+                        lambda s: list(dipoles))
+    scheme = EMISSION_SCHEMES["A"]()
+    for mode_map in (tr._mode_map, _old_mode_map):
+        with pytest.raises(DarkDirection):
+            mode_map(scheme, (0.0, 0.0, 1.0))
 
 
 # --- emission against its former construction -------------------------------
