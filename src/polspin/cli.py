@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import MISSING, fields
 
@@ -100,6 +101,26 @@ def _qubit(v, name: str) -> tuple[complex, complex]:
     if isinstance(v, (list, tuple)) and len(v) == 2:
         return amplitude(v[0]), amplitude(v[1])
     raise ConfigError(f"{name}: expected a pair of amplitudes, got {v!r}")
+
+
+def _choi_matrix(v, name: str) -> np.ndarray:
+    """A 4x4 complex matrix written as four rows of four [re, im] pairs,
+    each part a finite JSON number."""
+    if not (isinstance(v, list) and len(v) == 4
+            and all(isinstance(row, list) and len(row) == 4 for row in v)):
+        raise ConfigError(f"{name} must hold a finite 4x4 matrix of "
+                          "[re, im] pairs")
+    choi = np.empty((4, 4), dtype=complex)
+    for i, row in enumerate(v):
+        for j, z in enumerate(row):
+            entry = f"{name}: entry [{i}][{j}]"
+            if not (isinstance(z, list) and len(z) == 2):
+                raise ConfigError(f"{entry} must be an [re, im] pair, got {z!r}")
+            real, imag = (_number(x, entry) for x in z)
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise ConfigError(f"{entry} must be finite, got {z!r}")
+            choi[i, j] = complex(real, imag)
+    return choi
 
 
 def _direction(v, name: str) -> tuple[float, ...] | None:
@@ -325,13 +346,9 @@ def cmd_tomography(cfg: ScenarioConfig, fmt: str, out: str | None,
         try:
             with open(choi_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
-            choi = np.array([[complex(c[0], c[1]) for c in row] for row in raw])
-        except (OSError, json.JSONDecodeError, TypeError, IndexError,
-                ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot parse choi file {choi_file}: {exc}")
-        if choi.shape != (4, 4) or not np.all(np.isfinite(choi)):
-            raise ConfigError(f"choi file {choi_file} must hold a finite 4x4 "
-                              "matrix of [re, im] pairs")
+        choi = _choi_matrix(raw, f"choi file {choi_file}")
         cptp = is_cptp(choi, tol=1e-8, conditional=True)
         pf = process_fidelity(choi) if np.trace(choi).real > 0 else 0.0
     else:

@@ -13,9 +13,11 @@ It is deterministic for a given (seed, sample count), and prefix-stable:
 the first m of n samples do not depend on n.  Sample i is not tied to a
 fixed slice of the random stream (the normal sampler rejects and redraws),
 so a run cannot be split into independently seeded chunks that reproduce
-the whole.  The Monte Carlo sums accumulate over fixed blocks of samples,
-one pass for every point of a sweep, so a sweep row does not depend on
-how many points share its sweep.
+the whole.  The Monte Carlo sums accumulate over fixed blocks of samples
+in one pass: each block's Pauli vectors are formed once and feed the
+fidelity sums of every point of a sweep and the hole diagnostics of every
+absorb stage it builds, so a sweep row does not depend on how many points
+share its sweep.
 
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
@@ -362,63 +364,87 @@ _PAIR_WEIGHTS = np.where(_PAIRS[0] == _PAIRS[1], 0.25, 0.5)
 _PAIR_ROWS = (0, 4, 7, 9)
 
 
-def _fidelity_stats(rs, c) -> list[dict]:
-    """Mean fidelity, its standard error and mean success of the pure
-    inputs whose Pauli vectors are the columns of the (4, n) array c, sent
-    through each composed PTM of the (P, 4, 4) stack rs; one dict per PTM.
+def _mc_stats(cfg, rs, forms, amps) -> tuple[list[dict], list[dict]]:
+    """The Monte Carlo figures of the pure inputs, the rows of the (n, 2)
+    amplitude array amps: mean fidelity, its standard error and mean
+    success through each composed PTM of the (P, 4, 4) stack rs, and mean
+    leakage, hole-purity mean and standard deviation of each absorb stage
+    whose Gram forms are stacked in the (H, k², 4) array forms; one dict per
+    PTM and one per absorb stage.
 
-    The input q q† = ½ Σ c_j σ_j leaves as ½ Σ (r c)_i σ_i, so the output
-    trace is t = (r c)₀ = Σ_j r_0j c₀c_j (c₀ = 1) and the fidelity
+    One pass over fixed blocks of _MC_BLOCK samples: each block's Pauli
+    vectors c are formed on their own, so no quantity of all n samples is
+    held.  The input q q† = ½ Σ c_j σ_j leaves as ½ Σ (r c)_i σ_i, so the
+    output trace is t = (r c)₀ = Σ_j r_0j c₀c_j (c₀ = 1) and the fidelity
     numerator q† Φ(q q†) q is ½ c·r c: both are linear in the ten products
-    c_i c_j.  Each block of _MC_BLOCK samples forms those products once and
-    gets every PTM's traces and numerators from one (2P, 10) @ (10, m)
-    product.  An annihilated input (t <= 0) has fidelity 0.  The sums of f
-    and f² are shifted by each PTM's first f, so that a constant fidelity
-    has a standard error of ~0.
+    c_i c_j, and every PTM's traces and numerators come from one (2P, 10)
+    @ (10, m) product.  An annihilated input (t <= 0) has fidelity 0.
+    Every absorb stage's Gram matrices come from one (H·k², 4) @ (4, m)
+    product (`_sample_hole`).  The P fidelity rows and H hole-purity rows
+    are summed together, x and x², shifted by each row's first x, so that a
+    constant row has a spread of ~0.  A row's figures do not depend on P
+    or H.
     """
-    p = len(rs)
+    p, h = len(rs), len(forms)
     i, j = _PAIRS
     w = np.zeros((2 * p, len(i)))
     w[:p, :4] = rs[:, 0]
     w[p:] = _PAIR_WEIGHTS * (rs + rs.transpose(0, 2, 1))[:, i, j]
-    n = c.shape[1]
-    products = np.empty((len(i), min(n, _MC_BLOCK)))
-    shift = sum_f = sum_f2 = sum_t = 0.0
+    n = len(amps)
+    size = min(n, _MC_BLOCK)
+    products = np.empty((len(i), size))
+    y = np.empty((2 * p, size))
+    gram = np.empty((forms.shape[1] * h, size))
+    x = np.empty((p + h, size))     # a block's fidelities, then hole purities
+    sum_t = sum_leak = sum_x = sum_x2 = 0.0
     for start in range(0, n, _MC_BLOCK):
-        block = c[:, start:start + _MC_BLOCK]
-        cc = products[:, :block.shape[1]]
+        c = pauli_vectors(amps[start:start + _MC_BLOCK])
+        m = c.shape[1]
+        cc, xm = products[:, :m], x[:, :m]
         for k, row in enumerate(_PAIR_ROWS):
-            np.multiply(block[k], block[k:], out=cc[row:row + 4 - k])
-        y = w @ cc
-        t, f = y[:p], y[p:]
+            np.multiply(c[k], c[k:], out=cc[row:row + 4 - k])
+        np.matmul(w, cc, out=y[:, :m])
+        t = y[:p, :m]
         sum_t = sum_t + t.sum(axis=1)
         t[t <= 0] = np.inf
-        f /= t
+        np.divide(y[p:, :m], t, out=xm[:p])
+        leak, xm[p:], _ = _sample_hole(cfg, forms, c, out=gram[:, :m])
+        sum_leak = sum_leak + leak.sum(axis=1)
         if start == 0:
-            shift = f[:, 0].copy()
-        f -= shift[:, None]
-        sum_f = sum_f + f.sum(axis=1)
-        sum_f2 = sum_f2 + np.einsum("pm,pm->p", f, f)
-    mean = shift + sum_f / n
-    var = np.maximum(sum_f2 - sum_f * sum_f / n, 0.0) / max(n - 1, 1)
-    err = np.sqrt(var / n)
-    return [{"mean_fidelity": float(mean[k]), "stderr": float(err[k]),
-             "success_probability": float(sum_t[k] / n)} for k in range(p)]
+            shift = xm[:, 0].copy()
+        xm -= shift[:, None]
+        sum_x = sum_x + xm.sum(axis=1)
+        sum_x2 = sum_x2 + np.einsum("rm,rm->r", xm, xm)
+    mean = shift + sum_x / n
+    var = np.maximum(sum_x2 - sum_x * sum_x / n, 0.0) / max(n - 1, 1)
+    err, std = np.sqrt(var[:p] / n), np.sqrt(var[p:])
+    return ([{"mean_fidelity": float(mean[k]), "stderr": float(err[k]),
+              "success_probability": float(sum_t[k] / n)} for k in range(p)],
+            [{"leakage": float(sum_leak[k] / n),
+              "hole_purity_mean": float(mean[p + k]),
+              "hole_purity_std": float(std[k])} for k in range(h)])
 
 
-def _sample_hole(cfg, forms, c) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _sample_hole(cfg, forms, c,
+                 out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (leakage, hole purity, tr G) of the inputs with Pauli
-    vectors c.  The hole levels are orthonormal, so the hole is left in
-    G / tr G: purity Σ|G_ij|² / (tr G)², leakage G₁₁ / tr G (0 in the
-    degenerate case, whose branches are both wanted).  The diagonal is
-    clipped at 0, as a form can round below ||K q||² = 0."""
-    k = math.isqrt(len(forms))
-    g = forms @ c
-    np.maximum(g[:k], 0.0, out=g[:k])
-    total = g[:k].sum(axis=0)
-    g /= np.where(total > 0, total, 1.0)
-    purity = np.einsum("in,in->n", g, g)
-    leak = g[1] if k > 1 and cfg.case != DEGENERATE else np.zeros(c.shape[1])
+    vectors c (4, m): each (m,) for the (k², 4) Gram forms of one absorb
+    stage, or (H, m) for the forms of H stages stacked (H, k², 4), whose
+    Gram matrices come from one product, written to out if given.  The
+    hole levels are orthonormal, so the hole is left in G / tr G: purity
+    Σ|G_ij|² / (tr G)², leakage G₁₁ / tr G (0 in the degenerate case,
+    whose branches are both wanted).  The diagonal is clipped at 0, as a
+    form can round below ||K q||² = 0."""
+    k = math.isqrt(forms.shape[-2])
+    g = np.matmul(forms.reshape(-1, 4), c, out=out)
+    g = g.reshape(forms.shape[:-1] + g.shape[-1:])
+    diag = g[..., :k, :]
+    np.maximum(diag, 0.0, out=diag)
+    total = diag.sum(axis=-2)
+    g /= np.where(total > 0, total, 1.0)[..., None, :]
+    purity = np.einsum("...in,...in->...n", g, g)
+    leak = (g[..., 1, :] if k > 1 and cfg.case != DEGENERATE
+            else np.zeros_like(total))
     return leak, purity, total
 
 
@@ -577,16 +603,9 @@ def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
     return _run_end_to_end(_unit(q), cfg, stages)
 
 
-def _hole_stats(cfg, forms, c) -> dict:
-    leak, pur, _ = _sample_hole(cfg, forms, c)
-    return {"leakage": float(np.mean(leak)),
-            "hole_purity_mean": float(np.mean(pur)),
-            "hole_purity_std": float(np.std(pur, ddof=1)) if c.shape[1] > 1 else 0.0}
-
-
-def _run_monte_carlo(cfg, r, forms, c) -> MonteCarloResult:
-    return MonteCarloResult(n_samples=c.shape[1], **_fidelity_stats(r[None], c)[0],
-                            **_hole_stats(cfg, forms, c))
+def _run_monte_carlo(cfg, r, forms, amps) -> MonteCarloResult:
+    [fid], [hole] = _mc_stats(cfg, r[None], forms[None], amps)
+    return MonteCarloResult(n_samples=len(amps), **fid, **hole)
 
 
 def monte_carlo_average_fidelity(cfg: ScenarioConfig,
@@ -597,7 +616,7 @@ def monte_carlo_average_fidelity(cfg: ScenarioConfig,
         cfg = replace(cfg, mc_samples=n_samples)
     stages = end_to_end_stages(cfg)
     return _run_monte_carlo(cfg, _compose(stages), stages[0].branch_forms,
-                            pauli_vectors(haar_qubits(cfg.seed, cfg.mc_samples)))
+                            haar_qubits(cfg.seed, cfg.mc_samples))
 
 
 def _run_tomography(r) -> TomographyResult:
@@ -621,8 +640,7 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     q = _unit(cfg.input_qubit)
     _, _, entropy = _input_hole(cfg, forms, q)
     e2e = _run_end_to_end(q, cfg, stages)
-    mc = _run_monte_carlo(cfg, r, forms,
-                          pauli_vectors(haar_qubits(cfg.seed, cfg.mc_samples)))
+    mc = _run_monte_carlo(cfg, r, forms, haar_qubits(cfg.seed, cfg.mc_samples))
     tomo = _run_tomography(r)
     return ChannelReport(
         case=cfg.case,
@@ -700,21 +718,21 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     numbers): a row equals monte_carlo_average_fidelity at that value, and
     differences between rows are not sampling noise.  The inputs are drawn
     once for the whole sweep.  So are the stages the parameter does not
-    touch, and the hole diagnostics unless the parameter touches the absorb
-    stage: each point rebuilds only its parameter's stages.  Every point is
-    composed, and a dark one refused, before the fidelities of all points
-    are summed in one pass over fixed blocks of samples; a row does not
-    depend on how many points share its sweep.
+    touch: each point rebuilds only its parameter's stages.  Every point is
+    composed, and a dark one refused, before one pass over fixed blocks of
+    samples sums the fidelities of all points and the hole diagnostics of
+    every absorb stage built (one, unless the parameter touches absorb); a
+    row does not depend on how many points share its sweep.
     """
     set_value = _setter(cfg, param)
     touched = _SWEEPABLE[param]
     values = [float(v) for v in values]
-    ptms, holes = [], []
+    ptms, forms = [], []
     stages = None
     for v in values:
         sub = set_value(v)
         if stages is None:
-            c = pauli_vectors(haar_qubits(sub.seed, sub.mc_samples))
+            amps = haar_qubits(sub.seed, sub.mc_samples)
             scheme = sub.scheme()
             stages = detection_stages(sub, scheme) + return_stages(sub, scheme)
         else:
@@ -722,13 +740,14 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
                 scheme = sub.scheme()
             stages = [_STAGE_BUILDERS[st.name](sub, scheme)
                       if st.name in touched else st for st in stages]
-        if not holes or "absorb" in touched:
-            hole = _hole_stats(sub, stages[0].branch_forms, c)
-        holes.append(hole)
+        if not forms or "absorb" in touched:
+            forms.append(stages[0].branch_forms)
         ptms.append(_compose(stages))
     if not ptms:
         return []
-    fids = _fidelity_stats(np.array(ptms), c)
+    fids, holes = _mc_stats(sub, np.array(ptms), np.array(forms), amps)
+    if len(holes) == 1:
+        holes *= len(fids)
     return [{"param": param,
              "value": v,
              "mean_fidelity": fid["mean_fidelity"],

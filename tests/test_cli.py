@@ -608,6 +608,9 @@ def test_tomography_choi_file_json_like(tmp_path, capsys):
     json.dumps([]),
     json.dumps([[[1, 0]] * 4] * 3 + [[[1, 0]] * 3]),       # ragged
     json.dumps(IDENTITY_CHOI)[:-1],                        # not JSON
+    json.dumps(_with_entry({"0": 1, "1": 0})),             # object entry
+    json.dumps(_with_entry([True, False])),                # booleans
+    json.dumps(_with_entry([1, 0, 5])),                    # three parts
 ])
 def test_tomography_choi_file_refused(tmp_path, capsys, text):
     path = tmp_path / "bad-choi.json"
@@ -616,6 +619,21 @@ def test_tomography_choi_file_refused(tmp_path, capsys, text):
     assert code == 2
     assert out == ""
     assert err.startswith("config error:") and str(path) in err
+
+
+@pytest.mark.parametrize("entry,problem", [
+    ({"0": 1, "1": 0}, "must be an [re, im] pair, got {'0': 1, '1': 0}"),
+    ([True, False], "must be a number, got True"),
+    ([1, 0, 5], "must be an [re, im] pair, got [1, 0, 5]"),
+    ([1, "0"], "must be a number, got '0'"),
+    ([float("nan"), 0], "must be finite, got [nan, 0]"),
+])
+def test_tomography_choi_file_names_the_entry(tmp_path, capsys, entry, problem):
+    path = tmp_path / "bad-choi.json"
+    path.write_text(json.dumps(_with_entry(entry)), encoding="utf-8")
+    code, out, err = run_cli(["tomography", "--choi", str(path)], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: choi file {path}: entry [1][2] {problem}\n"
 
 
 @pytest.mark.parametrize("z", [0.0959716502 + 0j, 0.131319158 - 0.25j,

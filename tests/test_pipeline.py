@@ -14,8 +14,8 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               process_tomography, run_detection,
                               run_end_to_end, scenario_report, sweep,
                               end_to_end_stages, _absorption_kraus_logical,
-                              _compose, _emission_kraus,
-                              _fidelity_stats, _input_hole, _sample_hole)
+                              _compose, _emission_kraus, _gram_forms,
+                              _input_hole, _mc_stats, _sample_hole)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
@@ -379,7 +379,7 @@ def test_sample_quantities_match_density_matrices(name):
 
 
 def _dense_stats(r, c):
-    """The figures of _fidelity_stats, from the dense per-sample oracle."""
+    """The fidelity figures of _mc_stats, from the dense per-sample oracle."""
     fids, traces = _sample_fidelities(r, c)
     n = c.shape[1]
     return {"mean_fidelity": np.mean(fids),
@@ -387,7 +387,12 @@ def _dense_stats(r, c):
             "success_probability": np.mean(traces)}
 
 
-_ANNIHILATED = np.array([1.0, 0.0, 0.0, -1.0])   # Pauli vector of |1>
+def _fidelity_stats(rs, amps):
+    """The fidelity figures of _mc_stats for the PTM stack rs, next to one
+    case A absorb stage."""
+    cfg = cfg_case_a()
+    forms = end_to_end_stages(cfg)[0].branch_forms
+    return _mc_stats(cfg, rs, forms[None], amps)[0]
 
 
 def _kernel_ptms():
@@ -406,15 +411,19 @@ def _kernel_ptms():
     return np.array(ptms)
 
 
-@pytest.mark.parametrize("n", [1, 2, 2047, 2048, 2049, 5000])
+KERNEL_SIZES = [1, 2, 2047, 2048, 2049, 5000]
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
 def test_fidelity_stats_matches_dense_oracle(n):
     """The blocked kernel gives the dense per-sample figures at 1e-12, with
-    every fifth input annihilated by the projecting maps (fidelity 0), and
-    each PTM's figures do not depend on the stack it is evaluated in."""
+    every fifth input |1>, annihilated by the projecting maps (fidelity 0),
+    and each PTM's figures do not depend on the stack it is evaluated in."""
     rs = _kernel_ptms()
-    c = pauli_vectors(haar_qubits(31, n))
-    c[:, ::5] = _ANNIHILATED[:, None]
-    got = _fidelity_stats(rs, c)
+    amps = haar_qubits(31, n)
+    amps[::5] = [0.0, 1.0]
+    c = pauli_vectors(amps)
+    got = _fidelity_stats(rs, amps)
     assert len(got) == len(rs)
     for k, (r, stats) in enumerate(zip(rs, got)):
         if k >= len(KERNEL_CONFIGS) and k % 2:
@@ -423,14 +432,13 @@ def test_fidelity_stats_matches_dense_oracle(n):
         assert stats.keys() == want.keys()
         for key, value in stats.items():
             assert abs(value - want[key]) < 1e-12, (k, key)
-        assert _fidelity_stats(rs[k:k + 1], c) == [stats]
+        assert _fidelity_stats(rs[k:k + 1], amps) == [stats]
     if n == 1:
         assert all(stats["stderr"] == 0.0 for stats in got)
 
 
 def test_fidelity_stats_ideal_map_has_no_spread():
-    c = pauli_vectors(haar_qubits(3, 20_000))
-    [stats] = _fidelity_stats(np.eye(4)[None], c)
+    [stats] = _fidelity_stats(np.eye(4)[None], haar_qubits(3, 20_000))
     assert abs(stats["mean_fidelity"] - 1.0) < 1e-12
     assert abs(stats["success_probability"] - 1.0) < 1e-12
     assert stats["stderr"] <= 1e-10
@@ -440,12 +448,66 @@ def test_fidelity_stats_resolves_a_tiny_spread():
     """A dephasing of 1e-8 spreads the fidelity by ~1e-8 around ~1: the
     shifted sums keep its standard error to 1e-6 of the dense value, where
     unshifted sums of f and f² would lose it to cancellation."""
-    c = pauli_vectors(haar_qubits(3, 20_000))
+    amps = haar_qubits(3, 20_000)
     r = ptm_from_kraus(dephasing_kraus(1.0 - 1e-8))
-    [stats] = _fidelity_stats(r[None], c)
-    want = _dense_stats(r, c)["stderr"]
+    [stats] = _fidelity_stats(r[None], amps)
+    want = _dense_stats(r, pauli_vectors(amps))["stderr"]
     assert want > 0.0
     assert abs(stats["stderr"] - want) <= 1e-6 * want
+
+
+def _dense_hole_stats(cfg, forms, c):
+    """The hole figures of _mc_stats, from the per-sample formula."""
+    leak, pur, _ = _sample_hole(cfg, forms, c)
+    return {"leakage": np.mean(leak), "hole_purity_mean": np.mean(pur),
+            "hole_purity_std": np.std(pur, ddof=1) if len(pur) > 1 else 0.0}
+
+
+def _hole_stacks():
+    """(cfg, stacked Gram forms) per case and branch count: every absorb
+    stage of HOLE_CONFIGS, grouped as a sweep would stack them."""
+    stacks = {}
+    for _, cfg in sorted(HOLE_CONFIGS.items()):
+        forms = end_to_end_stages(cfg)[0].branch_forms
+        stacks.setdefault((cfg.case, len(forms)), (cfg, []))[1].append(forms)
+    return [(cfg, np.array(forms)) for cfg, forms in stacks.values()]
+
+
+@pytest.mark.parametrize("n", KERNEL_SIZES)
+def test_hole_stats_matches_dense_oracle(n):
+    """Leakage and hole-purity mean and standard deviation from the blocked
+    pass equal np.mean / np.std(ddof=1) of the per-sample figures at 1e-12,
+    and each absorb stage's figures do not depend on the stack it is
+    evaluated in."""
+    amps = haar_qubits(41, n)
+    c = pauli_vectors(amps)
+    r = np.eye(4)[None]
+    for cfg, forms in _hole_stacks():
+        _, got = _mc_stats(cfg, r, forms, amps)
+        assert len(got) == len(forms)
+        for h, stats in enumerate(got):
+            want = _dense_hole_stats(cfg, forms[h], c)
+            assert stats.keys() == want.keys()
+            for key, value in stats.items():
+                assert abs(value - want[key]) < 1e-12, (cfg.case, h, key)
+            assert _mc_stats(cfg, r, forms[h:h + 1], amps)[1] == [stats]
+        if n == 1:
+            assert all(stats["hole_purity_std"] == 0.0 for stats in got)
+
+
+def test_hole_stats_resolves_a_tiny_spread():
+    """A second branch ε X next to the identity leaves the hole purity
+    1 − 2ε²(1 − r_x²) + O(ε⁴): at ε = 1e-4 a spread of ~1e-8 around ~1,
+    which the shifted sums keep to 1e-6 of the dense standard deviation."""
+    cfg = cfg_case_a()
+    eps = 1e-4
+    forms = _gram_forms(np.array([np.eye(2), eps * np.array([[0, 1], [1, 0]])],
+                                 dtype=complex))
+    amps = haar_qubits(3, 20_000)
+    [_], [stats] = _mc_stats(cfg, np.eye(4)[None], forms[None], amps)
+    want = _dense_hole_stats(cfg, forms, pauli_vectors(amps))["hole_purity_std"]
+    assert 1e-9 < want < 1e-7
+    assert abs(stats["hole_purity_std"] - want) <= 1e-6 * want
 
 
 def test_sweep_rows_independent_of_point_count():
@@ -463,6 +525,25 @@ def test_sweep_rows_independent_of_point_count():
             cfg.noise, transport_time_ns=float(v))))
         assert (row["mean_fidelity"], row["stderr"], row["success_prob"]) == (
             mc.mean_fidelity, mc.stderr, mc.success_probability), v
+
+
+@pytest.mark.parametrize("make", [cfg_case_a, cfg_case_b])
+def test_bandwidth_sweep_rows_equal_monte_carlo(make):
+    """A bandwidth sweep stacks the hole forms of all 21 absorb stages in
+    one pass over 10 blocks; every row, hole figures included, is exactly
+    the Monte Carlo result of its point alone."""
+    cfg = make(chain=ChainParams(1, 0, 0.0), mc_samples=20_000)
+    values = np.linspace(50.0, 3000.0, 21)
+    rows = sweep(cfg, "window.bandwidth_ueV", values)
+    assert len(rows) == len(values)
+    for row, v in zip(rows, values):
+        mc = monte_carlo_average_fidelity(replace(cfg, window=replace(
+            cfg.window, bandwidth_uev=float(v))))
+        assert (row["mean_fidelity"], row["stderr"], row["success_prob"],
+                row["leakage"], row["hole_purity"]) == (
+            mc.mean_fidelity, mc.stderr, mc.success_probability, mc.leakage,
+            mc.hole_purity_mean), v
+    assert rows[0]["leakage"] < rows[-1]["leakage"]
 
 
 # Windows from none (a single absorption branch) to 5000 µeV, wide enough
@@ -510,23 +591,25 @@ def test_branch_weights_ignore_absorption_efficiency():
 
 def test_sweep_builds_untouched_stages_once(monkeypatch):
     """A sweep builds each stage its parameter does not touch once, at the
-    first point, and rebuilds the touched ones at every point; the hole
-    diagnostics follow the absorb stage.  The forward transport builds two
-    dephasing pairs and the return leg one, so a transport-time point
-    makes three, and the first point one more for storage."""
+    first point, and rebuilds the touched ones at every point; the Monte
+    Carlo pass gets the hole forms of each absorb stage built.  The forward
+    transport builds two dephasing pairs and the return leg one, so a
+    transport-time point makes three, and the first point one more for
+    storage."""
     targets = ((pipeline, "absorption_branches"),
-               (processor, "site_channel_map"), (pipeline, "_hole_stats"),
+               (processor, "site_channel_map"), (pipeline, "_mc_stats"),
                (noise, "dephasing_kraus"))
     calls = {}
     for module, name in targets:
         def counted(*args, _name=name, _original=getattr(module, name)):
-            calls[_name] += 1
+            # the Monte Carlo kernel counts the absorb stages it is given
+            calls[_name] += len(args[2]) if _name == "_mc_stats" else 1
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
     cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(3, 2, 0.01))
-    # calls per 3-point sweep, in the order of targets: the shuttles build
-    # two chain maps per point
+    # calls (absorb stages for the kernel) per 3-point sweep, in the order
+    # of targets: the shuttles build two chain maps per point
     cases = {"noise.transport_time_ns": ([0.0, 10.0, 20.0], [1, 2, 1, 10]),
              "window.bandwidth_ueV": ([50.0, 300.0, 1200.0], [3, 2, 3, 4]),
              "chain.gate_error": ([0.0, 0.01, 0.02], [1, 6, 1, 4])}
