@@ -556,8 +556,13 @@ def _output_state(v) -> np.ndarray:
 
 
 def _unit(q) -> np.ndarray:
+    """An input qubit as a unit 2-vector; anything else is refused."""
     q = np.asarray(q, dtype=complex)
-    return q / np.linalg.norm(q)
+    n = np.linalg.norm(q) if q.shape == (2,) else math.nan
+    if not (math.isfinite(n) and n > 0):
+        raise ValueError("input qubit must be a finite, non-zero 2-vector of "
+                         f"amplitudes, got {q.tolist()}")
+    return q / n
 
 
 # The private _run_* helpers below take prebuilt stages (or their composed

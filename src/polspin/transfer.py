@@ -9,24 +9,26 @@ Basis conventions (fixed package-wide):
   linear qubit, (|sigma+>, |sigma->) for a circular one.
 
 Circular labels are direction-dependent: sigma± carries photon spin ±1
-along its own k-vector.  A single helper (`_polarization_deltas`) owns the
+along its own k-vector.  One readout matrix (`_channels`) owns the
 translation to orbital selection rules; each scheme fixes a canonical k
 orientation, which is what reconciles the two circular-basis cases
 (degenerate absorption uses k ∥ +G, the in-plane-field case k ∥ -G).
 
-The selection rules are written once.  `absorption_branches` builds every
-branch from one block, the level's quartet amplitudes times the LS
-expansion coefficients, with unit weight per allowed ΔmL channel (an
+The selection rules are written once, as one table: `_ls_table`, the
+Clebsch-Gordan content C[mJ, mL, mS] of the J=3/2 quartet.  Absorption
+reads it through `_channels`, which couples each polarization to the
+valence mL it empties with unit weight per allowed ΔmL channel (an
 x-polarized photon drives ΔmL = ±1 coherently).  From the topmost
 |3/2, +1/2> level the z- versus x-coupled amplitudes are √(2/3) and
 √(1/3), the √2 imbalance that the optional compensation prefilter (scale
 the z amplitude by 1/√2, renormalize, report the success probability)
-removes exactly.  `_RECOMBINING_HOLES` names the hole each electron spin
-falls back into, and `emission_map`, the one emission implementation,
-runs the same rules backwards: one Kraus branch per hole, collected along
-a direction with the off-axis frame distortion compensated, and the
-per-branch collection fractions.  The pipeline's emit stage collects
-along the config's `emission_direction`.
+removes exactly.  Emission reads the same table through `_E_ML`, the
+polarization each mL component radiates: `_RECOMBINING_HOLES` names the
+hole each electron spin falls back into, and `emission_map`, the one
+emission implementation, runs the rules backwards: one Kraus branch per
+hole, collected along a direction with the off-axis frame distortion
+compensated, and the per-branch collection fractions.  The pipeline's
+emit stage collects along the config's `emission_direction`.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .angular import (AngularMomentumState, CONDUCTION, LIGHT_HOLE,
-                      HEAVY_HOLE, expand_jmj)
+                      HEAVY_HOLE, clebsch_gordan, expand_jmj)
 from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, SpectralWindow,
                     degenerate_scheme)
 from .constants import HBAR_UEV_NS
@@ -77,8 +79,8 @@ class PhotonQubit:
         if self.basis not in (LINEAR_ZX, CIRCULAR):
             raise ValueError(f"unknown photon basis {self.basis!r}")
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if abs(n - 1.0) > 1e-9:
-            raise ValueError("photon amplitudes must be normalized")
+        if not (math.isfinite(n) and abs(n - 1.0) <= 1e-9):
+            raise ValueError("photon amplitudes must be finite and normalized")
         if abs(n - 1.0) > 1e-12:
             s = math.sqrt(n)
             object.__setattr__(self, "alpha", self.alpha / s)
@@ -93,36 +95,36 @@ class PhotonQubit:
 # dipole selection rules
 # ---------------------------------------------------------------------------
 
-def _polarization_deltas(pol: str, k_sign: int = -1) -> list[tuple[int, float]]:
-    """Allowed orbital changes (ΔmL = mL_cond - mL_val, weight) for one
-    polarization.  Owns the circular-label convention: a sigma± photon adds
-    ±1 unit of angular momentum along its k, so ΔmL = ±k_sign where k_sign
-    is the sign of k·G."""
-    if pol == "z":
-        return [(0, 1.0)]
-    if pol == "x":
-        return [(+1, 1.0), (-1, 1.0)]
-    if pol == "sigma_plus":
-        return [(+k_sign, 1.0)]
-    if pol == "sigma_minus":
-        return [(-k_sign, 1.0)]
-    raise ValueError(f"unknown polarization {pol!r}")
+# The J=3/2 quartet (the basis of every valence `Level.state`), the valence
+# orbital and the spin, in the order of the table's axes.
+_MJ = (-1.5, -0.5, 0.5, 1.5)
+_ML = (-1, 0, 1)
+_MS = (-0.5, 0.5)
 
 
-def _dipole_block(valence: AngularMomentumState, pols,
-                  k_sign: int) -> np.ndarray:
-    """Dipole amplitudes of one valence state, from one LS expansion: row
-    the conduction spin (mS=-1/2, mS=+1/2), column the polarization in
-    pols.  Entry [s, p] is `dipole_matrix_element` of that spin and
-    polarization."""
-    block = np.zeros((2, len(pols)))
-    for coeff, term in expand_jmj(valence):
-        row = block[int(term.ms > 0)]
-        for col, pol in enumerate(pols):
-            for dml, weight in _polarization_deltas(pol, k_sign):
-                if term.ml + dml == 0:   # conduction band is mL = 0
-                    row[col] += weight * coeff
-    return block
+def _ls_table() -> np.ndarray:
+    """C[mJ, mL, mS] = <1 mL; 1/2 mS | 3/2 mJ>, the LS content of the J=3/2
+    quartet, axes in the orders of `_MJ`, `_ML` and `_MS`.  Absorption and
+    emission both read their selection rules off this one table."""
+    return np.array([clebsch_gordan(1, ml, 0.5, ms, 1.5, mj)
+                     for mj in _MJ for ml in _ML for ms in _MS]).reshape(4, 3, 2)
+
+
+def _channels(pols, k_sign: int) -> np.ndarray:
+    """W[mL, p]: the weight with which polarization pols[p] couples valence
+    orbital mL to the mL=0 conduction band, unit weight per allowed ΔmL
+    channel (ΔmL = mL_cond - mL_val).  Owns the circular-label convention:
+    a sigma± photon adds ±1 unit of angular momentum along its k, so
+    ΔmL = ±k_sign where k_sign is the sign of k·G."""
+    deltas = {"z": (0,), "x": (+1, -1),
+              "sigma_plus": (+k_sign,), "sigma_minus": (-k_sign,)}
+    w = np.zeros((len(_ML), len(pols)))
+    for col, pol in enumerate(pols):
+        if pol not in deltas:
+            raise ValueError(f"unknown polarization {pol!r}")
+        for dml in deltas[pol]:
+            w[_ML.index(-dml), col] = 1.0
+    return w
 
 
 def dipole_matrix_element(valence: AngularMomentumState,
@@ -131,21 +133,22 @@ def dipole_matrix_element(valence: AngularMomentumState,
     """Relative dipole amplitude for valence -> conduction absorption.
 
     The photon couples only the orbital part: each polarization channel
-    changes mL as given by `_polarization_deltas` and never touches mS.
-    The amplitude is the LS-expansion coefficient of the matching valence
+    changes mL as given by `_channels` and never touches mS.  The
+    amplitude is the LS-expansion coefficient of the matching valence
     component (summed over channels), so from |3/2, +1/2> a z photon
     reaches mS=+1/2 with √(2/3) and an x photon reaches mS=-1/2 with
-    √(1/3).  One entry of `_dipole_block`.
+    √(1/3).  Any JmJ valence state is answered, the split-off J=1/2
+    doublet too, from its own LS expansion.
     """
     if valence.band not in (LIGHT_HOLE, HEAVY_HOLE):
         raise ValueError("first argument must be a valence state")
     if conduction.band != CONDUCTION:
         raise ValueError("second argument must be a conduction state")
-    if conduction.coupling == "JmJ":
-        ms_c = conduction.mj
-    else:
-        ms_c = conduction.ms
-    return float(_dipole_block(valence, (pol,), k_sign)[int(ms_c > 0), 0])
+    ms_c = conduction.mj if conduction.coupling == "JmJ" else conduction.ms
+    ls = np.zeros((len(_ML), len(_MS)))
+    for coeff, term in expand_jmj(valence):
+        ls[_ML.index(term.ml), int(term.ms > 0)] = coeff
+    return float((ls.T @ _channels((pol,), k_sign))[int(ms_c > 0), 0])
 
 
 # ---------------------------------------------------------------------------
@@ -188,11 +191,6 @@ class AbsorptionOutcome:
         return m.T @ m.conj()
 
 
-# The J=3/2 quartet, the basis of every valence `Level.state`.
-_QUARTET = tuple(AngularMomentumState(HEAVY_HOLE if abs(mj) > 1 else LIGHT_HOLE,
-                                      j=1.5, mj=mj)
-                 for mj in (-1.5, -0.5, 0.5, 1.5))
-
 # The hole level, an index into scheme.valence_levels, that each electron
 # spin (mS=-1/2, mS=+1/2) recombines with: the abundant topmost level of a
 # split scheme; in the degenerate scheme the stretched heavy hole that the
@@ -227,11 +225,12 @@ def absorption_branches(scheme: BandScheme,
     photon basis (k along +G in the degenerate scheme: sigma+ empties
     mJ=-3/2 into a spin-down electron, sigma- the mirror).
 
-    Each branch starts from its level's selection-rule block D, the sum
-    of its quartet amplitudes times their `_dipole_block`s.  A window
-    weights D in the conduction energy eigenbasis |e>, where energy
-    conservation fixes the photon frequency: K = Σ_e w(E_e - c_mid +
-    offset) |e><e| D.  compensate applies the √2 prefilter, in case A only.
+    Each branch starts from its level's selection-rule block D: its
+    quartet amplitudes contracted with `_ls_table`, read per spin through
+    the photon basis' `_channels`.  A window weights D in the conduction
+    energy eigenbasis |e>, where energy conservation fixes the photon
+    frequency: K = Σ_e w(E_e - c_mid + offset) |e><e| D.  compensate
+    applies the √2 prefilter, in case A only.
     """
     pols = ("z", "x") if scheme.case == CASE_A else ("sigma_plus", "sigma_minus")
     # the sign of k·G; 0 for case A's in-plane k, which linear light ignores
@@ -239,11 +238,11 @@ def absorption_branches(scheme: BandScheme,
     lo, hi = scheme.conduction_levels[0], scheme.conduction_levels[-1]
     c_mid = 0.5 * (lo.energy_uev + hi.energy_uev)
     u = _eigenbasis_matrix(scheme)
+    per_spin, channels = _ls_table().transpose(2, 0, 1), _channels(pols, k_sign)
     branches = []
     for hole, level, offset in _absorbing_holes(scheme, window):
-        # D[spin, pol] = Σ_m state[m] · dipole_matrix_element(quartet[m], ...)
-        k = sum(amp * _dipole_block(mj, pols, k_sign)
-                for amp, mj in zip(level.state, _QUARTET) if amp != 0)
+        # D[spin, pol] = Σ_mJ,mL state[mJ] C[mJ, mL, spin] W[mL, pol]
+        k = (level.state @ per_spin) @ channels
         if offset is not None:
             w = [window.amplitude((lv.energy_uev - c_mid) + offset)
                  for lv in (lo, hi)]
@@ -400,6 +399,9 @@ E_SPH = {
     -1: np.array([_SQ2, -1j * _SQ2, 0.0]),
 }
 
+# Row mL: the polarization a hole's mL component radiates, E_SPH[-mL].
+_E_ML = np.array([E_SPH[-ml] for ml in _ML])
+
 
 def transverse_frame(direction: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal transverse pair (e1, e2) for a direction,
@@ -427,21 +429,12 @@ def branch_dipole_vectors(scheme: BandScheme) -> np.ndarray:
 
     Each LS component (mL, mS) of the hole level radiates a photon carrying
     orbital momentum -mL along +z (the electron drops from mL=0), so the
-    branch vector is the coefficient-weighted sum of spherical unit vectors
-    over the components with the electron's mS.  Each quartet state of a
-    hole level is expanded once, for both spins.
+    branch vector is the hole's quartet amplitudes contracted with the
+    `_ls_table` column of the electron's mS, read through `_E_ML`.
     """
-    holes = _RECOMBINING_HOLES[scheme.case]
-    d = np.zeros((2, 3), dtype=complex)
-    for hole in dict.fromkeys(holes):
-        for amp, mj_state in zip(scheme.valence_levels[hole].state, _QUARTET):
-            if amp == 0:
-                continue
-            for coeff, term in expand_jmj(mj_state):
-                spin = int(term.ms > 0)
-                if holes[spin] == hole:
-                    d[spin] += amp * coeff * E_SPH[-term.ml]
-    return d
+    per_spin = _ls_table().transpose(2, 0, 1)
+    return np.array([(scheme.valence_levels[hole].state @ per_spin[spin]) @ _E_ML
+                     for spin, hole in enumerate(_RECOMBINING_HOLES[scheme.case])])
 
 
 def _mode_map(scheme: BandScheme, direction) -> tuple[np.ndarray, np.ndarray]:

@@ -54,6 +54,24 @@ def cfg_degenerate(**kw):
 PLUS = np.array([SQ2, SQ2])
 
 
+# --- input qubit ---------------------------------------------------------------
+
+@pytest.mark.parametrize("q", [[0, 0], [math.nan, 1], [complex("nan+1j"), 0],
+                               [math.inf, 0], [1, 0, 0], [1], [[1, 0], [0, 1]],
+                               1.0])
+@pytest.mark.parametrize("run", [run_detection, run_end_to_end])
+def test_bad_input_qubit_refused(run, q):
+    """An input that is not a finite, non-zero 2-vector is refused by name
+    rather than normalised into NaN figures or truncated."""
+    with pytest.raises(ValueError, match="input qubit must be a finite, non-zero 2-vector"):
+        run(q, cfg_case_a())
+
+
+def test_unnormalised_input_qubit_is_normalised():
+    assert run_end_to_end([3, 3], cfg_case_a()).round_trip_fidelity == \
+        run_end_to_end(PLUS, cfg_case_a()).round_trip_fidelity
+
+
 # --- detection ---------------------------------------------------------------
 
 def test_detection_ideal_case_a():
@@ -619,24 +637,27 @@ def test_sweep_builds_untouched_stages_once(monkeypatch):
         assert list(calls.values()) == counts, param
 
 
-@pytest.mark.parametrize("make,window,expansions",
-                         [(cfg_case_b, SpectralWindow(100.0), 4),
-                          (cfg_case_b, None, 2),
-                          (cfg_case_a, SpectralWindow(100.0), 2),
-                          (cfg_case_a, None, 1),
-                          (cfg_degenerate, None, 2)])
-def test_absorption_expands_each_quartet_state_once(make, window, expansions,
-                                                    monkeypatch):
-    """absorption_branches expands each non-zero quartet amplitude of each
-    absorbing hole once, for every spin and polarization: a windowed case B
-    absorption (two holes of two amplitudes) makes four LS expansions."""
-    calls = []
-    original = transfer.expand_jmj
-    monkeypatch.setattr(transfer, "expand_jmj",
-                        lambda state: calls.append(state) or original(state))
+@pytest.mark.parametrize("make,window",
+                         [(cfg_case_b, SpectralWindow(100.0)),
+                          (cfg_case_b, None),
+                          (cfg_case_a, SpectralWindow(100.0)),
+                          (cfg_case_a, None),
+                          (cfg_degenerate, None)])
+def test_stage_builds_read_the_ls_table_once(make, window, monkeypatch):
+    """absorption_branches and branch_dipole_vectors each build the LS table
+    once, whatever the number of holes and amplitudes, and neither walks an
+    LS expansion of its own."""
+    builds = []
+    original = transfer._ls_table
+    monkeypatch.setattr(transfer, "_ls_table",
+                        lambda: builds.append(1) or original())
+    monkeypatch.setattr(transfer, "expand_jmj", None)
     cfg = make(window=window)
-    transfer.absorption_branches(cfg.scheme(), cfg.window, cfg.compensate)
-    assert len(calls) == expansions
+    scheme = cfg.scheme()
+    transfer.absorption_branches(scheme, cfg.window, cfg.compensate)
+    assert len(builds) == 1
+    transfer.branch_dipole_vectors(scheme)
+    assert len(builds) == 2
 
 
 @pytest.mark.parametrize("make", [cfg_case_a, cfg_case_b])

@@ -18,8 +18,8 @@ from polspin.transfer import (CIRCULAR, E_SPH, HADAMARD, LINEAR_ZX,
                               branch_dipole_vectors, dipole_matrix_element,
                               emission_map, precess, synchronized_hadamard,
                               transverse_frame, _RECOMBINING_HOLES,
-                              _dipole_block, _frame_to_basis, _mode_map,
-                              _polarization_deltas)
+                              _channels, _frame_to_basis, _ls_table,
+                              _mode_map)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -61,6 +61,13 @@ def test_photon_normalization_enforced():
         PhotonQubit(LINEAR_ZX, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (complex("nan+1j"), 0.0),
+                                        (math.inf, 0.0), (1.0, math.inf)])
+def test_photon_non_finite_amplitudes_refused(alpha, beta):
+    with pytest.raises(ValueError, match="finite"):
+        PhotonQubit(LINEAR_ZX, alpha, beta)
+
+
 # --- dipole matrix elements --------------------------------------------------
 
 def test_dipole_z_from_topmost():
@@ -94,9 +101,68 @@ def test_dipole_rejects_wrong_bands():
         dipole_matrix_element(LH_UP, LH_DN, "z")
 
 
+def test_dipole_rejects_uncoupled_valence_and_unknown_polarization():
+    with pytest.raises(ValueError):
+        dipole_matrix_element(AngularMomentumState(LIGHT_HOLE, "LmLSmS", ml=1, ms=-0.5),
+                              C_UP, "z")
+    with pytest.raises(ValueError, match="polarization"):
+        dipole_matrix_element(LH_UP, C_UP, "y")
+
+
+SO_UP = AngularMomentumState(LIGHT_HOLE, j=0.5, mj=+0.5)
+SO_DN = AngularMomentumState(LIGHT_HOLE, j=0.5, mj=-0.5)
+
+
+def test_dipole_split_off_doublet():
+    """The J=1/2 split-off states are answered from their own LS expansion,
+    |1/2, ±1/2> = ∓√(1/3) |0, ±1/2> ± √(2/3) |±1, ∓1/2>, not from the J=3/2
+    quartet's entries at the same mJ."""
+    assert dipole_matrix_element(SO_UP, C_UP, "z") == pytest.approx(-SQ13, abs=1e-15)
+    assert dipole_matrix_element(SO_UP, C_DN, "x") == pytest.approx(SQ23, abs=1e-15)
+    assert dipole_matrix_element(SO_DN, C_DN, "z") == pytest.approx(SQ13, abs=1e-15)
+    assert dipole_matrix_element(SO_DN, C_UP, "x") == pytest.approx(-SQ23, abs=1e-15)
+    assert dipole_matrix_element(SO_UP, C_UP, "x") == 0.0
+    assert dipole_matrix_element(SO_UP, C_DN, "z") == 0.0
+    # k ∥ -G: sigma+ drives ΔmL = -1, which empties mL = +1
+    assert dipole_matrix_element(SO_UP, C_DN, "sigma_plus") == pytest.approx(SQ23, abs=1e-15)
+    assert dipole_matrix_element(SO_UP, C_DN, "sigma_minus") == 0.0
+
+
 QUARTET = [AngularMomentumState(HEAVY_HOLE if abs(mj) > 1 else LIGHT_HOLE,
                                 j=1.5, mj=mj) for mj in (-1.5, -0.5, 0.5, 1.5)]
 POLS = ("z", "x", "sigma_plus", "sigma_minus")
+
+
+# --- the former selection-rule construction, kept as the table's oracle ------
+# Before the one LS table, each build walked the LS expansion of every
+# quartet state through a per-polarization list of ΔmL channels.
+
+def _polarization_deltas(pol, k_sign=-1):
+    """Allowed orbital changes (ΔmL = mL_cond - mL_val, weight) for one
+    polarization: a sigma± photon adds ±1 unit of angular momentum along
+    its k, so ΔmL = ±k_sign where k_sign is the sign of k·G."""
+    if pol == "z":
+        return [(0, 1.0)]
+    if pol == "x":
+        return [(+1, 1.0), (-1, 1.0)]
+    if pol == "sigma_plus":
+        return [(+k_sign, 1.0)]
+    if pol == "sigma_minus":
+        return [(-k_sign, 1.0)]
+    raise ValueError(f"unknown polarization {pol!r}")
+
+
+def _dipole_block(valence, pols, k_sign):
+    """Dipole amplitudes of one valence state, from one LS expansion: row
+    the conduction spin (mS=-1/2, mS=+1/2), column the polarization."""
+    block = np.zeros((2, len(pols)))
+    for coeff, term in expand_jmj(valence):
+        row = block[int(term.ms > 0)]
+        for col, pol in enumerate(pols):
+            for dml, weight in _polarization_deltas(pol, k_sign):
+                if term.ml + dml == 0:   # conduction band is mL = 0
+                    row[col] += weight * coeff
+    return block
 
 
 def _old_dipole_matrix_element(valence, conduction, pol, k_sign):
@@ -124,6 +190,22 @@ def test_dipole_block_equals_single_entries(k_sign):
                 entry = dipole_matrix_element(valence, spin, pol, k_sign)
                 old = _old_dipole_matrix_element(valence, spin, pol, k_sign)
                 assert block[s, p] == entry == old, (valence.mj, s, pol)
+
+
+@pytest.mark.parametrize("k_sign", [-1, 0, 1])
+def test_ls_table_reads_as_former_blocks(k_sign):
+    """Each quartet state's slice of the one LS table holds its LS expansion,
+    and read through the channels it is that state's former block, bit for
+    bit."""
+    table, channels = _ls_table(), _channels(POLS, k_sign)
+    assert table.shape == (4, 3, 2)
+    for m, valence in enumerate(QUARTET):
+        expansion = np.zeros((3, 2))
+        for coeff, term in expand_jmj(valence):
+            expansion[term.ml + 1, int(term.ms > 0)] = coeff
+        assert np.array_equal(table[m], expansion), valence.mj
+        assert np.array_equal(table[m].T @ channels,
+                              _dipole_block(valence, POLS, k_sign)), valence.mj
 
 
 def test_selection_rule_exclusivity(scheme_a):
