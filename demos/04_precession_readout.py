@@ -8,7 +8,7 @@ import numpy as np
 from polspin import (FieldConfig, INAS_GAAS_QW, build_level_scheme,
                      precession_period)
 from polspin.transfer import (CIRCULAR, HADAMARD, PhotonQubit, absorb_case_b,
-                              precess, synchronized_hadamard)
+                              precession_unitary)
 
 scheme = build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, "inplane"))
 tau = precession_period(INAS_GAAS_QW.g_cb, 1.0)
@@ -20,7 +20,7 @@ out = absorb_case_b(PhotonQubit(CIRCULAR, 1.0, 0.0), scheme)
 st = out.amplitudes[:, 0]
 print("spin-down population while precessing (sigma+ excitation):")
 for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
-    evolved = precess(st, scheme, frac * tau)
+    evolved = precession_unitary(scheme, frac * tau) @ st
     pop = abs(evolved[0]) ** 2
     print(f"  t = {frac:4.2f} tau : P(mS=-1/2) = {pop:.6f}")
 print()
@@ -28,7 +28,7 @@ print()
 print("readout fidelity vs timing (input qubit (1, 0)):")
 q = np.array([1.0, 0.0])
 for frac in (0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 1.0, 2.0, 5.0):
-    stored = synchronized_hadamard(st, scheme, frac * tau)
+    stored = (HADAMARD @ precession_unitary(scheme, frac * tau)) @ st
     logical = HADAMARD @ stored
     fid = abs(np.vdot(q, logical)) ** 2
     tag = "  <- synchronized" if abs(frac - round(frac)) < 1e-9 else ""

@@ -6,7 +6,7 @@ including spectral selection, Larmor precession, dephasing, donor-chain
 storage and the device constraints of the emitter dot.
 """
 
-from .angular import AngularMomentumState, clebsch_gordan, expand_jmj
+from .angular import clebsch_gordan
 from .bands import (BandScheme, FieldConfig, MaterialParams, SpectralWindow,
                     build_level_scheme, conduction_eigenstates,
                     degenerate_scheme, precession_period, resolvability_check,
@@ -25,7 +25,6 @@ from .processor import DonorChain, exchange_gate, fresh_chain, load_site, shuttl
 from .qstate import (entanglement_entropy, is_cptp, process_fidelity,
                      purity)
 from .transfer import (AbsorptionOutcome, PhotonQubit, absorb_case_a,
-                       absorb_case_b, absorb_degenerate, dipole_matrix_element,
-                       precess, synchronized_hadamard)
+                       absorb_case_b, absorb_degenerate, dipole_matrix_element)
 
 __version__ = "0.1.0"

@@ -1,23 +1,13 @@
-"""Angular-momentum algebra: Clebsch-Gordan coefficients and the LS
-decomposition of band-edge states.
-
-Conventions: Condon-Shortley phases throughout.  Valence states carry L=1,
-S=1/2 (the J=3/2 quartet splits into light holes |mJ|=1/2 and heavy holes
-|mJ|=3/2); the conduction band is an S-wave with J=1/2, mL=0.
+"""Angular-momentum algebra: Clebsch-Gordan coefficients, Condon-Shortley
+phases throughout.  `transfer.ls_table` reads them into the LS content of
+the J=3/2 valence quartet (L=1, S=1/2), the one table of selection rules.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-
-CONDUCTION = "conduction"
-LIGHT_HOLE = "light_hole"
-HEAVY_HOLE = "heavy_hole"
-
-_BANDS = (CONDUCTION, LIGHT_HOLE, HEAVY_HOLE)
 
 
 def _twice(x: float) -> int:
@@ -88,72 +78,3 @@ def clebsch_gordan(j1: float, m1: float, j2: float, m2: float,
         return 0.0
     sign = 1.0 if ksum > 0 else -1.0
     return sign * math.sqrt(float(prefactor * ksum * ksum))
-
-
-@dataclass(frozen=True)
-class AngularMomentumState:
-    """A band-edge angular-momentum basis label.
-
-    Either coupled |J, mJ> (coupling="JmJ") or uncoupled |mL, mS>
-    (coupling="LmLSmS").  The band tag pins which sub-band the label
-    belongs to and is validated against the quantum numbers.
-    """
-
-    band: str
-    coupling: str = "JmJ"
-    j: float | None = None
-    mj: float | None = None
-    ml: int | None = None
-    ms: float | None = None
-
-    def __post_init__(self):
-        if self.band not in _BANDS:
-            raise ValueError(f"unknown band {self.band!r}")
-        if self.coupling == "JmJ":
-            if self.j is None or self.mj is None:
-                raise ValueError("JmJ coupling requires j and mj")
-            tj, tmj = _twice(self.j), _twice(self.mj)
-            if abs(tmj) > tj or (tj - tmj) % 2 != 0:
-                raise ValueError("|mJ| must not exceed J")
-            if self.band == CONDUCTION and tj != 1:
-                raise ValueError("conduction band has J=1/2")
-            if self.band in (LIGHT_HOLE, HEAVY_HOLE) and tj not in (1, 3):
-                raise ValueError("valence bands have J in {1/2, 3/2}")
-            if self.band == LIGHT_HOLE and abs(tmj) == 3:
-                raise ValueError("light holes have |mJ|=1/2")
-            if self.band == HEAVY_HOLE and abs(tmj) != 3:
-                raise ValueError("heavy holes have |mJ|=3/2")
-        elif self.coupling == "LmLSmS":
-            if self.ml is None or self.ms is None:
-                raise ValueError("LmLSmS coupling requires ml and ms")
-            if self.ml not in (-1, 0, 1):
-                raise ValueError("mL must be -1, 0 or +1")
-            if _twice(self.ms) not in (-1, 1):
-                raise ValueError("mS must be ±1/2")
-            if self.band == CONDUCTION and self.ml != 0:
-                raise ValueError("the conduction band is an S-wave (mL=0)")
-        else:
-            raise ValueError(f"unknown coupling {self.coupling!r}")
-
-
-def expand_jmj(state: AngularMomentumState) -> list[tuple[float, AngularMomentumState]]:
-    """Expand a coupled |J, mJ> band state in the uncoupled |mL, mS> basis.
-
-    Valence states use L=1, S=1/2; conduction states are trivially
-    |mL=0, mS=mJ>.  Coefficients are Clebsch-Gordan values, so their squares
-    sum to one.
-    """
-    if state.coupling != "JmJ":
-        raise ValueError("expand_jmj expects a JmJ-coupled state")
-    if state.band == CONDUCTION:
-        return [(1.0, AngularMomentumState(CONDUCTION, "LmLSmS", ml=0, ms=state.mj))]
-    terms = []
-    for ml in (-1, 0, 1):
-        for ms in (-0.5, 0.5):
-            c = clebsch_gordan(1, ml, 0.5, ms, state.j, state.mj)
-            if c != 0.0:
-                terms.append(
-                    (c, AngularMomentumState(state.band, "LmLSmS", ml=ml, ms=ms)))
-    if not terms:
-        raise ValueError(f"no LS decomposition for {state}")
-    return terms

@@ -222,21 +222,24 @@ def _choi_lines(choi: np.ndarray) -> list[str]:
 
 def cmd_levels(cfg: ScenarioConfig, fmt: str, out: str | None) -> int:
     scheme = cfg.scheme()
+    # the degenerate scheme is the zero-field reference whatever the config
+    # asks, so the field shown is the scheme's own
+    field = scheme.field
     rows = []
     for lv in scheme.valence_levels + scheme.conduction_levels:
         rows.append((lv.band, lv.label, lv.energy_uev))
     lines = [f"case: {scheme.case}", f"material: {cfg.material.name}",
-             f"b_tesla: {fmt9(cfg.field.b_tesla)}",
-             f"orientation: {cfg.field.orientation}", "levels:"]
+             f"b_tesla: {fmt9(field.b_tesla)}",
+             f"orientation: {field.orientation}", "levels:"]
     for band, label, e in rows:
         lines.append(f"  {band:11s} {label:12s} {fmt9(e):>15s} ueV")
-    if cfg.field.b_tesla == 0:
+    if field.b_tesla == 0:
         lines.append("warning: B = 0, Zeeman doublets are degenerate")
     if cfg.case != DEGENERATE:
         lines.append(f"valence_splitting_ueV: {fmt9(scheme.valence_splitting_uev)}")
         lines.append(f"conduction_splitting_ueV: {fmt9(scheme.conduction_splitting_uev)}")
-        if cfg.window is not None and cfg.field.b_tesla > 0:
-            rep = resolvability_check(cfg.window, cfg.material, cfg.field)
+        if cfg.window is not None and field.b_tesla > 0:
+            rep = resolvability_check(cfg.window, cfg.material, field)
             lines += [
                 f"valence_resolved: {str(rep.valence_resolved).lower()}",
                 f"conduction_unresolved: {str(rep.conduction_unresolved).lower()}",

@@ -270,7 +270,7 @@ def _shuttle_in(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
 
 
 def _hadamard(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    # physically: precess(t), then the Hadamard rotation onto the
+    # physically: precession over t, then the Hadamard rotation onto the
     # eigenbasis.  In logical coordinates the Hadamard cancels against the
     # post-readout frame change (it is involutive), leaving only the
     # synchronization error of the precession phase.

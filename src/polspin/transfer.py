@@ -1,5 +1,5 @@
 """Selection-rule transfer maps: absorption of a polarization qubit into an
-electron spin, precession and synchronized readout, and reverse emission.
+electron spin, precession, and reverse emission.
 
 Basis conventions (fixed package-wide):
 
@@ -14,11 +14,12 @@ translation to orbital selection rules; each scheme fixes a canonical k
 orientation, which is what reconciles the two circular-basis cases
 (degenerate absorption uses k ∥ +G, the in-plane-field case k ∥ -G).
 
-The selection rules are written once, as one table: `_ls_table`, the
+The selection rules are written once, as one table: `ls_table`, the
 Clebsch-Gordan content C[mJ, mL, mS] of the J=3/2 quartet.  Absorption
 reads it through `_channels`, which couples each polarization to the
 valence mL it empties with unit weight per allowed ΔmL channel (an
-x-polarized photon drives ΔmL = ±1 coherently).  From the topmost
+x-polarized photon drives ΔmL = ±1 coherently); `dipole_matrix_element`
+reads single entries of the same blocks.  From the topmost
 |3/2, +1/2> level the z- versus x-coupled amplitudes are √(2/3) and
 √(1/3), the √2 imbalance that the optional compensation prefilter (scale
 the z amplitude by 1/√2, renormalize, report the success probability)
@@ -29,6 +30,10 @@ emission implementation, runs the rules backwards: one Kraus branch per
 hole, collected along a direction with the off-axis frame distortion
 compensated, and the per-branch collection fractions.  The pipeline's
 emit stage collects along the config's `emission_direction`.
+
+Readout is one matrix too: an electron state evolves by
+`precession_unitary(scheme, t)`, and the synchronized readout of case B is
+`HADAMARD @ precession_unitary(scheme, t)`.
 """
 
 from __future__ import annotations
@@ -38,8 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .angular import (AngularMomentumState, CONDUCTION, LIGHT_HOLE,
-                      HEAVY_HOLE, clebsch_gordan, expand_jmj)
+from .angular import clebsch_gordan
 from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, SpectralWindow,
                     degenerate_scheme)
 from .constants import HBAR_UEV_NS
@@ -102,7 +106,7 @@ _ML = (-1, 0, 1)
 _MS = (-0.5, 0.5)
 
 
-def _ls_table() -> np.ndarray:
+def ls_table() -> np.ndarray:
     """C[mJ, mL, mS] = <1 mL; 1/2 mS | 3/2 mJ>, the LS content of the J=3/2
     quartet, axes in the orders of `_MJ`, `_ML` and `_MS`.  Absorption and
     emission both read their selection rules off this one table."""
@@ -127,28 +131,34 @@ def _channels(pols, k_sign: int) -> np.ndarray:
     return w
 
 
-def dipole_matrix_element(valence: AngularMomentumState,
-                          conduction: AngularMomentumState,
-                          pol: str, k_sign: int = -1) -> float:
-    """Relative dipole amplitude for valence -> conduction absorption.
+def _dipole_blocks(states, pols, k_sign: int) -> list[np.ndarray]:
+    """The selection-rule block D[spin, p] of each quartet amplitude vector:
+    D[spin, p] = Σ_mJ,mL state[mJ] C[mJ, mL, spin] W[mL, p], with C the
+    `ls_table` and W the `_channels` of pols."""
+    per_spin, channels = ls_table().transpose(2, 0, 1), _channels(pols, k_sign)
+    return [(state @ per_spin) @ channels for state in states]
 
-    The photon couples only the orbital part: each polarization channel
-    changes mL as given by `_channels` and never touches mS.  The
-    amplitude is the LS-expansion coefficient of the matching valence
-    component (summed over channels), so from |3/2, +1/2> a z photon
-    reaches mS=+1/2 with √(2/3) and an x photon reaches mS=-1/2 with
-    √(1/3).  Any JmJ valence state is answered, the split-off J=1/2
-    doublet too, from its own LS expansion.
+
+def dipole_matrix_element(state, ms: float, pol: str, k_sign: int = -1):
+    """Relative dipole amplitude for absorption out of a valence state
+    into the conduction spin ms, the entry of the state's block that
+    `absorption_branches` contracts.
+
+    state holds J=3/2 quartet amplitudes (mJ = -3/2 .. +3/2), the
+    `Level.state` form; ms is ±1/2.  The photon couples only the orbital
+    part: each polarization channel changes mL as given by `_channels` and
+    never touches mS, so from |3/2, +1/2> a z photon reaches mS=+1/2 with
+    √(2/3) and an x photon reaches mS=-1/2 with √(1/3).  Real for a real
+    state, complex otherwise.
     """
-    if valence.band not in (LIGHT_HOLE, HEAVY_HOLE):
-        raise ValueError("first argument must be a valence state")
-    if conduction.band != CONDUCTION:
-        raise ValueError("second argument must be a conduction state")
-    ms_c = conduction.mj if conduction.coupling == "JmJ" else conduction.ms
-    ls = np.zeros((len(_ML), len(_MS)))
-    for coeff, term in expand_jmj(valence):
-        ls[_ML.index(term.ml), int(term.ms > 0)] = coeff
-    return float((ls.T @ _channels((pol,), k_sign))[int(ms_c > 0), 0])
+    state = np.asarray(state)
+    if state.shape != (len(_MJ),):
+        raise ValueError("state must be a J=3/2 quartet amplitude 4-vector, "
+                         f"got shape {state.shape}")
+    if ms not in _MS:
+        raise ValueError(f"ms must be -1/2 or +1/2, got {ms!r}")
+    block, = _dipole_blocks([state], (pol,), k_sign)
+    return block[_MS.index(ms), 0].item()
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +173,6 @@ class AbsorptionBranch:
 
     kraus: np.ndarray
     hole_index: int
-    hole_label: str
 
 
 @dataclass(frozen=True)
@@ -225,12 +234,12 @@ def absorption_branches(scheme: BandScheme,
     photon basis (k along +G in the degenerate scheme: sigma+ empties
     mJ=-3/2 into a spin-down electron, sigma- the mirror).
 
-    Each branch starts from its level's selection-rule block D: its
-    quartet amplitudes contracted with `_ls_table`, read per spin through
-    the photon basis' `_channels`.  A window weights D in the conduction
-    energy eigenbasis |e>, where energy conservation fixes the photon
-    frequency: K = Σ_e w(E_e - c_mid + offset) |e><e| D.  compensate
-    applies the √2 prefilter, in case A only.
+    Each branch starts from its level's selection-rule block D of
+    `_dipole_blocks`: its quartet amplitudes contracted with `ls_table`,
+    read per spin through the photon basis' `_channels`.  A window weights
+    D in the conduction energy eigenbasis |e>, where energy conservation
+    fixes the photon frequency: K = Σ_e w(E_e - c_mid + offset) |e><e| D.
+    compensate applies the √2 prefilter, in case A only.
     """
     pols = ("z", "x") if scheme.case == CASE_A else ("sigma_plus", "sigma_minus")
     # the sign of k·G; 0 for case A's in-plane k, which linear light ignores
@@ -238,18 +247,17 @@ def absorption_branches(scheme: BandScheme,
     lo, hi = scheme.conduction_levels[0], scheme.conduction_levels[-1]
     c_mid = 0.5 * (lo.energy_uev + hi.energy_uev)
     u = _eigenbasis_matrix(scheme)
-    per_spin, channels = _ls_table().transpose(2, 0, 1), _channels(pols, k_sign)
+    holes = _absorbing_holes(scheme, window)
+    blocks = _dipole_blocks([level.state for _, level, _ in holes], pols, k_sign)
     branches = []
-    for hole, level, offset in _absorbing_holes(scheme, window):
-        # D[spin, pol] = Σ_mJ,mL state[mJ] C[mJ, mL, spin] W[mL, pol]
-        k = (level.state @ per_spin) @ channels
+    for (hole, _, offset), k in zip(holes, blocks):
         if offset is not None:
             w = [window.amplitude((lv.energy_uev - c_mid) + offset)
                  for lv in (lo, hi)]
             k = (u * w) @ u.conj().T @ k
         if compensate and scheme.case == CASE_A:
             k = k @ np.diag([_SQ2, 1.0]).astype(complex)
-        branches.append(AbsorptionBranch(k, hole, level.label))
+        branches.append(AbsorptionBranch(k, hole))
     return branches
 
 
@@ -329,14 +337,16 @@ def absorb_case_b(photon: PhotonQubit, scheme: BandScheme) -> AbsorptionOutcome:
     The spectrally selected psi+ level couples sigma+ to mS=-1/2 and sigma-
     to mS=+1/2 with equal amplitudes √(1/6) (no imbalance to compensate),
     so the electron is alpha |mS=-1/2> + beta |mS=+1/2> and the hole stays
-    in psi+.  The created spin states are not eigenstates and precess; see
-    `precess` and `synchronized_hadamard`.
+    in psi+.  The created spin states are not eigenstates and precess
+    under `precession_unitary`; the synchronized readout
+    `HADAMARD @ precession_unitary(scheme, t)`, timed at a whole number of
+    precession periods, stores the qubit in the stationary eigenbasis.
     """
     return _absorb_split(CASE_B, photon, scheme, False)
 
 
 # ---------------------------------------------------------------------------
-# precession and synchronized readout
+# precession
 # ---------------------------------------------------------------------------
 
 def _eigenbasis_matrix(scheme: BandScheme) -> np.ndarray:
@@ -351,40 +361,6 @@ def precession_unitary(scheme: BandScheme, t_ns: float) -> np.ndarray:
     phases = np.exp(-1j * np.array([lv.energy_uev for lv in scheme.conduction_levels])
                     * t_ns / HBAR_UEV_NS)
     return (u * phases) @ u.conj().T
-
-
-def _rotate(electron, u: np.ndarray) -> np.ndarray:
-    """u|ψ> for a spin 2-vector, u ρ u† for a 2x2 density matrix."""
-    electron = np.asarray(electron)
-    if electron.shape == (2,):
-        return u @ electron
-    if electron.shape == (2, 2):
-        return u @ electron @ u.conj().T
-    raise ValueError("an electron spin state is a 2-vector or a 2x2 density "
-                     f"matrix, got shape {electron.shape}")
-
-
-def precess(electron, scheme: BandScheme, t_ns: float) -> np.ndarray:
-    """Evolve an electron spin state, a (mS=-1/2, mS=+1/2) 2-vector or 2x2
-    density matrix, for t under the scheme's Zeeman field; returns the same
-    form."""
-    return _rotate(electron, precession_unitary(scheme, t_ns))
-
-
-def synchronized_hadamard(electron, scheme: BandScheme,
-                          t_apply_ns: float = 0.0) -> np.ndarray:
-    """Precess for t_apply, then rotate the precessing mS pair onto the field
-    eigenstates with the Hadamard.  The electron state is a 2-vector or a
-    2x2 density matrix, and comes back in the same form.
-
-    Timed at a whole number of precession periods the composite stores the
-    absorbed qubit in the stationary eigenbasis with fidelity 1 (readout
-    frame: the upper eigenstate carries the alpha amplitude).  Off-sync
-    timing degrades the fidelity.
-    """
-    if scheme.case != CASE_B:
-        raise ValueError("synchronized readout applies to in-plane-field schemes")
-    return _rotate(electron, HADAMARD @ precession_unitary(scheme, t_apply_ns))
 
 
 # ---------------------------------------------------------------------------
@@ -430,9 +406,9 @@ def branch_dipole_vectors(scheme: BandScheme) -> np.ndarray:
     Each LS component (mL, mS) of the hole level radiates a photon carrying
     orbital momentum -mL along +z (the electron drops from mL=0), so the
     branch vector is the hole's quartet amplitudes contracted with the
-    `_ls_table` column of the electron's mS, read through `_E_ML`.
+    `ls_table` column of the electron's mS, read through `_E_ML`.
     """
-    per_spin = _ls_table().transpose(2, 0, 1)
+    per_spin = ls_table().transpose(2, 0, 1)
     return np.array([(scheme.valence_levels[hole].state @ per_spin[spin]) @ _E_ML
                      for spin, hole in enumerate(_RECOMBINING_HOLES[scheme.case])])
 

@@ -10,9 +10,11 @@ import sys
 
 import numpy as np
 import pytest
+from sympy import Rational
+from sympy.physics.quantum.cg import CG
 
 import polspin.qstate as qs
-from polspin.angular import AngularMomentumState, LIGHT_HOLE, clebsch_gordan, expand_jmj
+from polspin.angular import clebsch_gordan
 from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
                            SpectralWindow, build_level_scheme,
                            precession_period, resolvability_check,
@@ -22,21 +24,18 @@ from polspin.noise import NoiseModel, coherence_factor, dephasing_kraus
 from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               dot_constraint_check, haar_qubits,
                               monte_carlo_average_fidelity,
-                              process_tomography)
+                              process_tomography, run_detection)
 from polspin.qstate import density_from_pauli, is_cptp, ptm_from_kraus
-from polspin.transfer import (CIRCULAR, HADAMARD, LINEAR_ZX, PhotonQubit,
+from polspin.transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit,
                               absorb_case_a, absorb_case_b, absorb_degenerate,
-                              dipole_matrix_element, synchronized_hadamard)
-from polspin.angular import CONDUCTION
+                              absorption_branches, dipole_matrix_element,
+                              ls_table)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
 SCHEME_A = build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, NORMAL))
 SCHEME_B = build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, INPLANE))
 
-LH_UP = AngularMomentumState(LIGHT_HOLE, j=1.5, mj=+0.5)
-C_UP = AngularMomentumState(CONDUCTION, j=0.5, mj=+0.5)
-C_DN = AngularMomentumState(CONDUCTION, j=0.5, mj=-0.5)
 
 
 def _haar(n, seed):
@@ -44,10 +43,17 @@ def _haar(n, seed):
 
 
 def criterion_01_cg_expansion():
-    """LS expansion coefficients and exhaustive CG orthonormality."""
-    terms = {(t.ml, t.ms): c for c, t in expand_jmj(LH_UP)}
-    assert abs(terms[(0, 0.5)] - math.sqrt(2 / 3)) < 1e-12
-    assert abs(terms[(1, -0.5)] - math.sqrt(1 / 3)) < 1e-12
+    """The LS table the stages read, C[mJ, mL, mS], against sympy's CG, its
+    |3/2, +1/2> row, and exhaustive CG orthonormality."""
+    table = ls_table()
+    half = lambda x: Rational(int(2 * x), 2)
+    for a, mj in enumerate((-1.5, -0.5, 0.5, 1.5)):
+        for b, ml in enumerate((-1, 0, 1)):
+            for c, ms in enumerate((-0.5, 0.5)):
+                ref = float(CG(1, ml, half(0.5), half(ms), half(1.5), half(mj)).doit())
+                assert abs(table[a, b, c] - ref) < 1e-13
+    assert abs(table[2, 1, 1] - math.sqrt(2 / 3)) < 1e-12   # |0, +1/2>
+    assert abs(table[2, 2, 0] - math.sqrt(1 / 3)) < 1e-12   # |+1, -1/2>
     js = [(0.5, m / 2) for m in (-1, 1)] + [(1.5, m / 2) for m in (-3, -1, 1, 3)]
     for ja, ma in js:
         for jb, mb in js:
@@ -82,11 +88,15 @@ def criterion_03_disentanglement():
 
 
 def criterion_04_sqrt2_imbalance():
-    """Uncompensated dipole ratio sqrt(2); equal-input fidelity 0.971405
-    against a brute-force state oracle."""
-    up = dipole_matrix_element(LH_UP, C_UP, "z")
-    dn = dipole_matrix_element(LH_UP, C_DN, "x")
+    """Uncompensated dipole ratio sqrt(2) out of the topmost level, the
+    entries of the uncompensated case-A absorption branch; equal-input
+    fidelity 0.971405 against a brute-force state oracle."""
+    top = SCHEME_A.light_hole_levels[-1].state
+    up = dipole_matrix_element(top, +0.5, "z")
+    dn = dipole_matrix_element(top, -0.5, "x")
     assert abs(up / dn - math.sqrt(2.0)) < 1e-12
+    [branch] = absorption_branches(SCHEME_A)
+    assert (up, dn) == (branch.kraus[1, 0], branch.kraus[0, 1])
     out = absorb_case_a(PhotonQubit(LINEAR_ZX, SQ2, SQ2), SCHEME_A,
                         compensate=False)
     v = out.amplitudes[:, 0]
@@ -99,16 +109,20 @@ def criterion_04_sqrt2_imbalance():
 
 
 def criterion_05_precession_and_readout():
-    """tau from the constants table; synchronized readout exact at n·tau."""
+    """tau from the constants table; the detection run's synchronized
+    readout stores the qubit exactly at n·tau, not at tau/4."""
     tau = precession_period(0.4, 1.0)
     table = 2.0 * math.pi * HBAR_UEV_NS / (0.4 * MU_B_UEV_PER_T * 1.0)
     assert abs(tau - table) < 1e-6
-    q = np.array([0.48 + 0.36j, 0.8])
+
+    def stored_fidelity(q, t):
+        cfg = ScenarioConfig(case="B", field=FieldConfig(1.0, INPLANE),
+                             hadamard_time_ns=t)
+        return run_detection(q, cfg).stages[-1].fidelity
+
     for n in range(1, 6):
-        stored = synchronized_hadamard(q, SCHEME_B, n * tau)
-        logical = HADAMARD @ stored
-        reference = HADAMARD @ synchronized_hadamard(q, SCHEME_B, 0.0)
-        assert abs(abs(np.vdot(reference, logical)) ** 2 - 1.0) < 1e-10
+        assert abs(stored_fidelity(np.array([0.48 + 0.36j, 0.8]), n * tau) - 1.0) < 1e-10
+    assert stored_fidelity(np.array([1.0, 0.0]), tau / 4) < 1.0 - 1e-6
 
 
 def criterion_06_resolvability():

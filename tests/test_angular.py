@@ -4,8 +4,8 @@ import pytest
 from sympy import Rational, S
 from sympy.physics.quantum.cg import CG
 
-from polspin.angular import (AngularMomentumState, CONDUCTION, HEAVY_HOLE,
-                             LIGHT_HOLE, clebsch_gordan, expand_jmj)
+from polspin.angular import clebsch_gordan
+from polspin.transfer import ls_table
 
 SQ23 = math.sqrt(2.0 / 3.0)
 SQ13 = math.sqrt(1.0 / 3.0)
@@ -114,48 +114,48 @@ def test_orthonormality_l1_s_half_block():
             assert acc == pytest.approx(want, abs=1e-12)
 
 
-def test_expand_light_hole_up():
-    terms = expand_jmj(AngularMomentumState(LIGHT_HOLE, j=1.5, mj=0.5))
-    got = {(t.ml, t.ms): c for c, t in terms}
+# --- the LS table of the J=3/2 quartet ------------------------------------------
+
+QUARTET_MJ = (-1.5, -0.5, 0.5, 1.5)
+
+
+def ls_terms(mj):
+    """{(mL, mS): coefficient} of the non-zero LS components of |3/2, mj>,
+    read off the table."""
+    row = ls_table()[QUARTET_MJ.index(mj)]
+    return {(ml, ms): row[i, j] for i, ml in enumerate((-1, 0, 1))
+            for j, ms in enumerate((-0.5, 0.5)) if row[i, j] != 0.0}
+
+
+def test_ls_table_against_sympy():
+    table = ls_table()
+    assert table.shape == (4, 3, 2)
+    for a, mj in enumerate(QUARTET_MJ):
+        for b, ml in enumerate((-1, 0, 1)):
+            for c, ms in enumerate((-0.5, 0.5)):
+                assert table[a, b, c] == pytest.approx(
+                    sympy_cg(1, ml, 0.5, ms, 1.5, mj), abs=1e-13)
+
+
+def test_ls_table_light_hole_up():
+    got = ls_terms(0.5)
     assert got[(0, 0.5)] == pytest.approx(SQ23, abs=1e-12)
     assert got[(1, -0.5)] == pytest.approx(SQ13, abs=1e-12)
     assert len(got) == 2
 
 
-def test_expand_light_hole_down():
-    terms = expand_jmj(AngularMomentumState(LIGHT_HOLE, j=1.5, mj=-0.5))
-    got = {(t.ml, t.ms): c for c, t in terms}
+def test_ls_table_light_hole_down():
+    got = ls_terms(-0.5)
     assert got[(0, -0.5)] == pytest.approx(SQ23, abs=1e-12)
     assert got[(-1, 0.5)] == pytest.approx(SQ13, abs=1e-12)
 
 
-def test_expand_stretched_heavy_hole():
-    terms = expand_jmj(AngularMomentumState(HEAVY_HOLE, j=1.5, mj=-1.5))
-    assert len(terms) == 1
-    c, t = terms[0]
-    assert c == pytest.approx(1.0, abs=1e-12)
-    assert (t.ml, t.ms) == (-1, -0.5)
+def test_ls_table_stretched_heavy_hole():
+    got = ls_terms(-1.5)
+    assert len(got) == 1
+    assert got[(-1, -0.5)] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_expand_normalization():
-    for band, j, mj in [(LIGHT_HOLE, 1.5, 0.5), (LIGHT_HOLE, 1.5, -0.5),
-                        (HEAVY_HOLE, 1.5, 1.5), (CONDUCTION, 0.5, 0.5)]:
-        terms = expand_jmj(AngularMomentumState(band, j=j, mj=mj))
-        assert sum(c * c for c, _ in terms) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_expand_conduction_is_s_wave():
-    terms = expand_jmj(AngularMomentumState(CONDUCTION, j=0.5, mj=-0.5))
-    assert len(terms) == 1
-    assert terms[0][1].ml == 0
-
-
-def test_band_label_constraints():
-    with pytest.raises(ValueError):
-        AngularMomentumState(LIGHT_HOLE, j=1.5, mj=1.5)   # that's a heavy hole
-    with pytest.raises(ValueError):
-        AngularMomentumState(CONDUCTION, j=1.5, mj=0.5)
-    with pytest.raises(ValueError):
-        AngularMomentumState(CONDUCTION, coupling="LmLSmS", ml=1, ms=0.5)
-    with pytest.raises(ValueError):
-        AngularMomentumState("valence", j=1.5, mj=0.5)
+def test_ls_table_normalization():
+    for mj in QUARTET_MJ:
+        assert sum(c * c for c in ls_terms(mj).values()) == pytest.approx(1.0, abs=1e-12)

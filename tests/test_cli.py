@@ -86,6 +86,24 @@ def test_levels_zero_field_warns(tmp_path, capsys):
     assert "warning: B = 0" in out
 
 
+def test_levels_degenerate_shows_the_schemes_zero_field(tmp_path, capsys):
+    """The degenerate scheme is the zero-field reference, so `levels` shows
+    its field, not the config's, above the six levels at 0 ueV."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "degenerate",
+                               "field": {"b_tesla": 2.0, "orientation": "inplane"}}),
+                   encoding="utf-8")
+    code, out, _ = run_cli(["--config", str(cfg), "levels"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert "b_tesla: 0" in lines and "orientation: normal" in lines
+    assert "b_tesla: 2" not in lines and "orientation: inplane" not in lines
+    assert "warning: B = 0, Zeeman doublets are degenerate" in lines
+    levels = [ln for ln in lines if ln.endswith(" ueV") and ln.startswith("  ")]
+    assert len(levels) == 6
+    assert all(ln.split()[-2] == "0" for ln in levels)
+
+
 # --- run ---------------------------------------------------------------------
 
 def test_run_ideal_case_a(tmp_path, capsys):

