@@ -93,11 +93,6 @@ class FieldConfig:
         if self.orientation not in (NORMAL, INPLANE):
             raise ValueError(f"unknown orientation {self.orientation!r}")
 
-    @property
-    def direction(self) -> np.ndarray:
-        return np.array([0.0, 0.0, 1.0]) if self.orientation == NORMAL \
-            else np.array([1.0, 0.0, 0.0])
-
 
 @dataclass(frozen=True)
 class SpectralWindow:
@@ -163,6 +158,12 @@ class BandScheme:
         in energy."""
         return tuple(lv for lv in self.valence_levels
                      if lv.state[0] == 0 and lv.state[3] == 0)
+
+    @property
+    def eigenbasis(self) -> np.ndarray:
+        """Columns: the conduction eigenstates (lower, upper), mS coordinates."""
+        return np.column_stack([self.conduction_levels[0].state,
+                                self.conduction_levels[-1].state])
 
     @property
     def valence_splitting_uev(self) -> float:
@@ -310,7 +311,6 @@ class ResolvabilityReport:
     window_within_strain: bool
     valence_margin_uev: float      # g_lh·µB·B - bandwidth
     conduction_margin_uev: float   # bandwidth - g_cb·µB·B
-    strain_margin_uev: float       # strain splitting - bandwidth
 
     @property
     def ok(self) -> bool:
@@ -333,5 +333,4 @@ def resolvability_check(window: SpectralWindow, material: MaterialParams,
         window_within_strain=bw < material.strain_splitting_uev,
         valence_margin_uev=dv - bw,
         conduction_margin_uev=bw - dc,
-        strain_margin_uev=material.strain_splitting_uev - bw,
     )

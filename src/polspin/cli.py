@@ -23,9 +23,9 @@ from .bands import (CASE_B, DEGENERATE, FieldConfig, NORMAL, INPLANE,
 from .errors import PolspinError
 from .noise import NoiseModel
 from .pipeline import (ChainParams, DotConstraints, ScenarioConfig,
-                       dot_constraint_check, json_key, scenario_report, sweep,
-                       sweep_parameters, process_tomography)
-from .qstate import is_cptp, process_fidelity
+                       choi_verdict, dot_constraint_check, json_key,
+                       scenario_report, sweep, sweep_parameters,
+                       process_tomography)
 
 _FORMATS = ("text", "csv", "json-like")
 # the --format values each subcommand prints
@@ -351,22 +351,19 @@ def cmd_tomography(cfg: ScenarioConfig, fmt: str, out: str | None,
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot parse choi file {choi_file}: {exc}")
-        choi = _choi_matrix(raw, f"choi file {choi_file}")
-        cptp = is_cptp(choi, tol=1e-8, conditional=True)
-        pf = process_fidelity(choi) if np.trace(choi).real > 0 else 0.0
+        res = choi_verdict(_choi_matrix(raw, f"choi file {choi_file}"))
     else:
         res = process_tomography(cfg)
-        choi, cptp, pf = res.choi, res.cptp, res.process_fidelity
     if fmt == "json-like":
         _write(out, json.dumps({
-            "choi": [[_complex9(z) for z in row] for row in choi],
-            "cptp": cptp,
-            "process_fidelity": fmt9(pf)},
+            "choi": [[_complex9(z) for z in row] for row in res.choi],
+            "cptp": res.cptp,
+            "process_fidelity": fmt9(res.process_fidelity)},
             indent=2, sort_keys=True) + "\n")
     else:
-        lines = _choi_lines(choi)
-        lines.append(f"cptp: {str(cptp).lower()}")
-        lines.append(f"process_fidelity: {fmt9(pf)}")
+        lines = _choi_lines(res.choi)
+        lines.append(f"cptp: {str(res.cptp).lower()}")
+        lines.append(f"process_fidelity: {fmt9(res.process_fidelity)}")
         _write(out, "\n".join(lines) + "\n")
     return 0
 

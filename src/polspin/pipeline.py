@@ -22,14 +22,15 @@ share its sweep.
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
 (z/x polarization -> mS spin pair -> eigenbasis -> Si donor spin), because
-the per-case frame rotations are folded into the absorb / readout / emit
-stages.
+each stage's builder folds in its frame and diagnostics: the runs take the
+physics from the Stage records (hole forms, collection row), not the config.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import partial
 
 import numpy as np
 
@@ -43,8 +44,7 @@ from .noise import NoiseModel
 from .qstate import (PAULIS, choi_from_ptm, choi_of_map, density_from_pauli,
                      is_cptp, pauli_vectors, process_fidelity, ptm_from_choi,
                      ptm_from_kraus)
-from .transfer import (absorption_branches, emission_map, precession_unitary,
-                       _eigenbasis_matrix)
+from .transfer import absorption_branches, emission_map, precession_unitary
 
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _I2 = np.eye(2, dtype=complex)
@@ -148,53 +148,26 @@ class ScenarioConfig:
 class Stage:
     """One stage as a real 4x4 Pauli transfer matrix (conventions in qstate).
 
-    The absorb stage also holds the Gram forms of the unscaled physical
-    absorption branches (`_gram_forms`), from which the hole diagnostics
-    read the hole state of each input; the emit stage holds the collection
-    fractions of the two electron spin branches.
+    Its builder in `_STAGE_BUILDERS` owns its physics, frame and
+    diagnostics; no run reads them from the config.  The absorb stage
+    also holds the Gram forms of the unscaled physical absorption branches
+    (`_gram_forms`), which give each input's hole state, and how many
+    branches are wanted: they come first, and the rest's weight is
+    leakage.  The emit stage holds the collection row: an electron with
+    logical Pauli vector v is collected with fraction row·v / v₀.
     """
 
     name: str
     ptm: np.ndarray = field(repr=False)
     branch_forms: np.ndarray | None = field(default=None, repr=False)
-    collection_fractions: np.ndarray | None = field(default=None, repr=False)
+    wanted_branches: int = 0
+    collection_row: np.ndarray | None = field(default=None, repr=False)
 
 
 def _detection_frame(case: str) -> np.ndarray:
     """Rotation from physical electron (mS-ordered) coordinates to the
     logical frame right after absorption."""
     return _X if case == CASE_A else _I2
-
-
-def _dephasing_basis(cfg: ScenarioConfig, scheme: BandScheme) -> np.ndarray | None:
-    """Energy eigenbasis for transport dephasing, in logical coordinates.
-
-    Case A: the logical basis states are the Zeeman eigenstates (None means
-    diagonal).  Case B: the eigenstates are the ± superpositions; the
-    pre-readout logical frame is the mS frame.  Degenerate: no field, basis
-    choice immaterial; the stored state is already diagonal.
-    """
-    return _eigenbasis_matrix(scheme) if cfg.case == CASE_B else None
-
-
-def _absorption_kraus_logical(cfg: ScenarioConfig, physical) -> np.ndarray:
-    """Logical-frame Kraus branches of the absorption, stacked: the physical
-    branches scaled by the absorption efficiency and, if necessary,
-    renormalised so the conditional map stays physical (sum K†K <= I)."""
-    ks = _detection_frame(cfg.case) @ np.asarray(physical)
-    total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
-    top = float(np.max(np.linalg.eigvalsh(total)).real)
-    return math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top)) * ks
-
-
-def _emission_kraus(cfg: ScenarioConfig,
-                    scheme: BandScheme) -> tuple[list[np.ndarray], np.ndarray]:
-    """Logical Kraus of prep -> recombination -> collection -> compensation,
-    one per recombining hole (`transfer.emission_map`), and the collection
-    fractions of the two electron spin branches."""
-    kraus, fractions = emission_map(scheme, cfg.emission_direction)
-    prep = _detection_frame(cfg.case)
-    return [k @ prep for k in kraus], fractions
 
 
 def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
@@ -243,30 +216,39 @@ def _refuse_dark(row):
 
 
 def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    """The absorb stage; one whose physical branches are dark is refused.
-    Their diagonal Gram forms sum to row 0 of the branches' PTM.  The
-    unscaled physical branches' Gram forms give the hole diagnostics."""
-    physical = [br.kraus for br in absorption_branches(scheme, cfg.window,
-                                                       cfg.compensate)]
+    """The absorb stage; one whose physical branches are dark is refused
+    (their diagonal Gram forms sum to row 0 of their PTM).  Its branches
+    are the physical ones in the logical frame, scaled by the absorption
+    efficiency and renormalised if need be so that sum K†K <= I."""
+    branches = absorption_branches(scheme, cfg.window, cfg.compensate)
+    physical = [br.kraus for br in branches]
     forms = _gram_forms(physical)
     _refuse_dark(forms[:len(physical)].sum(axis=0))
-    return Stage("absorb", ptm_from_kraus(
-        _absorption_kraus_logical(cfg, physical)), forms)
+    ks = _detection_frame(cfg.case) @ np.asarray(physical)
+    total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
+    top = float(np.max(np.linalg.eigvalsh(total)).real)
+    ks *= math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
+    return Stage("absorb", ptm_from_kraus(ks), forms,
+                 sum(not br.unwanted for br in branches))
 
 
-def _transport_leg(cfg: ScenarioConfig, scheme: BandScheme, name: str,
+def _transport_leg(cfg: ScenarioConfig, scheme: BandScheme,
                    forward: bool) -> Stage:
-    kraus = noise_mod.transport_kraus(cfg.noise, _dephasing_basis(cfg, scheme),
-                                      forward=forward)
-    return Stage(name, (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(kraus))
+    """The forward or return transport, dephasing in the energy eigenbasis
+    in logical coordinates: case A's logical states are the Zeeman
+    eigenstates, case B's pre-readout frame is the mS frame, whose
+    eigenstates are the ± superpositions; the degenerate case has no field."""
+    basis = scheme.eigenbasis if cfg.case == CASE_B else None
+    kraus = noise_mod.transport_kraus(cfg.noise, basis, forward=forward)
+    return Stage("transport" if forward else "transport_back",
+                 (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(kraus))
 
 
-def _transport(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    return _transport_leg(cfg, scheme, "transport", forward=True)
-
-
-def _shuttle_in(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    return Stage("shuttle_in", _shuttle_ptm(cfg.chain, 0, cfg.chain.storage_site))
+def _shuttle(cfg: ScenarioConfig, scheme: BandScheme, inward: bool) -> Stage:
+    """The shuttle from the chain's first site to the storage site, or back."""
+    ends = (0, cfg.chain.storage_site)
+    return Stage("shuttle_in" if inward else "shuttle_out",
+                 _shuttle_ptm(cfg.chain, *(ends if inward else ends[::-1])))
 
 
 def _hadamard(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
@@ -283,24 +265,24 @@ def _storage(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
     return Stage("storage", ptm_from_kraus(noise_mod.dephasing_kraus(gamma)))
 
 
-def _shuttle_out(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    return Stage("shuttle_out", _shuttle_ptm(cfg.chain, cfg.chain.storage_site, 0))
-
-
-def _transport_back(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    return _transport_leg(cfg, scheme, "transport_back", forward=False)
-
-
 def _emit(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    kraus, fractions = _emission_kraus(cfg, scheme)
-    return Stage("emit", ptm_from_kraus(kraus), collection_fractions=fractions)
+    """Prep -> recombination -> collection -> compensation, one logical
+    Kraus branch per recombining hole (`transfer.emission_map`).  Spin
+    branches with collection fractions (f↓, f↑) give the mS-frame row
+    ½[f↓+f↑, 0, 0, f↓−f↑], taken to the logical frame by the frame's PTM."""
+    kraus, (down, up) = emission_map(scheme, cfg.emission_direction)
+    frame = _detection_frame(cfg.case)
+    row = 0.5 * np.array([down + up, 0.0, 0.0, down - up])
+    return Stage("emit", ptm_from_kraus([k @ frame for k in kraus]),
+                 collection_row=row @ ptm_from_kraus([frame]))
 
 
 # One builder per stage name, so that a sweep can rebuild a single stage.
 _STAGE_BUILDERS = {
-    "absorb": _absorb, "transport": _transport, "shuttle_in": _shuttle_in,
-    "hadamard": _hadamard, "storage": _storage, "shuttle_out": _shuttle_out,
-    "transport_back": _transport_back, "emit": _emit,
+    "absorb": _absorb, "transport": partial(_transport_leg, forward=True),
+    "shuttle_in": partial(_shuttle, inward=True), "hadamard": _hadamard,
+    "storage": _storage, "shuttle_out": partial(_shuttle, inward=False),
+    "transport_back": partial(_transport_leg, forward=False), "emit": _emit,
 }
 
 
@@ -364,13 +346,13 @@ _PAIR_WEIGHTS = np.where(_PAIRS[0] == _PAIRS[1], 0.25, 0.5)
 _PAIR_ROWS = (0, 4, 7, 9)
 
 
-def _mc_stats(cfg, rs, forms, amps) -> tuple[list[dict], list[dict]]:
+def _mc_stats(rs, forms, wanted, amps) -> tuple[list[dict], list[dict]]:
     """The Monte Carlo figures of the pure inputs, the rows of the (n, 2)
     amplitude array amps: mean fidelity, its standard error and mean
     success through each composed PTM of the (P, 4, 4) stack rs, and mean
     leakage, hole-purity mean and standard deviation of each absorb stage
-    whose Gram forms are stacked in the (H, k², 4) array forms; one dict per
-    PTM and one per absorb stage.
+    whose Gram forms are stacked in the (H, k², 4) array forms, each with
+    `wanted` wanted branches; one dict per PTM and one per absorb stage.
 
     One pass over fixed blocks of _MC_BLOCK samples: each block's Pauli
     vectors c are formed on their own, so no quantity of all n samples is
@@ -408,7 +390,7 @@ def _mc_stats(cfg, rs, forms, amps) -> tuple[list[dict], list[dict]]:
         sum_t = sum_t + t.sum(axis=1)
         t[t <= 0] = np.inf
         np.divide(y[p:, :m], t, out=xm[:p])
-        leak, xm[p:], _ = _sample_hole(cfg, forms, c, out=gram[:, :m])
+        leak, xm[p:], _ = _sample_hole(forms, wanted, c, out=gram[:, :m])
         sum_leak = sum_leak + leak.sum(axis=1)
         if start == 0:
             shift = xm[:, 0].copy()
@@ -425,16 +407,16 @@ def _mc_stats(cfg, rs, forms, amps) -> tuple[list[dict], list[dict]]:
               "hole_purity_std": float(std[k])} for k in range(h)])
 
 
-def _sample_hole(cfg, forms, c,
+def _sample_hole(forms, wanted, c,
                  out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-sample (leakage, hole purity, tr G) of the inputs with Pauli
     vectors c (4, m): each (m,) for the (k², 4) Gram forms of one absorb
     stage, or (H, m) for the forms of H stages stacked (H, k², 4), whose
     Gram matrices come from one product, written to out if given.  The
     hole levels are orthonormal, so the hole is left in G / tr G: purity
-    Σ|G_ij|² / (tr G)², leakage G₁₁ / tr G (0 in the degenerate case,
-    whose branches are both wanted).  The diagonal is clipped at 0, as a
-    form can round below ||K q||² = 0."""
+    Σ|G_ij|² / (tr G)², leakage the unwanted diagonal entries G_ii,
+    i >= wanted, summed over tr G (0 when every branch is wanted).  The
+    diagonal is clipped at 0, as a form can round below ||K q||² = 0."""
     k = math.isqrt(forms.shape[-2])
     g = np.matmul(forms.reshape(-1, 4), c, out=out)
     g = g.reshape(forms.shape[:-1] + g.shape[-1:])
@@ -443,16 +425,15 @@ def _sample_hole(cfg, forms, c,
     total = diag.sum(axis=-2)
     g /= np.where(total > 0, total, 1.0)[..., None, :]
     purity = np.einsum("...in,...in->...n", g, g)
-    leak = (g[..., 1, :] if k > 1 and cfg.case != DEGENERATE
-            else np.zeros_like(total))
-    return leak, purity, total
+    return g[..., wanted:k, :].sum(axis=-2), purity, total
 
 
-def _input_hole(cfg, forms, q) -> tuple[float, float, float]:
+def _input_hole(absorb: Stage, q) -> tuple[float, float, float]:
     """(leakage, hole purity P, entanglement entropy in bits) of one input
-    q, which must couple.  The electron is a qubit, so the hole state has at
-    most two non-zero eigenvalues, λ± = (1 ± √(2P − 1))/2."""
-    leak, purity, total = _sample_hole(cfg, forms, pauli_vectors(q[None, :]))
+    q, which must couple, at the absorb stage.  The electron is a qubit, so
+    the hole has at most two non-zero eigenvalues, λ± = (1 ± √(2P − 1))/2."""
+    leak, purity, total = _sample_hole(absorb.branch_forms, absorb.wanted_branches,
+                                       pauli_vectors(q[None, :]))
     if total[0] <= 0:
         raise ValueError("photon does not couple to this scheme")
     s = math.sqrt(min(max(2.0 * purity[0] - 1.0, 0.0), 1.0))
@@ -575,7 +556,7 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     per-stage diagnostics."""
     q = _unit(q)
     stages = detection_stages(cfg, cfg.scheme())
-    leak, purity, entropy = _input_hole(cfg, stages[0].branch_forms, q)
+    leak, purity, entropy = _input_hole(stages[0], q)
     trace, vectors = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
     return DetectionResult(
         logical_rho=_output_state(vectors[-1]), stages=tuple(trace),
@@ -583,16 +564,11 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
         hole_purity=purity, entanglement_entropy_bits=entropy)
 
 
-def _run_end_to_end(q, cfg, stages) -> EndToEndResult:
+def _run_end_to_end(q, stages) -> EndToEndResult:
     trace, vectors = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
-    # each spin branch is collected in proportion to its population in the
-    # electron that reaches the emitter, in physical (mS) coordinates
-    frame = _detection_frame(cfg.case)
-    electron = frame @ density_from_pauli(vectors[-2]) @ frame.conj().T
-    pops = np.diag(electron).real
-    total = pops.sum()
-    collection = (float(pops @ stages[-1].collection_fractions / total)
-                  if total > 0 else 0.0)
+    # the electron that reaches the emitter, through the emit stage's row
+    v = vectors[-2]
+    collection = float(stages[-1].collection_row @ v / v[0]) if v[0] > 0 else 0.0
     return EndToEndResult(
         photon_rho=_output_state(vectors[-1]), round_trip_fidelity=trace[-1].fidelity,
         stages=tuple(trace), success_probability=trace[-1].success,
@@ -605,11 +581,12 @@ def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
     scenario that passes no input is refused."""
     stages = end_to_end_stages(cfg)
     _compose(stages)
-    return _run_end_to_end(_unit(q), cfg, stages)
+    return _run_end_to_end(_unit(q), stages)
 
 
-def _run_monte_carlo(cfg, r, forms, amps) -> MonteCarloResult:
-    [fid], [hole] = _mc_stats(cfg, r[None], forms[None], amps)
+def _run_monte_carlo(r, absorb: Stage, amps) -> MonteCarloResult:
+    [fid], [hole] = _mc_stats(r[None], absorb.branch_forms[None],
+                              absorb.wanted_branches, amps)
     return MonteCarloResult(n_samples=len(amps), **fid, **hole)
 
 
@@ -620,51 +597,38 @@ def monte_carlo_average_fidelity(cfg: ScenarioConfig,
     if n_samples is not None:
         cfg = replace(cfg, mc_samples=n_samples)
     stages = end_to_end_stages(cfg)
-    return _run_monte_carlo(cfg, _compose(stages), stages[0].branch_forms,
+    return _run_monte_carlo(_compose(stages), stages[0],
                             haar_qubits(cfg.seed, cfg.mc_samples))
 
 
-def _run_tomography(r) -> TomographyResult:
-    choi = choi_from_ptm(r)
-    verdict = is_cptp(choi, tol=1e-8, conditional=True)
-    return TomographyResult(choi, verdict, process_fidelity(choi))
+def choi_verdict(choi: np.ndarray) -> TomographyResult:
+    """A qubit map's 4x4 Choi matrix with its physicality verdict
+    (conditional maps allowed, tolerance 1e-8) and its process fidelity to
+    identity, 0 for a map whose trace is not positive."""
+    pf = process_fidelity(choi) if np.trace(choi).real > 0 else 0.0
+    return TomographyResult(choi, is_cptp(choi, tol=1e-8, conditional=True), pf)
 
 
 def process_tomography(cfg: ScenarioConfig) -> TomographyResult:
     """Choi matrix of the photon -> photon logical channel, its physicality
     verdict (conditional maps allowed) and process fidelity to identity."""
-    return _run_tomography(_compose(end_to_end_stages(cfg)))
+    return choi_verdict(choi_from_ptm(_compose(end_to_end_stages(cfg))))
 
 
 def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     """Run the reference input, the Monte Carlo average and tomography,
     building the scheme and the stage list once for all of them."""
     stages = end_to_end_stages(cfg)
-    forms = stages[0].branch_forms
     r = _compose(stages)
     q = _unit(cfg.input_qubit)
-    _, _, entropy = _input_hole(cfg, forms, q)
-    e2e = _run_end_to_end(q, cfg, stages)
-    mc = _run_monte_carlo(cfg, r, forms, haar_qubits(cfg.seed, cfg.mc_samples))
-    tomo = _run_tomography(r)
+    _, _, entropy = _input_hole(stages[0], q)
+    e2e = _run_end_to_end(q, stages)
+    mc = _run_monte_carlo(r, stages[0], haar_qubits(cfg.seed, cfg.mc_samples))
     return ChannelReport(
-        case=cfg.case,
-        round_trip_fidelity=e2e.round_trip_fidelity,
-        mean_fidelity=mc.mean_fidelity,
-        stderr=mc.stderr,
-        success_probability=mc.success_probability,
-        leakage=mc.leakage,
-        hole_purity_mean=mc.hole_purity_mean,
-        hole_purity_std=mc.hole_purity_std,
+        case=cfg.case, round_trip_fidelity=e2e.round_trip_fidelity,
         entanglement_entropy_bits=entropy,
-        collection_fraction=e2e.collection_fraction,
-        choi=tomo.choi,
-        cptp=tomo.cptp,
-        process_fidelity=tomo.process_fidelity,
-        stages=e2e.stages,
-        seed=cfg.seed,
-        n_samples=mc.n_samples,
-    )
+        collection_fraction=e2e.collection_fraction, stages=e2e.stages,
+        seed=cfg.seed, **vars(mc), **vars(choi_verdict(choi_from_ptm(r))))
 
 
 # ---------------------------------------------------------------------------
@@ -691,6 +655,13 @@ _SWEEPABLE = {
     "chain.gate_error": frozenset({"shuttle_in", "shuttle_out"}),
     "absorption_efficiency": _ABSORB,
 }
+
+# case -> the parameters no stage of the case reads: only case B has a
+# hadamard stage, and the degenerate scheme is the zero-field reference,
+# whose absorption no window weights
+_UNREAD = {CASE_A: {"hadamard_time_ns"},
+           DEGENERATE: {"field.b_tesla", "window.bandwidth_ueV",
+                        "window.center_offset_ueV", "hadamard_time_ns"}}
 
 
 def sweep_parameters() -> tuple[str, ...]:
@@ -727,8 +698,13 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     composed, and a dark one refused, before one pass over fixed blocks of
     samples sums the fidelities of all points and the hole diagnostics of
     every absorb stage built (one, unless the parameter touches absorb); a
-    row does not depend on how many points share its sweep.
+    row does not depend on how many points share its sweep.  A parameter
+    that the config's case never reads is refused, as its rows would be
+    flat.
     """
+    if param in _UNREAD.get(cfg.case, ()):
+        raise KeyError(f"sweeping {param} has no effect: case {cfg.case} "
+                       "never reads it")
     set_value = _setter(cfg, param)
     touched = _SWEEPABLE[param]
     values = [float(v) for v in values]
@@ -750,7 +726,8 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
         ptms.append(_compose(stages))
     if not ptms:
         return []
-    fids, holes = _mc_stats(sub, np.array(ptms), np.array(forms), amps)
+    fids, holes = _mc_stats(np.array(ptms), np.array(forms),
+                            stages[0].wanted_branches, amps)
     if len(holes) == 1:
         holes *= len(fids)
     return [{"param": param,

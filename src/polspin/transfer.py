@@ -169,10 +169,12 @@ def dipole_matrix_element(state, ms: float, pol: str, k_sign: int = -1):
 class AbsorptionBranch:
     """One Kraus branch of an absorption map: a 2x2 operator taking photon
     amplitudes to electron (mS=-1/2, mS=+1/2) amplitudes, tagged with the
-    valence level (hole index) it empties."""
+    valence level (hole index) it empties and whether that level is the
+    unwanted one, whose weight is leakage."""
 
     kraus: np.ndarray
     hole_index: int
+    unwanted: bool = False
 
 
 @dataclass(frozen=True)
@@ -208,22 +210,24 @@ _RECOMBINING_HOLES = {CASE_A: (-1, -1), CASE_B: (-1, -1), DEGENERATE: (0, 3)}
 
 
 def _absorbing_holes(scheme: BandScheme, window: SpectralWindow | None):
-    """(hole index, valence level, transition offset) of each hole one
-    absorption may leave; an offset of None means no window weights it.
+    """(hole index, valence level, transition offset, unwanted) of each hole
+    one absorption may leave, the wanted ones first; an offset of None
+    means no window weights it.
 
     Split scheme: the target topmost light-hole level, and with a finite
     window the unwanted partner a valence Zeeman splitting below.
     Degenerate scheme: the two stretched heavy holes the electrons fall
     back into, hole indices 0 and 3 of the quartet, which neither the
-    window nor the prefilter touches.
+    window nor the prefilter touches; both are wanted.
     """
     if scheme.case == DEGENERATE:
-        return [(i, scheme.valence_levels[i], None)
+        return [(i, scheme.valence_levels[i], None, False)
                 for i in _RECOMBINING_HOLES[DEGENERATE]]
     partner, top = scheme.light_hole_levels
     if window is None:
-        return [(0, top, None)]
-    return [(0, top, 0.0), (1, partner, top.energy_uev - partner.energy_uev)]
+        return [(0, top, None, False)]
+    return [(0, top, 0.0, False),
+            (1, partner, top.energy_uev - partner.energy_uev, True)]
 
 
 def absorption_branches(scheme: BandScheme,
@@ -246,34 +250,36 @@ def absorption_branches(scheme: BandScheme,
     k_sign = int(np.sign(scheme.canonical_k @ Z_AXIS))
     lo, hi = scheme.conduction_levels[0], scheme.conduction_levels[-1]
     c_mid = 0.5 * (lo.energy_uev + hi.energy_uev)
-    u = _eigenbasis_matrix(scheme)
+    u = scheme.eigenbasis
     holes = _absorbing_holes(scheme, window)
-    blocks = _dipole_blocks([level.state for _, level, _ in holes], pols, k_sign)
+    blocks = _dipole_blocks([level.state for _, level, _, _ in holes], pols,
+                            k_sign)
     branches = []
-    for (hole, _, offset), k in zip(holes, blocks):
+    for (hole, _, offset, unwanted), k in zip(holes, blocks):
         if offset is not None:
             w = [window.amplitude((lv.energy_uev - c_mid) + offset)
                  for lv in (lo, hi)]
             k = (u * w) @ u.conj().T @ k
         if compensate and scheme.case == CASE_A:
             k = k @ np.diag([_SQ2, 1.0]).astype(complex)
-        branches.append(AbsorptionBranch(k, hole))
+        branches.append(AbsorptionBranch(k, hole, unwanted))
     return branches
 
 
 def _outcome_from_branches(photon: PhotonQubit, branches: list[AbsorptionBranch],
-                           hole_dim: int, n_wanted: int = 1) -> AbsorptionOutcome:
+                           hole_dim: int) -> AbsorptionOutcome:
     q = photon.amplitudes
     m = np.zeros((2, hole_dim), dtype=complex)
-    weights = []
+    leak = 0.0
     for br in branches:
         amp = br.kraus @ q
-        weights.append(float(np.vdot(amp, amp).real))
+        if br.unwanted:
+            leak += float(np.vdot(amp, amp).real)
         m[:, br.hole_index] += amp
     total = float(np.vdot(m, m).real)
     if total <= 0:
         raise ValueError("photon does not couple to this scheme")
-    leak = sum(weights[n_wanted:]) / total
+    leak /= total
     return AbsorptionOutcome(m / np.linalg.norm(m), total, leak)
 
 
@@ -290,9 +296,8 @@ def absorb_degenerate(photon: PhotonQubit) -> AbsorptionOutcome:
     """
     if photon.basis != CIRCULAR:
         raise ValueError("degenerate absorption takes a circular-basis qubit")
-    # both branches are intentional here; there is no "wrong" level
     return _outcome_from_branches(photon, absorption_branches(degenerate_scheme()),
-                                  hole_dim=4, n_wanted=2)
+                                  hole_dim=4)
 
 
 # split case -> (photon basis, refusal of another scheme, refusal of
@@ -349,15 +354,9 @@ def absorb_case_b(photon: PhotonQubit, scheme: BandScheme) -> AbsorptionOutcome:
 # precession
 # ---------------------------------------------------------------------------
 
-def _eigenbasis_matrix(scheme: BandScheme) -> np.ndarray:
-    """Columns are the conduction eigenstates (lower, upper) in mS coordinates."""
-    return np.column_stack([scheme.conduction_levels[0].state,
-                            scheme.conduction_levels[-1].state])
-
-
 def precession_unitary(scheme: BandScheme, t_ns: float) -> np.ndarray:
     """Larmor evolution over t in the scheme's conduction eigenbasis."""
-    u = _eigenbasis_matrix(scheme)
+    u = scheme.eigenbasis
     phases = np.exp(-1j * np.array([lv.energy_uev for lv in scheme.conduction_levels])
                     * t_ns / HBAR_UEV_NS)
     return (u * phases) @ u.conj().T

@@ -121,7 +121,6 @@ def _conduction_hamiltonian(g_cb, b_tesla, orientation):
 def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, orient):
     """Whatever the sign of g_cb the conduction levels ascend, and the
     eigenbasis matrix holds the (lower, upper) eigenvectors of H_c."""
-    from polspin.transfer import _eigenbasis_matrix
     mat = MaterialParams(name="m", g_cb=g_cb, g_lh=8.87,
                          strain_splitting_uev=20_000.0, band_gap_uev=1_500_000.0)
     scheme = build_level_scheme(mat, FieldConfig(0.8, orient))
@@ -131,7 +130,7 @@ def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, orient):
         abs(zeeman_splitting(g_cb, 0.8)), rel=1e-12)
     values, vectors = np.linalg.eigh(_conduction_hamiltonian(g_cb, 0.8, orient))
     assert np.allclose(energies, values, rtol=0, atol=1e-12)
-    u = _eigenbasis_matrix(scheme)
+    u = scheme.eigenbasis
     # each column is its numpy eigenvector up to a phase
     overlaps = np.abs(np.diag(vectors.conj().T @ u))
     assert np.allclose(overlaps, 1.0, rtol=0, atol=1e-12)

@@ -458,6 +458,22 @@ def test_sweep_window_offset_needs_a_window(tmp_path, capsys):
     assert "window.center_offset_ueV needs a window" in err
 
 
+@pytest.mark.parametrize("case, param", [
+    ("degenerate", "field.b_tesla"), ("degenerate", "window.bandwidth_ueV"),
+    ("degenerate", "window.center_offset_ueV"),
+    ("degenerate", "hadamard_time_ns"), ("A", "hadamard_time_ns")])
+def test_sweep_parameter_the_case_never_reads_exit_2(tmp_path, capsys, case,
+                                                     param):
+    """Its rows would be flat, so the sweep is refused as a config error."""
+    cfg = write_config(tmp_path, case=case)
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param", param,
+                              "--from", "0", "--to", "2", "--steps", "3"],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == (f"config error: sweeping {param} has no effect: "
+                   f"case {case} never reads it\n")
+
+
 def test_sweep_unknown_param_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path)
     code, _, err = run_cli(["--config", cfg, "sweep", "--param", "bogus",

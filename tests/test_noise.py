@@ -6,9 +6,7 @@ import pytest
 from polspin.noise import (NoiseModel, coherence_factor, dephasing_kraus,
                            transport_kraus)
 from polspin.bands import FieldConfig, INPLANE, NORMAL
-from polspin.pipeline import (ScenarioConfig, _transport, _transport_back,
-                              _storage)
-from polspin.transfer import _eigenbasis_matrix
+from polspin.pipeline import ScenarioConfig, _STAGE_BUILDERS, _storage
 from polspin.qstate import (PAULIS, choi_from_ptm, density_from_pauli, is_cptp,
                             pauli_vectors, ptm_from_kraus)
 
@@ -41,7 +39,7 @@ def dephased(state, t_ns, t2_ns):
 
 def transport_ptm(noise):
     cfg = ScenarioConfig(noise=noise)
-    return _transport(cfg, cfg.scheme()).ptm
+    return _STAGE_BUILDERS["transport"](cfg, cfg.scheme()).ptm
 
 
 def test_zero_time_identity():
@@ -161,7 +159,7 @@ def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
     in the energy eigenbasis; the return stage is the T2 channel alone."""
     cfg = ScenarioConfig(case=case, field=field, noise=noise)
     scheme = cfg.scheme()
-    u = _eigenbasis_matrix(scheme) if case == "B" else np.eye(2)
+    u = scheme.eigenbasis if case == "B" else np.eye(2)
 
     def rotated_ptm(gamma):
         return ptm_from_kraus([u @ k @ u.conj().T for k in dephasing_kraus(gamma)])
@@ -169,9 +167,10 @@ def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
     t2 = rotated_ptm(coherence_factor(noise.transport_time_ns, noise.t2_iii_v_ns))
     fraction = rotated_ptm(1.0 - noise.transport_dephasing_fraction)
     keep = 1.0 - noise.transport_loss
-    forward = _transport(cfg, scheme).ptm
+    forward = _STAGE_BUILDERS["transport"](cfg, scheme).ptm
     assert np.max(np.abs(forward - keep * fraction @ t2)) < 1e-15
-    assert np.max(np.abs(_transport_back(cfg, scheme).ptm - keep * t2)) < 1e-15
+    back = _STAGE_BUILDERS["transport_back"](cfg, scheme).ptm
+    assert np.max(np.abs(back - keep * t2)) < 1e-15
 
 
 def test_transport_total_loss_vacuum():

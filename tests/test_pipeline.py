@@ -13,18 +13,18 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               monte_carlo_average_fidelity,
                               process_tomography, run_detection,
                               run_end_to_end, scenario_report, sweep,
-                              end_to_end_stages, _absorption_kraus_logical,
-                              _compose, _emission_kraus, _gram_forms,
+                              end_to_end_stages, _compose, _gram_forms,
                               _input_hole, _mc_stats, _sample_hole)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
-from polspin.qstate import (choi_of_map, entanglement_entropy, is_cptp,
+from polspin.qstate import (choi_of_map, density_from_pauli,
+                            entanglement_entropy, is_cptp,
                             pauli_vectors, ptm_from_choi, ptm_from_kraus,
                             purity)
 from polspin.transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit, absorb_case_a,
                               absorb_case_b, absorb_degenerate,
-                              _eigenbasis_matrix, precession_unitary)
+                              emission_map, precession_unitary)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 TAU = precession_period(0.4, 1.0)
@@ -273,15 +273,22 @@ def _stage_superops(cfg):
     density matrices and probed column by column."""
     scheme = cfg.scheme()
     nm, ch = cfg.noise, cfg.chain
-    u = _eigenbasis_matrix(scheme) if cfg.case == "B" else np.eye(2)
+    u = scheme.eigenbasis if cfg.case == "B" else np.eye(2)
     t2 = _kraus_map([u @ k @ u.conj().T for k in dephasing_kraus(
         coherence_factor(nm.transport_time_ns, nm.t2_iii_v_ns))])
     extra = _kraus_map([u @ k @ u.conj().T for k in dephasing_kraus(
         1.0 - nm.transport_dephasing_fraction)])
     arrive = 1.0 - nm.transport_loss
-    physical = [br.kraus for br in transfer.absorption_branches(
-        scheme, cfg.window, cfg.compensate)]
-    maps = [("absorb", _kraus_map(_absorption_kraus_logical(cfg, physical))),
+    # the logical frame: case A's photon z/x slots are the spins up/down
+    frame = np.array([[0, 1], [1, 0]]) if cfg.case == "A" else np.eye(2)
+    absorb = frame @ np.array([br.kraus for br in transfer.absorption_branches(
+        scheme, cfg.window, cfg.compensate)])
+    # scaled by the efficiency, and renormalised so that sum K†K <= I
+    top = np.max(np.linalg.eigvalsh(
+        (absorb.conj().transpose(0, 2, 1) @ absorb).sum(axis=0)))
+    absorb *= math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
+    emit = [k @ frame for k in emission_map(scheme, cfg.emission_direction)[0]]
+    maps = [("absorb", _kraus_map(absorb)),
             ("transport", lambda rho: arrive * extra(t2(rho))),
             ("shuttle_in", site_channel_map(ch.n_sites, 0, ch.storage_site,
                                             ch.gate_error))]
@@ -293,7 +300,7 @@ def _stage_superops(cfg):
              ("shuttle_out", site_channel_map(ch.n_sites, ch.storage_site, 0,
                                               ch.gate_error)),
              ("transport_back", lambda rho: arrive * t2(rho)),
-             ("emit", _kraus_map(_emission_kraus(cfg, scheme)[0]))]
+             ("emit", _kraus_map(emit))]
     return [(name, _superop_from_map(fn)) for name, fn in maps]
 
 
@@ -388,7 +395,8 @@ def test_sample_quantities_match_density_matrices(name):
     stages = end_to_end_stages(cfg)
     c = pauli_vectors(amps)
     got = (_sample_fidelities(_compose(stages), c)
-           + _sample_hole(cfg, stages[0].branch_forms, c)[:2])
+           + _sample_hole(stages[0].branch_forms, stages[0].wanted_branches,
+                          c)[:2])
     want = (_density_matrix_oracle(_composed(cfg), amps)
             + _absorbed_state_oracle(cfg, amps)[:2])
     for label, g, w in zip(("fidelity", "trace", "leakage", "purity"), got, want):
@@ -408,9 +416,9 @@ def _dense_stats(r, c):
 def _fidelity_stats(rs, amps):
     """The fidelity figures of _mc_stats for the PTM stack rs, next to one
     case A absorb stage."""
-    cfg = cfg_case_a()
-    forms = end_to_end_stages(cfg)[0].branch_forms
-    return _mc_stats(cfg, rs, forms[None], amps)[0]
+    absorb = end_to_end_stages(cfg_case_a())[0]
+    return _mc_stats(rs, absorb.branch_forms[None], absorb.wanted_branches,
+                     amps)[0]
 
 
 def _kernel_ptms():
@@ -474,21 +482,25 @@ def test_fidelity_stats_resolves_a_tiny_spread():
     assert abs(stats["stderr"] - want) <= 1e-6 * want
 
 
-def _dense_hole_stats(cfg, forms, c):
+def _dense_hole_stats(forms, wanted, c):
     """The hole figures of _mc_stats, from the per-sample formula."""
-    leak, pur, _ = _sample_hole(cfg, forms, c)
+    leak, pur, _ = _sample_hole(forms, wanted, c)
     return {"leakage": np.mean(leak), "hole_purity_mean": np.mean(pur),
             "hole_purity_std": np.std(pur, ddof=1) if len(pur) > 1 else 0.0}
 
 
 def _hole_stacks():
-    """(cfg, stacked Gram forms) per case and branch count: every absorb
-    stage of HOLE_CONFIGS, grouped as a sweep would stack them."""
+    """(case, wanted branch count, stacked Gram forms) per case and branch
+    count: every absorb stage of HOLE_CONFIGS, grouped as a sweep would
+    stack them."""
     stacks = {}
     for _, cfg in sorted(HOLE_CONFIGS.items()):
-        forms = end_to_end_stages(cfg)[0].branch_forms
-        stacks.setdefault((cfg.case, len(forms)), (cfg, []))[1].append(forms)
-    return [(cfg, np.array(forms)) for cfg, forms in stacks.values()]
+        absorb = end_to_end_stages(cfg)[0]
+        forms = absorb.branch_forms
+        stacks.setdefault((cfg.case, len(forms)),
+                          (absorb.wanted_branches, []))[1].append(forms)
+    return [(case, wanted, np.array(forms))
+            for (case, _), (wanted, forms) in stacks.items()]
 
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)
@@ -500,15 +512,15 @@ def test_hole_stats_matches_dense_oracle(n):
     amps = haar_qubits(41, n)
     c = pauli_vectors(amps)
     r = np.eye(4)[None]
-    for cfg, forms in _hole_stacks():
-        _, got = _mc_stats(cfg, r, forms, amps)
+    for case, wanted, forms in _hole_stacks():
+        _, got = _mc_stats(r, forms, wanted, amps)
         assert len(got) == len(forms)
         for h, stats in enumerate(got):
-            want = _dense_hole_stats(cfg, forms[h], c)
+            want = _dense_hole_stats(forms[h], wanted, c)
             assert stats.keys() == want.keys()
             for key, value in stats.items():
-                assert abs(value - want[key]) < 1e-12, (cfg.case, h, key)
-            assert _mc_stats(cfg, r, forms[h:h + 1], amps)[1] == [stats]
+                assert abs(value - want[key]) < 1e-12, (case, h, key)
+            assert _mc_stats(r, forms[h:h + 1], wanted, amps)[1] == [stats]
         if n == 1:
             assert all(stats["hole_purity_std"] == 0.0 for stats in got)
 
@@ -517,13 +529,12 @@ def test_hole_stats_resolves_a_tiny_spread():
     """A second branch ε X next to the identity leaves the hole purity
     1 − 2ε²(1 − r_x²) + O(ε⁴): at ε = 1e-4 a spread of ~1e-8 around ~1,
     which the shifted sums keep to 1e-6 of the dense standard deviation."""
-    cfg = cfg_case_a()
     eps = 1e-4
     forms = _gram_forms(np.array([np.eye(2), eps * np.array([[0, 1], [1, 0]])],
                                  dtype=complex))
     amps = haar_qubits(3, 20_000)
-    [_], [stats] = _mc_stats(cfg, np.eye(4)[None], forms[None], amps)
-    want = _dense_hole_stats(cfg, forms, pauli_vectors(amps))["hole_purity_std"]
+    [_], [stats] = _mc_stats(np.eye(4)[None], forms[None], 1, amps)
+    want = _dense_hole_stats(forms, 1, pauli_vectors(amps))["hole_purity_std"]
     assert 1e-9 < want < 1e-7
     assert abs(stats["hole_purity_std"] - want) <= 1e-6 * want
 
@@ -581,9 +592,10 @@ def test_sample_hole_matches_absorbed_state(name):
     those of the electron ⊗ hole state from transfer.absorb_*."""
     cfg = HOLE_CONFIGS[name]
     amps = haar_qubits(cfg.seed, 200)
-    forms = end_to_end_stages(cfg)[0].branch_forms
-    leak, pur, total = _sample_hole(cfg, forms, pauli_vectors(amps))
-    one_by_one = np.array([_input_hole(cfg, forms, q) for q in amps]).T
+    absorb = end_to_end_stages(cfg)[0]
+    leak, pur, total = _sample_hole(absorb.branch_forms, absorb.wanted_branches,
+                                    pauli_vectors(amps))
+    one_by_one = np.array([_input_hole(absorb, q) for q in amps]).T
     want = _absorbed_state_oracle(cfg, amps)
     assert np.all(total > 0)
     assert np.max(np.abs(leak - want[0])) < 1e-12
@@ -621,7 +633,7 @@ def test_sweep_builds_untouched_stages_once(monkeypatch):
     for module, name in targets:
         def counted(*args, _name=name, _original=getattr(module, name)):
             # the Monte Carlo kernel counts the absorb stages it is given
-            calls[_name] += len(args[2]) if _name == "_mc_stats" else 1
+            calls[_name] += len(args[1]) if _name == "_mc_stats" else 1
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -666,7 +678,7 @@ def test_dephasing_fraction_hits_forward_transport_only(make):
     stages = {st.name: st.ptm for st in end_to_end_stages(cfg)}
     # the Bloch axis n of the energy eigenstates is the only one that
     # survives full dephasing: R = diag(1, n nᵀ)
-    u = _eigenbasis_matrix(cfg.scheme()) if cfg.case == "B" else np.eye(2)
+    u = cfg.scheme().eigenbasis if cfg.case == "B" else np.eye(2)
     n = pauli_vectors(u.T)[1:, 0]
     keep = np.zeros((4, 4))
     keep[0, 0] = 1.0
@@ -880,6 +892,63 @@ def test_sweep_empty_values():
 def test_sweep_unknown_parameter():
     with pytest.raises(KeyError):
         sweep(cfg_case_a(), "nonsense.path", [1.0])
+
+
+# (config, parameter) of each sweep over a parameter its case never reads
+UNREAD_SWEEPS = {
+    "degenerate_b_tesla": (cfg_degenerate(), "field.b_tesla"),
+    "degenerate_bandwidth": (cfg_degenerate(), "window.bandwidth_ueV"),
+    "degenerate_center_offset": (cfg_degenerate(window=SpectralWindow(100.0)),
+                                 "window.center_offset_ueV"),
+    "degenerate_hadamard": (cfg_degenerate(), "hadamard_time_ns"),
+    "case_a_hadamard": (cfg_case_a(), "hadamard_time_ns"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNREAD_SWEEPS))
+def test_sweep_refuses_a_parameter_the_case_never_reads(name):
+    """Every stage is the same at any value of such a parameter, so its
+    rows would be flat; the sweep is refused, naming parameter and case."""
+    cfg, param = UNREAD_SWEEPS[name]
+    low, high = (end_to_end_stages(pipeline._setter(cfg, param)(v))
+                 for v in (0.5, 2.0))
+    assert all(np.array_equal(a.ptm, b.ptm) and
+               np.array_equal(a.branch_forms, b.branch_forms)
+               for a, b in zip(low, high))
+    with pytest.raises(KeyError) as exc:
+        sweep(cfg, param, [0.5, 2.0])
+    assert exc.value.args == (f"sweeping {param} has no effect: case "
+                              f"{cfg.case} never reads it",)
+
+
+def _former_collection(cfg, v):
+    """The collection fraction as the end-to-end run weighed it before the
+    emit stage held a row: the spin populations of the electron with
+    logical Pauli vector v, in the mS frame, times the two branches'
+    collection fractions, over the trace."""
+    frame = np.array([[0, 1], [1, 0]]) if cfg.case == "A" else np.eye(2)
+    fractions = emission_map(cfg.scheme(), cfg.emission_direction)[1]
+    pops = np.diag(frame @ density_from_pauli(v) @ frame.conj().T).real
+    return float(pops @ fractions / pops.sum())
+
+
+@pytest.mark.parametrize("direction", [None, (0.3, 0.2, 1.0)])
+@pytest.mark.parametrize("make", [cfg_case_a, cfg_case_b, cfg_degenerate])
+def test_collection_row_matches_population_weighting(make, direction):
+    """row·v / v₀ of the emit stage equals the population-weighted
+    collection fraction to 1e-15, on random Pauli vectors of any trace and
+    on the two poles v₃ = ±v₀."""
+    cfg = make(emission_direction=direction)
+    row = end_to_end_stages(cfg)[-1].collection_row
+    rng = np.random.default_rng(11)
+    traces = rng.uniform(0.01, 2.0, 200)
+    bloch = rng.normal(size=(200, 3))
+    bloch *= rng.uniform(0.0, 1.0, (200, 1)) / np.linalg.norm(bloch, axis=1,
+                                                             keepdims=True)
+    vs = np.column_stack([traces, traces[:, None] * bloch])
+    poles = [[t, 0.0, 0.0, sign * t] for t in (0.3, 1.0) for sign in (1, -1)]
+    for v in np.vstack([vs, poles]):
+        assert abs(row @ v / v[0] - _former_collection(cfg, v)) <= 1e-15, v
 
 
 def test_dark_window_refused_by_monte_carlo_and_sweep():

@@ -133,8 +133,8 @@ def test_absorption_branches_are_dipole_entries(case, scheme_a, scheme_b):
                     "degenerate": (("sigma_plus", "sigma_minus"), +1)}[case]
     branches = absorption_branches(scheme)
     holes = _absorbing_holes(scheme, None)
-    assert [br.hole_index for br in branches] == [hole for hole, _, _ in holes]
-    for br, (_, level, _) in zip(branches, holes):
+    assert [br.hole_index for br in branches] == [hole for hole, _, _, _ in holes]
+    for br, (_, level, _, _) in zip(branches, holes):
         for s, ms in enumerate((C_DN, C_UP)):
             for p, pol in enumerate(pols):
                 assert br.kraus[s, p] == dipole_matrix_element(level.state, ms, pol,
@@ -755,6 +755,28 @@ def test_emit_dark_direction():
             tr._mode_map(FakeScheme(), np.array([0.0, 0.0, 1.0]))
     finally:
         tr.branch_dipole_vectors = orig
+
+
+@pytest.mark.parametrize("case", ["A", "B", "degenerate"])
+@pytest.mark.parametrize("window", [None, SpectralWindow(100.0)],
+                         ids=["no_window", "window"])
+def test_unwanted_flag_marks_the_windowed_partner(case, window):
+    """Only a window in a split case adds an unwanted branch, through the
+    light hole below the target; the wanted branches come first, and the
+    absorb stage counts them."""
+    cfg = ideal(case, window=window)
+    scheme = cfg.scheme()
+    holes = _absorbing_holes(scheme, window)
+    branches = absorption_branches(scheme, window)
+    flags = [br.unwanted for br in branches]
+    assert flags == [unwanted for _, _, _, unwanted in holes]
+    split = case != "degenerate"
+    assert flags == ([False, True] if split and window else [False] * len(holes))
+    if split:
+        partner, top = scheme.light_hole_levels
+        assert [level.label for _, level, _, _ in holes] == [
+            top.label, partner.label][:len(holes)]
+    assert end_to_end_stages(cfg)[0].wanted_branches == flags.count(False)
 
 
 def test_emit_collection_fractions():
