@@ -24,7 +24,7 @@ print(f"electron precession period:  {precession_period(INAS_GAAS_QW.g_cb, B):10
 print()
 
 for orientation, case in (("normal", "A"), ("inplane", "B")):
-    scheme = build_level_scheme(INAS_GAAS_QW, FieldConfig(B, orientation))
+    scheme = build_level_scheme(case, INAS_GAAS_QW, FieldConfig(B))
     print(f"=== case {case}: B {orientation} ===")
     for lv in scheme.valence_levels + scheme.conduction_levels:
         print(f"  {lv.band:11s} {lv.label:12s} {lv.energy_uev:+12.4f} ueV")
@@ -35,7 +35,7 @@ print("=== scanning the photon bandwidth ===")
 print(f"{'bandwidth':>10s} {'valence ok':>11s} {'conduction ok':>14s}")
 for bw in (5.0, 10.0, 23.2, 100.0, 300.0, 513.0, 600.0):
     rep = resolvability_check(SpectralWindow(bw), INAS_GAAS_QW,
-                              FieldConfig(B, "normal"))
+                              FieldConfig(B))
     print(f"{bw:10.1f} {str(rep.valence_resolved):>11s} "
           f"{str(rep.conduction_unresolved):>14s}")
 print()

@@ -7,16 +7,16 @@ import numpy as np
 
 from polspin import (FieldConfig, INAS_GAAS_QW, build_level_scheme,
                      precession_period)
-from polspin.transfer import (CIRCULAR, HADAMARD, PhotonQubit, absorb_case_b,
+from polspin.transfer import (HADAMARD, PhotonQubit, absorb_case_b,
                               precession_unitary)
 
-scheme = build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, "inplane"))
+scheme = build_level_scheme("B", INAS_GAAS_QW, FieldConfig(1.0))
 tau = precession_period(INAS_GAAS_QW.g_cb, 1.0)
 print(f"precession period at 1 T: tau = {tau:.5f} ns")
 print()
 
 # a sigma+ photon creates a spin-down electron, which precesses
-out = absorb_case_b(PhotonQubit(CIRCULAR, 1.0, 0.0), scheme)
+out = absorb_case_b(PhotonQubit(1.0, 0.0), scheme)
 st = out.amplitudes[:, 0]
 print("spin-down population while precessing (sigma+ excitation):")
 for frac in (0.0, 0.25, 0.5, 0.75, 1.0):

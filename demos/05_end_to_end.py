@@ -17,19 +17,19 @@ PLUS = np.array([2 ** -0.5, 2 ** -0.5])
 
 scenarios = {
     "case A (ideal, compensated)": ScenarioConfig(
-        case="A", field=FieldConfig(1.0, "normal"),
+        case="A", field=FieldConfig(1.0),
         window=SpectralWindow(100.0), compensate=True, seed=5),
     "case A (uncompensated)": ScenarioConfig(
-        case="A", field=FieldConfig(1.0, "normal"),
+        case="A", field=FieldConfig(1.0),
         window=SpectralWindow(100.0), compensate=False, seed=5),
     "case B (synchronized)": ScenarioConfig(
-        case="B", field=FieldConfig(1.0, "inplane"),
+        case="B", field=FieldConfig(1.0),
         window=SpectralWindow(100.0), hadamard_time_ns=tau, seed=5),
     "degenerate (no splitting)": ScenarioConfig(
-        case="degenerate", field=FieldConfig(0.0, "normal"),
+        case="degenerate", field=FieldConfig(0.0),
         window=None, seed=5),
     "case A + realistic noise": ScenarioConfig(
-        case="A", field=FieldConfig(1.0, "normal"),
+        case="A", field=FieldConfig(1.0),
         window=SpectralWindow(100.0), compensate=True,
         noise=NoiseModel(transport_time_ns=10.0),
         chain=ChainParams(gate_error=0.001),

@@ -1,9 +1,10 @@
 """Strain- and Zeeman-split level schemes and spectral-selection checks.
 
-Geometry convention used package-wide: the growth direction G is +z.  A
-"normal" field (B ∥ G) keeps mJ/mS eigenstates; an "inplane" field (B ⊥ G,
-taken along +x) turns the eigenstates into the symmetric/antisymmetric
-combinations psi± (valence) and |0>,|1> (conduction).
+Geometry convention used package-wide: the growth direction G is +z, and
+the case fixes the field's orientation.  Case A (B ∥ G, the "normal" field)
+keeps mJ/mS eigenstates; case B (B ⊥ G, an "inplane" field taken along +x)
+turns the eigenstates into the symmetric/antisymmetric combinations psi±
+(valence) and |0>,|1> (conduction).
 
 Energies are stored in µeV relative to each band's unsplit edge; only
 Zeeman and strain splittings matter here, never the absolute gap.
@@ -18,9 +19,6 @@ import numpy as np
 
 from .constants import HBAR_UEV_NS, MU_B_UEV_PER_T
 from .errors import HeavyHoleTopmost, NoPrecession
-
-NORMAL = "normal"      # B parallel to G (case A)
-INPLANE = "inplane"    # B perpendicular to G (case B)
 
 TENSILE = "tensile"
 COMPRESSIVE = "compressive"
@@ -81,17 +79,15 @@ INAS_GAAS_QW = MaterialParams(
 
 @dataclass(frozen=True)
 class FieldConfig:
-    """Static magnetic field: magnitude in tesla and orientation vs G."""
+    """Static magnetic field: its magnitude in tesla.  The case fixes its
+    orientation: along G in case A, in the surface plane in case B."""
 
     b_tesla: float = 1.0
-    orientation: str = NORMAL
 
     def __post_init__(self):
         if not (math.isfinite(self.b_tesla) and self.b_tesla >= 0):
             raise ValueError("b_tesla must be finite and non-negative, "
                              f"got {self.b_tesla!r}")
-        if self.orientation not in (NORMAL, INPLANE):
-            raise ValueError(f"unknown orientation {self.orientation!r}")
 
 
 @dataclass(frozen=True)
@@ -195,70 +191,66 @@ def precession_period(g_cb: float, b_tesla: float) -> float:
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 
-def valence_eigenstates(field: FieldConfig):
-    """The two light-hole valence eigenstates for the field orientation.
+def valence_eigenstates(case: str):
+    """The two light-hole valence eigenstates of a case.
 
-    Normal field: the mJ = ±1/2 basis states themselves.  In-plane field:
-    the equal superpositions psi± = (|mJ=-1/2> ± |mJ=+1/2>)/√2.  Basis
-    ordering is (mJ=-1/2, mJ=+1/2); a scheme's `Level.state` pads them into
-    the J=3/2 quartet.
+    Case B (in-plane field): the equal superpositions
+    psi± = (|mJ=-1/2> ± |mJ=+1/2>)/√2.  Otherwise the mJ = ±1/2 basis
+    states themselves.  Basis ordering is (mJ=-1/2, mJ=+1/2); a scheme's
+    `Level.state` pads them into the J=3/2 quartet.
     """
-    if field.orientation == NORMAL:
-        lo = np.array([1.0, 0.0], dtype=complex)   # mJ = -1/2
-        hi = np.array([0.0, 1.0], dtype=complex)   # mJ = +1/2
-        return lo, hi
-    psi_plus = np.array([_SQ2, _SQ2], dtype=complex)
-    psi_minus = np.array([_SQ2, -_SQ2], dtype=complex)
-    return psi_plus, psi_minus
+    if case == CASE_B:
+        return (np.array([_SQ2, _SQ2], dtype=complex),
+                np.array([_SQ2, -_SQ2], dtype=complex))
+    return (np.array([1.0, 0.0], dtype=complex),
+            np.array([0.0, 1.0], dtype=complex))
 
 
-def conduction_eigenstates(field: FieldConfig):
-    """Conduction spin eigenstates, ordered (lower, upper) in energy for
-    g_cb > 0; a negative g_cb swaps the order, which `build_level_scheme`
-    sorts out.
+def conduction_eigenstates(case: str):
+    """Conduction spin eigenstates of a case, ordered (lower, upper) in
+    energy for g_cb > 0; a negative g_cb swaps the order, which
+    `build_level_scheme` sorts out.
 
-    Basis ordering is (mS=-1/2, mS=+1/2).  Normal field: the mS states.
-    In-plane field: |0> = (|mS=-1/2> - |mS=+1/2>)/√2 and
-    |1> = (|mS=-1/2> + |mS=+1/2>)/√2.
+    Basis ordering is (mS=-1/2, mS=+1/2).  Case B (in-plane field):
+    |0> = (|mS=-1/2> - |mS=+1/2>)/√2 and |1> = (|mS=-1/2> + |mS=+1/2>)/√2.
+    Otherwise the mS states.
     """
-    if field.orientation == NORMAL:
-        down = np.array([1.0, 0.0], dtype=complex)
-        up = np.array([0.0, 1.0], dtype=complex)
-        return down, up
-    zero = np.array([_SQ2, -_SQ2], dtype=complex)
-    one = np.array([_SQ2, _SQ2], dtype=complex)
-    return zero, one
+    if case == CASE_B:
+        return (np.array([_SQ2, -_SQ2], dtype=complex),
+                np.array([_SQ2, _SQ2], dtype=complex))
+    return (np.array([1.0, 0.0], dtype=complex),
+            np.array([0.0, 1.0], dtype=complex))
 
 
-def build_level_scheme(material: MaterialParams, field: FieldConfig) -> BandScheme:
-    """Construct the level scheme for a coherent-transfer configuration.
+def build_level_scheme(case: str, material: MaterialParams,
+                       field: FieldConfig) -> BandScheme:
+    """Construct the level scheme of a split case, A (B ∥ G) or B (B ⊥ G).
 
     Tensile strain puts the light-hole doublet on top, split by g_lh·µB·B
-    (mJ eigenstates for a normal field, psi± for an in-plane field), with
-    the heavy holes a strain splitting below.  Conduction levels split by
-    g_cb·µB·B.  Compressive strain is rejected: a topmost heavy-hole band
-    couples each circular polarization to a single spin only (normal field)
-    and has zero in-plane splitting, so it cannot host the transfer.
+    (mJ eigenstates in case A, psi± in case B), with the heavy holes a
+    strain splitting below.  Conduction levels split by g_cb·µB·B.
+    Compressive strain is rejected: a topmost heavy-hole band couples each
+    circular polarization to a single spin only (case A) and has zero
+    in-plane splitting (case B), so it cannot host the transfer.
     """
+    if case not in (CASE_A, CASE_B):
+        raise ValueError(f"a split level scheme is case A or B, not {case!r}")
     if material.strain_sign == COMPRESSIVE:
         raise HeavyHoleTopmost(
             "compressive strain puts the heavy-hole band on top; "
             "coherent transfer needs the light-hole band uppermost")
     dv = zeeman_splitting(material.g_lh, field.b_tesla)
     dc = zeeman_splitting(material.g_cb, field.b_tesla)
-    dhh = zeeman_splitting(
-        material.g_hh_normal if field.orientation == NORMAL else 0.0,
-        field.b_tesla)
+    dhh = zeeman_splitting(material.g_hh_normal if case == CASE_A else 0.0,
+                           field.b_tesla)
     strain = material.strain_splitting_uev
 
-    lo, hi = valence_eigenstates(field)
-    c_lo, c_hi = conduction_eigenstates(field)
-    if field.orientation == NORMAL:
-        case = CASE_A
+    lo, hi = valence_eigenstates(case)
+    c_lo, c_hi = conduction_eigenstates(case)
+    if case == CASE_A:
         labels = ("lh mJ=-1/2", "lh mJ=+1/2", "cb mS=-1/2", "cb mS=+1/2")
         canonical_k = np.array([0.0, 1.0, 0.0])   # in-plane, k ⊥ G ∥ B
     else:
-        case = CASE_B
         lo, hi = hi, lo                            # psi- lies below psi+
         labels = ("lh psi-", "lh psi+", "cb |0>", "cb |1>")
         # k ∥ G ⊥ B; the -z orientation fixes which circular label couples
@@ -288,18 +280,18 @@ def degenerate_scheme(material: MaterialParams = INAS_GAAS_QW) -> BandScheme:
     degenerate at the band edge.  Models plain GaAs absorption, the
     configuration in which the photo-electron stays entangled with its hole.
     """
-    field = FieldConfig(0.0, NORMAL)
     basis = np.eye(4, dtype=complex)
     labels = ("mJ=-3/2", "mJ=-1/2", "mJ=+1/2", "mJ=+3/2")
     vlevels = tuple(Level("valence", f"vb {lab}", basis[i], 0.0)
                     for i, lab in enumerate(labels))
-    cdown, cup = conduction_eigenstates(field)
+    cdown, cup = conduction_eigenstates(DEGENERATE)
     clevels = (
         Level("conduction", "cb mS=-1/2", cdown, 0.0),
         Level("conduction", "cb mS=+1/2", cup, 0.0),
     )
     return BandScheme(DEGENERATE, replace(material, strain_sign=TENSILE),
-                      field, vlevels, clevels, np.array([0.0, 0.0, 1.0]))
+                      FieldConfig(0.0), vlevels, clevels,
+                      np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass(frozen=True)

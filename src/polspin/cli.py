@@ -15,11 +15,12 @@ import json
 import math
 import sys
 from dataclasses import MISSING, fields
+from functools import partial
 
 import numpy as np
 
-from .bands import (CASE_B, DEGENERATE, FieldConfig, NORMAL, INPLANE,
-                    MaterialParams, SpectralWindow, resolvability_check)
+from .bands import (CASE_B, DEGENERATE, FieldConfig, MaterialParams,
+                    SpectralWindow, resolvability_check)
 from .errors import PolspinError
 from .noise import NoiseModel
 from .pipeline import (ChainParams, DotConstraints, ScenarioConfig,
@@ -165,20 +166,13 @@ def _build(cls, doc, where: str = "", **special):
 
 
 def config_from_dict(doc: dict) -> ScenarioConfig:
-    """Build and check a ScenarioConfig; all problems reported together.
-    A `field` section without an orientation takes the case's: in-plane
-    for case B, normal otherwise."""
-    case_b = _object(doc, "config").get("case") == CASE_B
-
-    def section(cls, **defaults):
-        return lambda v, key: _build(cls, {**defaults, **_object(v, key)}, key)
-
+    """Build and check a ScenarioConfig; all problems reported together."""
     return _build(
-        ScenarioConfig, {"field": {}, **doc},
-        material=section(MaterialParams),
-        field=section(FieldConfig, orientation=INPLANE if case_b else NORMAL),
-        window=lambda v, key: None if v is None else section(SpectralWindow)(v, key),
-        noise=section(NoiseModel), chain=section(ChainParams),
+        ScenarioConfig, doc,
+        material=partial(_build, MaterialParams),
+        field=partial(_build, FieldConfig),
+        window=lambda v, key: None if v is None else _build(SpectralWindow, v, key),
+        noise=partial(_build, NoiseModel), chain=partial(_build, ChainParams),
         input_qubit=_qubit, emission_direction=_direction)
 
 
@@ -230,7 +224,9 @@ def cmd_levels(cfg: ScenarioConfig, fmt: str, out: str | None) -> int:
         rows.append((lv.band, lv.label, lv.energy_uev))
     lines = [f"case: {scheme.case}", f"material: {cfg.material.name}",
              f"b_tesla: {fmt9(field.b_tesla)}",
-             f"orientation: {field.orientation}", "levels:"]
+             # the case fixes the field's orientation
+             "orientation: " + ("inplane" if scheme.case == CASE_B else "normal"),
+             "levels:"]
     for band, label, e in rows:
         lines.append(f"  {band:11s} {label:12s} {fmt9(e):>15s} ueV")
     if field.b_tesla == 0:

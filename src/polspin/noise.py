@@ -72,19 +72,17 @@ def dephasing_kraus(gamma: float) -> list[np.ndarray]:
     return [k0, k1]
 
 
-def transport_kraus(noise: NoiseModel, basis: np.ndarray | None = None, *,
+def transport_kraus(noise: NoiseModel, basis: np.ndarray, *,
                     forward: bool) -> np.ndarray:
     """Kraus operators of one transport leg, stacked, in the energy
-    eigenbasis held as the columns of basis (None: the computational
-    basis).  Both legs apply the III-V T2 phase damping over the transport
-    time; the forward leg follows it with the transport_dephasing_fraction,
-    so its operators are the four products of the two Kraus pairs."""
+    eigenbasis held as the columns of basis.  Both legs apply the III-V T2
+    phase damping over the transport time; the forward leg follows it with
+    the transport_dephasing_fraction, so its operators are the four
+    products of the two Kraus pairs."""
     kraus = np.array(dephasing_kraus(coherence_factor(noise.transport_time_ns,
                                                       noise.t2_iii_v_ns)))
     if forward:
         extra = np.array(dephasing_kraus(1.0 - noise.transport_dephasing_fraction))
         kraus = (extra[:, None] @ kraus).reshape(-1, 2, 2)
-    if basis is None:
-        return kraus
     u = np.asarray(basis, dtype=complex)
     return u @ kraus @ u.conj().T

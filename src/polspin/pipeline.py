@@ -37,8 +37,8 @@ import numpy as np
 from . import noise as noise_mod
 from . import processor
 from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, FieldConfig,
-                    INPLANE, NORMAL, MaterialParams, INAS_GAAS_QW,
-                    SpectralWindow, build_level_scheme, degenerate_scheme)
+                    MaterialParams, INAS_GAAS_QW, SpectralWindow,
+                    build_level_scheme, degenerate_scheme)
 from .constants import H_OVER_E2_OHM, charging_energy_uev, thermal_energy_uev
 from .noise import NoiseModel
 from .qstate import (PAULIS, choi_from_ptm, choi_of_map, density_from_pauli,
@@ -79,7 +79,9 @@ class ChainParams:
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Full description of one detection / re-emission scenario."""
+    """Full description of one detection / re-emission scenario.  The case
+    alone fixes the geometry: the field's orientation and the photon
+    basis."""
 
     case: str = CASE_A
     material: MaterialParams = INAS_GAAS_QW
@@ -101,12 +103,6 @@ class ScenarioConfig:
         problems = []
         if self.case not in (CASE_A, CASE_B, DEGENERATE):
             problems.append(f"unknown case {self.case!r}")
-        if self.case == CASE_A and self.field.orientation != NORMAL:
-            problems.append("case A requires the field normal to the surface "
-                            "(orientation 'normal')")
-        if self.case == CASE_B and self.field.orientation != INPLANE:
-            problems.append("case B requires the field in the surface plane "
-                            "(orientation 'inplane')")
         if self.case in (CASE_A, CASE_B) and self.field.b_tesla <= 0:
             problems.append("split-band cases require B > 0")
         # compressive strain is not a config-shape problem; it surfaces as
@@ -137,7 +133,7 @@ class ScenarioConfig:
     def scheme(self) -> BandScheme:
         if self.case == DEGENERATE:
             return degenerate_scheme(self.material)
-        return build_level_scheme(self.material, self.field)
+        return build_level_scheme(self.case, self.material, self.field)
 
 
 # ---------------------------------------------------------------------------
@@ -234,12 +230,13 @@ def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
 
 def _transport_leg(cfg: ScenarioConfig, scheme: BandScheme,
                    forward: bool) -> Stage:
-    """The forward or return transport, dephasing in the energy eigenbasis
-    in logical coordinates: case A's logical states are the Zeeman
-    eigenstates, case B's pre-readout frame is the mS frame, whose
-    eigenstates are the ± superpositions; the degenerate case has no field."""
-    basis = scheme.eigenbasis if cfg.case == CASE_B else None
-    kraus = noise_mod.transport_kraus(cfg.noise, basis, forward=forward)
+    """The forward or return transport, dephasing in the scheme's energy
+    eigenbasis.  Case B's pre-readout frame is the mS frame, whose
+    eigenstates are the ± superpositions; case A's and the degenerate
+    eigenbases are the mS states (swapped when g_cb < 0), in which the
+    channel is the unrotated one bit for bit."""
+    kraus = noise_mod.transport_kraus(cfg.noise, scheme.eigenbasis,
+                                      forward=forward)
     return Stage("transport" if forward else "transport_back",
                  (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(kraus))
 
@@ -656,13 +653,6 @@ _SWEEPABLE = {
     "absorption_efficiency": _ABSORB,
 }
 
-# case -> the parameters no stage of the case reads: only case B has a
-# hadamard stage, and the degenerate scheme is the zero-field reference,
-# whose absorption no window weights
-_UNREAD = {CASE_A: {"hadamard_time_ns"},
-           DEGENERATE: {"field.b_tesla", "window.bandwidth_ueV",
-                        "window.center_offset_ueV", "hadamard_time_ns"}}
-
 
 def sweep_parameters() -> tuple[str, ...]:
     return tuple(sorted(_SWEEPABLE))
@@ -698,20 +688,25 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     composed, and a dark one refused, before one pass over fixed blocks of
     samples sums the fidelities of all points and the hole diagnostics of
     every absorb stage built (one, unless the parameter touches absorb); a
-    row does not depend on how many points share its sweep.  A parameter
-    that the config's case never reads is refused, as its rows would be
-    flat.
+    row does not depend on how many points share its sweep.
+
+    Every point's config is built before any stage, and a value its field
+    refuses is refused as a KeyError naming the parameter.  A sweep over
+    two or more distinct values whose every point has the first point's
+    composed PTM and absorb Gram forms, to 1e-12, is refused as flat.
     """
-    if param in _UNREAD.get(cfg.case, ()):
-        raise KeyError(f"sweeping {param} has no effect: case {cfg.case} "
-                       "never reads it")
     set_value = _setter(cfg, param)
     touched = _SWEEPABLE[param]
     values = [float(v) for v in values]
+    points = []
+    for v in values:
+        try:
+            points.append(set_value(v))
+        except ValueError as exc:
+            raise KeyError(f"sweeping {param} to {v!r}: {exc}") from None
     ptms, forms = [], []
     stages = None
-    for v in values:
-        sub = set_value(v)
+    for sub in points:
         if stages is None:
             amps = haar_qubits(sub.seed, sub.mc_samples)
             scheme = sub.scheme()
@@ -726,8 +721,13 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
         ptms.append(_compose(stages))
     if not ptms:
         return []
-    fids, holes = _mc_stats(np.array(ptms), np.array(forms),
-                            stages[0].wanted_branches, amps)
+    rs, fs = np.array(ptms), np.array(forms)
+    if len(set(values)) > 1 and all(np.max(np.abs(x - x[0])) <= 1e-12
+                                    for x in (rs, fs)):
+        raise KeyError(f"sweeping {param} has no effect: every point of "
+                       f"case {cfg.case} has the first point's channel and "
+                       "hole forms")
+    fids, holes = _mc_stats(rs, fs, stages[0].wanted_branches, amps)
     if len(holes) == 1:
         holes *= len(fids)
     return [{"param": param,

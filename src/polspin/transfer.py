@@ -5,8 +5,9 @@ Basis conventions (fixed package-wide):
 
 * electron spin vectors are in the (mS=-1/2, mS=+1/2) basis;
 * every valence state is in the J=3/2 quartet (mJ=-3/2, -1/2, +1/2, +3/2);
-* a photon qubit is (alpha, beta) in its declared basis: (|z>, |x>) for a
-  linear qubit, (|sigma+>, |sigma->) for a circular one.
+* a photon qubit is (alpha, beta) in the basis its scheme's case fixes:
+  (|z>, |x>) in case A, (|sigma+>, |sigma->) in case B and the
+  degenerate scheme.
 
 Circular labels are direction-dependent: sigma± carries photon spin ±1
 along its own k-vector.  One readout matrix (`_channels`) owns the
@@ -49,9 +50,6 @@ from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, SpectralWindow,
 from .constants import HBAR_UEV_NS
 from .errors import DarkDirection, HeavyHoleTopmost
 
-LINEAR_ZX = "linear_zx"
-CIRCULAR = "circular"
-
 Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -69,19 +67,17 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) * _SQ2
 class PhotonQubit:
     """A polarization qubit with an optional spectral profile.
 
-    basis "linear_zx" propagates in the sample plane (k ⊥ G); "circular"
-    along the growth axis.  window=None means an idealized perfectly
-    selective source (no leakage weight on other levels).
+    The scheme that absorbs it fixes its basis: linear (z, x) in case A,
+    propagating in the sample plane (k ⊥ G); circular (sigma+, sigma-)
+    otherwise, along the growth axis.  window=None means an idealized
+    perfectly selective source (no leakage weight on other levels).
     """
 
-    basis: str
     alpha: complex
     beta: complex
     window: SpectralWindow | None = None
 
     def __post_init__(self):
-        if self.basis not in (LINEAR_ZX, CIRCULAR):
-            raise ValueError(f"unknown photon basis {self.basis!r}")
         n = abs(self.alpha) ** 2 + abs(self.beta) ** 2
         if not (math.isfinite(n) and abs(n - 1.0) <= 1e-9):
             raise ValueError("photon amplitudes must be finite and normalized")
@@ -294,30 +290,16 @@ def absorb_degenerate(photon: PhotonQubit) -> AbsorptionOutcome:
     an electron-hole pair entangled whenever both amplitudes are non-zero.
     Hole basis order: (-3/2, -1/2, +1/2, +3/2).
     """
-    if photon.basis != CIRCULAR:
-        raise ValueError("degenerate absorption takes a circular-basis qubit")
     return _outcome_from_branches(photon, absorption_branches(degenerate_scheme()),
                                   hole_dim=4)
-
-
-# split case -> (photon basis, refusal of another scheme, refusal of
-# another photon basis)
-_SPLIT_CASES = {
-    CASE_A: (LINEAR_ZX, "absorb_case_a needs a normal-field light-hole scheme",
-             "case A absorption takes a linear z/x qubit"),
-    CASE_B: (CIRCULAR, "absorb_case_b needs an in-plane-field light-hole scheme",
-             "case B absorption takes a circular qubit"),
-}
 
 
 def _absorb_split(case: str, photon: PhotonQubit, scheme: BandScheme,
                   compensate: bool) -> AbsorptionOutcome:
     """The body of absorb_case_a / absorb_case_b."""
-    basis, wrong_scheme, wrong_photon = _SPLIT_CASES[case]
     if scheme.case != case:
-        raise HeavyHoleTopmost(wrong_scheme)
-    if photon.basis != basis:
-        raise ValueError(wrong_photon)
+        raise HeavyHoleTopmost(f"absorb_case_{case.lower()} needs a case "
+                               f"{case} light-hole scheme")
     branches = absorption_branches(scheme, photon.window, compensate)
     return _outcome_from_branches(photon, branches, hole_dim=2)
 

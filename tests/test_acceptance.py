@@ -15,7 +15,7 @@ from sympy.physics.quantum.cg import CG
 
 import polspin.qstate as qs
 from polspin.angular import clebsch_gordan
-from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
+from polspin.bands import (CASE_A, CASE_B, FieldConfig, INAS_GAAS_QW,
                            SpectralWindow, build_level_scheme,
                            precession_period, resolvability_check,
                            zeeman_splitting)
@@ -26,15 +26,14 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               monte_carlo_average_fidelity,
                               process_tomography, run_detection)
 from polspin.qstate import density_from_pauli, is_cptp, ptm_from_kraus
-from polspin.transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit,
-                              absorb_case_a, absorb_case_b, absorb_degenerate,
-                              absorption_branches, dipole_matrix_element,
-                              ls_table)
+from polspin.transfer import (PhotonQubit, absorb_case_a, absorb_case_b,
+                              absorb_degenerate, absorption_branches,
+                              dipole_matrix_element, ls_table)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 
-SCHEME_A = build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, NORMAL))
-SCHEME_B = build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, INPLANE))
+SCHEME_A = build_level_scheme(CASE_A, INAS_GAAS_QW, FieldConfig(1.0))
+SCHEME_B = build_level_scheme(CASE_B, INAS_GAAS_QW, FieldConfig(1.0))
 
 
 
@@ -67,12 +66,12 @@ def criterion_01_cg_expansion():
 def criterion_02_degenerate_entanglement():
     """Electron-hole entropy equals the binary entropy of (|a|², |b|²)."""
     for q in _haar(1000, 2002):
-        out = absorb_degenerate(PhotonQubit(CIRCULAR, q[0], q[1]))
+        out = absorb_degenerate(PhotonQubit(q[0], q[1]))
         p = abs(q[0]) ** 2
         want = -sum(w * math.log2(w) for w in (p, 1 - p) if w > 1e-15)
         got = qs.entanglement_entropy(out.amplitudes)
         assert abs(got - want) < 1e-10
-    out = absorb_degenerate(PhotonQubit(CIRCULAR, SQ2, SQ2))
+    out = absorb_degenerate(PhotonQubit(SQ2, SQ2))
     assert abs(qs.entanglement_entropy(out.amplitudes) - 1.0) < 1e-10
 
 
@@ -80,10 +79,10 @@ def criterion_03_disentanglement():
     """Hole purity 1 for 1000 random inputs, case A (compensated,
     infinite-resolution) and case B."""
     for q in _haar(1000, 2003):
-        out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), SCHEME_A,
+        out = absorb_case_a(PhotonQubit(q[0], q[1]), SCHEME_A,
                             compensate=True)
         assert abs(qs.purity(out.hole_state()) - 1.0) < 1e-10
-        out = absorb_case_b(PhotonQubit(CIRCULAR, q[0], q[1]), SCHEME_B)
+        out = absorb_case_b(PhotonQubit(q[0], q[1]), SCHEME_B)
         assert abs(qs.purity(out.hole_state()) - 1.0) < 1e-10
 
 
@@ -97,7 +96,7 @@ def criterion_04_sqrt2_imbalance():
     assert abs(up / dn - math.sqrt(2.0)) < 1e-12
     [branch] = absorption_branches(SCHEME_A)
     assert (up, dn) == (branch.kraus[1, 0], branch.kraus[0, 1])
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, SQ2, SQ2), SCHEME_A,
+    out = absorb_case_a(PhotonQubit(SQ2, SQ2), SCHEME_A,
                         compensate=False)
     v = out.amplitudes[:, 0]
     fid = abs(np.vdot(v, np.array([SQ2, SQ2]))) ** 2
@@ -116,7 +115,7 @@ def criterion_05_precession_and_readout():
     assert abs(tau - table) < 1e-6
 
     def stored_fidelity(q, t):
-        cfg = ScenarioConfig(case="B", field=FieldConfig(1.0, INPLANE),
+        cfg = ScenarioConfig(case="B", field=FieldConfig(1.0),
                              hadamard_time_ns=t)
         return run_detection(q, cfg).stages[-1].fidelity
 
@@ -131,16 +130,16 @@ def criterion_06_resolvability():
     dv = zeeman_splitting(8.87, 1.0)
     dc = zeeman_splitting(0.4, 1.0)
     rep = resolvability_check(SpectralWindow(100.0), INAS_GAAS_QW,
-                              FieldConfig(1.0, NORMAL))
+                              FieldConfig(1.0))
     assert rep.valence_resolved == (100.0 < dv)
     assert rep.conduction_unresolved == (100.0 > dc)
     assert rep.valence_resolved and rep.conduction_unresolved
     out = absorb_case_a(
-        PhotonQubit(LINEAR_ZX, SQ2, SQ2, window=SpectralWindow(100.0)),
+        PhotonQubit(SQ2, SQ2, window=SpectralWindow(100.0)),
         SCHEME_A)
     assert out.leakage < 1e-3
     rep = resolvability_check(SpectralWindow(600.0), INAS_GAAS_QW,
-                              FieldConfig(1.0, NORMAL))
+                              FieldConfig(1.0))
     assert rep.valence_resolved == (600.0 < dv)
     assert not rep.valence_resolved
 
@@ -170,9 +169,9 @@ def criterion_08_end_to_end_identity():
     """Ideal case A and B round trips: process fidelity 1 at 1e-8; every
     configured channel passes the conditional CPTP check at 1e-8."""
     tau = precession_period(0.4, 1.0)
-    ideal_a = ScenarioConfig(case="A", field=FieldConfig(1.0, NORMAL),
+    ideal_a = ScenarioConfig(case="A", field=FieldConfig(1.0),
                              window=None, compensate=True, seed=1)
-    ideal_b = ScenarioConfig(case="B", field=FieldConfig(1.0, INPLANE),
+    ideal_b = ScenarioConfig(case="B", field=FieldConfig(1.0),
                              window=None, hadamard_time_ns=tau, seed=1)
     for cfg in (ideal_a, ideal_b):
         res = process_tomography(cfg)
@@ -180,20 +179,20 @@ def criterion_08_end_to_end_identity():
         assert res.cptp
     configured = [
         ideal_a, ideal_b,
-        ScenarioConfig(case="A", field=FieldConfig(1.0, NORMAL),
+        ScenarioConfig(case="A", field=FieldConfig(1.0),
                        window=SpectralWindow(300.0), compensate=False, seed=1),
-        ScenarioConfig(case="A", field=FieldConfig(1.0, NORMAL), window=None,
+        ScenarioConfig(case="A", field=FieldConfig(1.0), window=None,
                        noise=NoiseModel(transport_time_ns=40.0,
                                         transport_loss=0.3,
                                         transport_dephasing_fraction=0.2),
                        chain=ChainParams(gate_error=0.03),
                        storage_time_ns=2e5, seed=1),
-        ScenarioConfig(case="B", field=FieldConfig(1.0, INPLANE),
+        ScenarioConfig(case="B", field=FieldConfig(1.0),
                        window=SpectralWindow(400.0),
                        hadamard_time_ns=0.37 * tau, seed=1),
-        ScenarioConfig(case="degenerate", field=FieldConfig(0.0, NORMAL),
+        ScenarioConfig(case="degenerate", field=FieldConfig(0.0),
                        window=None, seed=1),
-        ScenarioConfig(case="A", field=FieldConfig(1.0, NORMAL), window=None,
+        ScenarioConfig(case="A", field=FieldConfig(1.0), window=None,
                        emission_direction=(0.0, 0.0, 1.0), seed=1),
     ]
     for cfg in configured:
@@ -204,7 +203,7 @@ def criterion_08_end_to_end_identity():
 def criterion_09_classical_baseline():
     """Degenerate Haar average 2/3 within 3 stderr at 1e5 samples,
     bit-identical across repeated runs."""
-    cfg = ScenarioConfig(case="degenerate", field=FieldConfig(0.0, NORMAL),
+    cfg = ScenarioConfig(case="degenerate", field=FieldConfig(0.0),
                          window=None, seed=2009)
     mc = monte_carlo_average_fidelity(cfg, 100_000)
     assert abs(mc.mean_fidelity - 2.0 / 3.0) < 3 * mc.stderr
@@ -235,7 +234,7 @@ def criterion_11_cli_determinism(tmp_path=None):
         cfg_path = tdir / "cfg.json"
         cfg_path.write_text(json.dumps({
             "case": "degenerate",
-            "field": {"b_tesla": 0.0, "orientation": "normal"},
+            "field": {"b_tesla": 0.0},
             "window": None,
             "seed": 11,
             "mc_samples": 2000,
@@ -245,8 +244,8 @@ def criterion_11_cli_determinism(tmp_path=None):
             ["run", "--format", "text"],
             ["levels"],
             ["tomography"],
-            ["sweep", "--param", "storage_time_ns", "--from", "0",
-             "--to", "1e5", "--steps", "3"],
+            ["sweep", "--param", "noise.transport_loss", "--from", "0",
+             "--to", "0.5", "--steps", "3"],
             ["check-dot", "--capacitance", "1e-17", "--resistance", "30000",
              "--confinement", "2000", "--temperature", "4.0"],
         ]

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from polspin.bands import (CASE_A, COMPRESSIVE, FieldConfig,
-                           INAS_GAAS_QW, INPLANE, MaterialParams, NORMAL,
+from polspin.bands import (CASE_A, CASE_B, COMPRESSIVE, DEGENERATE,
+                           FieldConfig, INAS_GAAS_QW, MaterialParams,
                            SpectralWindow, build_level_scheme,
                            conduction_eigenstates, degenerate_scheme,
                            precession_period, resolvability_check,
@@ -63,7 +63,7 @@ def test_period_splitting_consistency():
 
 
 def test_level_scheme_case_a():
-    scheme = build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, NORMAL))
+    scheme = build_level_scheme(CASE_A, INAS_GAAS_QW, FieldConfig(1.0))
     assert scheme.case == CASE_A
     assert scheme.valence_splitting_uev == pytest.approx(
         zeeman_splitting(8.87, 1.0), rel=1e-12)
@@ -82,8 +82,8 @@ def test_level_scheme_gaps_random():
         mat = MaterialParams(name="m", g_cb=g_cb, g_lh=g_lh, g_hh_normal=1.0,
                              strain_splitting_uev=20_000.0,
                              band_gap_uev=1_500_000.0)
-        for orient in (NORMAL, INPLANE):
-            scheme = build_level_scheme(mat, FieldConfig(b, orient))
+        for case in (CASE_A, CASE_B):
+            scheme = build_level_scheme(case, mat, FieldConfig(b))
             assert scheme.valence_splitting_uev == pytest.approx(
                 zeeman_splitting(g_lh, b), rel=1e-12)
             assert scheme.conduction_splitting_uev == pytest.approx(
@@ -95,8 +95,8 @@ def test_valence_splitting_is_the_light_hole_gap():
     the valence splitting stays the gap between the light holes."""
     mat = MaterialParams(name="low-strain", g_cb=0.4, g_lh=8.87,
                          strain_splitting_uev=100.0, band_gap_uev=1_500_000.0)
-    for orient in (NORMAL, INPLANE):
-        scheme = build_level_scheme(mat, FieldConfig(1.0, orient))
+    for case in (CASE_A, CASE_B):
+        scheme = build_level_scheme(case, mat, FieldConfig(1.0))
         lower, upper = scheme.light_hole_levels
         assert [lv.label[:2] for lv in (lower, upper)] == ["lh", "lh"]
         assert lower.energy_uev < upper.energy_uev
@@ -104,31 +104,31 @@ def test_valence_splitting_is_the_light_hole_gap():
             zeeman_splitting(8.87, 1.0), rel=1e-12)
     # case A: a heavy hole lies between the two light-hole levels
     labels = [lv.label[:2] for lv in build_level_scheme(
-        mat, FieldConfig(1.0, NORMAL)).valence_levels]
+        CASE_A, mat, FieldConfig(1.0)).valence_levels]
     assert labels == ["lh", "hh", "hh", "lh"]
 
 
-def _conduction_hamiltonian(g_cb, b_tesla, orientation):
-    """g_cb µB B S·b̂ in the (mS=-1/2, mS=+1/2) basis: b̂ = +z for a normal
-    field, +x for an in-plane one."""
-    sigma = (np.diag([-1.0, 1.0]) if orientation == NORMAL
+def _conduction_hamiltonian(g_cb, b_tesla, case):
+    """g_cb µB B S·b̂ in the (mS=-1/2, mS=+1/2) basis: b̂ = +z for case A's
+    normal field, +x for case B's in-plane one."""
+    sigma = (np.diag([-1.0, 1.0]) if case == CASE_A
              else np.array([[0.0, 1.0], [1.0, 0.0]]))
     return 0.5 * g_cb * MU_B_UEV_PER_T * b_tesla * sigma.astype(complex)
 
 
 @pytest.mark.parametrize("g_cb", [0.4, -0.4, 1.7, -2.3])
-@pytest.mark.parametrize("orient", [NORMAL, INPLANE])
-def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, orient):
+@pytest.mark.parametrize("case", [CASE_A, CASE_B])
+def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, case):
     """Whatever the sign of g_cb the conduction levels ascend, and the
     eigenbasis matrix holds the (lower, upper) eigenvectors of H_c."""
     mat = MaterialParams(name="m", g_cb=g_cb, g_lh=8.87,
                          strain_splitting_uev=20_000.0, band_gap_uev=1_500_000.0)
-    scheme = build_level_scheme(mat, FieldConfig(0.8, orient))
+    scheme = build_level_scheme(case, mat, FieldConfig(0.8))
     energies = [lv.energy_uev for lv in scheme.conduction_levels]
     assert energies[0] < energies[1]
     assert scheme.conduction_splitting_uev == pytest.approx(
         abs(zeeman_splitting(g_cb, 0.8)), rel=1e-12)
-    values, vectors = np.linalg.eigh(_conduction_hamiltonian(g_cb, 0.8, orient))
+    values, vectors = np.linalg.eigh(_conduction_hamiltonian(g_cb, 0.8, case))
     assert np.allclose(energies, values, rtol=0, atol=1e-12)
     u = scheme.eigenbasis
     # each column is its numpy eigenvector up to a phase
@@ -137,44 +137,48 @@ def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, orient):
 
 
 def test_level_scheme_case_b_zero_field_degenerate():
-    scheme = build_level_scheme(INAS_GAAS_QW, FieldConfig(0.0, INPLANE))
+    scheme = build_level_scheme(CASE_B, INAS_GAAS_QW, FieldConfig(0.0))
     assert scheme.valence_splitting_uev == 0.0
     assert scheme.conduction_splitting_uev == 0.0
 
 
 def test_compressive_rejected():
     with pytest.raises(HeavyHoleTopmost):
-        build_level_scheme(COMPRESSIVE_MAT, FieldConfig(1.0, INPLANE))
+        build_level_scheme(CASE_B, COMPRESSIVE_MAT, FieldConfig(1.0))
     with pytest.raises(HeavyHoleTopmost):
-        build_level_scheme(COMPRESSIVE_MAT, FieldConfig(1.0, NORMAL))
+        build_level_scheme(CASE_A, COMPRESSIVE_MAT, FieldConfig(1.0))
+
+
+def test_split_scheme_refuses_another_case():
+    with pytest.raises(ValueError, match="case A or B, not 'degenerate'"):
+        build_level_scheme(DEGENERATE, INAS_GAAS_QW, FieldConfig(1.0))
 
 
 def test_valence_eigenstates_inplane():
-    psi_plus, psi_minus = valence_eigenstates(FieldConfig(1.0, INPLANE))
+    psi_plus, psi_minus = valence_eigenstates(CASE_B)
     assert np.allclose(psi_plus, [SQ2, SQ2], atol=1e-12)
     assert np.allclose(psi_minus, [SQ2, -SQ2], atol=1e-12)
     assert abs(np.vdot(psi_plus, psi_minus)) < 1e-12
 
 
 def test_valence_eigenstates_normal_are_mj_states():
-    lo, hi = valence_eigenstates(FieldConfig(1.0, NORMAL))
+    lo, hi = valence_eigenstates(CASE_A)
     assert np.allclose(lo, [1, 0]) and np.allclose(hi, [0, 1])
 
 
 def test_conduction_eigenstates():
-    zero, one = conduction_eigenstates(FieldConfig(1.0, INPLANE))
+    zero, one = conduction_eigenstates(CASE_B)
     # |0> = (|mS=-1/2> - |mS=+1/2>)/sqrt2 in the (-1/2, +1/2) ordering
     assert np.allclose(zero, [SQ2, -SQ2], atol=1e-12)
     assert np.allclose(one, [SQ2, SQ2], atol=1e-12)
     assert abs(np.vdot(zero, one)) < 1e-12
-    down, up = conduction_eigenstates(FieldConfig(1.0, NORMAL))
+    down, up = conduction_eigenstates(CASE_A)
     assert np.allclose(down, [1, 0]) and np.allclose(up, [0, 1])
 
 
 def test_eigenstate_orthonormality_both_orientations():
-    for orient in (NORMAL, INPLANE):
-        f = FieldConfig(0.7, orient)
-        for pair in (valence_eigenstates(f), conduction_eigenstates(f)):
+    for case in (CASE_A, CASE_B):
+        for pair in (valence_eigenstates(case), conduction_eigenstates(case)):
             a, b = pair
             assert abs(np.vdot(a, a) - 1) < 1e-12
             assert abs(np.vdot(b, b) - 1) < 1e-12
@@ -183,7 +187,7 @@ def test_eigenstate_orthonormality_both_orientations():
 
 def test_heavy_hole_inplane_splitting_zero():
     for b in (0.1, 1.0, 5.0):
-        scheme = build_level_scheme(INAS_GAAS_QW, FieldConfig(b, INPLANE))
+        scheme = build_level_scheme(CASE_B, INAS_GAAS_QW, FieldConfig(b))
         hh = [lv for lv in scheme.valence_levels if lv.label.startswith("hh")]
         assert hh[0].energy_uev == hh[1].energy_uev
 
@@ -196,7 +200,7 @@ def test_degenerate_scheme_levels():
 
 def test_resolvability_pass():
     rep = resolvability_check(SpectralWindow(100.0), INAS_GAAS_QW,
-                              FieldConfig(1.0, NORMAL))
+                              FieldConfig(1.0))
     assert rep.valence_resolved and rep.conduction_unresolved
     assert rep.window_within_strain and rep.ok
     assert rep.valence_margin_uev == pytest.approx(
@@ -207,14 +211,14 @@ def test_resolvability_pass():
 
 def test_resolvability_wide_window_fails_valence():
     rep = resolvability_check(SpectralWindow(600.0), INAS_GAAS_QW,
-                              FieldConfig(1.0, NORMAL))
+                              FieldConfig(1.0))
     assert not rep.valence_resolved
     assert rep.conduction_unresolved
 
 
 def test_resolvability_narrow_window_fails_conduction():
     rep = resolvability_check(SpectralWindow(10.0), INAS_GAAS_QW,
-                              FieldConfig(1.0, NORMAL))
+                              FieldConfig(1.0))
     assert rep.valence_resolved
     assert not rep.conduction_unresolved
 
@@ -237,7 +241,7 @@ def test_materials_catalog_roundtrip():
              "strain_sign": "tensile"}
     cfg = config_from_dict({"material": entry, "field": {"b_tesla": 0.5}})
     assert (cfg.material.name, cfg.material.g_lh) == ("wide-well", 6.1)
-    scheme = build_level_scheme(cfg.material, cfg.field)
+    scheme = build_level_scheme(CASE_A, cfg.material, cfg.field)
     assert scheme.valence_splitting_uev == pytest.approx(
         zeeman_splitting(6.1, 0.5), rel=1e-12)
 

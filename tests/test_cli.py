@@ -16,7 +16,7 @@ ROOT = Path(__file__).resolve().parent.parent
 def write_config(tmp_path, name="cfg.json", **overrides):
     doc = {
         "case": "A",
-        "field": {"b_tesla": 1.0, "orientation": "normal"},
+        "field": {"b_tesla": 1.0},
         "window": {"bandwidth_ueV": 100.0, "lineshape": "gaussian"},
         "compensate": True,
         "seed": 42,
@@ -79,7 +79,7 @@ def test_levels_compressive_exit_3(tmp_path, capsys):
 
 def test_levels_zero_field_warns(tmp_path, capsys):
     cfg = write_config(tmp_path, case="degenerate",
-                       field={"b_tesla": 0.0, "orientation": "normal"},
+                       field={"b_tesla": 0.0},
                        window=None)
     code, out, _ = run_cli(["--config", cfg, "levels"], capsys)
     assert code == 0
@@ -91,7 +91,7 @@ def test_levels_degenerate_shows_the_schemes_zero_field(tmp_path, capsys):
     its field, not the config's, above the six levels at 0 ueV."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"case": "degenerate",
-                               "field": {"b_tesla": 2.0, "orientation": "inplane"}}),
+                               "field": {"b_tesla": 2.0}}),
                    encoding="utf-8")
     code, out, _ = run_cli(["--config", str(cfg), "levels"], capsys)
     assert code == 0
@@ -116,7 +116,7 @@ def test_run_ideal_case_a(tmp_path, capsys):
 
 def test_run_degenerate_mean(tmp_path, capsys):
     cfg = write_config(tmp_path, case="degenerate",
-                       field={"b_tesla": 0.0, "orientation": "normal"},
+                       field={"b_tesla": 0.0},
                        window=None, mc_samples=20000)
     code, out, _ = run_cli(["--config", cfg, "run"], capsys)
     assert code == 0
@@ -146,11 +146,12 @@ def test_run_missing_config_exit_2(capsys):
 
 
 def test_run_invalid_config_exit_2(tmp_path, capsys):
+    # the case fixes the field's orientation, so a config cannot name one
     cfg = write_config(tmp_path, case="B",
-                       field={"b_tesla": 1.0, "orientation": "normal"})
-    code, _, err = run_cli(["--config", cfg, "run"], capsys)
-    assert code == 2
-    assert "surface plane" in err
+                       field={"b_tesla": 1.0, "orientation": "inplane"})
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: field: unknown key 'orientation'\n"
     cfg = write_config(tmp_path, emission_direction=[0, 0, 0])
     code, out, err = run_cli(["--config", cfg, "run"], capsys)
     assert (code, out) == (2, "")
@@ -186,17 +187,17 @@ def test_run_collection_fraction_follows_the_absorbed_electron(
 
 def test_run_reports_all_config_problems(tmp_path, capsys):
     cfg = write_config(tmp_path, case="B",
-                       field={"b_tesla": 0.0, "orientation": "normal"},
+                       field={"b_tesla": 0.0}, storage_time_ns=-1.0,
                        absorption_efficiency=3.0)
     code, _, err = run_cli(["--config", cfg, "run"], capsys)
     assert code == 2
-    assert "surface plane" in err
+    assert "storage_time_ns must be finite and non-negative" in err
     assert "B > 0" in err
     assert "efficiency" in err
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
-@pytest.mark.parametrize("case,orientation", [("A", "normal"), ("B", "inplane")])
+@pytest.mark.parametrize("case", ["A", "B"])
 @pytest.mark.parametrize("field", ["field.b_tesla", "storage_time_ns",
                                    "hadamard_time_ns", "noise.t2_iii_v_ns",
                                    "noise.t2_si_ns", "noise.transport_time_ns",
@@ -207,8 +208,8 @@ def test_run_reports_all_config_problems(tmp_path, capsys):
                                    "material.g_hh_normal",
                                    "material.strain_splitting_ueV",
                                    "material.band_gap_ueV"])
-def test_run_non_finite_exit_2(tmp_path, capsys, field, case, orientation, value):
-    doc = {"case": case, "field": {"b_tesla": 1.0, "orientation": orientation},
+def test_run_non_finite_exit_2(tmp_path, capsys, field, case, value):
+    doc = {"case": case, "field": {"b_tesla": 1.0},
            "noise": {}, "window": {"bandwidth_ueV": 100.0},
            "material": {"g_cb": 0.4, "g_lh": 8.87, "g_hh_normal": 1.0,
                         "strain_splitting_ueV": 20000.0,
@@ -383,9 +384,7 @@ NARROW_WINDOW_COMMANDS = {
 
 
 def narrow_window_config(tmp_path, case, bandwidth):
-    orientation = "normal" if case == "A" else "inplane"
-    return write_config(tmp_path, case=case,
-                        field={"b_tesla": 1.0, "orientation": orientation},
+    return write_config(tmp_path, case=case, field={"b_tesla": 1.0},
                         window={"bandwidth_ueV": bandwidth})
 
 
@@ -458,20 +457,75 @@ def test_sweep_window_offset_needs_a_window(tmp_path, capsys):
     assert "window.center_offset_ueV needs a window" in err
 
 
-@pytest.mark.parametrize("case, param", [
-    ("degenerate", "field.b_tesla"), ("degenerate", "window.bandwidth_ueV"),
-    ("degenerate", "window.center_offset_ueV"),
-    ("degenerate", "hadamard_time_ns"), ("A", "hadamard_time_ns")])
-def test_sweep_parameter_the_case_never_reads_exit_2(tmp_path, capsys, case,
-                                                     param):
-    """Its rows would be flat, so the sweep is refused as a config error."""
-    cfg = write_config(tmp_path, case=case)
+FLAT_SWEEPS = {
+    # parameters no stage of the case reads
+    "degenerate-b_tesla": ({"case": "degenerate"}, "field.b_tesla", "1", "2"),
+    "degenerate-bandwidth": ({"case": "degenerate"}, "window.bandwidth_ueV",
+                             "1", "2"),
+    "degenerate-offset": ({"case": "degenerate"}, "window.center_offset_ueV",
+                          "1", "2"),
+    "degenerate-hadamard": ({"case": "degenerate"}, "hadamard_time_ns", "1", "2"),
+    "A-hadamard": ({"case": "A"}, "hadamard_time_ns", "1", "2"),
+    # read, but degenerate absorption leaves the electron diagonal in the
+    # logical basis, where no dephasing stage touches it
+    "degenerate-storage": ({"case": "degenerate", "window": None},
+                           "storage_time_ns", "0", "1e6"),
+    "degenerate-transport_time": ({"case": "degenerate", "window": None},
+                                  "noise.transport_time_ns", "0", "1e6"),
+    "degenerate-dephasing": ({"case": "degenerate", "window": None},
+                             "noise.transport_dephasing_fraction", "0", "1"),
+    # both shuttles of a one-site chain have no hop
+    "one_site-gate_error": ({"chain": {"n_sites": 1, "storage_site": 0}},
+                            "chain.gate_error", "0", "0.5"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_SWEEPS))
+def test_flat_sweep_exit_2(tmp_path, capsys, name):
+    """Every point of the sweep has the first's channel and hole forms, so
+    its rows would be flat: the sweep is refused as a config error."""
+    overrides, param, start, stop = FLAT_SWEEPS[name]
+    cfg = write_config(tmp_path, **overrides)
     code, out, err = run_cli(["--config", cfg, "sweep", "--param", param,
-                              "--from", "0", "--to", "2", "--steps", "3"],
+                              "--from", start, "--to", stop, "--steps", "3"],
                              capsys)
     assert (code, out) == (2, "")
-    assert err == (f"config error: sweeping {param} has no effect: "
-                   f"case {case} never reads it\n")
+    assert err == (f"config error: sweeping {param} has no effect: every "
+                   f"point of case {overrides.get('case', 'A')} has the first "
+                   "point's channel and hole forms\n")
+
+
+def test_one_value_sweep_of_a_flat_parameter_runs(tmp_path, capsys):
+    cfg = write_config(tmp_path, case="degenerate", window=None)
+    for start, stop, steps in (("5", "5", "1"), ("5", "5", "3")):
+        code, out, err = run_cli(["--config", cfg, "sweep", "--param",
+                                  "storage_time_ns", "--from", start,
+                                  "--to", stop, "--steps", steps], capsys)
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 1 + int(steps)
+
+
+@pytest.mark.parametrize("param, start, stop, steps, message", [
+    ("noise.transport_dephasing_fraction", "0", "1e6", "3",
+     "sweeping noise.transport_dephasing_fraction to 500000.0: dephasing "
+     "fraction must lie in [0, 1]"),
+    ("absorption_efficiency", "0.5", "2", "2",
+     "sweeping absorption_efficiency to 2.0: absorption efficiency must lie "
+     "in [0, 1]"),
+    ("storage_time_ns", "-1", "1", "2",
+     "sweeping storage_time_ns to -1.0: storage_time_ns must be finite and "
+     "non-negative, got -1.0"),
+], ids=["dephasing_fraction", "absorption_efficiency", "storage_time"])
+def test_sweep_value_out_of_range_exit_2(tmp_path, capsys, param, start, stop,
+                                         steps, message):
+    """A sweep value its field refuses is a config error, as the same value
+    in the config file is, named with its parameter."""
+    cfg = write_config(tmp_path, case="degenerate")
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param", param,
+                              "--from", start, "--to", stop, "--steps", steps],
+                             capsys)
+    assert (code, out) == (2, "")
+    assert err == f"config error: {message}\n"
 
 
 def test_sweep_unknown_param_exit_2(tmp_path, capsys):
@@ -791,7 +845,7 @@ def test_sweep_byte_determinism(tmp_path):
 
 def test_seed_flag_overrides(tmp_path, capsys):
     cfg = write_config(tmp_path, case="degenerate",
-                       field={"b_tesla": 0.0, "orientation": "normal"},
+                       field={"b_tesla": 0.0},
                        window=None, mc_samples=500)
     _, out_a, _ = run_cli(["--config", cfg, "--seed", "1", "run"], capsys)
     _, out_b, _ = run_cli(["--config", cfg, "--seed", "2", "run"], capsys)

@@ -2,7 +2,9 @@
 JSON key, and a sweep sets the same field that the loader reads."""
 
 import copy
-from dataclasses import fields
+import json
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,12 @@ from polspin.noise import NoiseModel
 from polspin.pipeline import (ChainParams, ScenarioConfig, _setter, json_key,
                               sweep_parameters)
 
+README = Path(__file__).resolve().parent.parent / "README.md"
+
 SECTIONS = {"material": MaterialParams, "field": FieldConfig,
             "window": SpectralWindow, "noise": NoiseModel, "chain": ChainParams}
 
-# a config in which every value below is valid; the degenerate case takes
-# either field orientation
+# a config in which every value below is valid
 BASE = {"case": "degenerate",
         "material": {"g_cb": 0.4, "g_lh": 8.87, "strain_splitting_ueV": 2e4,
                      "band_gap_ueV": 1.5e6},
@@ -42,7 +45,6 @@ VALUES = {
     ("material", "band_gap_ueV"): 2e6,
     ("material", "strain_sign"): "compressive",
     ("field", "b_tesla"): 2.5,
-    ("field", "orientation"): "inplane",
     ("window", "bandwidth_ueV"): 250.0,
     ("window", "center_offset_ueV"): 30.0,
     ("window", "lineshape"): "lorentzian",
@@ -99,3 +101,19 @@ def test_bandwidth_sweep_without_window_loads_a_window():
     swept = _setter(config_from_dict(base), "window.bandwidth_ueV")(250.0)
     assert swept == config_from_dict(
         _doc_with("window", "bandwidth_ueV", 250.0, base))
+
+
+def test_readme_config_example_is_the_defaults_but_the_fields_it_names():
+    """README's config example loads, and differs from the defaults in
+    exactly the fields its text names: window, transport_time_ns,
+    hadamard_time_ns and seed."""
+    text = README.read_text(encoding="utf-8")
+    start = text.index("```json\n") + len("```json\n")
+    cfg = config_from_dict(json.loads(text[start:text.index("```", start)]))
+    default = ScenarioConfig()
+    named = {"window": cfg.window, "hadamard_time_ns": cfg.hadamard_time_ns,
+             "seed": cfg.seed,
+             "noise": replace(default.noise,
+                              transport_time_ns=cfg.noise.transport_time_ns)}
+    assert replace(default, **named) == cfg
+    assert all(getattr(default, name) != value for name, value in named.items())

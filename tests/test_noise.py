@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from polspin.noise import (NoiseModel, coherence_factor, dephasing_kraus,
                            transport_kraus)
-from polspin.bands import FieldConfig, INPLANE, NORMAL
+from polspin.bands import FieldConfig, INAS_GAAS_QW
 from polspin.pipeline import ScenarioConfig, _STAGE_BUILDERS, _storage
 from polspin.qstate import (PAULIS, choi_from_ptm, density_from_pauli, is_cptp,
                             pauli_vectors, ptm_from_kraus)
@@ -151,8 +152,8 @@ TRANSPORT_NOISE = [NoiseModel(),
 
 
 @pytest.mark.parametrize("noise", TRANSPORT_NOISE, ids=repr)
-@pytest.mark.parametrize("case,field", [("A", FieldConfig(1.0, NORMAL)),
-                                        ("B", FieldConfig(1.0, INPLANE))])
+@pytest.mark.parametrize("case,field", [("A", FieldConfig(1.0)),
+                                        ("B", FieldConfig(1.0))])
 def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
     """The forward stage's one Kraus set, the products of the T2 pair and
     the fraction pair, is the fraction channel after the T2 channel, each
@@ -171,6 +172,31 @@ def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
     assert np.max(np.abs(forward - keep * fraction @ t2)) < 1e-15
     back = _STAGE_BUILDERS["transport_back"](cfg, scheme).ptm
     assert np.max(np.abs(back - keep * t2)) < 1e-15
+
+
+def _computational_transport_ptm(noise, forward):
+    """A transport leg's PTM with its Kraus operators left in the
+    computational basis, unrotated."""
+    kraus = np.array(dephasing_kraus(coherence_factor(noise.transport_time_ns,
+                                                      noise.t2_iii_v_ns)))
+    if forward:
+        extra = np.array(dephasing_kraus(1.0 - noise.transport_dephasing_fraction))
+        kraus = (extra[:, None] @ kraus).reshape(-1, 2, 2)
+    return (1.0 - noise.transport_loss) * ptm_from_kraus(kraus)
+
+
+@pytest.mark.parametrize("noise", TRANSPORT_NOISE, ids=repr)
+@pytest.mark.parametrize("name", ["transport", "transport_back"])
+@pytest.mark.parametrize("case,g_cb", [("A", 0.4), ("A", -0.4),
+                                       ("degenerate", 0.4)])
+def test_eigenbasis_transport_is_the_computational_one(case, g_cb, name, noise):
+    """Case A's and the degenerate eigenbases are the mS states, swapped
+    when g_cb < 0: dephasing in them is bit for bit the unrotated channel."""
+    cfg = ScenarioConfig(case=case, noise=noise,
+                         material=replace(INAS_GAAS_QW, g_cb=g_cb))
+    stage = _STAGE_BUILDERS[name](cfg, cfg.scheme())
+    assert np.array_equal(stage.ptm,
+                          _computational_transport_ptm(noise, name == "transport"))
 
 
 def test_transport_total_loss_vacuum():

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from polspin import noise, pipeline, processor, transfer
-from polspin.bands import FieldConfig, INPLANE, NORMAL, SpectralWindow
+from polspin.bands import FieldConfig, SpectralWindow
 from polspin.constants import KB_UEV_PER_K
 from polspin.noise import NoiseModel
 from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
@@ -22,30 +22,30 @@ from polspin.qstate import (choi_of_map, density_from_pauli,
                             entanglement_entropy, is_cptp,
                             pauli_vectors, ptm_from_choi, ptm_from_kraus,
                             purity)
-from polspin.transfer import (CIRCULAR, LINEAR_ZX, PhotonQubit, absorb_case_a,
-                              absorb_case_b, absorb_degenerate,
-                              emission_map, precession_unitary)
+from polspin.transfer import (PhotonQubit, absorb_case_a, absorb_case_b,
+                              absorb_degenerate, emission_map,
+                              precession_unitary)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 TAU = precession_period(0.4, 1.0)
 
 
 def cfg_case_a(**kw):
-    base = dict(case="A", field=FieldConfig(1.0, NORMAL),
+    base = dict(case="A", field=FieldConfig(1.0),
                 window=SpectralWindow(100.0), compensate=True, seed=7)
     base.update(kw)
     return ScenarioConfig(**base)
 
 
 def cfg_case_b(**kw):
-    base = dict(case="B", field=FieldConfig(1.0, INPLANE),
+    base = dict(case="B", field=FieldConfig(1.0),
                 window=SpectralWindow(100.0), hadamard_time_ns=0.0, seed=7)
     base.update(kw)
     return ScenarioConfig(**base)
 
 
 def cfg_degenerate(**kw):
-    base = dict(case="degenerate", field=FieldConfig(0.0, NORMAL),
+    base = dict(case="degenerate", field=FieldConfig(0.0),
                 window=None, seed=7)
     base.update(kw)
     return ScenarioConfig(**base)
@@ -347,12 +347,12 @@ def _absorbed_state_oracle(cfg, amps):
     out = []
     for a, b in amps:
         if cfg.case == "degenerate":
-            st = absorb_degenerate(PhotonQubit(CIRCULAR, a, b))
+            st = absorb_degenerate(PhotonQubit(a, b))
         elif cfg.case == "A":
-            st = absorb_case_a(PhotonQubit(LINEAR_ZX, a, b, window=cfg.window),
+            st = absorb_case_a(PhotonQubit(a, b, window=cfg.window),
                                scheme, cfg.compensate)
         else:
-            st = absorb_case_b(PhotonQubit(CIRCULAR, a, b, window=cfg.window),
+            st = absorb_case_b(PhotonQubit(a, b, window=cfg.window),
                                scheme)
         out.append((st.leakage, purity(st.hole_state()),
                     entanglement_entropy(st.amplitudes)))
@@ -894,31 +894,55 @@ def test_sweep_unknown_parameter():
         sweep(cfg_case_a(), "nonsense.path", [1.0])
 
 
-# (config, parameter) of each sweep over a parameter its case never reads
-UNREAD_SWEEPS = {
-    "degenerate_b_tesla": (cfg_degenerate(), "field.b_tesla"),
-    "degenerate_bandwidth": (cfg_degenerate(), "window.bandwidth_ueV"),
+# (config, parameter, values) of each sweep whose rows would be flat
+FLAT_SWEEPS = {
+    # parameters no stage of the case reads
+    "degenerate_b_tesla": (cfg_degenerate(), "field.b_tesla", (0.5, 2.0)),
+    "degenerate_bandwidth": (cfg_degenerate(), "window.bandwidth_ueV",
+                             (0.5, 2.0)),
     "degenerate_center_offset": (cfg_degenerate(window=SpectralWindow(100.0)),
-                                 "window.center_offset_ueV"),
-    "degenerate_hadamard": (cfg_degenerate(), "hadamard_time_ns"),
-    "case_a_hadamard": (cfg_case_a(), "hadamard_time_ns"),
+                                 "window.center_offset_ueV", (0.5, 2.0)),
+    "degenerate_hadamard": (cfg_degenerate(), "hadamard_time_ns", (0.5, 2.0)),
+    "case_a_hadamard": (cfg_case_a(), "hadamard_time_ns", (0.5, 2.0)),
+    # read, but the degenerate electron is diagonal in the logical basis,
+    # where no dephasing stage touches it
+    "degenerate_storage": (cfg_degenerate(), "storage_time_ns", (0.0, 1e6)),
+    # its PTMs differ by round-off (4e-16), which exact equality would miss
+    "degenerate_transport_time": (cfg_degenerate(), "noise.transport_time_ns",
+                                  (0.0, 1e6)),
+    "degenerate_dephasing_fraction": (cfg_degenerate(),
+                                      "noise.transport_dephasing_fraction",
+                                      (0.0, 1.0)),
+    # a one-site chain's shuttles have no hop
+    "one_site_gate_error": (cfg_case_a(chain=ChainParams(1, 0)),
+                            "chain.gate_error", (0.0, 0.5)),
 }
 
 
-@pytest.mark.parametrize("name", sorted(UNREAD_SWEEPS))
-def test_sweep_refuses_a_parameter_the_case_never_reads(name):
-    """Every stage is the same at any value of such a parameter, so its
-    rows would be flat; the sweep is refused, naming parameter and case."""
-    cfg, param = UNREAD_SWEEPS[name]
+@pytest.mark.parametrize("name", sorted(FLAT_SWEEPS))
+def test_sweep_refuses_a_flat_sweep(name):
+    """Every point's composed PTM and absorb Gram forms equal the first's
+    to 1e-12, so the rows would be flat; the sweep is refused, naming
+    parameter and case."""
+    cfg, param, values = FLAT_SWEEPS[name]
     low, high = (end_to_end_stages(pipeline._setter(cfg, param)(v))
-                 for v in (0.5, 2.0))
-    assert all(np.array_equal(a.ptm, b.ptm) and
-               np.array_equal(a.branch_forms, b.branch_forms)
-               for a, b in zip(low, high))
+                 for v in values)
+    assert np.max(np.abs(_compose(low) - _compose(high))) <= 1e-12
+    assert np.max(np.abs(low[0].branch_forms - high[0].branch_forms)) <= 1e-12
     with pytest.raises(KeyError) as exc:
-        sweep(cfg, param, [0.5, 2.0])
-    assert exc.value.args == (f"sweeping {param} has no effect: case "
-                              f"{cfg.case} never reads it",)
+        sweep(cfg, param, values)
+    assert exc.value.args == (f"sweeping {param} has no effect: every point "
+                              f"of case {cfg.case} has the first point's "
+                              "channel and hole forms",)
+
+
+def test_sweep_checks_every_value_before_any_stage():
+    """The first point is dark, but the second's refused value is reported:
+    every point's config is built before any stage."""
+    with pytest.raises(KeyError) as exc:
+        sweep(cfg_case_a(), "absorption_efficiency", [0.0, 2.0])
+    assert exc.value.args == ("sweeping absorption_efficiency to 2.0: "
+                              "absorption efficiency must lie in [0, 1]",)
 
 
 def _former_collection(cfg, v):
@@ -979,18 +1003,12 @@ def test_sweep_deterministic():
 
 def test_config_validation_collects_all_problems():
     with pytest.raises(ValueError) as info:
-        ScenarioConfig(case="A", field=FieldConfig(0.0, INPLANE),
+        ScenarioConfig(case="A", field=FieldConfig(0.0),
                        absorption_efficiency=2.0, input_qubit=(1.0, 1.0))
     assert str(info.value).split("; ") == [
-        "case A requires the field normal to the surface (orientation 'normal')",
         "split-band cases require B > 0",
         "absorption efficiency must lie in [0, 1]",
         "input_qubit amplitudes must be finite and normalized"]
-
-
-def test_config_case_orientation_mismatch():
-    with pytest.raises(ValueError, match="in the surface plane"):
-        ScenarioConfig(case="B", field=FieldConfig(1.0, NORMAL))
 
 
 # --- report ------------------------------------------------------------------

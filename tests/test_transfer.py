@@ -4,20 +4,19 @@ import numpy as np
 import pytest
 
 import polspin.qstate as qs
-from polspin.bands import (FieldConfig, INAS_GAAS_QW, INPLANE, NORMAL,
+from polspin.bands import (CASE_A, CASE_B, FieldConfig, INAS_GAAS_QW,
                            SpectralWindow, build_level_scheme,
                            degenerate_scheme, precession_period)
 from polspin.constants import MU_B_UEV_PER_T
 from polspin.errors import DarkDirection, HeavyHoleTopmost
 from polspin.pipeline import ScenarioConfig, end_to_end_stages, run_end_to_end
-from polspin.transfer import (CIRCULAR, E_SPH, HADAMARD, LINEAR_ZX,
-                              PhotonQubit, absorb_case_a, absorb_case_b,
-                              absorb_degenerate, absorption_branches,
-                              branch_dipole_vectors, dipole_matrix_element,
-                              emission_map, ls_table, precession_unitary,
-                              transverse_frame, _RECOMBINING_HOLES,
-                              _absorbing_holes, _channels, _dipole_blocks,
-                              _frame_to_basis, _mode_map)
+from polspin.transfer import (E_SPH, HADAMARD, PhotonQubit, absorb_case_a,
+                              absorb_case_b, absorb_degenerate,
+                              absorption_branches, branch_dipole_vectors,
+                              dipole_matrix_element, emission_map, ls_table,
+                              precession_unitary, transverse_frame,
+                              _RECOMBINING_HOLES, _absorbing_holes, _channels,
+                              _dipole_blocks, _frame_to_basis, _mode_map)
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -32,12 +31,12 @@ C_DN, C_UP = -0.5, +0.5
 
 @pytest.fixture(scope="module")
 def scheme_a():
-    return build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, NORMAL))
+    return build_level_scheme(CASE_A, INAS_GAAS_QW, FieldConfig(1.0))
 
 
 @pytest.fixture(scope="module")
 def scheme_b():
-    return build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, INPLANE))
+    return build_level_scheme(CASE_B, INAS_GAAS_QW, FieldConfig(1.0))
 
 
 def rand_qubits(n, seed=0):
@@ -56,14 +55,14 @@ def electron_vector(outcome):
 
 def test_photon_normalization_enforced():
     with pytest.raises(ValueError):
-        PhotonQubit(LINEAR_ZX, 1.0, 1.0)
+        PhotonQubit(1.0, 1.0)
 
 
 @pytest.mark.parametrize("alpha,beta", [(math.nan, 0.0), (complex("nan+1j"), 0.0),
                                         (math.inf, 0.0), (1.0, math.inf)])
 def test_photon_non_finite_amplitudes_refused(alpha, beta):
     with pytest.raises(ValueError, match="finite"):
-        PhotonQubit(LINEAR_ZX, alpha, beta)
+        PhotonQubit(alpha, beta)
 
 
 # --- dipole matrix elements --------------------------------------------------
@@ -221,8 +220,8 @@ def test_ls_table_reads_as_former_blocks(k_sign):
 
 def test_selection_rule_exclusivity(scheme_a):
     """z populates only mS=+1/2, x only mS=-1/2 from the topmost level."""
-    out_z = absorb_case_a(PhotonQubit(LINEAR_ZX, 1.0, 0.0), scheme_a)
-    out_x = absorb_case_a(PhotonQubit(LINEAR_ZX, 0.0, 1.0), scheme_a)
+    out_z = absorb_case_a(PhotonQubit(1.0, 0.0), scheme_a)
+    out_x = absorb_case_a(PhotonQubit(0.0, 1.0), scheme_a)
     vz = electron_vector(out_z)   # (mS=-1/2, mS=+1/2)
     vx = electron_vector(out_x)
     assert abs(vz[0]) < 1e-14 and abs(vz[1] - 1.0) < 1e-12
@@ -232,7 +231,7 @@ def test_selection_rule_exclusivity(scheme_a):
 # --- degenerate absorption ---------------------------------------------------
 
 def test_degenerate_single_branch_product():
-    out = absorb_degenerate(PhotonQubit(CIRCULAR, 1.0, 0.0))
+    out = absorb_degenerate(PhotonQubit(1.0, 0.0))
     assert qs.entanglement_entropy(out.amplitudes) == pytest.approx(
         0.0, abs=1e-12)
     v = out.amplitudes
@@ -241,7 +240,7 @@ def test_degenerate_single_branch_product():
 
 def test_degenerate_entangled_pair_structure():
     a, b = 0.6, 0.8j
-    out = absorb_degenerate(PhotonQubit(CIRCULAR, a, b))
+    out = absorb_degenerate(PhotonQubit(a, b))
     v = out.amplitudes
     assert v[0, 0] == pytest.approx(a, abs=1e-12)
     assert v[1, 3] == pytest.approx(b, abs=1e-12)
@@ -252,7 +251,7 @@ def test_degenerate_entangled_pair_structure():
 
 
 def test_degenerate_symmetric_entropy_one_bit():
-    out = absorb_degenerate(PhotonQubit(CIRCULAR, SQ2, SQ2))
+    out = absorb_degenerate(PhotonQubit(SQ2, SQ2))
     assert qs.entanglement_entropy(out.amplitudes) == pytest.approx(
         1.0, abs=1e-12)
 
@@ -260,7 +259,7 @@ def test_degenerate_symmetric_entropy_one_bit():
 def test_degenerate_hole_purity_oracle():
     # Tr(rho_h²) = p² + (1-p)² with p = |alpha|²
     p = 0.9
-    out = absorb_degenerate(PhotonQubit(CIRCULAR, math.sqrt(p), math.sqrt(1 - p)))
+    out = absorb_degenerate(PhotonQubit(math.sqrt(p), math.sqrt(1 - p)))
     assert qs.purity(out.hole_state()) == pytest.approx(p * p + (1 - p) ** 2,
                                                         abs=1e-12)
     assert qs.purity(out.hole_state()) == pytest.approx(0.82, abs=1e-12)
@@ -268,7 +267,7 @@ def test_degenerate_hole_purity_oracle():
 
 def test_degenerate_entropy_matches_formula():
     for q in rand_qubits(50, seed=4):
-        out = absorb_degenerate(PhotonQubit(CIRCULAR, q[0], q[1]))
+        out = absorb_degenerate(PhotonQubit(q[0], q[1]))
         p = abs(q[0]) ** 2
         want = 0.0
         for w in (p, 1 - p):
@@ -282,7 +281,7 @@ def test_degenerate_entropy_matches_formula():
 
 def test_case_a_compensated_exact_transfer(scheme_a):
     for q in rand_qubits(200, seed=5):
-        out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), scheme_a,
+        out = absorb_case_a(PhotonQubit(q[0], q[1]), scheme_a,
                             compensate=True)
         v = electron_vector(out)
         # electron = alpha |mS=+1/2> + beta |mS=-1/2>
@@ -294,7 +293,7 @@ def test_case_a_uncompensated_fidelity_oracle(scheme_a):
     # brute-force oracle: weight (alpha, beta) by (sqrt(2/3), sqrt(1/3)),
     # normalize, project on the target
     for q in rand_qubits(100, seed=6):
-        out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), scheme_a)
+        out = absorb_case_a(PhotonQubit(q[0], q[1]), scheme_a)
         v = electron_vector(out)
         raw = np.array([q[1] * SQ13, q[0] * SQ23])
         raw = raw / np.linalg.norm(raw)
@@ -304,7 +303,7 @@ def test_case_a_uncompensated_fidelity_oracle(scheme_a):
 
 
 def test_case_a_uncompensated_plus_value(scheme_a):
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, SQ2, SQ2), scheme_a)
+    out = absorb_case_a(PhotonQubit(SQ2, SQ2), scheme_a)
     v = electron_vector(out)
     fid = abs(np.vdot(v, np.array([SQ2, SQ2]))) ** 2
     want = ((SQ23 + SQ13) / math.sqrt(2.0)) ** 2
@@ -314,17 +313,17 @@ def test_case_a_uncompensated_plus_value(scheme_a):
 
 def test_case_a_single_branch_fidelity_one(scheme_a):
     for comp in (False, True):
-        out = absorb_case_a(PhotonQubit(LINEAR_ZX, 1.0, 0.0), scheme_a, comp)
+        out = absorb_case_a(PhotonQubit(1.0, 0.0), scheme_a, comp)
         v = electron_vector(out)
         assert abs(v[1]) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_case_a_success_probability(scheme_a):
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, 1.0, 0.0), scheme_a)
+    out = absorb_case_a(PhotonQubit(1.0, 0.0), scheme_a)
     assert out.success_probability == pytest.approx(2.0 / 3.0, rel=1e-12)
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, 0.0, 1.0), scheme_a)
+    out = absorb_case_a(PhotonQubit(0.0, 1.0), scheme_a)
     assert out.success_probability == pytest.approx(1.0 / 3.0, rel=1e-12)
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, SQ2, SQ2), scheme_a,
+    out = absorb_case_a(PhotonQubit(SQ2, SQ2), scheme_a,
                         compensate=True)
     assert out.success_probability == pytest.approx(1.0 / 3.0, rel=1e-12)
 
@@ -332,12 +331,12 @@ def test_case_a_success_probability(scheme_a):
 def test_case_a_leakage_and_purity_with_window(scheme_a):
     # 300 ueV window against a 513 ueV splitting leaks noticeably
     w = SpectralWindow(300.0)
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, SQ2, SQ2, window=w), scheme_a)
+    out = absorb_case_a(PhotonQubit(SQ2, SQ2, window=w), scheme_a)
     assert 0.0 < out.leakage < 0.5
     assert qs.purity(out.hole_state()) < 1.0
     # narrow window: leakage negligible, hole pure again
     w = SpectralWindow(100.0)
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, SQ2, SQ2, window=w), scheme_a)
+    out = absorb_case_a(PhotonQubit(SQ2, SQ2, window=w), scheme_a)
     assert out.leakage < 1e-3
     assert qs.purity(out.hole_state()) == pytest.approx(1.0, abs=1e-10)
 
@@ -347,7 +346,7 @@ def test_case_a_leakage_oracle(scheme_a):
     w = SpectralWindow(300.0)
     dv = scheme_a.valence_splitting_uev
     dc = scheme_a.conduction_splitting_uev
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, SQ2, SQ2, window=w), scheme_a)
+    out = absorb_case_a(PhotonQubit(SQ2, SQ2, window=w), scheme_a)
     main = 0.5 * (2 / 3) * w.amplitude(dc / 2) ** 2 + 0.5 * (1 / 3) * w.amplitude(-dc / 2) ** 2
     leak = 0.5 * (2 / 3) * w.amplitude(dv - dc / 2) ** 2 + 0.5 * (1 / 3) * w.amplitude(dv + dc / 2) ** 2
     assert out.leakage == pytest.approx(leak / (main + leak), rel=1e-10)
@@ -355,18 +354,13 @@ def test_case_a_leakage_oracle(scheme_a):
 
 def test_case_a_scheme_mismatch(scheme_b):
     with pytest.raises(HeavyHoleTopmost):
-        absorb_case_a(PhotonQubit(LINEAR_ZX, 1.0, 0.0), scheme_b)
-
-
-def test_case_a_wrong_basis(scheme_a):
-    with pytest.raises(ValueError):
-        absorb_case_a(PhotonQubit(CIRCULAR, 1.0, 0.0), scheme_a)
+        absorb_case_a(PhotonQubit(1.0, 0.0), scheme_b)
 
 
 # --- case B absorption -------------------------------------------------------
 
 def test_case_b_sigma_plus_excites_spin_down(scheme_b):
-    out = absorb_case_b(PhotonQubit(CIRCULAR, 1.0, 0.0), scheme_b)
+    out = absorb_case_b(PhotonQubit(1.0, 0.0), scheme_b)
     v = electron_vector(out)
     assert abs(v[0]) == pytest.approx(1.0, abs=1e-12)   # mS = -1/2
     # in the eigenbasis that is the equal superposition (|0>+|1>)/sqrt2
@@ -380,7 +374,7 @@ def test_case_b_sigma_plus_excites_spin_down(scheme_b):
 
 def test_case_b_equal_input_lands_on_eigenstate(scheme_b):
     # (alpha, beta) = (1, 1)/sqrt2 excites the symmetric eigenstate |1>
-    out = absorb_case_b(PhotonQubit(CIRCULAR, SQ2, SQ2), scheme_b)
+    out = absorb_case_b(PhotonQubit(SQ2, SQ2), scheme_b)
     v = electron_vector(out)
     one = scheme_b.conduction_levels[1].state
     assert abs(np.vdot(one, v)) == pytest.approx(1.0, abs=1e-12)
@@ -388,25 +382,25 @@ def test_case_b_equal_input_lands_on_eigenstate(scheme_b):
 
 def test_case_b_equal_weights_no_imbalance(scheme_b):
     for q in rand_qubits(100, seed=7):
-        out = absorb_case_b(PhotonQubit(CIRCULAR, q[0], q[1]), scheme_b)
+        out = absorb_case_b(PhotonQubit(q[0], q[1]), scheme_b)
         v = electron_vector(out)
         assert abs(v[0] - q[0]) < 1e-10 and abs(v[1] - q[1]) < 1e-10
 
 
 def test_case_b_hole_purity_random(scheme_b):
     for q in rand_qubits(1000, seed=8):
-        out = absorb_case_b(PhotonQubit(CIRCULAR, q[0], q[1]), scheme_b)
+        out = absorb_case_b(PhotonQubit(q[0], q[1]), scheme_b)
         assert qs.purity(out.hole_state()) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_case_b_success_probability(scheme_b):
-    out = absorb_case_b(PhotonQubit(CIRCULAR, 0.6, 0.8), scheme_b)
+    out = absorb_case_b(PhotonQubit(0.6, 0.8), scheme_b)
     assert out.success_probability == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 def test_case_b_scheme_mismatch(scheme_a):
     with pytest.raises(HeavyHoleTopmost):
-        absorb_case_b(PhotonQubit(CIRCULAR, 1.0, 0.0), scheme_a)
+        absorb_case_b(PhotonQubit(1.0, 0.0), scheme_a)
 
 
 def test_absorption_channels_are_conditional_cptp(scheme_a, scheme_b):
@@ -607,7 +601,7 @@ def test_precession_half_period_flips(scheme_b):
 
 
 def test_precession_zero_field_identity():
-    scheme0 = build_level_scheme(INAS_GAAS_QW, FieldConfig(0.0, INPLANE))
+    scheme0 = build_level_scheme(CASE_B, INAS_GAAS_QW, FieldConfig(0.0))
     st = np.array([0.6, 0.8j])
     out = precession_unitary(scheme0, 17.3) @ st
     assert abs(np.vdot(st, out)) ** 2 == pytest.approx(1.0, abs=1e-12)
@@ -619,7 +613,7 @@ def logical_readout(state):
 
 def test_synchronized_hadamard_zero_time(scheme_b):
     for q in rand_qubits(50, seed=9):
-        out = absorb_case_b(PhotonQubit(CIRCULAR, q[0], q[1]), scheme_b)
+        out = absorb_case_b(PhotonQubit(q[0], q[1]), scheme_b)
         stored = (HADAMARD @ precession_unitary(scheme_b, 0.0)) @ electron_vector(out)
         logical = logical_readout(stored)
         assert abs(np.vdot(q, logical)) ** 2 == pytest.approx(1.0, abs=1e-10)
@@ -668,8 +662,7 @@ def test_synchronized_hadamard_quarter_period(scheme_b):
 # absorption.
 
 def ideal(case, **kw):
-    field = {"A": FieldConfig(1.0, NORMAL), "B": FieldConfig(1.0, INPLANE),
-             "degenerate": FieldConfig(0.0, NORMAL)}[case]
+    field = FieldConfig(0.0 if case == "degenerate" else 1.0)
     return ScenarioConfig(case=case, field=field, **kw)
 
 
@@ -724,7 +717,7 @@ def test_emit_case_b_along_field_rank_deficient(scheme_b):
 
 def test_emit_off_axis_differs_before_compensation(scheme_a):
     q = np.array([SQ2, SQ2])
-    out = absorb_case_a(PhotonQubit(LINEAR_ZX, q[0], q[1]), scheme_a,
+    out = absorb_case_a(PhotonQubit(q[0], q[1]), scheme_a,
                         compensate=True)
     t, _ = _mode_map(scheme_a, [1.0, 0.0, 0.0])
     raw = t @ electron_vector(out)
@@ -913,8 +906,8 @@ def _old_emission_kraus(scheme, direction=None):
 
 
 EMISSION_SCHEMES = {
-    "A": lambda: build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, NORMAL)),
-    "B": lambda: build_level_scheme(INAS_GAAS_QW, FieldConfig(1.0, INPLANE)),
+    "A": lambda: build_level_scheme(CASE_A, INAS_GAAS_QW, FieldConfig(1.0)),
+    "B": lambda: build_level_scheme(CASE_B, INAS_GAAS_QW, FieldConfig(1.0)),
     "degenerate": degenerate_scheme,
 }
 
