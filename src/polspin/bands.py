@@ -13,7 +13,7 @@ Zeeman and strain splittings matter here, never the absolute gap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,19 +46,15 @@ class MaterialParams:
     g_lh: float
     g_hh_normal: float = 1.0
     strain_splitting_uev: float
-    band_gap_uev: float
     strain_sign: str = TENSILE
 
     def __post_init__(self):
-        for name in ("g_cb", "g_lh", "g_hh_normal", "strain_splitting_uev",
-                     "band_gap_uev"):
+        for name in ("g_cb", "g_lh", "g_hh_normal", "strain_splitting_uev"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, "
                                  f"got {getattr(self, name)!r}")
         if self.strain_splitting_uev <= 0:
             raise ValueError("strain_splitting must be positive")
-        if self.band_gap_uev <= self.strain_splitting_uev:
-            raise ValueError("band gap must exceed the strain splitting")
         if self.strain_sign not in (TENSILE, COMPRESSIVE):
             raise ValueError(f"unknown strain sign {self.strain_sign!r}")
 
@@ -72,7 +68,6 @@ INAS_GAAS_QW = MaterialParams(
     g_lh=8.87,
     g_hh_normal=1.0,
     strain_splitting_uev=20_000.0,
-    band_gap_uev=1_500_000.0,
     strain_sign=TENSILE,
 )
 
@@ -115,10 +110,12 @@ class SpectralWindow:
     def amplitude(self, offset_uev: float) -> float:
         """Lineshape amplitude at a transition offset; peak value 1, half
         value at ±bandwidth/2."""
-        x = offset_uev - self.center_offset_uev
+        r = (offset_uev - self.center_offset_uev) / self.bandwidth_uev
+        # far outside the window r * r goes to inf and the amplitude to 0,
+        # where r ** 2 would raise OverflowError
         if self.lineshape == GAUSSIAN:
-            return math.exp(-4.0 * math.log(2.0) * (x / self.bandwidth_uev) ** 2)
-        return 1.0 / (1.0 + (2.0 * x / self.bandwidth_uev) ** 2)
+            return math.exp(-4.0 * math.log(2.0) * (r * r))
+        return 1.0 / (1.0 + 4.0 * r * r)
 
 
 @dataclass(frozen=True)
@@ -138,7 +135,6 @@ class BandScheme:
     """Ordered level scheme for one material + field configuration."""
 
     case: str
-    material: MaterialParams
     field: FieldConfig
     valence_levels: tuple[Level, ...]      # sorted ascending in energy
     conduction_levels: tuple[Level, ...]   # sorted ascending in energy
@@ -175,10 +171,15 @@ class BandScheme:
 
 
 def zeeman_splitting(g: float, b_tesla: float) -> float:
-    """Zeeman energy g·µB·B in µeV; linear in both arguments."""
+    """Zeeman energy g·µB·B in µeV; linear in both arguments.  A field so
+    large that the energy overflows is refused."""
     if b_tesla < 0:
         raise ValueError("B must be non-negative")
-    return g * MU_B_UEV_PER_T * b_tesla
+    energy = g * MU_B_UEV_PER_T * b_tesla
+    if not math.isfinite(energy):
+        raise ValueError(f"Zeeman energy of g = {g!r} at B = {b_tesla!r} T "
+                         "overflows")
+    return energy
 
 
 def precession_period(g_cb: float, b_tesla: float) -> float:
@@ -271,11 +272,10 @@ def build_level_scheme(case: str, material: MaterialParams,
     clevels = sorted([Level("conduction", labels[2], c_lo, -dc / 2.0),
                       Level("conduction", labels[3], c_hi, +dc / 2.0)],
                      key=lambda l: l.energy_uev)
-    return BandScheme(case, material, field, tuple(vlevels), tuple(clevels),
-                      canonical_k)
+    return BandScheme(case, field, tuple(vlevels), tuple(clevels), canonical_k)
 
 
-def degenerate_scheme(material: MaterialParams = INAS_GAAS_QW) -> BandScheme:
+def degenerate_scheme() -> BandScheme:
     """Unstrained, zero-field reference scheme: all four J=3/2 valence states
     degenerate at the band edge.  Models plain GaAs absorption, the
     configuration in which the photo-electron stays entangled with its hole.
@@ -289,8 +289,7 @@ def degenerate_scheme(material: MaterialParams = INAS_GAAS_QW) -> BandScheme:
         Level("conduction", "cb mS=-1/2", cdown, 0.0),
         Level("conduction", "cb mS=+1/2", cup, 0.0),
     )
-    return BandScheme(DEGENERATE, replace(material, strain_sign=TENSILE),
-                      FieldConfig(0.0), vlevels, clevels,
+    return BandScheme(DEGENERATE, FieldConfig(0.0), vlevels, clevels,
                       np.array([0.0, 0.0, 1.0]))
 
 

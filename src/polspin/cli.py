@@ -4,8 +4,9 @@ Subcommands: levels, run, sweep, tomography, check-dot.  Configuration is a
 JSON document whose keys are the config dataclasses' field names, physical
 quantities unit-suffixed (b_tesla, bandwidth_ueV, storage_time_ns, ...);
 an unknown key is refused.  Output is deterministic for a given (config,
-seed): fixed decimal formatting, '.' radix, LF line endings.  Exit codes: 0 success, 2 usage/config error, 3 scenario error,
-1 failed device-constraint check.
+seed): fixed decimal formatting, '.' radix, LF line endings, written once,
+to stdout or --out.  Exit codes: 0 success, 1 failed device-constraint
+check, 2 usage or config error (an unwritable --out too), 3 scenario error.
 """
 
 from __future__ import annotations
@@ -29,9 +30,6 @@ from .pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                        process_tomography)
 
 _FORMATS = ("text", "csv", "json-like")
-# the --format values each subcommand prints
-_COMMAND_FORMATS = {"levels": _FORMATS, "run": _FORMATS, "sweep": _FORMATS,
-                    "tomography": ("text", "json-like"), "check-dot": ("text",)}
 
 
 def fmt6(x: float) -> str:
@@ -192,36 +190,35 @@ def load_config(path: str | None, seed: int | None) -> ScenarioConfig:
 
 
 # ---------------------------------------------------------------------------
-# output helpers
+# subcommands: each takes (args, cfg, fmt) and returns the text it prints
 # ---------------------------------------------------------------------------
 
-def _write(out_path: str | None, text: str):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _text(lines: list[str]) -> str:
+    return "\n".join(lines) + "\n"
+
+
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _choi_lines(choi: np.ndarray) -> list[str]:
-    lines = ["choi:"]
-    for row in choi:
-        lines.append("  " + "  ".join(_complex9(z) for z in row))
-    return lines
+    return ["choi:"] + ["  " + "  ".join(_complex9(z) for z in row) for row in choi]
 
 
-# ---------------------------------------------------------------------------
-# subcommands
-# ---------------------------------------------------------------------------
-
-def cmd_levels(cfg: ScenarioConfig, fmt: str, out: str | None) -> int:
+def cmd_levels(args, cfg: ScenarioConfig, fmt: str) -> str:
     scheme = cfg.scheme()
+    rows = [(lv.band, lv.label, lv.energy_uev)
+            for lv in scheme.valence_levels + scheme.conduction_levels]
+    if fmt == "csv":
+        return _text(["band,label,energy_ueV"]
+                     + [f"{band},{label},{fmt9(e)}" for band, label, e in rows])
+    if fmt == "json-like":
+        return _json({"case": scheme.case,
+                      "levels": [{"band": b, "label": l, "energy_ueV": e}
+                                 for b, l, e in rows]})
     # the degenerate scheme is the zero-field reference whatever the config
     # asks, so the field shown is the scheme's own
     field = scheme.field
-    rows = []
-    for lv in scheme.valence_levels + scheme.conduction_levels:
-        rows.append((lv.band, lv.label, lv.energy_uev))
     lines = [f"case: {scheme.case}", f"material: {cfg.material.name}",
              f"b_tesla: {fmt9(field.b_tesla)}",
              # the case fixes the field's orientation
@@ -243,135 +240,87 @@ def cmd_levels(cfg: ScenarioConfig, fmt: str, out: str | None) -> int:
                 f"valence_margin_ueV: {fmt9(rep.valence_margin_uev)}",
                 f"conduction_margin_ueV: {fmt9(rep.conduction_margin_uev)}",
             ]
-    if fmt == "csv":
-        csv_lines = ["band,label,energy_ueV"]
-        csv_lines += [f"{band},{label},{fmt9(e)}" for band, label, e in rows]
-        _write(out, "\n".join(csv_lines) + "\n")
-    elif fmt == "json-like":
-        _write(out, json.dumps({
-            "case": scheme.case,
-            "levels": [{"band": b, "label": l, "energy_ueV": e}
-                       for b, l, e in rows]}, indent=2, sort_keys=True) + "\n")
-    else:
-        _write(out, "\n".join(lines) + "\n")
-    return 0
+    return _text(lines)
 
 
-def _report_text(rep) -> str:
-    lines = [
-        f"case: {rep.case}",
-        f"seed: {rep.seed}",
-        f"n_samples: {rep.n_samples}",
-        f"round_trip_fidelity: {fmt6(rep.round_trip_fidelity)}",
-        f"mean_fidelity: {fmt6(rep.mean_fidelity)} ± {fmt6(rep.stderr)}",
-        f"success_probability: {fmt6(rep.success_probability)}",
-        f"leakage: {fmt6(rep.leakage)}",
-        f"hole_purity_mean: {fmt6(rep.hole_purity_mean)} ± {fmt6(rep.hole_purity_std)}",
-        f"entanglement_entropy_bits: {fmt6(rep.entanglement_entropy_bits)}",
-        f"collection_fraction: {fmt6(rep.collection_fraction)}",
-        f"process_fidelity: {fmt6(rep.process_fidelity)}",
-        f"cptp: {str(rep.cptp).lower()}",
-        "stage_fidelities:",
-    ]
-    for st in rep.stages:
-        lines.append(f"  {st.name:15s} fidelity={fmt6(st.fidelity)} "
-                     f"success={fmt6(st.success)}")
-    lines += _choi_lines(rep.choi)
-    return "\n".join(lines) + "\n"
+# a report's fixed-6 figures, in the order text prints them
+_REPORT_FIGURES = ("round_trip_fidelity", "mean_fidelity", "stderr",
+                   "success_probability", "leakage", "hole_purity_mean",
+                   "hole_purity_std", "entanglement_entropy_bits",
+                   "collection_fraction", "process_fidelity")
+# text prints each of these on the line of the figure before it, as "± x"
+_SPREADS = ("stderr", "hole_purity_std")
 
 
-def _report_json(rep) -> str:
-    doc = {
-        "case": rep.case,
-        "seed": rep.seed,
-        "n_samples": rep.n_samples,
-        "round_trip_fidelity": fmt6(rep.round_trip_fidelity),
-        "mean_fidelity": fmt6(rep.mean_fidelity),
-        "stderr": fmt6(rep.stderr),
-        "success_probability": fmt6(rep.success_probability),
-        "leakage": fmt6(rep.leakage),
-        "hole_purity_mean": fmt6(rep.hole_purity_mean),
-        "hole_purity_std": fmt6(rep.hole_purity_std),
-        "entanglement_entropy_bits": fmt6(rep.entanglement_entropy_bits),
-        "collection_fraction": fmt6(rep.collection_fraction),
-        "process_fidelity": fmt6(rep.process_fidelity),
-        "cptp": rep.cptp,
-        "stages": [{"name": st.name, "fidelity": fmt6(st.fidelity),
-                    "success": fmt6(st.success)} for st in rep.stages],
-        "choi": [[_complex9(z) for z in row] for row in rep.choi],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def cmd_run(cfg: ScenarioConfig, fmt: str, out: str | None) -> int:
+def cmd_run(args, cfg: ScenarioConfig, fmt: str) -> str:
     rep = scenario_report(cfg)
+    stages = [(st.name, fmt6(st.fidelity), fmt6(st.success)) for st in rep.stages]
     if fmt == "csv":
-        lines = ["stage,fidelity,success"]
-        lines += [f"{st.name},{fmt6(st.fidelity)},{fmt6(st.success)}"
-                  for st in rep.stages]
-        _write(out, "\n".join(lines) + "\n")
-    elif fmt == "json-like":
-        _write(out, _report_json(rep))
-    else:
-        _write(out, _report_text(rep))
-    return 0
+        return _text(["stage,fidelity,success"] + [",".join(st) for st in stages])
+    figures = {"case": rep.case, "seed": rep.seed, "n_samples": rep.n_samples}
+    figures.update((name, fmt6(getattr(rep, name))) for name in _REPORT_FIGURES)
+    if fmt == "json-like":
+        return _json({**figures, "cptp": rep.cptp,
+                      "stages": [dict(zip(("name", "fidelity", "success"), st))
+                                 for st in stages],
+                      "choi": [[_complex9(z) for z in row] for row in rep.choi]})
+    lines = []
+    for name, value in figures.items():
+        if name in _SPREADS:
+            lines[-1] += f" ± {value}"
+        else:
+            lines.append(f"{name}: {value}")
+    lines += [f"cptp: {str(rep.cptp).lower()}", "stage_fidelities:"]
+    lines += [f"  {name:15s} fidelity={fid} success={success}"
+              for name, fid, success in stages]
+    return _text(lines + _choi_lines(rep.choi))
 
 
-def cmd_sweep(cfg: ScenarioConfig, param: str, start: float, stop: float,
-              steps: int, fmt: str, out: str | None) -> int:
-    if steps < 0:
+def cmd_sweep(args, cfg: ScenarioConfig, fmt: str) -> str:
+    if args.steps < 0:
         raise ConfigError("steps must be non-negative")
-    for flag, value in (("--from", start), ("--to", stop)):
+    for flag, value in (("--from", args.start), ("--to", args.stop)):
         if not np.isfinite(value):
             raise ConfigError(f"{flag} must be finite, got {value}")
-    values = np.linspace(start, stop, steps)
+    values = np.linspace(args.start, args.stop, args.steps)
     columns = {"param": str, "value": fmt9, "mean_fidelity": fmt6,
                "stderr": fmt6, "success_prob": fmt6, "leakage": fmt6,
                "hole_purity": fmt6}
     rows = [{name: show(r[name]) for name, show in columns.items()}
-            for r in sweep(cfg, param, values)]
+            for r in sweep(cfg, args.param, values)]
     if fmt == "json-like":
-        _write(out, json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    else:
-        lines = [",".join(columns)] + [",".join(r.values()) for r in rows]
-        _write(out, "\n".join(lines) + "\n")
-    return 0
+        return _json(rows)
+    return _text([",".join(columns)] + [",".join(r.values()) for r in rows])
 
 
-def cmd_tomography(cfg: ScenarioConfig, fmt: str, out: str | None,
-                   choi_file: str | None) -> int:
-    if choi_file is not None:
+def cmd_tomography(args, cfg: ScenarioConfig, fmt: str) -> str:
+    if args.choi_file is not None:
         # hand-edited matrix verdict mode
         try:
-            with open(choi_file, "r", encoding="utf-8") as fh:
+            with open(args.choi_file, "r", encoding="utf-8") as fh:
                 raw = json.load(fh)
         except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot parse choi file {choi_file}: {exc}")
-        res = choi_verdict(_choi_matrix(raw, f"choi file {choi_file}"))
+            raise ConfigError(f"cannot parse choi file {args.choi_file}: {exc}")
+        res = choi_verdict(_choi_matrix(raw, f"choi file {args.choi_file}"))
     else:
         res = process_tomography(cfg)
     if fmt == "json-like":
-        _write(out, json.dumps({
-            "choi": [[_complex9(z) for z in row] for row in res.choi],
-            "cptp": res.cptp,
-            "process_fidelity": fmt9(res.process_fidelity)},
-            indent=2, sort_keys=True) + "\n")
-    else:
-        lines = _choi_lines(res.choi)
-        lines.append(f"cptp: {str(res.cptp).lower()}")
-        lines.append(f"process_fidelity: {fmt9(res.process_fidelity)}")
-        _write(out, "\n".join(lines) + "\n")
-    return 0
+        return _json({"choi": [[_complex9(z) for z in row] for row in res.choi],
+                      "cptp": res.cptp,
+                      "process_fidelity": fmt9(res.process_fidelity)})
+    return _text(_choi_lines(res.choi) + [
+        f"cptp: {str(res.cptp).lower()}",
+        f"process_fidelity: {fmt9(res.process_fidelity)}"])
 
 
-def cmd_check_dot(capacitance: float, resistance: float, confinement: float,
-                  temperature: float, out: str | None) -> int:
+def cmd_check_dot(args, cfg, fmt: str) -> tuple[str, int]:
+    """The verdict and its exit code, 1 if a condition fails; cfg is None."""
     rep = dot_constraint_check(DotConstraints(
-        capacitance_farad=capacitance,
-        tunnel_resistance_ohm=resistance,
-        confinement_energy_uev=confinement,
-        temperature_k=temperature))
-    lines = [
+        capacitance_farad=args.capacitance,
+        tunnel_resistance_ohm=args.resistance,
+        confinement_energy_uev=args.confinement,
+        temperature_k=args.temperature))
+    return _text([
         f"charging    {'PASS' if rep.charging_ok else 'FAIL'}  "
         f"e2_over_C_ueV={fmt9(rep.charging_energy_uev)} kT_ueV={fmt9(rep.thermal_energy_uev)}",
         f"confinement {'PASS' if rep.confinement_ok else 'FAIL'}  "
@@ -379,9 +328,7 @@ def cmd_check_dot(capacitance: float, resistance: float, confinement: float,
         f"resistance  {'PASS' if rep.resistance_ok else 'FAIL'}  "
         f"R_ohm={fmt9(rep.tunnel_resistance_ohm)} threshold_ohm={fmt9(rep.resistance_threshold_ohm)}",
         f"note: {rep.note}",
-    ]
-    _write(out, "\n".join(lines) + "\n")
-    return 0 if rep.all_ok else 1
+    ]), 0 if rep.all_ok else 1
 
 
 # ---------------------------------------------------------------------------
@@ -431,26 +378,30 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Photon-polarization to electron-spin transfer simulator")
     sub = p.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("levels", parents=[common], allow_abbrev=False,
-                   help="print the level scheme and resolvability")
-    sub.add_parser("run", parents=[common], allow_abbrev=False,
-                   help="run the configured scenario end to end")
+    def command(name, handler, formats, help):
+        """A subcommand: its handler and the --format values it prints."""
+        sp = sub.add_parser(name, parents=[common], allow_abbrev=False, help=help)
+        sp.set_defaults(handler=handler, formats=formats)
+        return sp
 
-    sp = sub.add_parser("sweep", parents=[common], allow_abbrev=False,
-                        help="sweep one numeric parameter")
+    command("levels", cmd_levels, _FORMATS,
+            "print the level scheme and resolvability")
+    command("run", cmd_run, _FORMATS, "run the configured scenario end to end")
+
+    sp = command("sweep", cmd_sweep, _FORMATS, "sweep one numeric parameter")
     sp.add_argument("--param", required=True,
                     help=f"one of: {', '.join(sweep_parameters())}")
     sp.add_argument("--from", dest="start", type=float, required=True)
     sp.add_argument("--to", dest="stop", type=float, required=True)
     sp.add_argument("--steps", type=int, required=True)
 
-    tp = sub.add_parser("tomography", parents=[common], allow_abbrev=False,
-                        help="Choi matrix and CPTP verdict")
+    tp = command("tomography", cmd_tomography, ("text", "json-like"),
+                 "Choi matrix and CPTP verdict")
     tp.add_argument("--choi", dest="choi_file",
                     help="verdict mode: JSON 4x4 matrix of [re, im] pairs")
 
-    dp = sub.add_parser("check-dot", parents=[common], allow_abbrev=False,
-                        help="emitter quantum-dot constraints")
+    dp = command("check-dot", cmd_check_dot, ("text",),
+                 "emitter quantum-dot constraints")
     dp.add_argument("--capacitance", type=float, required=True, metavar="FARAD")
     dp.add_argument("--resistance", type=float, required=True, metavar="OHM")
     dp.add_argument("--confinement", type=float, required=True, metavar="UEV")
@@ -466,30 +417,25 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
 
-    config = getattr(args, "config", None)
-    seed = getattr(args, "seed", None)
     out = getattr(args, "out", None)
     fmt = getattr(args, "format", "text")
-
     try:
-        formats = _COMMAND_FORMATS[args.command]
-        if fmt not in formats:
+        if fmt not in args.formats:
             raise ConfigError(f"{args.command} does not print --format {fmt} "
-                              f"(it prints {', '.join(formats)})")
-        if args.command == "check-dot":
-            return cmd_check_dot(args.capacitance, args.resistance,
-                                 args.confinement, args.temperature, out)
-        cfg = load_config(config, seed)
-        if args.command == "levels":
-            return cmd_levels(cfg, fmt, out)
-        if args.command == "run":
-            return cmd_run(cfg, fmt, out)
-        if args.command == "sweep":
-            return cmd_sweep(cfg, args.param, args.start, args.stop,
-                             args.steps, fmt, out)
-        if args.command == "tomography":
-            return cmd_tomography(cfg, fmt, out, args.choi_file)
-        return 2
+                              f"(it prints {', '.join(args.formats)})")
+        cfg = None if args.command == "check-dot" else load_config(
+            getattr(args, "config", None), getattr(args, "seed", None))
+        result = args.handler(args, cfg, fmt)
+        text, code = result if isinstance(result, tuple) else (result, 0)
+        if not out:
+            sys.stdout.write(text)
+            return code
+        try:
+            with open(out, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out}: {exc}") from None
+        return code
     except (ConfigError, KeyError) as exc:
         # str() of a KeyError quotes its message
         message = exc.args[0] if isinstance(exc, KeyError) else exc

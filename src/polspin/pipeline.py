@@ -3,7 +3,7 @@ averages, process tomography, device-constraint checks and parameter sweeps.
 
 Every stage of a scenario is a conditional linear map on the 2x2 logical
 qubit density matrix (logical amplitudes mean: alpha on the first slot of
-the declared photon basis), held as its real 4x4 Pauli transfer matrix
+the photon basis its case fixes), held as its real 4x4 Pauli transfer matrix
 (PTM; conventions in qstate).  Stages compose by matrix product into one
 PTM R, so a Monte Carlo run evaluates every per-sample quantity as a
 quadratic form on the Pauli vectors c = (1, Bloch vector) of the Haar
@@ -132,7 +132,7 @@ class ScenarioConfig:
 
     def scheme(self) -> BandScheme:
         if self.case == DEGENERATE:
-            return degenerate_scheme(self.material)
+            return degenerate_scheme()
         return build_level_scheme(self.case, self.material, self.field)
 
 

@@ -360,6 +360,20 @@ E_SPH = {
 _E_ML = np.array([E_SPH[-ml] for ml in _ML])
 
 
+def _unit(direction) -> np.ndarray:
+    """direction / |direction|.  The direction is first rescaled by the
+    power of two that brings its largest component into [0.5, 1): that is
+    exact, so |direction|² neither overflows nor underflows, and for an
+    ordinary direction the result is bit for bit that of
+    direction / sqrt(direction · direction)."""
+    n = np.asarray(direction, dtype=float)
+    top = float(np.max(np.abs(n)))
+    if top == 0:
+        raise ValueError("emission direction must be non-zero")
+    n = np.ldexp(n, -math.frexp(top)[1])
+    return n / math.sqrt(n @ n)
+
+
 def transverse_frame(direction: np.ndarray) -> np.ndarray:
     """Deterministic orthonormal transverse pair (e1, e2) for a direction,
     as the rows of a real (2, 3) array.
@@ -368,8 +382,7 @@ def transverse_frame(direction: np.ndarray) -> np.ndarray:
     in-plane direction gets the (z, x) linear frame), otherwise +x;
     e2 = n × e1.
     """
-    n = np.asarray(direction, dtype=float)
-    n = n / math.sqrt(n @ n)
+    n = _unit(direction)
     e1 = Z_AXIS - n[2] * n
     e1_norm = math.sqrt(e1 @ e1)
     if e1_norm < 1e-9:
@@ -399,11 +412,7 @@ def _mode_map(scheme: BandScheme, direction) -> tuple[np.ndarray, np.ndarray]:
     per-branch transverse power fractions; a branch with no transverse
     power keeps a zero column.  Both spin branches at once: the columns of
     d are their dipole vectors."""
-    n = np.asarray(direction, dtype=float)
-    nn = math.sqrt(n @ n)
-    if nn == 0:
-        raise ValueError("emission direction must be non-zero")
-    n = n / nn
+    n = _unit(direction)
     d = np.transpose(branch_dipole_vectors(scheme))
     proj = d - np.outer(n, n @ d)
     norms = np.linalg.norm(proj, axis=0)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ SQ2 = 1.0 / math.sqrt(2.0)
 
 COMPRESSIVE_MAT = MaterialParams(
     name="compressive-test", g_cb=0.4, g_lh=8.87, g_hh_normal=1.0,
-    strain_splitting_uev=20_000.0, band_gap_uev=1_500_000.0,
-    strain_sign=COMPRESSIVE)
+    strain_splitting_uev=20_000.0, strain_sign=COMPRESSIVE)
 
 
 def test_zeeman_values():
@@ -25,6 +25,10 @@ def test_zeeman_values():
     assert zeeman_splitting(8.87, 1.0) == pytest.approx(513.43, abs=5e-3)
     assert zeeman_splitting(0.4, 1.0) == pytest.approx(23.154, abs=5e-4)
     assert zeeman_splitting(3.3, 0.0) == 0.0
+    # a finite field whose energy overflows is refused, naming g and B
+    for g, b in ((8.87, 1e307), (-8.87, 1e307), (1e300, 1e10)):
+        with pytest.raises(ValueError, match=re.escape(f"g = {g!r} at B = {b!r} T")):
+            zeeman_splitting(g, b)
 
 
 def test_zeeman_linear():
@@ -80,8 +84,7 @@ def test_level_scheme_gaps_random():
     for _ in range(100):
         g_lh, g_cb, b = rng.uniform(1, 12), rng.uniform(0.05, 2), rng.uniform(0.01, 5)
         mat = MaterialParams(name="m", g_cb=g_cb, g_lh=g_lh, g_hh_normal=1.0,
-                             strain_splitting_uev=20_000.0,
-                             band_gap_uev=1_500_000.0)
+                             strain_splitting_uev=20_000.0)
         for case in (CASE_A, CASE_B):
             scheme = build_level_scheme(case, mat, FieldConfig(b))
             assert scheme.valence_splitting_uev == pytest.approx(
@@ -94,7 +97,7 @@ def test_valence_splitting_is_the_light_hole_gap():
     """A small strain splitting puts a heavy hole between the light holes;
     the valence splitting stays the gap between the light holes."""
     mat = MaterialParams(name="low-strain", g_cb=0.4, g_lh=8.87,
-                         strain_splitting_uev=100.0, band_gap_uev=1_500_000.0)
+                         strain_splitting_uev=100.0)
     for case in (CASE_A, CASE_B):
         scheme = build_level_scheme(case, mat, FieldConfig(1.0))
         lower, upper = scheme.light_hole_levels
@@ -122,7 +125,7 @@ def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, case):
     """Whatever the sign of g_cb the conduction levels ascend, and the
     eigenbasis matrix holds the (lower, upper) eigenvectors of H_c."""
     mat = MaterialParams(name="m", g_cb=g_cb, g_lh=8.87,
-                         strain_splitting_uev=20_000.0, band_gap_uev=1_500_000.0)
+                         strain_splitting_uev=20_000.0)
     scheme = build_level_scheme(case, mat, FieldConfig(0.8))
     energies = [lv.energy_uev for lv in scheme.conduction_levels]
     assert energies[0] < energies[1]
@@ -230,6 +233,12 @@ def test_window_lineshapes():
     lw = SpectralWindow(100.0, lineshape="lorentzian")
     assert lw.amplitude(50.0) == pytest.approx(0.5, abs=1e-12)
     assert lw.amplitude(500.0) > gw.amplitude(500.0)   # heavier tails
+    # far outside the window, or for a vanishing bandwidth, the squared
+    # ratio goes to inf and the amplitude to 0 rather than overflowing
+    for window, offset in ((gw, 1e300), (lw, -1e300),
+                           (SpectralWindow(1e-300), 1.0),
+                           (SpectralWindow(1e-300, lineshape="lorentzian"), 1.0)):
+        assert window.amplitude(offset) == 0.0
 
 
 def test_materials_catalog_roundtrip():
@@ -237,8 +246,7 @@ def test_materials_catalog_roundtrip():
     catalog entry, reaches the level scheme."""
     from polspin.cli import config_from_dict
     entry = {"name": "wide-well", "g_cb": 0.25, "g_lh": 6.1,
-             "strain_splitting_ueV": 15000.0, "band_gap_ueV": 1.2e6,
-             "strain_sign": "tensile"}
+             "strain_splitting_ueV": 15000.0, "strain_sign": "tensile"}
     cfg = config_from_dict({"material": entry, "field": {"b_tesla": 0.5}})
     assert (cfg.material.name, cfg.material.g_lh) == ("wide-well", 6.1)
     scheme = build_level_scheme(CASE_A, cfg.material, cfg.field)
@@ -249,7 +257,7 @@ def test_materials_catalog_roundtrip():
 def test_material_validation():
     with pytest.raises(ValueError):
         MaterialParams(name="bad", g_cb=0.4, g_lh=8.87, g_hh_normal=1.0,
-                       strain_splitting_uev=-1.0, band_gap_uev=1e6)
+                       strain_splitting_uev=-1.0)
     with pytest.raises(ValueError):
         MaterialParams(name="bad", g_cb=0.4, g_lh=8.87, g_hh_normal=1.0,
-                       strain_splitting_uev=2e6, band_gap_uev=1e6)
+                       strain_splitting_uev=2e4, strain_sign="sheared")

@@ -164,7 +164,6 @@ MATERIAL_FIELDS = {
     "g_hh_normal": (st.floats(-5.0, 5.0), _non_finite()),
     "strain_splitting_ueV": (st.floats(1e3, 1e5),
                              st.floats(max_value=0.0, allow_nan=False)),
-    "band_gap_ueV": (st.floats(1e6, 3e6), st.floats(max_value=1e3, allow_nan=False)),
 }
 SCALAR_FIELDS = {
     "storage_time_ns": (st.floats(0.0, 1e6), st.one_of(st.floats(

@@ -46,7 +46,7 @@ def test_levels_default_config(tmp_path, capsys):
 
 
 LOW_STRAIN = {"name": "low-strain", "g_cb": 0.4, "g_lh": 8.87,
-              "strain_splitting_ueV": 100.0, "band_gap_ueV": 1500000.0}
+              "strain_splitting_ueV": 100.0}
 
 
 def test_levels_valence_splitting_skips_heavy_holes(tmp_path, capsys):
@@ -60,7 +60,7 @@ def test_levels_valence_splitting_skips_heavy_holes(tmp_path, capsys):
 def test_levels_negative_g_cb_ascending(tmp_path, capsys):
     cfg = write_config(tmp_path, material={
         "name": "negative-g", "g_cb": -0.4, "g_lh": 8.87,
-        "strain_splitting_ueV": 20000.0, "band_gap_ueV": 1500000.0})
+        "strain_splitting_ueV": 20000.0})
     code, out, _ = run_cli(["--config", cfg, "levels"], capsys)
     assert code == 0
     assert "conduction_splitting_ueV: 23.1535272" in out
@@ -70,7 +70,7 @@ def test_levels_negative_g_cb_ascending(tmp_path, capsys):
 def test_levels_compressive_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, material={
         "name": "compressive", "g_cb": 0.4, "g_lh": 8.87,
-        "strain_splitting_ueV": 20000.0, "band_gap_ueV": 1500000.0,
+        "strain_splitting_ueV": 20000.0,
         "strain_sign": "compressive"})
     code, out, err = run_cli(["--config", cfg, "levels"], capsys)
     assert code == 3
@@ -152,6 +152,11 @@ def test_run_invalid_config_exit_2(tmp_path, capsys):
     code, out, err = run_cli(["--config", cfg, "run"], capsys)
     assert (code, out) == (2, "")
     assert err == "config error: field: unknown key 'orientation'\n"
+    # no figure reads the absolute band gap, so a config cannot name one
+    cfg = write_config(tmp_path, material={**LOW_STRAIN, "band_gap_ueV": 1.5e6})
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "config error: material: unknown key 'band_gap_ueV'\n"
     cfg = write_config(tmp_path, emission_direction=[0, 0, 0])
     code, out, err = run_cli(["--config", cfg, "run"], capsys)
     assert (code, out) == (2, "")
@@ -206,14 +211,12 @@ def test_run_reports_all_config_problems(tmp_path, capsys):
                                    "emission_direction", "input_qubit",
                                    "material.g_cb", "material.g_lh",
                                    "material.g_hh_normal",
-                                   "material.strain_splitting_ueV",
-                                   "material.band_gap_ueV"])
+                                   "material.strain_splitting_ueV"])
 def test_run_non_finite_exit_2(tmp_path, capsys, field, case, value):
     doc = {"case": case, "field": {"b_tesla": 1.0},
            "noise": {}, "window": {"bandwidth_ueV": 100.0},
            "material": {"g_cb": 0.4, "g_lh": 8.87, "g_hh_normal": 1.0,
-                        "strain_splitting_ueV": 20000.0,
-                        "band_gap_ueV": 1.5e6}}
+                        "strain_splitting_ueV": 20000.0}}
     section, _, key = field.rpartition(".")
     if key == "emission_direction":
         value = [0.0, 0.0, value]
@@ -371,6 +374,54 @@ def test_sweep_dark_window_exit_3(tmp_path, capsys):
                               "--to", "1e5", "--steps", "2"], capsys)
     assert (code, out) == (3, "")
     assert "photon does not couple" in err
+
+
+# windows whose squared offset-to-bandwidth ratio overflows a float: the
+# window passes nothing, so the photon is refused as dark
+OVERFLOWING_WINDOWS = {
+    "narrow": {"window": {"bandwidth_ueV": 1e-300}},
+    "far-gaussian": {"window": {"bandwidth_ueV": 100.0,
+                                "center_offset_ueV": 1e300}},
+    "far-lorentzian": {"window": {"bandwidth_ueV": 100.0,
+                                  "center_offset_ueV": 1e300,
+                                  "lineshape": "lorentzian"}},
+    "strong-field": {"field": {"b_tesla": 1e300},
+                     "window": {"bandwidth_ueV": 100.0}},
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_WINDOWS))
+def test_overflowing_window_is_dark(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, **OVERFLOWING_WINDOWS[name])
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (3, "")
+    assert err == "scenario error: ValueError: photon does not couple to this scheme\n"
+
+
+@pytest.mark.parametrize("case,command", [("B", "run"), ("A", "levels")])
+def test_overflowing_zeeman_energy_exit_3(tmp_path, capsys, case, command):
+    # g_lh µB B overflows at 1e307 T, although the field itself is finite
+    cfg = write_config(tmp_path, case=case, field={"b_tesla": 1e307}, window=None)
+    code, out, err = run_cli(["--config", cfg, command], capsys)
+    assert (code, out) == (3, "")
+    assert err == ("scenario error: ValueError: Zeeman energy of g = 8.87 at "
+                   "B = 1e+307 T overflows\n")
+
+
+@pytest.mark.parametrize("case", ["A", "B", "degenerate"])
+@pytest.mark.parametrize("extreme,plain", [([1e300, 1e300, 0], [1, 1, 0]),
+                                           ([1e-320, 0, 0], [1, 0, 0])],
+                         ids=["huge", "subnormal"])
+def test_extreme_emission_direction_is_its_direction(tmp_path, capsys, case,
+                                                     extreme, plain):
+    # the direction's length neither overflows nor underflows its norm
+    outputs = []
+    for direction in (extreme, plain):
+        cfg = write_config(tmp_path, case=case, emission_direction=direction)
+        outputs.append(run_cli(["--config", cfg, "run"], capsys))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
 
 
 # a window so narrow that its absorbed weight underflows: at 1 ueV the
@@ -799,7 +850,27 @@ def test_check_dot_negative_exponent_is_a_value(capsys, flag, name):
     assert f"{name} must be finite and positive" in err
 
 
-# --- output formats ----------------------------------------------------------
+# --- output ------------------------------------------------------------------
+
+DOT_PASS = ["check-dot", "--capacitance", "1e-17", "--resistance", "26000",
+            "--confinement", "2000", "--temperature", "4.0"]
+DOT_FAIL = ["check-dot", "--capacitance", "1e-18", "--resistance", "25000",
+            "--confinement", "1000", "--temperature", "4.0"]
+
+
+@pytest.mark.parametrize("command", ["run", "check-dot-pass", "check-dot-fail"])
+def test_unwritable_out_exit_2(tmp_path, capsys, command):
+    """An --out path that cannot be opened is a config error, also for a
+    check-dot whose verdict would exit 1."""
+    out = tmp_path / "missing" / "x.txt"
+    args = {"run": ["--config", write_config(tmp_path), "run"],
+            "check-dot-pass": DOT_PASS, "check-dot-fail": DOT_FAIL}[command]
+    code, stdout, err = run_cli(["--out", str(out)] + args, capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"config error: cannot write {out}: ")
+    assert err.count("\n") == 1
+    assert not out.parent.exists()
+
 
 @pytest.mark.parametrize("command,fmt", [("tomography", "csv"),
                                          ("check-dot", "csv"),

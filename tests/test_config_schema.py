@@ -21,8 +21,7 @@ SECTIONS = {"material": MaterialParams, "field": FieldConfig,
 
 # a config in which every value below is valid
 BASE = {"case": "degenerate",
-        "material": {"g_cb": 0.4, "g_lh": 8.87, "strain_splitting_ueV": 2e4,
-                     "band_gap_ueV": 1.5e6},
+        "material": {"g_cb": 0.4, "g_lh": 8.87, "strain_splitting_ueV": 2e4},
         "window": {"bandwidth_ueV": 100.0}}
 
 # (section, JSON key) -> a valid value other than the one BASE loads, as
@@ -42,7 +41,6 @@ VALUES = {
     ("material", "g_lh"): 9.5,
     ("material", "g_hh_normal"): 2.0,
     ("material", "strain_splitting_ueV"): 3e4,
-    ("material", "band_gap_ueV"): 2e6,
     ("material", "strain_sign"): "compressive",
     ("field", "b_tesla"): 2.5,
     ("window", "bandwidth_ueV"): 250.0,
