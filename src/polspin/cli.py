@@ -7,6 +7,9 @@ an unknown key is refused.  Output is deterministic for a given (config,
 seed): fixed decimal formatting, '.' radix, LF line endings, written once,
 to stdout or --out.  Exit codes: 0 success, 1 failed device-constraint
 check, 2 usage or config error (an unwritable --out too), 3 scenario error.
+`main` builds its argument parser once per process, on its first call, and
+reuses it: the parser is built from constants only, and each parse returns
+a fresh namespace.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, fields
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -360,6 +363,7 @@ def _attach_float_values(argv: list[str]) -> list[str]:
     return out
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     # global flags are accepted both before and after the subcommand
     common = argparse.ArgumentParser(add_help=False)

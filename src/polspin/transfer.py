@@ -337,10 +337,15 @@ def absorb_case_b(photon: PhotonQubit, scheme: BandScheme) -> AbsorptionOutcome:
 # ---------------------------------------------------------------------------
 
 def precession_unitary(scheme: BandScheme, t_ns: float) -> np.ndarray:
-    """Larmor evolution over t in the scheme's conduction eigenbasis."""
+    """Larmor evolution over t in the scheme's conduction eigenbasis.  A
+    time so long that the phase E·t/ħ overflows is refused."""
     u = scheme.eigenbasis
-    phases = np.exp(-1j * np.array([lv.energy_uev for lv in scheme.conduction_levels])
-                    * t_ns / HBAR_UEV_NS)
+    energies = [lv.energy_uev for lv in scheme.conduction_levels]
+    largest = max(map(abs, energies))
+    if not math.isfinite(largest * t_ns / HBAR_UEV_NS):
+        raise ValueError(f"precession phase of |E| = {largest!r} µeV over "
+                         f"t = {t_ns!r} ns overflows")
+    phases = np.exp(-1j * np.array(energies) * t_ns / HBAR_UEV_NS)
     return (u * phases) @ u.conj().T
 
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from polspin import cli
 from polspin.cli import _complex9, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -407,6 +408,36 @@ def test_overflowing_zeeman_energy_exit_3(tmp_path, capsys, case, command):
     assert (code, out) == (3, "")
     assert err == ("scenario error: ValueError: Zeeman energy of g = 8.87 at "
                    "B = 1e+307 T overflows\n")
+
+
+# a finite Zeeman energy times a finite precession time whose phase E·t/ħ
+# overflows a float: refused, not printed as nan figures
+OVERFLOWING_PHASES = {
+    "huge-field": ({"b_tesla": 1e100}, 1e300),
+    "long-time": ({"b_tesla": 1000.0}, 1e305),
+}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_PHASES))
+def test_overflowing_precession_phase_exit_3(tmp_path, capsys, name):
+    field, t_ns = OVERFLOWING_PHASES[name]
+    cfg = write_config(tmp_path, case="B", field=field, window=None,
+                       hadamard_time_ns=t_ns)
+    code, out, err = run_cli(["--config", cfg, "run"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("scenario error: ValueError: precession phase of ")
+    assert err.endswith(f"over t = {t_ns!r} ns overflows\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sweep_to_an_overflowing_precession_phase_exit_3(tmp_path, capsys):
+    cfg = write_config(tmp_path, case="B", field={"b_tesla": 1e100}, window=None)
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param",
+                              "hadamard_time_ns", "--from", "0", "--to",
+                              "1e300", "--steps", "2"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("scenario error: ValueError: precession phase of ")
 
 
 @pytest.mark.parametrize("case", ["A", "B", "degenerate"])
@@ -923,3 +954,56 @@ def test_seed_flag_overrides(tmp_path, capsys):
     _, out_a2, _ = run_cli(["--config", cfg, "--seed", "1", "run"], capsys)
     assert out_a == out_a2
     assert out_a != out_b
+
+
+# --- parser reuse ------------------------------------------------------------
+
+def test_main_reuses_one_parser_without_leaking_state(tmp_path, capsys):
+    """Each call through the parser that earlier calls used prints, writes
+    and exits as the same call through a freshly built parser."""
+    seeded = write_config(tmp_path, "seeded.json", case="degenerate",
+                          field={"b_tesla": 0.0}, window=None)
+    cfg = write_config(tmp_path)
+    out = tmp_path / "out.txt"
+    calls = [
+        ["--config", seeded, "--seed", "5", "run"],
+        ["--config", seeded, "run"],
+        ["--config", seeded, "--out", str(out), "run"],
+        ["--config", seeded, "run"],
+        ["--config", cfg, "tomography", "--format", "csv"],
+        ["--config", cfg, "tomography"],
+        ["--config", cfg, "sweep", "--param", "window.center_offset_ueV",
+         "--from", "-1e1", "--to", "0", "--steps", "2"],
+        DOT_FAIL,
+        ["--help"],
+    ]
+
+    def call(args):
+        code, stdout, err = run_cli(args, capsys)
+        written = out.read_bytes() if out.exists() else None
+        out.unlink(missing_ok=True)
+        return code, stdout, err, written
+
+    reused = [call(args) for args in calls]
+    fresh = []
+    for args in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(call(args))
+    assert reused == fresh
+    assert [r[0] for r in reused] == [0, 0, 0, 0, 2, 0, 0, 1, 0]
+    # without --seed the config's seed is used, not the previous call's 5
+    assert reused[1][1] != reused[0][1]
+    assert reused[2][3] == reused[3][1].encode()
+    assert reused[8][1].startswith("usage: polspin")
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    calls = [["--config", cfg, "levels"], ["--config", cfg, "run"],
+             ["--config", cfg, "tomography"], DOT_PASS,
+             ["--config", cfg, "sweep", "--param", "storage_time_ns",
+              "--from", "0", "--to", "1", "--steps", "1"]]
+    cli._build_parser.cache_clear()
+    for args in calls * 2:
+        assert run_cli(args, capsys)[0] == 0
+    assert cli._build_parser.cache_info().misses == 1
