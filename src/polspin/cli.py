@@ -448,6 +448,11 @@ def main(argv: list[str] | None = None) -> int:
     except (PolspinError, ValueError) as exc:
         sys.stderr.write(f"scenario error: {type(exc).__name__}: {exc}\n")
         return 3
+    except MemoryError as exc:
+        # an mc_samples or --steps too large to allocate; numpy raises a
+        # private subclass, so the builtin is named
+        sys.stderr.write(f"scenario error: MemoryError: {exc}\n")
+        return 3
 
 
 if __name__ == "__main__":

@@ -17,7 +17,12 @@ the whole.  The Monte Carlo sums accumulate over fixed blocks of samples
 in one pass: each block's Pauli vectors are formed once and feed the
 fidelity sums of every point of a sweep and the hole diagnostics of every
 absorb stage it builds, so a sweep row does not depend on how many points
-share its sweep.
+share its sweep.  Where success does not depend on the input (case A
+with its √2 compensation, case B and the degenerate case, each with no
+window or one too narrow to reach the second valence level), the figures
+are quadratic in c and summed by moments: from the block sums of the
+products c_i c_j and of their outer products, with no per-sample work.
+Every other figure is summed per sample, by the ratio.
 
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
@@ -341,6 +346,25 @@ _MC_BLOCK = 2048
 _PAIRS = np.triu_indices(4)
 _PAIR_WEIGHTS = np.where(_PAIRS[0] == _PAIRS[1], 0.25, 0.5)
 _PAIR_ROWS = (0, 4, 7, 9)
+# the weight of the products c_i c_j after c₀² (pair 0) in c·a c is a_ij +
+# a_ji, read as the entries (2, 9) of a flattened 4x4 a; a square c_k²
+# takes a_kk plus a₀₀, the weight of c₀², folded on since c₁² + c₂² + c₃²
+# = c₀² for a unit input
+_FOLD = np.array([np.where(_PAIRS[0][1:] == _PAIRS[1][1:], 0,
+                           4 * _PAIRS[0][1:] + _PAIRS[1][1:]),
+                  4 * _PAIRS[1][1:] + _PAIRS[0][1:]])
+_SQUARES = (_FOLD[0] == 0).astype(float)
+# a denominator a·c whose Bloch part |a₁:₃| is below this share of a₀ is
+# taken as the constant a₀, and its row is summed by moments
+_FLAT_TOL = 1e-13
+
+
+def _is_flat(rows) -> list[bool]:
+    """Which of the (m, 4) linear forms a are constant on unit inputs:
+    each |a_i|, i = 1..3, below _FLAT_TOL·a₀, which needs a₀ > 0.  The
+    few rows of a run are checked in Python floats, cheaper here than
+    numpy's reductions."""
+    return [max(map(abs, a[1:])) < _FLAT_TOL * a[0] for a in rows.tolist()]
 
 
 def _mc_stats(rs, forms, wanted, amps) -> tuple[list[dict], list[dict]]:
@@ -355,53 +379,138 @@ def _mc_stats(rs, forms, wanted, amps) -> tuple[list[dict], list[dict]]:
     vectors c are formed on their own, so no quantity of all n samples is
     held.  The input q q† = ½ Σ c_j σ_j leaves as ½ Σ (r c)_i σ_i, so the
     output trace is t = (r c)₀ = Σ_j r_0j c₀c_j (c₀ = 1) and the fidelity
-    numerator q† Φ(q q†) q is ½ c·r c: both are linear in the ten products
-    c_i c_j, and every PTM's traces and numerators come from one (2P, 10)
-    @ (10, m) product.  An annihilated input (t <= 0) has fidelity 0.
-    Every absorb stage's Gram matrices come from one (H·k², 4) @ (4, m)
-    product (`_sample_hole`).  The P fidelity rows and H hole-purity rows
-    are summed together, x and x², shifted by each row's first x, so that a
-    constant row has a spread of ~0.  A row's figures do not depend on P
-    or H.
+    numerator q† Φ(q q†) q is ½ c·r c; the hole purity is Σ|G_ij|² / (tr G)²
+    with G from the Gram forms.  All are linear in the ten products cc =
+    c_i c_j, formed once per block.  A row whose denominator is constant
+    (`_is_flat`: t = r₀₀, or tr G = d₀ with d the sum of the diagonal
+    forms) is a quadratic form in c, summed by moments (`_MomentSums`);
+    every other row is summed per sample, by the ratio (`_RatioSums`).
+    Each path runs only when it has rows.  A row's path and figures do not
+    depend on P or H.
     """
-    p, h = len(rs), len(forms)
-    i, j = _PAIRS
-    w = np.zeros((2 * p, len(i)))
-    w[:p, :4] = rs[:, 0]
-    w[p:] = _PAIR_WEIGHTS * (rs + rs.transpose(0, 2, 1))[:, i, j]
-    n = len(amps)
+    p, h, n = len(rs), len(forms), len(amps)
+    k = math.isqrt(forms.shape[1])
+    # each row's denominator: t, then tr G
+    flat = _is_flat(rs[:, 0]) + _is_flat(forms[:, :k].sum(axis=1))
     size = min(n, _MC_BLOCK)
-    products = np.empty((len(i), size))
-    y = np.empty((2 * p, size))
-    gram = np.empty((forms.shape[1] * h, size))
-    x = np.empty((p + h, size))     # a block's fidelities, then hole purities
-    sum_t = sum_leak = sum_x = sum_x2 = 0.0
+    if all(flat) or not any(flat):
+        kind = _MomentSums if flat[0] else _RatioSums
+        paths = [(kind(rs, forms, wanted, size), None)]
+    else:
+        flat = np.array(flat)
+        paths = [(kind(rs[on[:p]], forms[on[p:]], wanted, size), on)
+                 for kind, on in ((_MomentSums, flat), (_RatioSums, ~flat))]
+    products = np.empty((len(_PAIRS[0]), size))
     for start in range(0, n, _MC_BLOCK):
         c = pauli_vectors(amps[start:start + _MC_BLOCK])
-        m = c.shape[1]
-        cc, xm = products[:, :m], x[:, :m]
-        for k, row in enumerate(_PAIR_ROWS):
-            np.multiply(c[k], c[k:], out=cc[row:row + 4 - k])
-        np.matmul(w, cc, out=y[:, :m])
-        t = y[:p, :m]
-        sum_t = sum_t + t.sum(axis=1)
-        t[t <= 0] = np.inf
-        np.divide(y[p:, :m], t, out=xm[:p])
-        leak, xm[p:], _ = _sample_hole(forms, wanted, c, out=gram[:, :m])
-        sum_leak = sum_leak + leak.sum(axis=1)
-        if start == 0:
-            shift = xm[:, 0].copy()
-        xm -= shift[:, None]
-        sum_x = sum_x + xm.sum(axis=1)
-        sum_x2 = sum_x2 + np.einsum("rm,rm->r", xm, xm)
-    mean = shift + sum_x / n
-    var = np.maximum(sum_x2 - sum_x * sum_x / n, 0.0) / max(n - 1, 1)
+        cc = products[:, :c.shape[1]]
+        for i, row in enumerate(_PAIR_ROWS):
+            np.multiply(c[i], c[i:], out=cc[row:row + 4 - i])
+        for path, _ in paths:
+            path.add(c, cc)
+    if paths[0][1] is None:
+        mean, var, success, leak = paths[0][0].figures(n)
+    else:
+        mean, var = np.empty(p + h), np.empty(p + h)
+        success, leak = np.empty(p), np.empty(h)
+        for path, on in paths:
+            mean[on], var[on], success[on[:p]], leak[on[p:]] = path.figures(n)
     err, std = np.sqrt(var[:p] / n), np.sqrt(var[p:])
-    return ([{"mean_fidelity": float(mean[k]), "stderr": float(err[k]),
-              "success_probability": float(sum_t[k] / n)} for k in range(p)],
-            [{"leakage": float(sum_leak[k] / n),
-              "hole_purity_mean": float(mean[p + k]),
-              "hole_purity_std": float(std[k])} for k in range(h)])
+    return ([{"mean_fidelity": float(mean[i]), "stderr": float(err[i]),
+              "success_probability": float(success[i])} for i in range(p)],
+            [{"leakage": float(leak[i]),
+              "hole_purity_mean": float(mean[p + i]),
+              "hole_purity_std": float(std[i])} for i in range(h)])
+
+
+class _MomentSums:
+    """Sums by moments of flat rows: each PTM r's fidelity ½ c·r c / r₀₀,
+    then each absorb stage's hole purity c·FᵀF c, F its forms over d₀
+    (scaled before the product, or a faint stage's would underflow), then
+    the successes r₀·c and leakages, linear, as c₀ times their form.  The
+    blocks add up S = Σ cc₁: ccᵀ, the nine products after c₀² against all
+    ten; its first column is S1 = Σ cc₁: on unit inputs (c₀² = 1).  Each
+    figure is x = w·cc₁: with mean s = w·S1 / n, its c₀² weight folded onto
+    the squares (`_FOLD`): that leaves the one w of the figure on the
+    sphere, small where the figure is nearly constant.  Taking s off the
+    weights on the squares leaves w′ with Σ(x − s)² = w′ᵀSw′, free of
+    cancellation.  Every weight, mean and spread is formed row by row (the
+    spread by a matmul batched over rows), so a row does not depend on its
+    stack."""
+
+    def __init__(self, rs, forms, wanted, size):
+        self.rs, self.forms, self.wanted = rs, forms, wanted
+        self.s = 0.0
+
+    def add(self, c, cc):
+        # cc₁: and cc are offset operands, so numpy hands them to BLAS
+        # gemm, which here is faster than the syrk it picks for cc @ cc.T
+        self.s = self.s + cc[1:] @ cc.T
+
+    def figures(self, n):
+        """(mean, variance, success, leakage) per row after n samples."""
+        rs, forms = self.rs, self.forms
+        f, h, k = len(rs), len(forms), math.isqrt(forms.shape[1])
+        a = np.zeros((2 * (f + h), 4, 4))   # each figure is c·a c
+        np.divide(rs, 2.0 * rs[:, :1, :1], out=a[:f])
+        scaled = forms / forms[:, :k, :1].sum(axis=1, keepdims=True)
+        np.matmul(scaled.swapaxes(1, 2), scaled, out=a[f:f + h])
+        a[f + h:2 * f + h, 0] = rs[:, 0]
+        np.sum(scaled[:, self.wanted:k], axis=1, out=a[2 * f + h:, 0])
+        w = a.reshape(-1, 16).take(_FOLD, axis=1).sum(axis=1)
+        mean = (w * self.s[:, 0]).sum(axis=1) / n
+        w = w[:f + h] - mean[:f + h, None] * _SQUARES
+        var = (w[:, None] @ self.s[:, 1:] @ w[:, :, None]).ravel()
+        var = np.maximum(var, 0.0) / (n - 1) if n > 1 else np.zeros_like(var)
+        return (mean[:f + h], var, mean[f + h:2 * f + h],
+                np.maximum(mean[2 * f + h:], 0.0))
+
+
+class _RatioSums:
+    """Per-sample sums of the rows that are not flat, block by block: each
+    PTM r's success t = r₀·c and fidelity ½ c·r c / t, 0 for an annihilated
+    input (t <= 0), then each absorb stage's hole purity and leakage
+    (`_sample_hole`).  Every PTM's traces and numerators come from one
+    (2P, 10) @ (10, m) product with the block's cc.  The figures x and x²
+    are summed shifted by each row's first x, so that a constant row has a
+    spread of ~0."""
+
+    def __init__(self, rs, forms, wanted, size):
+        p = len(rs)
+        i, j = _PAIRS
+        self.w = np.zeros((2 * p, len(i)))
+        self.w[:p, :4] = rs[:, 0]
+        self.w[p:] = _PAIR_WEIGHTS * (rs + rs.transpose(0, 2, 1))[:, i, j]
+        self.forms, self.wanted = forms, wanted
+        self.y = np.empty((2 * p, size))
+        self.gram = np.empty((forms.shape[1] * len(forms), size))
+        self.x = np.empty((p + len(forms), size))
+        self.shift = None
+        self.sum_t = self.sum_x = self.sum_x2 = self.sum_leak = 0.0
+
+    def add(self, c, cc):
+        m, p = c.shape[1], len(self.w) // 2
+        y, x = self.y[:, :m], self.x[:, :m]
+        np.matmul(self.w, cc, out=y)
+        t = y[:p]
+        self.sum_t = self.sum_t + t.sum(axis=1)
+        t[t <= 0] = np.inf
+        np.divide(y[p:], t, out=x[:p])
+        leak, x[p:], _ = _sample_hole(self.forms, self.wanted, c,
+                                      out=self.gram[:, :m])
+        self.sum_leak = self.sum_leak + leak.sum(axis=1)
+        if self.shift is None:
+            self.shift = x[:, 0].copy()
+        x -= self.shift[:, None]
+        self.sum_x = self.sum_x + x.sum(axis=1)
+        self.sum_x2 = self.sum_x2 + np.einsum("rm,rm->r", x, x)
+
+    def figures(self, n):
+        """(mean, variance, success, leakage) per row after n samples."""
+        sum_x = self.sum_x
+        var = np.maximum(self.sum_x2 - sum_x * sum_x / n, 0.0) / max(n - 1, 1)
+        return (self.shift + sum_x / n, var, self.sum_t / n,
+                self.sum_leak / n)
 
 
 def _sample_hole(forms, wanted, c,

@@ -522,6 +522,30 @@ def test_sweep_to_a_dark_point_exit_3(tmp_path, capsys, param, end):
     assert "photon does not couple" in err
 
 
+# sizes whose arrays (4 doubles per sample, 1 per sweep step) exceed any
+# user address space (2**57 bytes) yet fit numpy's index type: numpy
+# refuses them before touching any memory, whatever the kernel's
+# overcommit policy (never test a size that could be allocated)
+HUGE = 10 ** 17
+EFFICIENCY_SWEEP = ["sweep", "--param", "absorption_efficiency", "--from",
+                    "0.5", "--to", "1", "--steps"]
+
+
+@pytest.mark.parametrize("mc_samples,command", [
+    (HUGE, ["run"]),
+    (HUGE, [*EFFICIENCY_SWEEP, "2"]),
+    (200, [*EFFICIENCY_SWEEP, str(HUGE)])])
+def test_unallocatable_size_exit_3(tmp_path, capsys, mc_samples, command):
+    """An mc_samples or --steps too large to allocate is a scenario error,
+    not a traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"case": "degenerate", "mc_samples": mc_samples}),
+                   encoding="utf-8")
+    code, out, err = run_cli(["--config", str(cfg), *command], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("scenario error: MemoryError: Unable to allocate ")
+
+
 def test_unknown_keys_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, noise={"t2_si": 1.0}, storage_time=1e9)
     code, out, err = run_cli(["--config", cfg, "run"], capsys)

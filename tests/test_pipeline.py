@@ -14,7 +14,7 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               process_tomography, run_detection,
                               run_end_to_end, scenario_report, sweep,
                               end_to_end_stages, _compose, _gram_forms,
-                              _input_hole, _mc_stats, _sample_hole)
+                              _input_hole, _is_flat, _mc_stats, _sample_hole)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
@@ -461,6 +461,90 @@ def test_fidelity_stats_matches_dense_oracle(n):
         assert _fidelity_stats(rs[k:k + 1], amps) == [stats]
     if n == 1:
         assert all(stats["stderr"] == 0.0 for stats in got)
+
+
+# The paper's working schemes succeed with the same probability for every
+# input: the √2 compensation does that for case A.  Their trace rows are
+# flat, and their Monte Carlo rows are summed by moments.
+FLAT_CONFIGS = {
+    "case_a_compensated": cfg_case_a(window=None),
+    "case_b_window": cfg_case_b(hadamard_time_ns=0.17862),
+    "degenerate": cfg_degenerate(),
+}
+TILTED_CONFIGS = {
+    "case_a_uncompensated": cfg_case_a(window=None, compensate=False),
+    "case_a_window_800": cfg_case_a(window=SpectralWindow(800.0)),
+}
+
+
+def _denominator_rows(cfg):
+    """The trace row of cfg's composed PTM and the Gram trace row of its
+    absorb stage (the sum of its diagonal forms)."""
+    stages = end_to_end_stages(cfg)
+    forms = stages[0].branch_forms
+    return np.array([_compose(stages)[0],
+                     forms[:math.isqrt(len(forms))].sum(axis=0)])
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_CONFIGS) + sorted(TILTED_CONFIGS))
+def test_compensation_makes_the_channel_flat(name):
+    """Compensated case A, case B with a 100 µeV window (read out in sync)
+    and the degenerate case have an input-independent success, in the
+    composed channel and at absorption; without compensation, or with a
+    window wide enough to reach the second valence level, case A has not."""
+    rows = _denominator_rows({**FLAT_CONFIGS, **TILTED_CONFIGS}[name])
+    assert _is_flat(rows) == [name in FLAT_CONFIGS] * 2
+    if name == "case_a_uncompensated":
+        assert np.max(np.abs(rows - [0.5, 0.0, 0.0, 1.0 / 6.0])) < 1e-12
+
+
+@pytest.mark.parametrize("share", [0.5, 2.0])
+def test_flat_tolerance_edge_matches_dense_oracle(share):
+    """A trace row (a, δ, 0, 0) just inside the flatness tolerance is
+    summed by moments as the constant a, one just outside by the ratio:
+    both give the dense per-sample figures at 1e-12."""
+    r = _compose(end_to_end_stages(FLAT_CONFIGS["case_a_compensated"]))
+    r[0, 1] = share * pipeline._FLAT_TOL * r[0, 0]
+    assert _is_flat(r[None, 0])[0] == (share < 1.0)
+    amps = haar_qubits(31, 5000)
+    [stats] = _fidelity_stats(r[None], amps)
+    want = _dense_stats(r, pauli_vectors(amps))
+    for key, value in stats.items():
+        assert abs(value - want[key]) < 1e-12, key
+
+
+def _count_paths(monkeypatch):
+    """Counts of the moment and ratio passes built and of _sample_hole
+    calls."""
+    calls = {"_MomentSums": 0, "_RatioSums": 0, "_sample_hole": 0}
+    for name in calls:
+        def counted(*args, _name=name, _original=getattr(pipeline, name),
+                    **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    return calls
+
+
+def test_flat_rows_do_no_per_sample_work(monkeypatch):
+    """The benchmark's sweep config is flat at every point: neither its
+    sweep nor its report runs the per-sample ratio pass, and the report
+    calls _sample_hole once, for its reference input's entropy.  A tilted
+    config runs the ratio pass alone, with no moment sums; a bandwidth
+    sweep that crosses into the second valence level runs both, once."""
+    cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(1, 0, 0.0),
+                     mc_samples=5000)
+    calls = _count_paths(monkeypatch)
+    sweep(cfg, "noise.transport_time_ns", np.linspace(0.0, 50.0, 5))
+    assert calls == {"_MomentSums": 1, "_RatioSums": 0, "_sample_hole": 0}
+    scenario_report(cfg)
+    assert calls == {"_MomentSums": 2, "_RatioSums": 0, "_sample_hole": 1}
+    monte_carlo_average_fidelity(TILTED_CONFIGS["case_a_window_800"], 5000)
+    assert calls == {"_MomentSums": 2, "_RatioSums": 1, "_sample_hole": 4}
+    sweep(replace(TILTED_CONFIGS["case_a_window_800"], mc_samples=500),
+          "window.bandwidth_ueV", [50.0, 800.0])
+    assert calls == {"_MomentSums": 3, "_RatioSums": 2, "_sample_hole": 5}
 
 
 def test_fidelity_stats_ideal_map_has_no_spread():
