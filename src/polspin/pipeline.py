@@ -5,32 +5,33 @@ Every stage of a scenario is a conditional linear map on the 2x2 logical
 qubit density matrix (logical amplitudes mean: alpha on the first slot of
 the photon basis its case fixes), held as its real 4x4 Pauli transfer matrix
 (PTM; conventions in qstate).  Stages compose by matrix product into one
-PTM R, so a Monte Carlo run evaluates every per-sample quantity as a
-quadratic form on the Pauli vectors c = (1, Bloch vector) of the Haar
-inputs: trace (R c)₀, fidelity numerator ½ c·R c, and the absorption
-branches' Gram matrix G_ij = ½ c·m_ij, which fixes the hole state.
-It is deterministic for a given (seed, sample count), and prefix-stable:
-the first m of n samples do not depend on n.  Sample i is not tied to a
-fixed slice of the random stream (the normal sampler rejects and redraws),
-so a run cannot be split into independently seeded chunks that reproduce
-the whole.  The Monte Carlo sums accumulate over fixed blocks of samples
-in one pass: each block's Pauli vectors are formed once and feed the
-fidelity sums of every point of a sweep and the hole diagnostics of every
-absorb stage it builds, so a sweep row does not depend on how many points
-share its sweep.  Where success does not depend on the input (case A
-with its √2 compensation, case B and the degenerate case, each with no
-window or one too narrow to reach the second valence level), the figures
-are quadratic in c and summed by moments: from the block sums of the
-products c_i c_j and of their outer products, with no per-sample work.
-Every other figure is summed per sample, by the ratio.
+PTM R.  Every Monte Carlo figure (fidelity and success through R, hole
+purity and leakage at absorption) is one figure row (`_fold`), a
+quadratic form in the Pauli vector c = (1, Bloch vector) of a Haar input
+over a power of a linear form in c: `_ptm_rows` writes those of the PTMs,
+`_hole_rows` those of an absorb stage, and the Monte Carlo sums, the
+per-sample ratio and the reference input all read these rows.
+The Monte Carlo run is deterministic for a given (seed, sample count), and
+prefix-stable: the first m of n samples do not depend on n.  Sample i is
+not tied to a fixed slice of the random stream (the normal sampler rejects
+and redraws), so a run cannot be split into independently seeded chunks
+that reproduce the whole.  The sums accumulate over fixed blocks of samples
+in one pass: each block's Pauli vectors are formed once and feed the rows
+of every point of a sweep and of every absorb stage it builds, so a sweep
+row does not depend on how many points share its sweep.  A row whose
+denominator does not depend on the input (case A with its √2
+compensation, case B and the degenerate case, each with no window or one
+too narrow to reach the second valence level) is summed by moments: from
+the block sums of the products c_i c_j and of their outer products, with
+no per-sample work.  So is every success row, which has no denominator.
+Every other row is summed per sample, by the ratio.
 
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
 (z/x polarization -> mS spin pair -> eigenbasis -> Si donor spin), because
 each stage's builder folds in its frame and diagnostics: the runs take the
-physics from the Stage records (hole forms, collection row), not the config.
+physics from the Stage records (hole rows, collection row), not the config.
 """
-
 from __future__ import annotations
 
 import math
@@ -151,17 +152,16 @@ class Stage:
 
     Its builder in `_STAGE_BUILDERS` owns its physics, frame and
     diagnostics; no run reads them from the config.  The absorb stage
-    also holds the Gram forms of the unscaled physical absorption branches
-    (`_gram_forms`), which give each input's hole state, and how many
-    branches are wanted: they come first, and the rest's weight is
-    leakage.  The emit stage holds the collection row: an electron with
-    logical Pauli vector v is collected with fraction row·v / v₀.
+    also holds its hole rows: the figure rows (`_hole_rows`) of the
+    leakage and hole purity of each input, from the unscaled physical
+    absorption branches.  The emit stage holds the collection row: an
+    electron with logical Pauli vector v is collected with fraction
+    row·v / v₀.
     """
 
     name: str
     ptm: np.ndarray = field(repr=False)
-    branch_forms: np.ndarray | None = field(default=None, repr=False)
-    wanted_branches: int = 0
+    hole_rows: tuple | None = field(default=None, repr=False)
     collection_row: np.ndarray | None = field(default=None, repr=False)
 
 
@@ -191,46 +191,28 @@ def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray
     return np.linalg.matrix_power(hop, abs(hops))
 
 
-# branch count k (one or two holes) -> the diagonal of a k x k matrix and
-# its pairs i < j
-_GRAM_INDEX = {k: (np.arange(k), *np.triu_indices(k, 1)) for k in (1, 2)}
-
-
-def _gram_forms(kraus) -> np.ndarray:
-    """Real (k², 4) rows f: f @ c is the Gram matrix G_ij = ⟨K_j q|K_i q⟩
-    = ½ c·m_ij, m_ij,l = tr(σ_l K_j†K_i), of the k branches K at the input
-    q with Pauli vector c, in the orthonormal basis of Hermitian matrices:
-    G_ii, then √2 Re G_ij and √2 Im G_ij for i < j (length² Σ|G_ij|²)."""
-    m = np.einsum("lab,jcb,ica->ijl", PAULIS, np.conj(kraus), kraus)
-    d, i, j = _GRAM_INDEX[len(kraus)]
-    return np.concatenate([0.5 * m[d, d].real, math.sqrt(0.5) * m[i, j].real,
-                           math.sqrt(0.5) * m[i, j].imag])
-
-
 def _refuse_dark(row):
     """Refuse a map whose PTM has row 0 `row`: an input with Bloch vector r
     passes with weight row₀ + row₁:₃·r, at best row₀ + |row₁:₃|.  Below the
     smallest normal float that weight is dark, as every later ratio would
     overflow."""
-    if row[0] + np.linalg.norm(row[1:]) < np.finfo(float).tiny:
+    if row[0] + math.hypot(*row[1:]) < np.finfo(float).tiny:
         raise ValueError("photon does not couple to this scheme")
 
 
 def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    """The absorb stage; one whose physical branches are dark is refused
-    (their diagonal Gram forms sum to row 0 of their PTM).  Its branches
-    are the physical ones in the logical frame, scaled by the absorption
-    efficiency and renormalised if need be so that sum K†K <= I."""
+    """The absorb stage, with the hole rows of its physical branches, which
+    refuse them if they are dark.  Its branches are the physical ones in
+    the logical frame, scaled by the absorption efficiency and renormalised
+    if need be so that sum K†K <= I."""
     branches = absorption_branches(scheme, cfg.window, cfg.compensate)
     physical = [br.kraus for br in branches]
-    forms = _gram_forms(physical)
-    _refuse_dark(forms[:len(physical)].sum(axis=0))
+    holes = _hole_rows(physical, sum(not br.unwanted for br in branches))
     ks = _detection_frame(cfg.case) @ np.asarray(physical)
     total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
     top = float(np.max(np.linalg.eigvalsh(total)).real)
     ks *= math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
-    return Stage("absorb", ptm_from_kraus(ks), forms,
-                 sum(not br.unwanted for br in branches))
+    return Stage("absorb", ptm_from_kraus(ks), holes)
 
 
 def _transport_leg(cfg: ScenarioConfig, scheme: BandScheme,
@@ -340,11 +322,9 @@ def haar_qubits(seed: int, n: int) -> np.ndarray:
 # Monte Carlo sums accumulate over fixed blocks of this many samples, so a
 # point's figures do not depend on how many points share the pass.
 _MC_BLOCK = 2048
-# the ten products c_i c_j (i <= j) of a Pauli vector's entries, the weight
-# of r_ij + r_ji on each in ½ c·r c, and the row where the products
-# c_k c_k.. of each k begin
+# the ten products c_i c_j (i <= j) of a Pauli vector's entries, and the
+# row where the products c_k c_k.. of each k begin
 _PAIRS = np.triu_indices(4)
-_PAIR_WEIGHTS = np.where(_PAIRS[0] == _PAIRS[1], 0.25, 0.5)
 _PAIR_ROWS = (0, 4, 7, 9)
 # the weight of the products c_i c_j after c₀² (pair 0) in c·a c is a_ij +
 # a_ji, read as the entries (2, 9) of a flattened 4x4 a; a square c_k²
@@ -359,6 +339,68 @@ _SQUARES = (_FOLD[0] == 0).astype(float)
 _FLAT_TOL = 1e-13
 
 
+def _fold(a, d, p) -> tuple:
+    """Figure rows (w, d, p) of the numerators c·a c, a (R, 4, 4), over the
+    denominator rows d (R, 4) to the powers p (R,), ascending: x = w·cc₁: /
+    (d·c)^p at a unit input with Pauli vector c and products cc (`_PAIRS`),
+    and 0 where d·c <= 0 and p > 0.  Each c·a c has its c₀² weight folded
+    onto the squares (`_FOLD`), so w holds the nine weights of the products
+    after c₀²."""
+    return a.reshape(-1, 16).take(_FOLD, axis=1).sum(axis=1), d, p
+
+
+def _ptm_rows(rs) -> tuple:
+    """The figure rows (`_fold`) of the (P, 4, 4) PTM stack rs: each r's
+    success r₀·c (p = 0), then each r's fidelity, the numerator
+    q† Φ(q q†) q = ½ c·r c over the output trace r₀·c (p = 1).  The
+    fidelity is divided by r₀₀ first, so d₀ = 1."""
+    r = rs / rs[:, :1, :1]
+    a = np.zeros((2, len(rs), 4, 4))
+    a[0, :, 0] = rs[:, 0]
+    np.multiply(r, 0.5, out=a[1])
+    return _fold(a, np.concatenate((r[:, 0], r[:, 0])),
+                 np.arange(2).repeat(len(rs)))
+
+
+def _hole_rows(kraus, wanted) -> tuple:
+    """The figure rows (`_fold`) of one absorb stage with the k physical
+    branches `kraus`, the first `wanted` of them wanted: their Gram matrix
+    G_ij = ⟨K_j q|K_i q⟩ = ½ m_ij·c, m_ij,l = tr(σ_l K_j†K_i), leaves the
+    hole in G / tr G, with tr G = D·c, D = ½ Σ m_ii.  So its leakage is the
+    unwanted G_ii summed over D·c (p = 1), then its purity is
+    Σ|G_ij|² / (tr G)² = ¼ c·Re(MᴴM) c / (D·c)², M the k² rows m_ij
+    (p = 2); dark branches are refused.  The m are divided by 2D₀ first, so
+    d₀ = 1 (before the product, or a faint stage's MᴴM would underflow)."""
+    m = np.einsum("lab,jcb,ica->ijl", PAULIS, np.conj(kraus),
+                  kraus).reshape(-1, 4)
+    diag = m[::len(kraus) + 1].real    # the m_ii: a view, scaled with m
+    _refuse_dark(0.5 * diag.sum(axis=0))
+    m /= diag[:, 0].sum()
+    a = np.zeros((2, 4, 4))
+    np.sum(diag[wanted:], axis=0, out=a[0, 0])
+    a[1] = (m.conj().T @ m).real
+    return _fold(a, np.tile(diag.sum(axis=0), (2, 1)), np.array((1, 2)))
+
+
+def _ratios(rows, cc) -> np.ndarray:
+    """The (R, m) figures x = w·cc₁: / (d·c)^p of the figure rows (w, d, p),
+    p ascending, each 1 or 2, at the m inputs with products cc; 0 where
+    d·c <= 0, as for an annihilated input.  One product of 2R rows gives
+    numerators and denominators d·cc₀:₄ (c₀ c = c on unit inputs): BLAS
+    takes it by gemm, which rounds each row the same way in any stack (a
+    one-row product would go to gemv, which rounds otherwise)."""
+    w, d, p = rows
+    a = np.zeros((2 * len(w), len(_PAIRS[0])))
+    a[:len(w), 1:], a[len(w):, :4] = w, d
+    y = a @ cc
+    x, den = y[:len(p)], y[len(p):]
+    den[den <= 0] = np.inf
+    x /= den
+    twice = np.searchsorted(p, 2)
+    x[twice:] /= den[twice:]
+    return x
+
+
 def _is_flat(rows) -> list[bool]:
     """Which of the (m, 4) linear forms a are constant on unit inputs:
     each |a_i|, i = 1..3, below _FLAT_TOL·a₀, which needs a₀ > 0.  The
@@ -367,138 +409,97 @@ def _is_flat(rows) -> list[bool]:
     return [max(map(abs, a[1:])) < _FLAT_TOL * a[0] for a in rows.tolist()]
 
 
-def _mc_stats(rs, forms, wanted, amps) -> tuple[list[dict], list[dict]]:
+def _mc_stats(rs, holes, amps) -> tuple[list[dict], list[dict]]:
     """The Monte Carlo figures of the pure inputs, the rows of the (n, 2)
     amplitude array amps: mean fidelity, its standard error and mean
     success through each composed PTM of the (P, 4, 4) stack rs, and mean
-    leakage, hole-purity mean and standard deviation of each absorb stage
-    whose Gram forms are stacked in the (H, k², 4) array forms, each with
-    `wanted` wanted branches; one dict per PTM and one per absorb stage.
+    leakage, hole-purity mean and standard deviation of each of H absorb
+    stages, whose hole rows (`Stage.hole_rows`) are stacked in `holes`:
+    the H leakage rows, then the H purity rows; one dict per PTM and one
+    per absorb stage.
 
-    One pass over fixed blocks of _MC_BLOCK samples: each block's Pauli
-    vectors c are formed on their own, so no quantity of all n samples is
-    held.  The input q q† = ½ Σ c_j σ_j leaves as ½ Σ (r c)_i σ_i, so the
-    output trace is t = (r c)₀ = Σ_j r_0j c₀c_j (c₀ = 1) and the fidelity
-    numerator q† Φ(q q†) q is ½ c·r c; the hole purity is Σ|G_ij|² / (tr G)²
-    with G from the Gram forms.  All are linear in the ten products cc =
-    c_i c_j, formed once per block.  A row whose denominator is constant
-    (`_is_flat`: t = r₀₀, or tr G = d₀ with d the sum of the diagonal
-    forms) is a quadratic form in c, summed by moments (`_MomentSums`);
-    every other row is summed per sample, by the ratio (`_RatioSums`).
-    Each path runs only when it has rows.  A row's path and figures do not
-    depend on P or H.
+    Every figure is a row x = w·cc₁: / (d·c)^p (`_fold`), whose numerator
+    is linear in the ten products cc = c_i c_j of each input's Pauli
+    vector c; one pass over fixed blocks of _MC_BLOCK samples forms them
+    once per block, and no quantity of all n samples is held.  The rows
+    are stacked by ascending p: successes, fidelities, leakages, purities.
+    A row that is a quadratic form in c on unit inputs, its p = 0 or its
+    denominator constant (`_is_flat`: d·c = d₀ = 1), is summed by moments
+    (`_MomentSums`); every other row per sample, by the ratio
+    (`_RatioSums`), which runs only when some row is not flat.  Leakage is
+    clipped at 0 at the end, as a form can round below ||K q||² = 0.  A
+    row's path and figures do not depend on P or H.
     """
-    p, h, n = len(rs), len(forms), len(amps)
-    k = math.isqrt(forms.shape[1])
-    # each row's denominator: t, then tr G
-    flat = _is_flat(rs[:, 0]) + _is_flat(forms[:, :k].sum(axis=1))
-    size = min(n, _MC_BLOCK)
-    if all(flat) or not any(flat):
-        kind = _MomentSums if flat[0] else _RatioSums
-        paths = [(kind(rs, forms, wanted, size), None)]
-    else:
-        flat = np.array(flat)
-        paths = [(kind(rs[on[:p]], forms[on[p:]], wanted, size), on)
-                 for kind, on in ((_MomentSums, flat), (_RatioSums, ~flat))]
-    products = np.empty((len(_PAIRS[0]), size))
+    p, n = len(rs), len(amps)
+    rows = tuple(map(np.concatenate, zip(_ptm_rows(rs), holes)))
+    flat = np.logical_or(_is_flat(rows[1]), rows[2] == 0)
+    # a flat stack is summed whole: copying its rows out slows a report
+    paths = [(_MomentSums(rows), slice(None))] if flat.all() else [
+        (kind(tuple(x[on] for x in rows)), on)
+        for kind, on in ((_MomentSums, flat), (_RatioSums, ~flat))]
+    products = np.empty((len(_PAIRS[0]), min(n, _MC_BLOCK)))
     for start in range(0, n, _MC_BLOCK):
         c = pauli_vectors(amps[start:start + _MC_BLOCK])
         cc = products[:, :c.shape[1]]
         for i, row in enumerate(_PAIR_ROWS):
             np.multiply(c[i], c[i:], out=cc[row:row + 4 - i])
         for path, _ in paths:
-            path.add(c, cc)
-    if paths[0][1] is None:
-        mean, var, success, leak = paths[0][0].figures(n)
-    else:
-        mean, var = np.empty(p + h), np.empty(p + h)
-        success, leak = np.empty(p), np.empty(h)
-        for path, on in paths:
-            mean[on], var[on], success[on[:p]], leak[on[p:]] = path.figures(n)
-    err, std = np.sqrt(var[:p] / n), np.sqrt(var[p:])
-    return ([{"mean_fidelity": float(mean[i]), "stderr": float(err[i]),
+            path.add(cc)
+    mean, var = np.empty((2, len(flat)))
+    for path, on in paths:
+        mean[on], var[on] = path.figures(n)
+    var = np.maximum(var, 0.0) / (n - 1) if n > 1 else np.zeros_like(var)
+    success, fidelity = mean[:2 * p].reshape(2, p)
+    leak, purity = mean[2 * p:].reshape(2, -1)
+    err, std = np.sqrt(var[p:2 * p] / n), np.sqrt(var[2 * p + len(leak):])
+    leak = np.maximum(leak, 0.0)
+    return ([{"mean_fidelity": float(fidelity[i]), "stderr": float(err[i]),
               "success_probability": float(success[i])} for i in range(p)],
-            [{"leakage": float(leak[i]),
-              "hole_purity_mean": float(mean[p + i]),
-              "hole_purity_std": float(std[i])} for i in range(h)])
+            [{"leakage": float(leak[i]), "hole_purity_mean": float(purity[i]),
+              "hole_purity_std": float(std[i])} for i in range(len(leak))])
 
 
 class _MomentSums:
-    """Sums by moments of flat rows: each PTM r's fidelity ½ c·r c / r₀₀,
-    then each absorb stage's hole purity c·FᵀF c, F its forms over d₀
-    (scaled before the product, or a faint stage's would underflow), then
-    the successes r₀·c and leakages, linear, as c₀ times their form.  The
+    """Sums by moments of flat figure rows, x = w·cc₁: on unit inputs: the
     blocks add up S = Σ cc₁: ccᵀ, the nine products after c₀² against all
-    ten; its first column is S1 = Σ cc₁: on unit inputs (c₀² = 1).  Each
-    figure is x = w·cc₁: with mean s = w·S1 / n, its c₀² weight folded onto
-    the squares (`_FOLD`): that leaves the one w of the figure on the
-    sphere, small where the figure is nearly constant.  Taking s off the
-    weights on the squares leaves w′ with Σ(x − s)² = w′ᵀSw′, free of
-    cancellation.  Every weight, mean and spread is formed row by row (the
-    spread by a matmul batched over rows), so a row does not depend on its
+    ten; its first column is S1 = Σ cc₁: (c₀² = 1), so the mean is
+    s = w·S1 / n.  The folded weights leave the one w of the figure on the
+    sphere, small where the figure is nearly constant, and taking s off
+    the weights on the squares leaves w′ with Σ(x − s)² = w′ᵀSw′, free of
+    cancellation.  Every mean and spread is formed row by row (the spread
+    by a matmul batched over rows), so a row does not depend on its
     stack."""
 
-    def __init__(self, rs, forms, wanted, size):
-        self.rs, self.forms, self.wanted = rs, forms, wanted
+    def __init__(self, rows):
+        self.w = rows[0]
         self.s = 0.0
 
-    def add(self, c, cc):
+    def add(self, cc):
         # cc₁: and cc are offset operands, so numpy hands them to BLAS
         # gemm, which here is faster than the syrk it picks for cc @ cc.T
         self.s = self.s + cc[1:] @ cc.T
 
     def figures(self, n):
-        """(mean, variance, success, leakage) per row after n samples."""
-        rs, forms = self.rs, self.forms
-        f, h, k = len(rs), len(forms), math.isqrt(forms.shape[1])
-        a = np.zeros((2 * (f + h), 4, 4))   # each figure is c·a c
-        np.divide(rs, 2.0 * rs[:, :1, :1], out=a[:f])
-        scaled = forms / forms[:, :k, :1].sum(axis=1, keepdims=True)
-        np.matmul(scaled.swapaxes(1, 2), scaled, out=a[f:f + h])
-        a[f + h:2 * f + h, 0] = rs[:, 0]
-        np.sum(scaled[:, self.wanted:k], axis=1, out=a[2 * f + h:, 0])
-        w = a.reshape(-1, 16).take(_FOLD, axis=1).sum(axis=1)
-        mean = (w * self.s[:, 0]).sum(axis=1) / n
-        w = w[:f + h] - mean[:f + h, None] * _SQUARES
-        var = (w[:, None] @ self.s[:, 1:] @ w[:, :, None]).ravel()
-        var = np.maximum(var, 0.0) / (n - 1) if n > 1 else np.zeros_like(var)
-        return (mean[:f + h], var, mean[f + h:2 * f + h],
-                np.maximum(mean[2 * f + h:], 0.0))
+        """(mean, sum of squared deviations) per row after n samples."""
+        mean = (self.w * self.s[:, 0]).sum(axis=1) / n
+        w = self.w - mean[:, None] * _SQUARES
+        return mean, (w[:, None] @ self.s[:, 1:] @ w[:, :, None]).ravel()
 
 
 class _RatioSums:
-    """Per-sample sums of the rows that are not flat, block by block: each
-    PTM r's success t = r₀·c and fidelity ½ c·r c / t, 0 for an annihilated
-    input (t <= 0), then each absorb stage's hole purity and leakage
-    (`_sample_hole`).  Every PTM's traces and numerators come from one
-    (2P, 10) @ (10, m) product with the block's cc.  The figures x and x²
-    are summed shifted by each row's first x, so that a constant row has a
-    spread of ~0."""
+    """Per-sample sums of figure rows that are not flat, block by block:
+    each sample's x (`_ratios`), every row's numerator and denominator from
+    one (2R, 10) @ (10, m) product with the block's cc.  The figures x and
+    x² are summed shifted by each row's first x, so that a constant row has
+    a spread of ~0."""
 
-    def __init__(self, rs, forms, wanted, size):
-        p = len(rs)
-        i, j = _PAIRS
-        self.w = np.zeros((2 * p, len(i)))
-        self.w[:p, :4] = rs[:, 0]
-        self.w[p:] = _PAIR_WEIGHTS * (rs + rs.transpose(0, 2, 1))[:, i, j]
-        self.forms, self.wanted = forms, wanted
-        self.y = np.empty((2 * p, size))
-        self.gram = np.empty((forms.shape[1] * len(forms), size))
-        self.x = np.empty((p + len(forms), size))
+    def __init__(self, rows):
+        self.rows = rows
         self.shift = None
-        self.sum_t = self.sum_x = self.sum_x2 = self.sum_leak = 0.0
+        self.sum_x = self.sum_x2 = 0.0
 
-    def add(self, c, cc):
-        m, p = c.shape[1], len(self.w) // 2
-        y, x = self.y[:, :m], self.x[:, :m]
-        np.matmul(self.w, cc, out=y)
-        t = y[:p]
-        self.sum_t = self.sum_t + t.sum(axis=1)
-        t[t <= 0] = np.inf
-        np.divide(y[p:], t, out=x[:p])
-        leak, x[p:], _ = _sample_hole(self.forms, self.wanted, c,
-                                      out=self.gram[:, :m])
-        self.sum_leak = self.sum_leak + leak.sum(axis=1)
+    def add(self, cc):
+        x = _ratios(self.rows, cc)
         if self.shift is None:
             self.shift = x[:, 0].copy()
         x -= self.shift[:, None]
@@ -506,47 +507,23 @@ class _RatioSums:
         self.sum_x2 = self.sum_x2 + np.einsum("rm,rm->r", x, x)
 
     def figures(self, n):
-        """(mean, variance, success, leakage) per row after n samples."""
-        sum_x = self.sum_x
-        var = np.maximum(self.sum_x2 - sum_x * sum_x / n, 0.0) / max(n - 1, 1)
-        return (self.shift + sum_x / n, var, self.sum_t / n,
-                self.sum_leak / n)
+        """(mean, sum of squared deviations) per row after n samples."""
+        return self.shift + self.sum_x / n, self.sum_x2 - self.sum_x ** 2 / n
 
 
-def _sample_hole(forms, wanted, c,
-                 out=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-sample (leakage, hole purity, tr G) of the inputs with Pauli
-    vectors c (4, m): each (m,) for the (k², 4) Gram forms of one absorb
-    stage, or (H, m) for the forms of H stages stacked (H, k², 4), whose
-    Gram matrices come from one product, written to out if given.  The
-    hole levels are orthonormal, so the hole is left in G / tr G: purity
-    Σ|G_ij|² / (tr G)², leakage the unwanted diagonal entries G_ii,
-    i >= wanted, summed over tr G (0 when every branch is wanted).  The
-    diagonal is clipped at 0, as a form can round below ||K q||² = 0."""
-    k = math.isqrt(forms.shape[-2])
-    g = np.matmul(forms.reshape(-1, 4), c, out=out)
-    g = g.reshape(forms.shape[:-1] + g.shape[-1:])
-    diag = g[..., :k, :]
-    np.maximum(diag, 0.0, out=diag)
-    total = diag.sum(axis=-2)
-    g /= np.where(total > 0, total, 1.0)[..., None, :]
-    purity = np.einsum("...in,...in->...n", g, g)
-    return g[..., wanted:k, :].sum(axis=-2), purity, total
-
-
-def _input_hole(absorb: Stage, q) -> tuple[float, float, float]:
-    """(leakage, hole purity P, entanglement entropy in bits) of one input
-    q, which must couple, at the absorb stage.  The electron is a qubit, so
-    the hole has at most two non-zero eigenvalues, λ± = (1 ± √(2P − 1))/2."""
-    leak, purity, total = _sample_hole(absorb.branch_forms, absorb.wanted_branches,
-                                       pauli_vectors(q[None, :]))
-    if total[0] <= 0:
+def _input_hole(absorb: Stage, c) -> tuple[float, float, float]:
+    """(leakage, hole purity P, entanglement entropy in bits) of the one
+    input with Pauli vector c (4, 1), which must couple, at the absorb
+    stage: its hole rows read at c.  The electron is a qubit, so the hole
+    has at most two non-zero eigenvalues, λ± = (1 ± √(2P − 1))/2."""
+    if absorb.hole_rows[1][0] @ c[:, 0] <= 0:
         raise ValueError("photon does not couple to this scheme")
+    leak, purity = _ratios(absorb.hole_rows, c[_PAIRS[0]] * c[_PAIRS[1]])
     s = math.sqrt(min(max(2.0 * purity[0] - 1.0, 0.0), 1.0))
     entropy = -sum(x * math.log2(x) for x in ((1 + s) / 2, (1 - s) / 2)
                    if x > 0)
     # adding 0.0 turns the -0.0 of a product state into 0.0
-    return float(leak[0]), float(purity[0]), entropy + 0.0
+    return max(0.0, float(leak[0])), float(purity[0]), entropy + 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -660,18 +637,18 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     """Absorb a photon qubit, cross the interface and park the qubit in the
     donor chain; returns the stored qubit (`logical_rho`, normalised) plus
     per-stage diagnostics."""
-    q = _unit(q)
+    c = pauli_vectors(_unit(q)[None])
     stages = detection_stages(cfg, cfg.scheme())
-    leak, purity, entropy = _input_hole(stages[0], q)
-    trace, vectors = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
+    leak, purity, entropy = _input_hole(stages[0], c)
+    trace, vectors = _stage_trace(stages, c[:, 0])
     return DetectionResult(
         logical_rho=_output_state(vectors[-1]), stages=tuple(trace),
         success_probability=trace[-1].success, leakage=leak,
         hole_purity=purity, entanglement_entropy_bits=entropy)
 
 
-def _run_end_to_end(q, stages) -> EndToEndResult:
-    trace, vectors = _stage_trace(stages, pauli_vectors(q[None, :])[:, 0])
+def _run_end_to_end(c, stages) -> EndToEndResult:
+    trace, vectors = _stage_trace(stages, c[:, 0])
     # the electron that reaches the emitter, through the emit stage's row
     v = vectors[-2]
     collection = float(stages[-1].collection_row @ v / v[0]) if v[0] > 0 else 0.0
@@ -687,12 +664,11 @@ def run_end_to_end(q, cfg: ScenarioConfig) -> EndToEndResult:
     scenario that passes no input is refused."""
     stages = end_to_end_stages(cfg)
     _compose(stages)
-    return _run_end_to_end(_unit(q), stages)
+    return _run_end_to_end(pauli_vectors(_unit(q)[None]), stages)
 
 
 def _run_monte_carlo(r, absorb: Stage, amps) -> MonteCarloResult:
-    [fid], [hole] = _mc_stats(r[None], absorb.branch_forms[None],
-                              absorb.wanted_branches, amps)
+    [fid], [hole] = _mc_stats(r[None], absorb.hole_rows, amps)
     return MonteCarloResult(n_samples=len(amps), **fid, **hole)
 
 
@@ -726,9 +702,9 @@ def scenario_report(cfg: ScenarioConfig) -> ChannelReport:
     building the scheme and the stage list once for all of them."""
     stages = end_to_end_stages(cfg)
     r = _compose(stages)
-    q = _unit(cfg.input_qubit)
-    _, _, entropy = _input_hole(stages[0], q)
-    e2e = _run_end_to_end(q, stages)
+    c = pauli_vectors(_unit(cfg.input_qubit)[None])
+    _, _, entropy = _input_hole(stages[0], c)
+    e2e = _run_end_to_end(c, stages)
     mc = _run_monte_carlo(r, stages[0], haar_qubits(cfg.seed, cfg.mc_samples))
     return ChannelReport(
         case=cfg.case, round_trip_fidelity=e2e.round_trip_fidelity,
@@ -802,7 +778,8 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     Every point's config is built before any stage, and a value its field
     refuses is refused as a KeyError naming the parameter.  A sweep over
     two or more distinct values whose every point has the first point's
-    composed PTM and absorb Gram forms, to 1e-12, is refused as flat.
+    composed PTM and absorb hole rows, each to 1e-12 of the first point's
+    largest entry, is refused as flat.
     """
     set_value = _setter(cfg, param)
     touched = _SWEEPABLE[param]
@@ -813,7 +790,7 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
             points.append(set_value(v))
         except ValueError as exc:
             raise KeyError(f"sweeping {param} to {v!r}: {exc}") from None
-    ptms, forms = [], []
+    ptms, holes = [], []
     stages = None
     for sub in points:
         if stages is None:
@@ -825,18 +802,21 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
                 scheme = sub.scheme()
             stages = [_STAGE_BUILDERS[st.name](sub, scheme)
                       if st.name in touched else st for st in stages]
-        if not forms or "absorb" in touched:
-            forms.append(stages[0].branch_forms)
+        if not holes or "absorb" in touched:
+            holes.append(stages[0].hole_rows)
         ptms.append(_compose(stages))
     if not ptms:
         return []
-    rs, fs = np.array(ptms), np.array(forms)
-    if len(set(values)) > 1 and all(np.max(np.abs(x - x[0])) <= 1e-12
-                                    for x in (rs, fs)):
+    stacks = [np.array(ptms)] + [np.array(x) for x in zip(*holes)]
+    if len(set(values)) > 1 and all(
+            np.max(np.abs(x - x[0])) <= 1e-12 * np.max(np.abs(x[0]))
+            for x in stacks):
         raise KeyError(f"sweeping {param} has no effect: every point of "
                        f"case {cfg.case} has the first point's channel and "
                        "hole forms")
-    fids, holes = _mc_stats(rs, fs, stages[0].wanted_branches, amps)
+    rs, *holes = stacks
+    fids, holes = _mc_stats(
+        rs, [x.swapaxes(0, 1).reshape(-1, *x.shape[2:]) for x in holes], amps)
     if len(holes) == 1:
         holes *= len(fids)
     return [{"param": param,

@@ -601,6 +601,26 @@ def test_flat_sweep_exit_2(tmp_path, capsys, name):
                    "point's channel and hole forms\n")
 
 
+def test_faint_channel_sweep_runs(tmp_path, capsys):
+    """A channel 1e-13 as bright is swept like a brighter one: the rows at
+    efficiency 1e-13 are those at 1e-3 but for the success column."""
+    outs = []
+    for eff in (1e-13, 1e-3):
+        cfg = write_config(tmp_path, case="B", window={"bandwidth_ueV": 100.0},
+                           hadamard_time_ns=0.17862, seed=1,
+                           absorption_efficiency=eff)
+        code, out, err = run_cli(["--config", cfg, "sweep", "--param",
+                                  "noise.transport_time_ns", "--from", "0",
+                                  "--to", "50", "--steps", "3"], capsys)
+        assert (code, err) == (0, "")
+        outs.append([line.split(",") for line in out.splitlines()])
+    faint, bright = outs
+    assert [row[:4] + row[5:] for row in faint] == [
+        row[:4] + row[5:] for row in bright]
+    assert [row[2] for row in faint[1:]] == ["1.000000", "0.865437",
+                                             "0.783821"]
+
+
 def test_one_value_sweep_of_a_flat_parameter_runs(tmp_path, capsys):
     cfg = write_config(tmp_path, case="degenerate", window=None)
     for start, stop, steps in (("5", "5", "1"), ("5", "5", "3")):

@@ -27,6 +27,12 @@ CASE_B_WINDOW = {"case": "B", "hadamard_time_ns": 0.17862, "seed": 3,
                  "window": {"bandwidth_ueV": 100.0, "lineshape": "gaussian"},
                  "chain": {"n_sites": 4, "storage_site": 3, "gate_error": 0.02}}
 DEGENERATE = {"case": "degenerate", "seed": 11, "mc_samples": 1000}
+# uncompensated case A behind a window that reaches the second valence
+# level: success depends on the input, so the Monte Carlo figures are summed
+# per sample, and the reference input's hole has two absorption branches
+CASE_A_TILTED = {"case": "A", "compensate": False,
+                 "window": {"bandwidth_ueV": 800.0}, "seed": 9,
+                 "mc_samples": 2000}
 GATE_ERROR_CHAIN = {"case": "A", "compensate": True, "seed": 5, "mc_samples": 500,
                     "chain": {"n_sites": 5, "storage_site": 4, "gate_error": 0.05}}
 
@@ -62,6 +68,8 @@ CASES = {
                       ("degenerate", DEGENERATE))
     for fmt in ("text", "csv", "json-like")
 }
+CASES.update({f"run_case_a_tilted_{fmt}": (CASE_A_TILTED, ["run", "--format", fmt])
+              for fmt in ("text", "json-like")})
 CASES.update({
     f"levels_{name}_{fmt}": (doc, ["levels", "--format", fmt])
     for name, doc in (("case_a_window", {"case": "A",

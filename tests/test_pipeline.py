@@ -13,12 +13,12 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               monte_carlo_average_fidelity,
                               process_tomography, run_detection,
                               run_end_to_end, scenario_report, sweep,
-                              end_to_end_stages, _compose, _gram_forms,
-                              _input_hole, _is_flat, _mc_stats, _sample_hole)
+                              end_to_end_stages, _compose, _hole_rows,
+                              _input_hole, _is_flat, _mc_stats)
 from polspin.bands import precession_period
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
-from polspin.qstate import (choi_of_map, density_from_pauli,
+from polspin.qstate import (PAULIS, choi_of_map, density_from_pauli,
                             entanglement_entropy, is_cptp,
                             pauli_vectors, ptm_from_choi, ptm_from_kraus,
                             purity)
@@ -359,6 +359,51 @@ def _absorbed_state_oracle(cfg, amps):
     return tuple(np.array(out).T)
 
 
+def _branches(cfg):
+    """cfg's physical absorption branches, and how many of them are wanted
+    (they come first)."""
+    branches = transfer.absorption_branches(cfg.scheme(), cfg.window,
+                                            cfg.compensate)
+    return ([br.kraus for br in branches],
+            sum(not br.unwanted for br in branches))
+
+
+def _gram_forms(kraus):
+    """Real (k², 4) rows f: f @ c is the Gram matrix G_ij = ⟨K_j q|K_i q⟩
+    = ½ c·m_ij, m_ij,l = tr(σ_l K_j†K_i), of the k branches K at the input
+    q with Pauli vector c, in the orthonormal basis of Hermitian matrices:
+    G_ii, then √2 Re G_ij and √2 Im G_ij for i < j (length² Σ|G_ij|²)."""
+    m = np.einsum("lab,jcb,ica->ijl", PAULIS, np.conj(kraus), kraus)
+    d, (i, j) = np.arange(len(kraus)), np.triu_indices(len(kraus), 1)
+    return np.concatenate([0.5 * m[d, d].real, math.sqrt(0.5) * m[i, j].real,
+                           math.sqrt(0.5) * m[i, j].imag])
+
+
+def _sample_hole(kraus, wanted, c):
+    """Per-sample (leakage, hole purity, tr G) of the inputs with Pauli
+    vectors c (4, m) at the absorb stage with the k branches `kraus`, the
+    oracle of its hole rows, from each sample's Gram matrix G
+    (`_gram_forms`).  The hole levels are orthonormal, so the hole is left
+    in G / tr G: purity Σ|G_ij|² / (tr G)², leakage the unwanted diagonal
+    entries G_ii, i >= wanted, summed over tr G.  The diagonal is clipped
+    at 0, as a form can round below ||K q||² = 0."""
+    k = len(kraus)
+    g = _gram_forms(kraus) @ c
+    diag = g[:k]
+    np.maximum(diag, 0.0, out=diag)
+    total = diag.sum(axis=0)
+    g /= np.where(total > 0, total, 1.0)
+    return g[wanted:k].sum(axis=0), np.einsum("in,in->n", g, g), total
+
+
+def _stacked_hole_rows(kraus_sets, wanted):
+    """The hole rows of the absorb stages with the branches of each of
+    kraus_sets, stacked as a sweep hands them to _mc_stats."""
+    rows = [_hole_rows(kraus, wanted) for kraus in kraus_sets]
+    return tuple(np.concatenate((x[0::2], x[1::2]))
+                 for x in map(np.concatenate, zip(*rows)))
+
+
 KERNEL_CONFIGS = {
     "case_a": cfg_case_a(window=SpectralWindow(1000.0),
                          noise=NoiseModel(transport_time_ns=30.0),
@@ -394,9 +439,9 @@ def test_sample_quantities_match_density_matrices(name):
     amps = haar_qubits(cfg.seed, 1000)
     stages = end_to_end_stages(cfg)
     c = pauli_vectors(amps)
-    got = (_sample_fidelities(_compose(stages), c)
-           + _sample_hole(stages[0].branch_forms, stages[0].wanted_branches,
-                          c)[:2])
+    i, j = np.triu_indices(4)
+    leak, purity = pipeline._ratios(stages[0].hole_rows, c[i] * c[j])
+    got = _sample_fidelities(_compose(stages), c) + (leak, purity)
     want = (_density_matrix_oracle(_composed(cfg), amps)
             + _absorbed_state_oracle(cfg, amps)[:2])
     for label, g, w in zip(("fidelity", "trace", "leakage", "purity"), got, want):
@@ -416,8 +461,7 @@ def _dense_stats(r, c):
 def _fidelity_stats(rs, amps):
     """The fidelity figures of _mc_stats for the PTM stack rs, next to one
     case A absorb stage."""
-    absorb = end_to_end_stages(cfg_case_a())[0]
-    return _mc_stats(rs, absorb.branch_forms[None], absorb.wanted_branches,
+    return _mc_stats(rs, end_to_end_stages(cfg_case_a())[0].hole_rows,
                      amps)[0]
 
 
@@ -480,9 +524,8 @@ TILTED_CONFIGS = {
 def _denominator_rows(cfg):
     """The trace row of cfg's composed PTM and the Gram trace row of its
     absorb stage (the sum of its diagonal forms)."""
-    stages = end_to_end_stages(cfg)
-    forms = stages[0].branch_forms
-    return np.array([_compose(stages)[0],
+    forms = _gram_forms(_branches(cfg)[0])
+    return np.array([_compose(end_to_end_stages(cfg))[0],
                      forms[:math.isqrt(len(forms))].sum(axis=0)])
 
 
@@ -514,9 +557,9 @@ def test_flat_tolerance_edge_matches_dense_oracle(share):
 
 
 def _count_paths(monkeypatch):
-    """Counts of the moment and ratio passes built and of _sample_hole
-    calls."""
-    calls = {"_MomentSums": 0, "_RatioSums": 0, "_sample_hole": 0}
+    """Counts of the moment and ratio passes built and of calls to the
+    per-sample kernel _ratios."""
+    calls = {"_MomentSums": 0, "_RatioSums": 0, "_ratios": 0}
     for name in calls:
         def counted(*args, _name=name, _original=getattr(pipeline, name),
                     **kwargs):
@@ -530,21 +573,23 @@ def _count_paths(monkeypatch):
 def test_flat_rows_do_no_per_sample_work(monkeypatch):
     """The benchmark's sweep config is flat at every point: neither its
     sweep nor its report runs the per-sample ratio pass, and the report
-    calls _sample_hole once, for its reference input's entropy.  A tilted
-    config runs the ratio pass alone, with no moment sums; a bandwidth
-    sweep that crosses into the second valence level runs both, once."""
+    calls _ratios once, for its reference input's entropy.  A tilted
+    config runs the ratio pass, and _ratios once per block, for its
+    fidelity and hole rows, and sums its success (p = 0, a quadratic form
+    whatever its denominator) by moments; so does a bandwidth sweep that
+    crosses into the second valence level, once."""
     cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(1, 0, 0.0),
                      mc_samples=5000)
     calls = _count_paths(monkeypatch)
     sweep(cfg, "noise.transport_time_ns", np.linspace(0.0, 50.0, 5))
-    assert calls == {"_MomentSums": 1, "_RatioSums": 0, "_sample_hole": 0}
+    assert calls == {"_MomentSums": 1, "_RatioSums": 0, "_ratios": 0}
     scenario_report(cfg)
-    assert calls == {"_MomentSums": 2, "_RatioSums": 0, "_sample_hole": 1}
+    assert calls == {"_MomentSums": 2, "_RatioSums": 0, "_ratios": 1}
     monte_carlo_average_fidelity(TILTED_CONFIGS["case_a_window_800"], 5000)
-    assert calls == {"_MomentSums": 2, "_RatioSums": 1, "_sample_hole": 4}
+    assert calls == {"_MomentSums": 3, "_RatioSums": 1, "_ratios": 4}
     sweep(replace(TILTED_CONFIGS["case_a_window_800"], mc_samples=500),
           "window.bandwidth_ueV", [50.0, 800.0])
-    assert calls == {"_MomentSums": 3, "_RatioSums": 2, "_sample_hole": 5}
+    assert calls == {"_MomentSums": 4, "_RatioSums": 2, "_ratios": 5}
 
 
 def test_fidelity_stats_ideal_map_has_no_spread():
@@ -566,25 +611,24 @@ def test_fidelity_stats_resolves_a_tiny_spread():
     assert abs(stats["stderr"] - want) <= 1e-6 * want
 
 
-def _dense_hole_stats(forms, wanted, c):
+def _dense_hole_stats(kraus, wanted, c):
     """The hole figures of _mc_stats, from the per-sample formula."""
-    leak, pur, _ = _sample_hole(forms, wanted, c)
+    leak, pur, _ = _sample_hole(kraus, wanted, c)
     return {"leakage": np.mean(leak), "hole_purity_mean": np.mean(pur),
             "hole_purity_std": np.std(pur, ddof=1) if len(pur) > 1 else 0.0}
 
 
 def _hole_stacks():
-    """(case, wanted branch count, stacked Gram forms) per case and branch
+    """(case, wanted branch count, stacked branches) per case and branch
     count: every absorb stage of HOLE_CONFIGS, grouped as a sweep would
     stack them."""
     stacks = {}
     for _, cfg in sorted(HOLE_CONFIGS.items()):
-        absorb = end_to_end_stages(cfg)[0]
-        forms = absorb.branch_forms
-        stacks.setdefault((cfg.case, len(forms)),
-                          (absorb.wanted_branches, []))[1].append(forms)
-    return [(case, wanted, np.array(forms))
-            for (case, _), (wanted, forms) in stacks.items()]
+        kraus, wanted = _branches(cfg)
+        stacks.setdefault((cfg.case, len(kraus)),
+                          (wanted, []))[1].append(kraus)
+    return [(case, wanted, np.array(kraus))
+            for (case, _), (wanted, kraus) in stacks.items()]
 
 
 @pytest.mark.parametrize("n", KERNEL_SIZES)
@@ -596,15 +640,16 @@ def test_hole_stats_matches_dense_oracle(n):
     amps = haar_qubits(41, n)
     c = pauli_vectors(amps)
     r = np.eye(4)[None]
-    for case, wanted, forms in _hole_stacks():
-        _, got = _mc_stats(r, forms, wanted, amps)
-        assert len(got) == len(forms)
+    for case, wanted, kraus in _hole_stacks():
+        _, got = _mc_stats(r, _stacked_hole_rows(kraus, wanted), amps)
+        assert len(got) == len(kraus)
         for h, stats in enumerate(got):
-            want = _dense_hole_stats(forms[h], wanted, c)
+            want = _dense_hole_stats(kraus[h], wanted, c)
             assert stats.keys() == want.keys()
             for key, value in stats.items():
                 assert abs(value - want[key]) < 1e-12, (case, h, key)
-            assert _mc_stats(r, forms[h:h + 1], wanted, amps)[1] == [stats]
+            assert _mc_stats(r, _stacked_hole_rows(kraus[h:h + 1], wanted),
+                             amps)[1] == [stats]
         if n == 1:
             assert all(stats["hole_purity_std"] == 0.0 for stats in got)
 
@@ -614,11 +659,11 @@ def test_hole_stats_resolves_a_tiny_spread():
     1 − 2ε²(1 − r_x²) + O(ε⁴): at ε = 1e-4 a spread of ~1e-8 around ~1,
     which the shifted sums keep to 1e-6 of the dense standard deviation."""
     eps = 1e-4
-    forms = _gram_forms(np.array([np.eye(2), eps * np.array([[0, 1], [1, 0]])],
-                                 dtype=complex))
+    kraus = np.array([np.eye(2), eps * np.array([[0, 1], [1, 0]])],
+                     dtype=complex)
     amps = haar_qubits(3, 20_000)
-    [_], [stats] = _mc_stats(np.eye(4)[None], forms[None], 1, amps)
-    want = _dense_hole_stats(forms, 1, pauli_vectors(amps))["hole_purity_std"]
+    [_], [stats] = _mc_stats(np.eye(4)[None], _hole_rows(kraus, 1), amps)
+    want = _dense_hole_stats(kraus, 1, pauli_vectors(amps))["hole_purity_std"]
     assert 1e-9 < want < 1e-7
     assert abs(stats["hole_purity_std"] - want) <= 1e-6 * want
 
@@ -677,15 +722,40 @@ def test_sample_hole_matches_absorbed_state(name):
     cfg = HOLE_CONFIGS[name]
     amps = haar_qubits(cfg.seed, 200)
     absorb = end_to_end_stages(cfg)[0]
-    leak, pur, total = _sample_hole(absorb.branch_forms, absorb.wanted_branches,
-                                    pauli_vectors(amps))
-    one_by_one = np.array([_input_hole(absorb, q) for q in amps]).T
+    leak, pur, total = _sample_hole(*_branches(cfg), pauli_vectors(amps))
+    one_by_one = np.array([_input_hole(absorb, pauli_vectors(q[None]))
+                           for q in amps]).T
     want = _absorbed_state_oracle(cfg, amps)
     assert np.all(total > 0)
     assert np.max(np.abs(leak - want[0])) < 1e-12
     assert np.max(np.abs(pur - want[1])) < 1e-12
     assert np.max(np.abs(one_by_one[:2] - want[:2])) < 1e-12
     assert np.max(np.abs(one_by_one[2] - want[2])) < 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(HOLE_CONFIGS))
+def test_input_hole_reads_the_monte_carlo_rows(name):
+    """The reference input's leakage and hole purity are the absorb stage's
+    hole rows read at that one input: the hole row of the Monte Carlo pass
+    over it alone, whether the rows are summed by moments or by the
+    ratio."""
+    cfg = HOLE_CONFIGS[name]
+    absorb = end_to_end_stages(cfg)[0]
+    for q in haar_qubits(cfg.seed, 50):
+        leak, purity, _ = _input_hole(absorb, pauli_vectors(q[None]))
+        [_], [hole] = _mc_stats(np.eye(4)[None], absorb.hole_rows, q[None])
+        assert abs(leak - hole["leakage"]) <= 1e-12
+        assert abs(purity - hole["hole_purity_mean"]) <= 1e-12
+
+
+def test_hole_configs_have_flat_and_tilted_rows():
+    """HOLE_CONFIGS reaches both Monte Carlo paths: its absorb stages'
+    hole rows are flat without a window and tilted behind a window that
+    reaches the second valence level."""
+    flat = {name: all(_is_flat(end_to_end_stages(cfg)[0].hole_rows[1]))
+            for name, cfg in HOLE_CONFIGS.items()}
+    assert flat["case_a_None"] and flat["degenerate"]
+    assert not flat["case_a_5000"]
 
 
 def test_branch_weights_ignore_absorption_efficiency():
@@ -706,7 +776,7 @@ def test_branch_weights_ignore_absorption_efficiency():
 def test_sweep_builds_untouched_stages_once(monkeypatch):
     """A sweep builds each stage its parameter does not touch once, at the
     first point, and rebuilds the touched ones at every point; the Monte
-    Carlo pass gets the hole forms of each absorb stage built.  The forward
+    Carlo pass gets the hole rows of each absorb stage built.  The forward
     transport builds two dephasing pairs and the return leg one, so a
     transport-time point makes three, and the first point one more for
     storage."""
@@ -716,8 +786,9 @@ def test_sweep_builds_untouched_stages_once(monkeypatch):
     calls = {}
     for module, name in targets:
         def counted(*args, _name=name, _original=getattr(module, name)):
-            # the Monte Carlo kernel counts the absorb stages it is given
-            calls[_name] += len(args[1]) if _name == "_mc_stats" else 1
+            # the Monte Carlo kernel counts the absorb stages it is given,
+            # two hole rows each
+            calls[_name] += len(args[1][0]) // 2 if _name == "_mc_stats" else 1
             return _original(*args)
 
         monkeypatch.setattr(module, name, counted)
@@ -1005,19 +1076,51 @@ FLAT_SWEEPS = {
 
 @pytest.mark.parametrize("name", sorted(FLAT_SWEEPS))
 def test_sweep_refuses_a_flat_sweep(name):
-    """Every point's composed PTM and absorb Gram forms equal the first's
+    """Every point's composed PTM and absorb hole rows equal the first's
     to 1e-12, so the rows would be flat; the sweep is refused, naming
     parameter and case."""
     cfg, param, values = FLAT_SWEEPS[name]
     low, high = (end_to_end_stages(pipeline._setter(cfg, param)(v))
                  for v in values)
     assert np.max(np.abs(_compose(low) - _compose(high))) <= 1e-12
-    assert np.max(np.abs(low[0].branch_forms - high[0].branch_forms)) <= 1e-12
+    for x, y in zip(low[0].hole_rows, high[0].hole_rows):
+        assert np.max(np.abs(x - y)) <= 1e-12
     with pytest.raises(KeyError) as exc:
         sweep(cfg, param, values)
     assert exc.value.args == (f"sweeping {param} has no effect: every point "
                               f"of case {cfg.case} has the first point's "
                               "channel and hole forms",)
+
+
+FAINT = cfg_case_b(hadamard_time_ns=0.17862, seed=1, mc_samples=200)
+
+
+def test_faint_channel_sweep_is_not_flat():
+    """At absorption efficiency 1e-13 every PTM entry is ~1e-14, yet a
+    transport-time sweep changes the channel: it is not refused as flat,
+    and its rows are those of the full channel, success scaled by 1e-13."""
+    values = [0.0, 25.0, 50.0]
+    full = sweep(FAINT, "noise.transport_time_ns", values)
+    faint = sweep(replace(FAINT, absorption_efficiency=1e-13),
+                  "noise.transport_time_ns", values)
+    assert full[0]["mean_fidelity"] - full[-1]["mean_fidelity"] > 0.1
+    for low, high in zip(faint, full):
+        for key in ("mean_fidelity", "stderr", "leakage", "hole_purity"):
+            assert abs(low[key] - high[key]) <= 1e-12, key
+        assert low["success_prob"] == pytest.approx(
+            1e-13 * high["success_prob"], rel=1e-12)
+
+
+def test_faint_efficiency_sweep_is_not_flat():
+    """Doubling a faint efficiency doubles success: the sweep runs.  A
+    faint sweep of a parameter the case does not read is still flat."""
+    rows = sweep(FAINT, "absorption_efficiency", [1e-13, 2e-13])
+    assert rows[1]["success_prob"] == pytest.approx(
+        2.0 * rows[0]["success_prob"], rel=1e-12)
+    assert rows[0]["mean_fidelity"] == rows[1]["mean_fidelity"]
+    with pytest.raises(KeyError, match="has no effect"):
+        sweep(cfg_degenerate(absorption_efficiency=1e-13),
+              "hadamard_time_ns", [1.0, 2.0])
 
 
 def test_sweep_checks_every_value_before_any_stage():

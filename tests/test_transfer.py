@@ -9,7 +9,8 @@ from polspin.bands import (CASE_A, CASE_B, FieldConfig, INAS_GAAS_QW,
                            degenerate_scheme, precession_period)
 from polspin.constants import MU_B_UEV_PER_T
 from polspin.errors import DarkDirection, HeavyHoleTopmost
-from polspin.pipeline import ScenarioConfig, end_to_end_stages, run_end_to_end
+from polspin.pipeline import (ScenarioConfig, end_to_end_stages, haar_qubits,
+                              run_end_to_end)
 from polspin.transfer import (E_SPH, HADAMARD, PhotonQubit, absorb_case_a,
                               absorb_case_b, absorb_degenerate,
                               absorption_branches, branch_dipole_vectors,
@@ -17,6 +18,7 @@ from polspin.transfer import (E_SPH, HADAMARD, PhotonQubit, absorb_case_a,
                               precession_unitary, transverse_frame,
                               _RECOMBINING_HOLES, _absorbing_holes, _channels,
                               _dipole_blocks, _frame_to_basis, _mode_map)
+from test_pipeline import _gram_forms
 
 SQ2 = 1.0 / math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -756,7 +758,7 @@ def test_emit_dark_direction():
 def test_unwanted_flag_marks_the_windowed_partner(case, window):
     """Only a window in a split case adds an unwanted branch, through the
     light hole below the target; the wanted branches come first, and the
-    absorb stage counts them."""
+    absorb stage's leakage row weighs the unwanted one alone."""
     cfg = ideal(case, window=window)
     scheme = cfg.scheme()
     holes = _absorbing_holes(scheme, window)
@@ -769,7 +771,16 @@ def test_unwanted_flag_marks_the_windowed_partner(case, window):
         partner, top = scheme.light_hole_levels
         assert [level.label for _, level, _, _ in holes] == [
             top.label, partner.label][:len(holes)]
-    assert end_to_end_stages(cfg)[0].wanted_branches == flags.count(False)
+    # the leakage row, read at Haar inputs, is the diagonal Gram forms of
+    # the branches after the wanted ones over the trace of all of them
+    kraus, wanted = [br.kraus for br in branches], flags.count(False)
+    forms = _gram_forms(kraus)[:len(kraus)]
+    w, _, _ = end_to_end_stages(cfg)[0].hole_rows
+    c = qs.pauli_vectors(haar_qubits(1, 50))
+    i, j = np.triu_indices(4)
+    want = forms[wanted:].sum(axis=0) @ c / forms[:, 0].sum()
+    assert np.max(np.abs(w[0] @ (c[i] * c[j])[1:] - want)) <= 1e-12
+    assert np.any(w[0]) == (True in flags)
 
 
 def test_emit_collection_fractions():
