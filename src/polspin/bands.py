@@ -12,6 +12,7 @@ Zeeman and strain splittings matter here, never the absolute gap.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -139,6 +140,9 @@ class BandScheme:
     valence_levels: tuple[Level, ...]      # sorted ascending in energy
     conduction_levels: tuple[Level, ...]   # sorted ascending in energy
     canonical_k: np.ndarray
+    # columns: the conduction eigenstates (lower, upper), mS coordinates;
+    # read-only, one matrix per case and order (`_EIGENBASES`)
+    eigenbasis: np.ndarray = dataclasses.field(repr=False, compare=False)
 
     @property
     def topmost_valence(self) -> Level:
@@ -150,12 +154,6 @@ class BandScheme:
         in energy."""
         return tuple(lv for lv in self.valence_levels
                      if lv.state[0] == 0 and lv.state[3] == 0)
-
-    @property
-    def eigenbasis(self) -> np.ndarray:
-        """Columns: the conduction eigenstates (lower, upper), mS coordinates."""
-        return np.column_stack([self.conduction_levels[0].state,
-                                self.conduction_levels[-1].state])
 
     @property
     def valence_splitting_uev(self) -> float:
@@ -223,6 +221,20 @@ def conduction_eigenstates(case: str):
             np.array([0.0, 1.0], dtype=complex))
 
 
+def _eigenbasis(case: str, swapped: bool) -> np.ndarray:
+    lower, upper = conduction_eigenstates(case)[::-1 if swapped else 1]
+    u = np.column_stack([lower, upper])
+    u.flags.writeable = False
+    return u
+
+
+# The conduction eigenbasis of a scheme depends only on its case and on
+# whether a negative g_cb swaps the two levels, so each is formed once.
+_EIGENBASES = {(case, swapped): _eigenbasis(case, swapped)
+               for case in (CASE_A, CASE_B, DEGENERATE)
+               for swapped in (False, True)}
+
+
 def build_level_scheme(case: str, material: MaterialParams,
                        field: FieldConfig) -> BandScheme:
     """Construct the level scheme of a split case, A (B ∥ G) or B (B ⊥ G).
@@ -272,7 +284,8 @@ def build_level_scheme(case: str, material: MaterialParams,
     clevels = sorted([Level("conduction", labels[2], c_lo, -dc / 2.0),
                       Level("conduction", labels[3], c_hi, +dc / 2.0)],
                      key=lambda l: l.energy_uev)
-    return BandScheme(case, field, tuple(vlevels), tuple(clevels), canonical_k)
+    return BandScheme(case, field, tuple(vlevels), tuple(clevels), canonical_k,
+                      _EIGENBASES[case, dc < 0])
 
 
 def degenerate_scheme() -> BandScheme:
@@ -290,7 +303,8 @@ def degenerate_scheme() -> BandScheme:
         Level("conduction", "cb mS=+1/2", cup, 0.0),
     )
     return BandScheme(DEGENERATE, FieldConfig(0.0), vlevels, clevels,
-                      np.array([0.0, 0.0, 1.0]))
+                      np.array([0.0, 0.0, 1.0]),
+                      _EIGENBASES[DEGENERATE, False])
 
 
 @dataclass(frozen=True)

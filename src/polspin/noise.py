@@ -62,27 +62,37 @@ def coherence_factor(t_ns: float, t2_ns: float) -> float:
     return math.exp(-t_ns / t2_ns)
 
 
-def dephasing_kraus(gamma: float) -> list[np.ndarray]:
+# the two phase-damping Kraus operators before their weights, I and Z, and
+# the signs of gamma in their weights
+_DEPHASING_PAIR = np.array([np.eye(2), np.diag([1.0, -1.0])], dtype=complex)
+_DEPHASING_SIGNS = np.array([1.0, -1.0])
+
+
+def dephasing_kraus(gamma) -> np.ndarray:
     """Kraus pair of the qubit phase-damping channel with off-diagonal
-    survival gamma = exp(-t/T2)."""
-    if not 0.0 <= gamma <= 1.0:
+    survival gamma = exp(-t/T2), weights √((1 ± gamma)/2), shape (2, 2, 2);
+    for an array of gammas, one pair per entry, gamma.shape + (2, 2, 2)."""
+    g = np.asarray(gamma, dtype=float)
+    # checked in Python floats, cheaper here than numpy's reductions
+    if not all(0.0 <= x <= 1.0 for x in g.ravel().tolist()):
         raise ValueError("gamma must lie in [0, 1]")
-    k0 = math.sqrt((1.0 + gamma) / 2.0) * np.eye(2, dtype=complex)
-    k1 = math.sqrt((1.0 - gamma) / 2.0) * np.diag([1.0, -1.0]).astype(complex)
-    return [k0, k1]
+    weights = np.sqrt((1.0 + g[..., None] * _DEPHASING_SIGNS) / 2.0)
+    return weights[..., None, None] * _DEPHASING_PAIR
 
 
-def transport_kraus(noise: NoiseModel, basis: np.ndarray, *,
-                    forward: bool) -> np.ndarray:
+def transport_kraus(gamma, basis, extra=None) -> np.ndarray:
     """Kraus operators of one transport leg, stacked, in the energy
-    eigenbasis held as the columns of basis.  Both legs apply the III-V T2
-    phase damping over the transport time; the forward leg follows it with
-    the transport_dephasing_fraction, so its operators are the four
-    products of the two Kraus pairs."""
-    kraus = np.array(dephasing_kraus(coherence_factor(noise.transport_time_ns,
-                                                      noise.t2_iii_v_ns)))
-    if forward:
-        extra = np.array(dephasing_kraus(1.0 - noise.transport_dephasing_fraction))
-        kraus = (extra[:, None] @ kraus).reshape(-1, 2, 2)
-    u = np.asarray(basis, dtype=complex)
-    return u @ kraus @ u.conj().T
+    eigenbasis held as the columns of basis: the III-V T2 phase damping
+    with survival gamma, which the forward leg follows with the dephasing
+    of survival `extra` (1 − transport_dephasing_fraction), so that its
+    operators are the four products of the two Kraus pairs.  gamma and
+    extra are floats or arrays of P points, and basis one (2, 2) matrix or
+    a (P, 2, 2) stack; the result is (n, 2, 2), or (P, n, 2, 2) for P
+    points."""
+    kraus = dephasing_kraus(gamma)
+    if extra is not None:
+        products = (dephasing_kraus(extra)[..., None, :, :]
+                    @ kraus[..., None, :, :, :])
+        kraus = products.reshape(kraus.shape[:-3] + (-1, 2, 2))
+    u = np.asarray(basis, dtype=complex)[..., None, :, :]
+    return u @ kraus @ u.conj().swapaxes(-1, -2)

@@ -4,13 +4,17 @@ averages, process tomography, device-constraint checks and parameter sweeps.
 Every stage of a scenario is a conditional linear map on the 2x2 logical
 qubit density matrix (logical amplitudes mean: alpha on the first slot of
 the photon basis its case fixes), held as its real 4x4 Pauli transfer matrix
-(PTM; conventions in qstate).  Stages compose by matrix product into one
-PTM R.  Every Monte Carlo figure (fidelity and success through R, hole
-purity and leakage at absorption) is one figure row (`_fold`), a
-quadratic form in the Pauli vector c = (1, Bloch vector) of a Haar input
-over a power of a linear form in c: `_ptm_rows` writes those of the PTMs,
-`_hole_rows` those of an absorb stage, and the Monte Carlo sums, the
-per-sample ratio and the reference input all read these rows.
+(PTM; conventions in qstate).  A report builds each stage at its one
+point; a sweep builds each stage its parameter touches once for all its
+points, as a (P, 4, 4) stack whose every row is bit for bit the build at
+that point alone.  Stages compose by matrix product, a stack broadcast
+against the single builds, into one PTM R per point.  Every Monte Carlo
+figure (fidelity and success through R, hole purity and
+leakage at absorption) is one figure row (`_fold`), a quadratic form in
+the Pauli vector c = (1, Bloch vector) of a Haar input over a power of a
+linear form in c: `_ptm_rows` writes those of the PTMs, `_hole_rows`
+those of an absorb stage, and the Monte Carlo sums, the per-sample ratio
+and the reference input all read these rows.
 The Monte Carlo run is deterministic for a given (seed, sample count), and
 prefix-stable: the first m of n samples do not depend on n.  Sample i is
 not tied to a fixed slice of the random stream (the normal sampler rejects
@@ -148,7 +152,8 @@ class ScenarioConfig:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage as a real 4x4 Pauli transfer matrix (conventions in qstate).
+    """One stage as a real 4x4 Pauli transfer matrix (conventions in qstate),
+    or, built at the P points of a sweep, a (P, 4, 4) stack of them.
 
     Its builder in `_STAGE_BUILDERS` owns its physics, frame and
     diagnostics; no run reads them from the config.  The absorb stage
@@ -156,7 +161,8 @@ class Stage:
     leakage and hole purity of each input, from the unscaled physical
     absorption branches.  The emit stage holds the collection row: an
     electron with logical Pauli vector v is collected with fraction
-    row·v / v₀.
+    row·v / v₀.  Built at P points, every one of them is stacked along a
+    leading axis of P, as the PTM is.
     """
 
     name: str
@@ -169,6 +175,11 @@ def _detection_frame(case: str) -> np.ndarray:
     """Rotation from physical electron (mS-ordered) coordinates to the
     logical frame right after absorption."""
     return _X if case == CASE_A else _I2
+
+
+# the PTM of each case's detection frame
+_FRAME_PTMS = {case: ptm_from_kraus([_detection_frame(case)])
+               for case in (CASE_A, CASE_B, DEGENERATE)}
 
 
 def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
@@ -200,68 +211,98 @@ def _refuse_dark(row):
         raise ValueError("photon does not couple to this scheme")
 
 
-def _absorb(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+# Every builder maps the configs of the points a stage is built at, each
+# with its band scheme, to one Stage: at one point the scalar build, at P
+# points the same build along a leading axis of P (`_stack`).  The
+# dephasing channels (the transports, storage) are built as one stack;
+# absorb, the shuttles, hadamard and emit point by point, then stacked.
+
+def _stack(values: list):
+    """A stage's values at its points: one point's own value, or the values
+    of P points stacked along a leading axis."""
+    return values[0] if len(values) == 1 else np.array(values)
+
+
+def _absorb(cfgs, schemes) -> Stage:
     """The absorb stage, with the hole rows of its physical branches, which
     refuse them if they are dark.  Its branches are the physical ones in
     the logical frame, scaled by the absorption efficiency and renormalised
     if need be so that sum K†K <= I."""
-    branches = absorption_branches(scheme, cfg.window, cfg.compensate)
-    physical = [br.kraus for br in branches]
-    holes = _hole_rows(physical, sum(not br.unwanted for br in branches))
-    ks = _detection_frame(cfg.case) @ np.asarray(physical)
-    total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
-    top = float(np.max(np.linalg.eigvalsh(total)).real)
-    ks *= math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
-    return Stage("absorb", ptm_from_kraus(ks), holes)
+    kraus, holes = [], []
+    for cfg, scheme in zip(cfgs, schemes):
+        branches = absorption_branches(scheme, cfg.window, cfg.compensate)
+        physical = [br.kraus for br in branches]
+        holes.append(_hole_rows(physical,
+                                sum(not br.unwanted for br in branches)))
+        ks = _detection_frame(cfg.case) @ np.asarray(physical)
+        total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
+        top = float(np.max(np.linalg.eigvalsh(total)).real)
+        ks *= math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
+        kraus.append(ks)
+    return Stage("absorb", ptm_from_kraus(_stack(kraus)),
+                 tuple(map(_stack, zip(*holes))))
 
 
-def _transport_leg(cfg: ScenarioConfig, scheme: BandScheme,
-                   forward: bool) -> Stage:
+def _transport_leg(cfgs, schemes, forward: bool) -> Stage:
     """The forward or return transport, dephasing in the scheme's energy
     eigenbasis.  Case B's pre-readout frame is the mS frame, whose
     eigenstates are the ± superpositions; case A's and the degenerate
     eigenbases are the mS states (swapped when g_cb < 0), in which the
     channel is the unrotated one bit for bit."""
-    kraus = noise_mod.transport_kraus(cfg.noise, scheme.eigenbasis,
-                                      forward=forward)
+    noises = [cfg.noise for cfg in cfgs]
+    kraus = noise_mod.transport_kraus(
+        _stack([noise_mod.coherence_factor(nm.transport_time_ns,
+                                           nm.t2_iii_v_ns) for nm in noises]),
+        _stack([scheme.eigenbasis for scheme in schemes]),
+        _stack([1.0 - nm.transport_dephasing_fraction for nm in noises])
+        if forward else None)
+    keep = np.asarray(_stack([1.0 - nm.transport_loss for nm in noises]))
     return Stage("transport" if forward else "transport_back",
-                 (1.0 - cfg.noise.transport_loss) * ptm_from_kraus(kraus))
+                 keep[..., None, None] * ptm_from_kraus(kraus))
 
 
-def _shuttle(cfg: ScenarioConfig, scheme: BandScheme, inward: bool) -> Stage:
+def _shuttle(cfgs, schemes, inward: bool) -> Stage:
     """The shuttle from the chain's first site to the storage site, or back."""
-    ends = (0, cfg.chain.storage_site)
-    return Stage("shuttle_in" if inward else "shuttle_out",
-                 _shuttle_ptm(cfg.chain, *(ends if inward else ends[::-1])))
+    ptms = []
+    for cfg in cfgs:
+        ends = (0, cfg.chain.storage_site)
+        ptms.append(_shuttle_ptm(cfg.chain, *(ends if inward else ends[::-1])))
+    return Stage("shuttle_in" if inward else "shuttle_out", _stack(ptms))
 
 
-def _hadamard(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+def _hadamard(cfgs, schemes) -> Stage:
     # physically: precession over t, then the Hadamard rotation onto the
     # eigenbasis.  In logical coordinates the Hadamard cancels against the
     # post-readout frame change (it is involutive), leaving only the
     # synchronization error of the precession phase.
-    u = precession_unitary(scheme, cfg.hadamard_time_ns)
-    return Stage("hadamard", ptm_from_kraus([u]))
+    u = _stack([precession_unitary(scheme, cfg.hadamard_time_ns)
+                for cfg, scheme in zip(cfgs, schemes)])
+    return Stage("hadamard", ptm_from_kraus(u[..., None, :, :]))
 
 
-def _storage(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
-    gamma = noise_mod.coherence_factor(cfg.storage_time_ns, cfg.noise.t2_si_ns)
+def _storage(cfgs, schemes) -> Stage:
+    gamma = _stack([noise_mod.coherence_factor(cfg.storage_time_ns,
+                                               cfg.noise.t2_si_ns)
+                    for cfg in cfgs])
     return Stage("storage", ptm_from_kraus(noise_mod.dephasing_kraus(gamma)))
 
 
-def _emit(cfg: ScenarioConfig, scheme: BandScheme) -> Stage:
+def _emit(cfgs, schemes) -> Stage:
     """Prep -> recombination -> collection -> compensation, one logical
     Kraus branch per recombining hole (`transfer.emission_map`).  Spin
     branches with collection fractions (f↓, f↑) give the mS-frame row
     ½[f↓+f↑, 0, 0, f↓−f↑], taken to the logical frame by the frame's PTM."""
-    kraus, (down, up) = emission_map(scheme, cfg.emission_direction)
-    frame = _detection_frame(cfg.case)
-    row = 0.5 * np.array([down + up, 0.0, 0.0, down - up])
-    return Stage("emit", ptm_from_kraus([k @ frame for k in kraus]),
-                 collection_row=row @ ptm_from_kraus([frame]))
+    kraus, rows = [], []
+    for cfg, scheme in zip(cfgs, schemes):
+        branches, (down, up) = emission_map(scheme, cfg.emission_direction)
+        kraus.append(np.array(branches) @ _detection_frame(cfg.case))
+        rows.append(0.5 * np.array([down + up, 0.0, 0.0, down - up])
+                    @ _FRAME_PTMS[cfg.case])
+    return Stage("emit", ptm_from_kraus(_stack(kraus)),
+                 collection_row=_stack(rows))
 
 
-# One builder per stage name, so that a sweep can rebuild a single stage.
+# One builder per stage name, so that a sweep can stack a single stage.
 _STAGE_BUILDERS = {
     "absorb": _absorb, "transport": partial(_transport_leg, forward=True),
     "shuttle_in": partial(_shuttle, inward=True), "hadamard": _hadamard,
@@ -270,29 +311,44 @@ _STAGE_BUILDERS = {
 }
 
 
-def detection_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
+def _build(names, cfgs, schemes, along) -> list[Stage]:
+    """The stages `names` at the points cfgs, with their schemes: a stage
+    named in `along` (every one if it is None) stacked over all the
+    points, any other built at the first point alone, which composes with
+    the stacks by broadcasting."""
+    return [_STAGE_BUILDERS[name](cfgs, schemes)
+            if along is None or name in along
+            else _STAGE_BUILDERS[name](cfgs[:1], schemes[:1])
+            for name in names]
+
+
+def detection_stages(cfgs, schemes, along=None) -> list[Stage]:
+    """The stages from absorption to storage (`_build`)."""
     names = ["absorb", "transport", "shuttle_in"]
-    if cfg.case == CASE_B:
+    if cfgs[0].case == CASE_B:
         names.append("hadamard")
-    return [_STAGE_BUILDERS[name](cfg, scheme) for name in names]
+    return _build(names, cfgs, schemes, along)
 
 
-def return_stages(cfg: ScenarioConfig, scheme: BandScheme) -> list[Stage]:
-    return [_STAGE_BUILDERS[name](cfg, scheme)
-            for name in ("storage", "shuttle_out", "transport_back", "emit")]
+def return_stages(cfgs, schemes, along=None) -> list[Stage]:
+    """The stages from storage to emission (`_build`)."""
+    return _build(("storage", "shuttle_out", "transport_back", "emit"),
+                  cfgs, schemes, along)
 
 
 def end_to_end_stages(cfg: ScenarioConfig) -> list[Stage]:
     scheme = cfg.scheme()
-    return detection_stages(cfg, scheme) + return_stages(cfg, scheme)
+    return detection_stages([cfg], [scheme]) + return_stages([cfg], [scheme])
 
 
 def _compose(stages: list[Stage]) -> np.ndarray:
-    """The stages' product PTM; one that passes no input is refused."""
+    """The stages' product PTM, or one per point when some stage is
+    stacked; a point that passes no input is refused."""
     r = np.eye(4)
     for st in stages:
         r = st.ptm @ r
-    _refuse_dark(r[0])
+    for row in r[..., 0, :].reshape(-1, 4).tolist():
+        _refuse_dark(row)
     return r
 
 
@@ -638,7 +694,7 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     donor chain; returns the stored qubit (`logical_rho`, normalised) plus
     per-stage diagnostics."""
     c = pauli_vectors(_unit(q)[None])
-    stages = detection_stages(cfg, cfg.scheme())
+    stages = detection_stages([cfg], [cfg.scheme()])
     leak, purity, entropy = _input_hole(stages[0], c)
     trace, vectors = _stage_trace(stages, c[:, 0])
     return DetectionResult(
@@ -768,12 +824,15 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     Every row evaluates the same seeded Haar inputs (common random
     numbers): a row equals monte_carlo_average_fidelity at that value, and
     differences between rows are not sampling noise.  The inputs are drawn
-    once for the whole sweep.  So are the stages the parameter does not
-    touch: each point rebuilds only its parameter's stages.  Every point is
-    composed, and a dark one refused, before one pass over fixed blocks of
-    samples sums the fidelities of all points and the hole diagnostics of
-    every absorb stage built (one, unless the parameter touches absorb); a
-    row does not depend on how many points share its sweep.
+    once for the whole sweep.  Each stage is built once: the ones the
+    parameter touches as one stack over all points, the others at the
+    first point alone (`detection_stages`, `return_stages`); every row of
+    a stack is bit for bit the stage built at its point alone.  The stacks
+    are composed, and a dark point refused, before one pass over fixed
+    blocks of samples sums the fidelities of all points and the hole
+    diagnostics of the absorb stage (one row pair per point if the
+    parameter touches absorb, else one); a row does not depend on how many
+    points share its sweep.
 
     Every point's config is built before any stage, and a value its field
     refuses is refused as a KeyError naming the parameter.  A sweep over
@@ -790,31 +849,27 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
             points.append(set_value(v))
         except ValueError as exc:
             raise KeyError(f"sweeping {param} to {v!r}: {exc}") from None
-    ptms, holes = [], []
-    stages = None
-    for sub in points:
-        if stages is None:
-            amps = haar_qubits(sub.seed, sub.mc_samples)
-            scheme = sub.scheme()
-            stages = detection_stages(sub, scheme) + return_stages(sub, scheme)
-        else:
-            if "scheme" in touched:
-                scheme = sub.scheme()
-            stages = [_STAGE_BUILDERS[st.name](sub, scheme)
-                      if st.name in touched else st for st in stages]
-        if not holes or "absorb" in touched:
-            holes.append(stages[0].hole_rows)
-        ptms.append(_compose(stages))
-    if not ptms:
+    if not points:
         return []
-    stacks = [np.array(ptms)] + [np.array(x) for x in zip(*holes)]
+    amps = haar_qubits(points[0].seed, points[0].mc_samples)
+    schemes = [points[0].scheme()]
+    schemes += ([sub.scheme() for sub in points[1:]] if "scheme" in touched
+                else schemes * (len(points) - 1))
+    stages = (detection_stages(points, schemes, touched)
+              + return_stages(points, schemes, touched))
+    # one composed PTM per point, also where no stage is stacked (one point,
+    # or a parameter that touches no stage of this case)
+    rs = np.array(np.broadcast_to(_compose(stages), (len(points), 4, 4)))
+    # the hole rows of each absorb stage built: one per point, or one
+    absorb = stages[0]
+    holes = (absorb.hole_rows if absorb.ptm.ndim == 3
+             else [x[None] for x in absorb.hole_rows])
     if len(set(values)) > 1 and all(
             np.max(np.abs(x - x[0])) <= 1e-12 * np.max(np.abs(x[0]))
-            for x in stacks):
+            for x in (rs, *holes)):
         raise KeyError(f"sweeping {param} has no effect: every point of "
                        f"case {cfg.case} has the first point's channel and "
                        "hole forms")
-    rs, *holes = stacks
     fids, holes = _mc_stats(
         rs, [x.swapaxes(0, 1).reshape(-1, *x.shape[2:]) for x in holes], amps)
     if len(holes) == 1:

@@ -15,7 +15,8 @@ one fixed change of basis each way (`choi_from_ptm`, `ptm_from_choi`).
 A channel given by Kraus operators K goes to its PTM through its
 superoperator S = Σ_k K ⊗ K̄ (row-major vec), R = ½ Re(V† S V) with vec σ_j
 the columns of V: one product of the stacked operators and one constant
-matrix, however many operators there are (`ptm_from_kraus`).
+matrix, however many operators there are, and for a stack of channels one
+of each per channel (`ptm_from_kraus`).
 """
 
 from __future__ import annotations
@@ -49,16 +50,22 @@ _SANDWICH = np.einsum("iac,jbd->ijabcd", PAULIS.conj(), PAULIS).reshape(16, 16)
 
 
 def ptm_from_kraus(kraus) -> np.ndarray:
-    """Pauli transfer matrix of rho -> sum_k K rho K† on a qubit.
+    """Pauli transfer matrix of rho -> sum_k K rho K† on a qubit: (4, 4) for
+    n Kraus operators (n, 2, 2), (..., 4, 4) for stacks (..., n, 2, 2).
 
     Row-major vec takes K ρ K† to (K ⊗ K̄) vec ρ, so the channel's
     superoperator is S = Σ_k K ⊗ K̄ and R = ½ Re(V† S V), where the columns
     of V are vec σ_j.  S is formed in its reshuffled order, Σ_k vec K
     (vec K)†, which is one product of the stacked, flattened Kraus
-    operators; V† · V is then the constant (16, 16) `_SANDWICH`.
+    operators; V† · V is then the constant (16, 16) `_SANDWICH`, applied
+    to each S as a matrix-vector product, whatever the stack.
     """
-    k = np.asarray(kraus, dtype=complex).reshape(-1, 4)
-    return 0.5 * (_SANDWICH @ (k.T @ k.conj()).ravel()).real.reshape(4, 4)
+    k = np.asarray(kraus, dtype=complex)
+    stack = k.shape[:-3]
+    k = k.reshape(stack + (-1, 4))
+    s = k.swapaxes(-1, -2) @ k.conj()
+    return 0.5 * (_SANDWICH @ s.reshape(stack + (16, 1))).real.reshape(
+        stack + (4, 4))
 
 
 def ptm_from_choi(choi: np.ndarray) -> np.ndarray:

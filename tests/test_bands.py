@@ -137,6 +137,10 @@ def test_conduction_levels_ascend_and_match_hamiltonian(g_cb, case):
     # each column is its numpy eigenvector up to a phase
     overlaps = np.abs(np.diag(vectors.conj().T @ u))
     assert np.allclose(overlaps, 1.0, rtol=0, atol=1e-12)
+    # formed once per scheme, read-only, the level states as columns
+    assert scheme.eigenbasis is u and not u.flags.writeable
+    assert np.array_equal(u, np.column_stack(
+        [lv.state for lv in scheme.conduction_levels]))
 
 
 def test_level_scheme_case_b_zero_field_degenerate():

@@ -40,7 +40,7 @@ def dephased(state, t_ns, t2_ns):
 
 def transport_ptm(noise):
     cfg = ScenarioConfig(noise=noise)
-    return _STAGE_BUILDERS["transport"](cfg, cfg.scheme()).ptm
+    return _STAGE_BUILDERS["transport"]([cfg], [cfg.scheme()]).ptm
 
 
 def test_zero_time_identity():
@@ -113,7 +113,7 @@ def test_dephasing_is_cptp_for_all_times():
     for t in (0.0, 1.0, 50.0, 100.0, 1e4):
         assert is_cptp(choi_from_ptm(dephasing_ptm(t, 100.0)), tol=1e-10)
     for t in (0.0, 1e4, 1e9):
-        storage = _storage(ScenarioConfig(storage_time_ns=t), None).ptm
+        storage = _storage([ScenarioConfig(storage_time_ns=t)], [None]).ptm
         assert is_cptp(choi_from_ptm(storage), tol=1e-10)
 
 
@@ -121,8 +121,7 @@ def test_dephasing_in_rotated_basis():
     # dephasing in the x eigenbasis keeps the x populations: |+> is a
     # fixed point of full dephasing there
     basis = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
-    t2 = transport_kraus(NoiseModel(t2_iii_v_ns=1.0, transport_time_ns=1e9),
-                         basis, forward=False)
+    t2 = transport_kraus(coherence_factor(1e9, 1.0), basis)
     out = apply_ptm(ptm_from_kraus(t2), plus())
     assert plus_fidelity(out) == pytest.approx(1.0, abs=1e-12)
 
@@ -168,9 +167,9 @@ def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
     t2 = rotated_ptm(coherence_factor(noise.transport_time_ns, noise.t2_iii_v_ns))
     fraction = rotated_ptm(1.0 - noise.transport_dephasing_fraction)
     keep = 1.0 - noise.transport_loss
-    forward = _STAGE_BUILDERS["transport"](cfg, scheme).ptm
+    forward = _STAGE_BUILDERS["transport"]([cfg], [scheme]).ptm
     assert np.max(np.abs(forward - keep * fraction @ t2)) < 1e-15
-    back = _STAGE_BUILDERS["transport_back"](cfg, scheme).ptm
+    back = _STAGE_BUILDERS["transport_back"]([cfg], [scheme]).ptm
     assert np.max(np.abs(back - keep * t2)) < 1e-15
 
 
@@ -194,7 +193,7 @@ def test_eigenbasis_transport_is_the_computational_one(case, g_cb, name, noise):
     when g_cb < 0: dephasing in them is bit for bit the unrotated channel."""
     cfg = ScenarioConfig(case=case, noise=noise,
                          material=replace(INAS_GAAS_QW, g_cb=g_cb))
-    stage = _STAGE_BUILDERS[name](cfg, cfg.scheme())
+    stage = _STAGE_BUILDERS[name]([cfg], [cfg.scheme()])
     assert np.array_equal(stage.ptm,
                           _computational_transport_ptm(noise, name == "transport"))
 
@@ -233,3 +232,25 @@ def test_coherence_factor():
     assert coherence_factor(0.0, 10.0) == 1.0
     assert coherence_factor(10.0, 10.0) == pytest.approx(math.exp(-1.0))
     assert dephasing_kraus(1.0)[1][0, 0] == 0.0
+
+
+def test_dephasing_and_transport_kraus_take_arrays():
+    """An array of survivals gives one Kraus set per entry, each bit for
+    bit the set of that survival alone, with one basis for all or one each;
+    an entry outside [0, 1] is refused."""
+    gammas = [0.0, 0.3, 1.0]
+    assert np.array_equal(dephasing_kraus(gammas),
+                          np.array([dephasing_kraus(g) for g in gammas]))
+    bases = np.array([np.eye(2), [[SQ2, SQ2], [SQ2, -SQ2]],
+                      [[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
+    extra = [1.0, 0.5, 0.9]
+    for basis in (bases[1], bases):
+        one = [transport_kraus(g, b, e) for g, b, e in zip(
+            gammas, np.broadcast_to(basis, (3, 2, 2)), extra)]
+        assert np.array_equal(transport_kraus(gammas, basis, extra), one)
+        assert np.array_equal(transport_kraus(gammas, basis),
+                              [transport_kraus(g, b) for g, b in zip(
+                                  gammas, np.broadcast_to(basis, (3, 2, 2)))])
+    for bad in ([0.5, 1.5], [-0.1], 2.0):
+        with pytest.raises(ValueError, match="gamma must lie in"):
+            dephasing_kraus(bad)

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polspin import noise, pipeline, processor, transfer
+from polspin import pipeline, processor, transfer
 from polspin.bands import FieldConfig, SpectralWindow
 from polspin.constants import KB_UEV_PER_K
 from polspin.noise import NoiseModel
@@ -774,15 +774,20 @@ def test_branch_weights_ignore_absorption_efficiency():
 
 
 def test_sweep_builds_untouched_stages_once(monkeypatch):
-    """A sweep builds each stage its parameter does not touch once, at the
-    first point, and rebuilds the touched ones at every point; the Monte
-    Carlo pass gets the hole rows of each absorb stage built.  The forward
-    transport builds two dephasing pairs and the return leg one, so a
-    transport-time point makes three, and the first point one more for
-    storage."""
+    """A sweep calls each stage's builder once: with every point for the
+    stages its parameter touches, with the first point alone for the
+    others.  Absorb and the shuttles still run their physics per point,
+    and the Monte Carlo pass gets the hole rows of each absorb stage
+    built: one per point when the parameter touches absorb, else one."""
+    builds = {}
+    for name, build in pipeline._STAGE_BUILDERS.items():
+        def counted_build(cfgs, schemes, _name=name, _build=build):
+            builds.setdefault(_name, []).append(len(cfgs))
+            return _build(cfgs, schemes)
+
+        monkeypatch.setitem(pipeline._STAGE_BUILDERS, name, counted_build)
     targets = ((pipeline, "absorption_branches"),
-               (processor, "site_channel_map"), (pipeline, "_mc_stats"),
-               (noise, "dephasing_kraus"))
+               (processor, "site_channel_map"), (pipeline, "_mc_stats"))
     calls = {}
     for module, name in targets:
         def counted(*args, _name=name, _original=getattr(module, name)):
@@ -793,14 +798,22 @@ def test_sweep_builds_untouched_stages_once(monkeypatch):
 
         monkeypatch.setattr(module, name, counted)
     cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(3, 2, 0.01))
-    # calls (absorb stages for the kernel) per 3-point sweep, in the order
-    # of targets: the shuttles build two chain maps per point
-    cases = {"noise.transport_time_ns": ([0.0, 10.0, 20.0], [1, 2, 1, 10]),
-             "window.bandwidth_ueV": ([50.0, 300.0, 1200.0], [3, 2, 3, 4]),
-             "chain.gate_error": ([0.0, 0.01, 0.02], [1, 6, 1, 4])}
-    for param, (values, counts) in cases.items():
+    # the stages each 3-point sweep touches, and the calls (absorb stages
+    # for the kernel) in the order of targets: the shuttles build two
+    # chain maps per point
+    cases = {"noise.transport_time_ns": ([0.0, 10.0, 20.0],
+                                         {"transport", "transport_back"},
+                                         [1, 2, 1]),
+             "window.bandwidth_ueV": ([50.0, 300.0, 1200.0], {"absorb"},
+                                      [3, 2, 3]),
+             "chain.gate_error": ([0.0, 0.01, 0.02],
+                                  {"shuttle_in", "shuttle_out"}, [1, 6, 1])}
+    for param, (values, touched, counts) in cases.items():
+        builds.clear()
         calls.update((name, 0) for _, name in targets)
         sweep(replace(cfg, mc_samples=100), param, values)
+        assert builds == {name: [3 if name in touched else 1]
+                          for name in pipeline._STAGE_BUILDERS}, param
         assert list(calls.values()) == counts, param
 
 
@@ -963,6 +976,58 @@ def test_sweep_rows_equal_monte_carlo(param, monkeypatch):
                        "hole_purity": mc.hole_purity_mean}
 
 
+def _stage_rows(stage, i=None):
+    """A stage's PTM, hole rows and collection row: at point i of a stage
+    stacked over the points of a sweep, or of a stage built at one point
+    (i None)."""
+    rows = [stage.ptm, *(stage.hole_rows or ())]
+    if stage.collection_row is not None:
+        rows.append(stage.collection_row)
+    return rows if i is None else [x[i] for x in rows]
+
+
+@pytest.mark.parametrize("param", pipeline.sweep_parameters())
+def test_stacked_stage_rows_equal_single_point_builds(param, monkeypatch):
+    """Built as one stack over a sweep's points, every stage's row at a
+    point (PTM, hole rows, collection row) is bit for bit the stage built
+    at that point alone, for points sharing one band scheme as a sweep
+    that keeps the field builds them and for a scheme per point; so is
+    every composed row, and every row the sweep hands the Monte Carlo
+    pass."""
+    cfg, values, point = SWEEP_CASES[param]
+    points = [point(cfg, v) for v in values]
+    singles = [end_to_end_stages(p) for p in points]
+    schemes = [[p.scheme() for p in points]]
+    if "scheme" not in pipeline._SWEEPABLE[param]:
+        schemes.append([points[0].scheme()] * len(points))
+    for point_schemes in schemes:
+        stacked = (pipeline.detection_stages(points, point_schemes)
+                   + pipeline.return_stages(points, point_schemes))
+        composed = _compose(stacked)
+        for i, single in enumerate(singles):
+            assert [st.name for st in stacked] == [st.name for st in single]
+            for st, one in zip(stacked, single):
+                got, want = _stage_rows(st, i), _stage_rows(one)
+                assert len(got) == len(want), st.name
+                assert all(map(np.array_equal, got, want)), (st.name, i)
+            assert np.array_equal(composed[i], _compose(single)), i
+    seen = []
+    original = pipeline._mc_stats
+    monkeypatch.setattr(pipeline, "_mc_stats",
+                        lambda *args: seen.append(args) or original(*args))
+    sweep(replace(cfg, mc_samples=20), param, values)
+    [(rs, holes, _)] = seen
+    for i, single in enumerate(singles):
+        assert np.array_equal(rs[i], _compose(single)), i
+    # the absorb stages built: one per point, or the first point's alone
+    built = len(holes[0]) // 2
+    assert built == (len(points) if "absorb" in pipeline._SWEEPABLE[param]
+                     else 1)
+    for i in range(built):
+        assert all(np.array_equal(x[[i, built + i]], y)
+                   for x, y in zip(holes, singles[i][0].hole_rows)), i
+
+
 # --- tomography --------------------------------------------------------------
 
 def test_tomography_ideal_identity():
@@ -1042,6 +1107,23 @@ def test_sweep_bandwidth_leakage_monotone():
 
 def test_sweep_empty_values():
     assert sweep(cfg_case_a(), "field.b_tesla", []) == []
+
+
+@pytest.mark.parametrize("param, values", [
+    ("noise.transport_time_ns", [30.0]),
+    # case A has no hadamard stage, and equal values are not refused as flat
+    ("hadamard_time_ns", [0.1, 0.1, 0.1])])
+def test_sweep_with_no_stacked_stage_has_a_row_per_value(param, values):
+    """A sweep that stacks no stage, over one point or over a parameter no
+    stage of its case reads, still gives one row per value, each the Monte
+    Carlo result of its point."""
+    cfg = cfg_case_a(mc_samples=200)
+    rows = sweep(cfg, param, values)
+    assert [row["value"] for row in rows] == values
+    mc = monte_carlo_average_fidelity(pipeline._setter(cfg, param)(values[0]))
+    for row in rows:
+        assert (row["mean_fidelity"], row["success_prob"]) == (
+            mc.mean_fidelity, mc.success_probability)
 
 
 def test_sweep_unknown_parameter():

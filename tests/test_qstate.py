@@ -245,6 +245,17 @@ def test_ptm_from_kraus_matches_pauli_images(n_ops):
     assert np.array_equal(ptm_from_kraus(np.array(kraus)), ptm_from_kraus(kraus))
 
 
+def test_ptm_from_kraus_stacks_channels():
+    """A (P, n, 2, 2) stack of Kraus sets maps to the (P, 4, 4) stack of
+    their PTMs, each bit for bit the PTM of its set alone."""
+    rng = np.random.default_rng(77)
+    sets = np.array([rand_kraus(rng, 3, scale) for scale in (1.0, 0.6, 0.3)])
+    got = ptm_from_kraus(sets)
+    assert got.shape == (3, 4, 4)
+    assert all(np.array_equal(g, ptm_from_kraus(k)) for g, k in zip(got, sets))
+    assert np.array_equal(ptm_from_kraus(sets[None]), got[None])
+
+
 def _choi_by_matrix_units(apply_map):
     """Oracle: ½ Σ_ij Φ(|i><j|) ⊗ |i><j|, four runs of any linear map."""
     units = np.eye(4, dtype=complex).reshape(4, 2, 2)
