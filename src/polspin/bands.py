@@ -244,7 +244,9 @@ def build_level_scheme(case: str, material: MaterialParams,
     strain splitting below.  Conduction levels split by g_cb·µB·B.
     Compressive strain is rejected: a topmost heavy-hole band couples each
     circular polarization to a single spin only (case A) and has zero
-    in-plane splitting (case B), so it cannot host the transfer.
+    in-plane splitting (case B), so it cannot host the transfer.  So is a
+    tensile strain too small for the field, which lifts a Zeeman-split
+    heavy hole above the light-hole doublet.
     """
     if case not in (CASE_A, CASE_B):
         raise ValueError(f"a split level scheme is case A or B, not {case!r}")
@@ -280,6 +282,12 @@ def build_level_scheme(case: str, material: MaterialParams,
         Level("valence", labels[0], quartet[2], -dv / 2.0),
         Level("valence", labels[1], quartet[3], +dv / 2.0),
     ], key=lambda l: l.energy_uev)
+    top = vlevels[-1]
+    if top.state[0] or top.state[3]:
+        raise HeavyHoleTopmost(
+            f"{top.label} lies {top.energy_uev - abs(dv) / 2.0:.6g} ueV "
+            "above the light-hole doublet at this field; coherent transfer "
+            "needs the light-hole band uppermost")
     # a negative g_cb puts the second state below the first
     clevels = sorted([Level("conduction", labels[2], c_lo, -dc / 2.0),
                       Level("conduction", labels[3], c_hi, +dc / 2.0)],

@@ -30,6 +30,10 @@ the block sums of the products c_i c_j and of their outer products, with
 no per-sample work.  So is every success row, which has no denominator.
 Every other row is summed per sample, by the ratio.
 
+The emit stage reads `transfer.emission_map` once per build; along the
+canonical direction that is a per-case constant formed at import, so
+only an explicit `emission_direction` maps emission modes in a build.
+
 Logical frame per case: the photon qubit (alpha, beta) maps to itself
 through an ideal noiseless scenario, whatever the physical encoding
 (z/x polarization -> mS spin pair -> eigenbasis -> Si donor spin), because
@@ -482,9 +486,11 @@ def _mc_stats(rs, holes, amps) -> tuple[list[dict], list[dict]]:
     A row that is a quadratic form in c on unit inputs, its p = 0 or its
     denominator constant (`_is_flat`: d·c = d₀ = 1), is summed by moments
     (`_MomentSums`); every other row per sample, by the ratio
-    (`_RatioSums`), which runs only when some row is not flat.  Leakage is
-    clipped at 0 at the end, as a form can round below ||K q||² = 0.  A
-    row's path and figures do not depend on P or H.
+    (`_RatioSums`), which runs only when some row is not flat.  At the
+    end leakage is clipped at 0, as a form can round below ||K q||² = 0,
+    and the hole-purity mean at 1, as the per-sample ratio of a hole that
+    factors out can round above its purity 1.  A row's path and figures do
+    not depend on P or H.
     """
     p, n = len(rs), len(amps)
     rows = tuple(map(np.concatenate, zip(_ptm_rows(rs), holes)))
@@ -508,7 +514,7 @@ def _mc_stats(rs, holes, amps) -> tuple[list[dict], list[dict]]:
     success, fidelity = mean[:2 * p].reshape(2, p)
     leak, purity = mean[2 * p:].reshape(2, -1)
     err, std = np.sqrt(var[p:2 * p] / n), np.sqrt(var[2 * p + len(leak):])
-    leak = np.maximum(leak, 0.0)
+    leak, purity = np.maximum(leak, 0.0), np.minimum(purity, 1.0)
     return ([{"mean_fidelity": float(fidelity[i]), "stderr": float(err[i]),
               "success_probability": float(success[i])} for i in range(p)],
             [{"leakage": float(leak[i]), "hole_purity_mean": float(purity[i]),

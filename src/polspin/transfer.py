@@ -29,7 +29,11 @@ polarization each mL component radiates: `_RECOMBINING_HOLES` names the
 hole each electron spin falls back into, and `emission_map`, the one
 emission implementation, runs the rules backwards: one Kraus branch per
 hole, collected along a direction with the off-axis frame distortion
-compensated, and the per-branch collection fractions.  The pipeline's
+compensated, and the per-branch collection fractions.  Along the
+canonical direction that map depends only on the case and the
+recombining holes' states, so it is a per-case constant, formed at
+import (`_CANONICAL_EMISSIONS`) for every scheme the bands module builds;
+an explicit direction maps the modes once, along it.  The pipeline's
 emit stage collects along the config's `emission_direction`.
 
 Readout is one matrix too: an electron state evolves by
@@ -40,12 +44,13 @@ Readout is one matrix too: an electron state evolves by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .angular import clebsch_gordan
-from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, SpectralWindow,
+from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, FieldConfig,
+                    INAS_GAAS_QW, SpectralWindow, build_level_scheme,
                     degenerate_scheme)
 from .constants import HBAR_UEV_NS
 from .errors import DarkDirection, HeavyHoleTopmost
@@ -440,6 +445,53 @@ def _frame_to_basis(scheme: BandScheme) -> np.ndarray:
     return modes.conj() @ frame.T
 
 
+def _branches(case: str, geometry: np.ndarray) -> list[np.ndarray]:
+    """One Kraus branch per recombining hole of the case: the electron
+    (down, up) -> photon map `geometry` restricted to the spins that fall
+    into that hole."""
+    holes = _RECOMBINING_HOLES[case]
+    return [geometry @ np.diag([float(h == hole) for h in holes])
+            for hole in dict.fromkeys(holes)]
+
+
+def _canonical_emission(scheme: BandScheme):
+    """(branches, fractions, geometry) of the emission along the scheme's
+    canonical k, read-only: `emission_map`'s result there, and the map
+    from electron amplitudes to canonical basis amplitudes that an
+    explicit direction starts from."""
+    t_can, fractions = _mode_map(scheme, scheme.canonical_k)
+    geometry = _frame_to_basis(scheme) @ t_can
+    branches = _branches(scheme.case, geometry)
+    for a in (*branches, fractions, geometry):
+        a.flags.writeable = False
+    return branches, fractions, geometry
+
+
+def _emission_key(scheme: BandScheme) -> tuple:
+    """Everything the canonical emission reads of a scheme: its case, its
+    canonical k and the states of its recombining holes."""
+    return (scheme.case, scheme.canonical_k.tobytes(),
+            *(scheme.valence_levels[hole].state.tobytes()
+              for hole in _RECOMBINING_HOLES[scheme.case]))
+
+
+def _canonical_schemes() -> list[BandScheme]:
+    """One scheme for each set of recombining holes `build_level_scheme`
+    and `degenerate_scheme` produce: in each split case either light-hole
+    row on top, as the sign of g_lh picks, and the degenerate pair."""
+    return [degenerate_scheme()] + [
+        build_level_scheme(case, replace(INAS_GAAS_QW, g_lh=g_lh),
+                           FieldConfig(1.0))
+        for case in (CASE_A, CASE_B) for g_lh in (1.0, -1.0)]
+
+
+# The canonical emission depends only on the case and the recombining
+# holes' states, not on B, the g-factors or the window, so each is formed
+# once, at import, by the code that serves a scheme the table lacks.
+_CANONICAL_EMISSIONS = {_emission_key(s): _canonical_emission(s)
+                        for s in _canonical_schemes()}
+
+
 def emission_map(scheme: BandScheme,
                  direction=None) -> tuple[list[np.ndarray], np.ndarray]:
     """Recombination of the electron spin with its hole, collected along
@@ -459,12 +511,16 @@ def emission_map(scheme: BandScheme,
     correction T_can pinv(T) takes the collected frame amplitudes T @ e to
     the canonical ones: exactly wherever the frame map T has full rank, in
     the least-squares sense where it does not, which stays lossy.
+
+    Along the canonical direction the result is read-only, a per-case
+    constant formed at import (`_CANONICAL_EMISSIONS`); only a hand-built
+    scheme whose holes no built scheme has is computed here.
+    An explicit direction maps the modes once, along it, and starts from
+    the constant's canonical geometry.
     """
-    t_can, fractions = _mode_map(scheme, scheme.canonical_k)
-    geometry = _frame_to_basis(scheme) @ t_can
-    if direction is not None:
-        t, fractions = _mode_map(scheme, direction)
-        geometry = geometry @ np.linalg.pinv(t) @ t
-    holes = _RECOMBINING_HOLES[scheme.case]
-    return ([geometry @ np.diag([float(h == hole) for h in holes])
-             for hole in dict.fromkeys(holes)], fractions)
+    entry = _CANONICAL_EMISSIONS.get(_emission_key(scheme))
+    branches, fractions, geometry = entry or _canonical_emission(scheme)
+    if direction is None:
+        return list(branches), fractions
+    t, fractions = _mode_map(scheme, direction)
+    return _branches(scheme.case, geometry @ np.linalg.pinv(t) @ t), fractions

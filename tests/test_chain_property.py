@@ -13,7 +13,8 @@ from dataclasses import fields
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from polspin.bands import FieldConfig, MaterialParams, SpectralWindow
+from polspin.bands import (FieldConfig, MaterialParams, SpectralWindow,
+                           zeeman_splitting)
 from polspin.cli import main
 from polspin.noise import NoiseModel
 from polspin.pipeline import ChainParams, ScenarioConfig, json_key
@@ -223,6 +224,30 @@ def test_material_and_scalar_config_reports_or_is_refused(tmp_path_factory, case
     if kind != "range":
         assert code == 2
         assert f"{key} must be a" in err
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["A", "B"]), st.floats(-1.0, 1.0), st.floats(1.0, 5.0),
+       st.floats(1.0, 300.0), st.floats(0.1, 10.0))
+def test_low_strain_heavy_hole_on_top_is_refused(tmp_path_factory, case, g_lh,
+                                                 g_hh, strain, b):
+    """g_lh below g_hh_normal at a weak strain: where case A's field lifts
+    the heavy hole mJ=+3/2 above the light-hole doublet the config is
+    refused, exit 3; case B's in-plane heavy-hole g-factor is 0, so it
+    never is, and every config not refused reports unit figures."""
+    doc = {"case": case, "field": {"b_tesla": b},
+           "window": {"bandwidth_ueV": 100.0}, "mc_samples": 50,
+           "material": {"g_cb": 0.4, "g_lh": g_lh, "g_hh_normal": g_hh,
+                        "strain_splitting_ueV": strain}}
+    code, err, rep = _run(tmp_path_factory, "low_strain_property", doc)
+    heavy = -strain + abs(zeeman_splitting(g_hh, b)) / 2.0
+    if case == "A" and heavy > abs(zeeman_splitting(g_lh, b)) / 2.0:
+        assert (code, rep) == (3, None)
+        assert err.startswith("scenario error: HeavyHoleTopmost: hh mJ=+3/2 ")
+        return
+    assert (code, err) == (0, "")
+    _assert_unit_figures(rep)
 
 
 SECTION_KEYS = {"": ScenarioConfig, "material": MaterialParams,

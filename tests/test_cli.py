@@ -78,6 +78,22 @@ def test_levels_compressive_exit_3(tmp_path, capsys):
     assert "HeavyHoleTopmost" in err
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_run_heavy_hole_above_light_holes_exit_3(tmp_path, capsys):
+    """A weak tensile strain at 10 T lifts hh mJ=+3/2 (189.4 ueV) above lh
+    mJ=+1/2 (144.7 ueV): refused as compressive strain is, where it had
+    printed a collection fraction of nan (spin-down has no dipole into
+    that hole)."""
+    cfg = write_config(tmp_path, field={"b_tesla": 10.0}, material={
+        "g_cb": 0.4, "g_lh": 0.5, "g_hh_normal": 1.0,
+        "strain_splitting_ueV": 100.0, "strain_sign": "tensile"})
+    for command in ("run", "levels"):
+        code, out, err = run_cli(["--config", cfg, command], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("scenario error: HeavyHoleTopmost: hh mJ=+3/2 "
+                              "lies 44.7095 ueV above the light-hole doublet")
+
+
 def test_levels_zero_field_warns(tmp_path, capsys):
     cfg = write_config(tmp_path, case="degenerate",
                        field={"b_tesla": 0.0},

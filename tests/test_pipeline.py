@@ -668,6 +668,25 @@ def test_hole_stats_resolves_a_tiny_spread():
     assert abs(stats["hole_purity_std"] - want) <= 1e-6 * want
 
 
+def test_hole_purity_mean_is_clipped_at_one():
+    """A narrow window far below case B's line at 2.757 T: the hole factors
+    out, but near the dark pole of the absorb stage the per-sample purity
+    ratios average to ~1 + 1.9e-7.  The reported mean is clipped at 1, as
+    leakage is at 0; the spread keeps its rounding."""
+    cfg = cfg_case_b(field=FieldConfig(2.757),
+                     window=SpectralWindow(24.1, center_offset_uev=-26.9),
+                     seed=52, mc_samples=1000)
+    c = pauli_vectors(haar_qubits(cfg.seed, cfg.mc_samples))
+    i, j = np.triu_indices(4)
+    _, purity = pipeline._ratios(end_to_end_stages(cfg)[0].hole_rows,
+                                 c[i] * c[j])
+    assert 1.0 + 1e-8 < np.mean(purity) < 1.0 + 1e-6
+    rep = scenario_report(cfg)
+    assert rep.hole_purity_mean == 1.0
+    assert 0.0 < rep.hole_purity_std < 1e-4
+    assert rep.leakage == 0.0
+
+
 def test_sweep_rows_independent_of_point_count():
     """At the benchmark's shape (case B with a window, a one-site chain,
     1e5 samples), each row of a 21-point sweep is exactly the Monte Carlo
@@ -1345,16 +1364,22 @@ def test_scenario_report_builds_stages_once(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))
 def test_scenario_report_maps_emission_modes_once(name, monkeypatch):
-    """A report maps the emission modes once along the canonical direction,
-    and once more along an explicit emission direction."""
-    calls = []
-    original = transfer._mode_map
+    """A report maps no emission modes along the canonical direction, whose
+    map is formed at import, and maps them once along an explicit emission
+    direction; either way it calls emission_map once."""
+    calls, emissions = [], []
+    original, original_emission = transfer._mode_map, transfer.emission_map
     monkeypatch.setattr(transfer, "_mode_map",
                         lambda *args: calls.append(args) or original(*args))
-    for direction, count in ((None, 1), ((0.3, 0.2, 1.0), 2)):
+    monkeypatch.setattr(pipeline, "emission_map",
+                        lambda *args: emissions.append(args)
+                        or original_emission(*args))
+    for direction, count in ((None, 0), ((0.3, 0.2, 1.0), 1)):
         calls.clear()
+        emissions.clear()
         scenario_report(replace(REPORT_CONFIGS[name](), emission_direction=direction))
         assert len(calls) == count, direction
+        assert len(emissions) == 1, direction
 
 
 @pytest.mark.parametrize("name", sorted(REPORT_CONFIGS))

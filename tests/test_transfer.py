@@ -1,11 +1,14 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
 import polspin.qstate as qs
+import polspin.transfer as tr
 from polspin.bands import (CASE_A, CASE_B, FieldConfig, INAS_GAAS_QW,
-                           SpectralWindow, build_level_scheme,
+                           MaterialParams, SpectralWindow, build_level_scheme,
                            degenerate_scheme, precession_period)
 from polspin.constants import MU_B_UEV_PER_T
 from polspin.errors import DarkDirection, HeavyHoleTopmost
@@ -16,8 +19,9 @@ from polspin.transfer import (E_SPH, HADAMARD, PhotonQubit, absorb_case_a,
                               absorption_branches, branch_dipole_vectors,
                               dipole_matrix_element, emission_map, ls_table,
                               precession_unitary, transverse_frame,
-                              _RECOMBINING_HOLES, _absorbing_holes, _channels,
-                              _dipole_blocks, _frame_to_basis, _mode_map)
+                              _CANONICAL_EMISSIONS, _RECOMBINING_HOLES,
+                              _absorbing_holes, _channels, _dipole_blocks,
+                              _emission_key, _frame_to_basis, _mode_map)
 from test_pipeline import _gram_forms
 
 SQ2 = 1.0 / math.sqrt(2.0)
@@ -943,3 +947,114 @@ def test_emission_explicit_direction_matches_old_construction(case, direction):
     assert len(kraus) == len(old)
     assert max(np.max(np.abs(k - o)) for k, o in zip(kraus, old)) < 1e-14
     assert np.array_equal(fractions, _mode_map(scheme, direction)[1])
+
+
+# --- the canonical emission table -------------------------------------------
+
+def _table_free_emission(scheme, direction=None):
+    """(branches, fractions, canonical geometry) of emission_map computed
+    from the scheme alone, as it was before the table: the canonical mode
+    map, then the explicit direction's."""
+    t_can, fractions = _mode_map(scheme, scheme.canonical_k)
+    canonical = _frame_to_basis(scheme) @ t_can
+    geometry = canonical
+    if direction is not None:
+        t, fractions = _mode_map(scheme, direction)
+        geometry = geometry @ np.linalg.pinv(t) @ t
+    holes = _RECOMBINING_HOLES[scheme.case]
+    return ([geometry @ np.diag([float(h == hole) for h in holes])
+             for hole in dict.fromkeys(holes)], fractions, canonical)
+
+
+def _assert_emission_equal(got, want):
+    (kraus, fractions), (kraus_want, fractions_want, _) = got, want
+    assert len(kraus) == len(kraus_want)
+    assert all(np.array_equal(k, w) for k, w in zip(kraus, kraus_want))
+    assert np.array_equal(fractions, fractions_want)
+
+
+def _table_schemes():
+    """The degenerate scheme, then per split case the schemes with either
+    light-hole row of the quartet on top, as the sign of g_lh picks."""
+    return [degenerate_scheme()] + [
+        build_level_scheme(case, replace(INAS_GAAS_QW, g_lh=g_lh),
+                           FieldConfig(1.0))
+        for case in (CASE_A, CASE_B) for g_lh in (-8.87, 8.87)]
+
+
+def test_canonical_emission_table_covers_every_built_scheme():
+    """One entry per split case and topmost light-hole row, plus the
+    degenerate pair, each equal to the table-free computation bit for
+    bit."""
+    schemes = _table_schemes()
+    assert sorted(map(_emission_key, schemes)) == sorted(_CANONICAL_EMISSIONS)
+    for pair in (schemes[1:3], schemes[3:]):
+        tops = [scheme.topmost_valence.state for scheme in pair]
+        assert not np.array_equal(*tops)
+        assert all(top[0] == top[3] == 0 for top in tops)
+    for scheme in schemes:
+        branches, fractions, geometry = _CANONICAL_EMISSIONS[
+            _emission_key(scheme)]
+        want, fractions_want, geometry_want = _table_free_emission(scheme)
+        assert len(branches) == len(want)
+        assert all(np.array_equal(b, w) for b, w in zip(branches, want))
+        assert np.array_equal(fractions, fractions_want)
+        assert np.array_equal(geometry, geometry_want)
+
+
+def test_canonical_emission_entries_are_read_only():
+    for branches, fractions, geometry in _CANONICAL_EMISSIONS.values():
+        assert not any(a.flags.writeable
+                       for a in (*branches, fractions, geometry))
+    kraus, fractions = emission_map(EMISSION_SCHEMES["B"]())
+    with pytest.raises(ValueError, match="read-only"):
+        kraus[0][0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        fractions[0] = 0.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([CASE_A, CASE_B]),
+       st.floats(-20.0, 20.0), st.floats(-2.0, 2.0), st.floats(-5.0, 5.0),
+       st.floats(1.0, 1e5), st.floats(0.0, 30.0),
+       st.tuples(*[st.floats(-1.0, 1.0)] * 3))
+def test_emission_map_equals_table_free_computation(case, g_lh, g_cb, g_hh,
+                                                    strain, b, direction):
+    """For any material and field a built scheme finds its canonical
+    emission in the table, equal to the table-free computation bit for
+    bit, and so is the emission along a drawn direction."""
+    material = MaterialParams(g_cb=g_cb, g_lh=g_lh, g_hh_normal=g_hh,
+                              strain_splitting_uev=strain)
+    try:
+        scheme = build_level_scheme(case, material, FieldConfig(b))
+    except HeavyHoleTopmost:
+        reject()
+    assert _emission_key(scheme) in _CANONICAL_EMISSIONS
+    _assert_emission_equal(emission_map(scheme), _table_free_emission(scheme))
+    assume(max(map(abs, direction)) > 1e-3)
+    _assert_emission_equal(emission_map(scheme, direction),
+                           _table_free_emission(scheme, direction))
+
+
+def test_emission_map_computes_a_scheme_the_table_lacks(monkeypatch):
+    """A hand-built topmost light hole, a complex mixture of mJ = ±1/2,
+    misses the table: emission_map maps its modes on every call, keeps no
+    memo, and equals the table-free computation bit for bit."""
+    scheme = EMISSION_SCHEMES["A"]()
+    top = scheme.topmost_valence
+    state = np.array([0.0, 0.6, 0.8j, 0.0])
+    scheme = replace(scheme, valence_levels=scheme.valence_levels[:-1]
+                     + (replace(top, state=state),))
+    assert _emission_key(scheme) not in _CANONICAL_EMISSIONS
+    want = _table_free_emission(scheme)
+    calls = []
+    original = tr._mode_map
+    monkeypatch.setattr(tr, "_mode_map",
+                        lambda *args: calls.append(args) or original(*args))
+    for count in (1, 2):
+        _assert_emission_equal(emission_map(scheme), want)
+        assert len(calls) == count
+    assert len(_CANONICAL_EMISSIONS) == 5
+    direction = (0.3, 0.2, 1.0)
+    _assert_emission_equal(emission_map(scheme, direction),
+                           _table_free_emission(scheme, direction))
