@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -54,14 +54,12 @@ from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, FieldConfig,
                     MaterialParams, INAS_GAAS_QW, SpectralWindow,
                     build_level_scheme, degenerate_scheme)
 from .constants import H_OVER_E2_OHM, charging_energy_uev, thermal_energy_uev
+from .errors import PolspinError
 from .noise import NoiseModel
 from .qstate import (PAULIS, choi_from_ptm, choi_of_map, density_from_pauli,
                      is_cptp, pauli_vectors, process_fidelity, ptm_from_choi,
                      ptm_from_kraus)
 from .transfer import absorption_branches, emission_map, precession_unitary
-
-_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-_I2 = np.eye(2, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -175,35 +173,43 @@ class Stage:
     collection_row: np.ndarray | None = field(default=None, repr=False)
 
 
-def _detection_frame(case: str) -> np.ndarray:
-    """Rotation from physical electron (mS-ordered) coordinates to the
-    logical frame right after absorption."""
-    return _X if case == CASE_A else _I2
+# each case's rotation from physical electron (mS-ordered) coordinates to
+# the logical frame right after absorption, and its PTM
+_FRAMES = {CASE_A: np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+           CASE_B: np.eye(2, dtype=complex), DEGENERATE: np.eye(2, dtype=complex)}
+_FRAME_PTMS = {case: ptm_from_kraus([u]) for case, u in _FRAMES.items()}
 
 
-# the PTM of each case's detection frame
-_FRAME_PTMS = {case: ptm_from_kraus([_detection_frame(case)])
-               for case in (CASE_A, CASE_B, DEGENERATE)}
+@dataclass(frozen=True)
+class _Point:
+    """One point the stages are built at: its config, band scheme and chain
+    hop PTM (`_shuttle_ptm`), run when a shuttle first reads it."""
+
+    cfg: ScenarioConfig
+    scheme: BandScheme
+
+    @cached_property
+    def hop(self) -> np.ndarray:
+        hop = ptm_from_choi(choi_of_map(processor.site_channel_map(
+            2, 0, 1, self.cfg.chain.gate_error)))
+        hop.setflags(write=False)
+        return hop
 
 
-def _shuttle_ptm(chain: ChainParams, from_site: int, to_site: int) -> np.ndarray:
-    """PTM of the shuttle from_site -> to_site, from the chain's light cone.
+def _shuttle_ptm(point: _Point, hops: int) -> np.ndarray:
+    """PTM of a shuttle over |hops| sites, from the chain's light cone.
 
     Each hop is an exchange SWAP on (pos, next).  The site ahead has not
     been touched, so it is exactly |0><0| and a product with the rest; the
-    site left behind is never touched again and only to_site is read, so
+    site left behind is never touched again and only the end is read, so
     tracing it out right after the hop commutes with every later gate.  The
     shuttle's qubit map is therefore exactly the one-hop map raised to
-    |hops|: one hop on a two-site chain holding (qubit, |0>), probed on two
-    inputs, whatever the chain's length.
+    |hops|, whatever the chain's length.  The hop, on a two-site chain
+    holding (qubit, |0>), has no direction: SWAP then the same depolarizing
+    on both sites commutes with the mirror that exchanges the sites, so
+    both shuttles read the one rightward hop of `point`.
     """
-    hops = to_site - from_site
-    if hops == 0:
-        return np.eye(4)
-    a, b = (0, 1) if hops > 0 else (1, 0)
-    hop = ptm_from_choi(choi_of_map(processor.site_channel_map(
-        2, a, b, chain.gate_error)))
-    return np.linalg.matrix_power(hop, abs(hops))
+    return np.linalg.matrix_power(point.hop, abs(hops)) if hops else np.eye(4)
 
 
 def _refuse_dark(row):
@@ -215,11 +221,11 @@ def _refuse_dark(row):
         raise ValueError("photon does not couple to this scheme")
 
 
-# Every builder maps the configs of the points a stage is built at, each
-# with its band scheme, to one Stage: at one point the scalar build, at P
-# points the same build along a leading axis of P (`_stack`).  The
-# dephasing channels (the transports, storage) are built as one stack;
-# absorb, the shuttles, hadamard and emit point by point, then stacked.
+# Every builder maps the points a stage is built at (`_Point`) to one
+# Stage: at one point the scalar build, at P points the same build along a
+# leading axis of P (`_stack`).  The dephasing channels (the transports,
+# storage) are built as one stack; absorb, the shuttles, hadamard and emit
+# point by point, then stacked.
 
 def _stack(values: list):
     """A stage's values at its points: one point's own value, or the values
@@ -227,18 +233,18 @@ def _stack(values: list):
     return values[0] if len(values) == 1 else np.array(values)
 
 
-def _absorb(cfgs, schemes) -> Stage:
+def _absorb(points) -> Stage:
     """The absorb stage, with the hole rows of its physical branches, which
     refuse them if they are dark.  Its branches are the physical ones in
     the logical frame, scaled by the absorption efficiency and renormalised
     if need be so that sum K†K <= I."""
     kraus, holes = [], []
-    for cfg, scheme in zip(cfgs, schemes):
+    for cfg, scheme in ((p.cfg, p.scheme) for p in points):
         branches = absorption_branches(scheme, cfg.window, cfg.compensate)
         physical = [br.kraus for br in branches]
         holes.append(_hole_rows(physical,
                                 sum(not br.unwanted for br in branches)))
-        ks = _detection_frame(cfg.case) @ np.asarray(physical)
+        ks = _FRAMES[cfg.case] @ np.asarray(physical)
         total = (ks.conj().transpose(0, 2, 1) @ ks).sum(axis=0)
         top = float(np.max(np.linalg.eigvalsh(total)).real)
         ks *= math.sqrt(cfg.absorption_efficiency) / max(1.0, math.sqrt(top))
@@ -247,17 +253,17 @@ def _absorb(cfgs, schemes) -> Stage:
                  tuple(map(_stack, zip(*holes))))
 
 
-def _transport_leg(cfgs, schemes, forward: bool) -> Stage:
+def _transport_leg(points, forward: bool) -> Stage:
     """The forward or return transport, dephasing in the scheme's energy
     eigenbasis.  Case B's pre-readout frame is the mS frame, whose
     eigenstates are the ± superpositions; case A's and the degenerate
     eigenbases are the mS states (swapped when g_cb < 0), in which the
     channel is the unrotated one bit for bit."""
-    noises = [cfg.noise for cfg in cfgs]
+    noises = [p.cfg.noise for p in points]
     kraus = noise_mod.transport_kraus(
         _stack([noise_mod.coherence_factor(nm.transport_time_ns,
                                            nm.t2_iii_v_ns) for nm in noises]),
-        _stack([scheme.eigenbasis for scheme in schemes]),
+        _stack([p.scheme.eigenbasis for p in points]),
         _stack([1.0 - nm.transport_dephasing_fraction for nm in noises])
         if forward else None)
     keep = np.asarray(_stack([1.0 - nm.transport_loss for nm in noises]))
@@ -265,41 +271,38 @@ def _transport_leg(cfgs, schemes, forward: bool) -> Stage:
                  keep[..., None, None] * ptm_from_kraus(kraus))
 
 
-def _shuttle(cfgs, schemes, inward: bool) -> Stage:
-    """The shuttle from the chain's first site to the storage site, or back."""
-    ptms = []
-    for cfg in cfgs:
-        ends = (0, cfg.chain.storage_site)
-        ptms.append(_shuttle_ptm(cfg.chain, *(ends if inward else ends[::-1])))
-    return Stage("shuttle_in" if inward else "shuttle_out", _stack(ptms))
+def _shuttle(points, name: str) -> Stage:
+    """The shuttle from site 0 to the storage site, or back: one map."""
+    return Stage(name, _stack([_shuttle_ptm(p, p.cfg.chain.storage_site)
+                               for p in points]))
 
 
-def _hadamard(cfgs, schemes) -> Stage:
+def _hadamard(points) -> Stage:
     # physically: precession over t, then the Hadamard rotation onto the
     # eigenbasis.  In logical coordinates the Hadamard cancels against the
     # post-readout frame change (it is involutive), leaving only the
     # synchronization error of the precession phase.
-    u = _stack([precession_unitary(scheme, cfg.hadamard_time_ns)
-                for cfg, scheme in zip(cfgs, schemes)])
+    u = _stack([precession_unitary(p.scheme, p.cfg.hadamard_time_ns)
+                for p in points])
     return Stage("hadamard", ptm_from_kraus(u[..., None, :, :]))
 
 
-def _storage(cfgs, schemes) -> Stage:
-    gamma = _stack([noise_mod.coherence_factor(cfg.storage_time_ns,
-                                               cfg.noise.t2_si_ns)
-                    for cfg in cfgs])
+def _storage(points) -> Stage:
+    gamma = _stack([noise_mod.coherence_factor(p.cfg.storage_time_ns,
+                                               p.cfg.noise.t2_si_ns)
+                    for p in points])
     return Stage("storage", ptm_from_kraus(noise_mod.dephasing_kraus(gamma)))
 
 
-def _emit(cfgs, schemes) -> Stage:
+def _emit(points) -> Stage:
     """Prep -> recombination -> collection -> compensation, one logical
     Kraus branch per recombining hole (`transfer.emission_map`).  Spin
     branches with collection fractions (f↓, f↑) give the mS-frame row
     ½[f↓+f↑, 0, 0, f↓−f↑], taken to the logical frame by the frame's PTM."""
     kraus, rows = [], []
-    for cfg, scheme in zip(cfgs, schemes):
+    for cfg, scheme in ((p.cfg, p.scheme) for p in points):
         branches, (down, up) = emission_map(scheme, cfg.emission_direction)
-        kraus.append(np.array(branches) @ _detection_frame(cfg.case))
+        kraus.append(np.array(branches) @ _FRAMES[cfg.case])
         rows.append(0.5 * np.array([down + up, 0.0, 0.0, down - up])
                     @ _FRAME_PTMS[cfg.case])
     return Stage("emit", ptm_from_kraus(_stack(kraus)),
@@ -309,40 +312,39 @@ def _emit(cfgs, schemes) -> Stage:
 # One builder per stage name, so that a sweep can stack a single stage.
 _STAGE_BUILDERS = {
     "absorb": _absorb, "transport": partial(_transport_leg, forward=True),
-    "shuttle_in": partial(_shuttle, inward=True), "hadamard": _hadamard,
-    "storage": _storage, "shuttle_out": partial(_shuttle, inward=False),
+    "shuttle_in": partial(_shuttle, name="shuttle_in"), "hadamard": _hadamard,
+    "storage": _storage, "shuttle_out": partial(_shuttle, name="shuttle_out"),
     "transport_back": partial(_transport_leg, forward=False), "emit": _emit,
 }
 
 
-def _build(names, cfgs, schemes, along) -> list[Stage]:
-    """The stages `names` at the points cfgs, with their schemes: a stage
-    named in `along` (every one if it is None) stacked over all the
-    points, any other built at the first point alone, which composes with
-    the stacks by broadcasting."""
-    return [_STAGE_BUILDERS[name](cfgs, schemes)
-            if along is None or name in along
-            else _STAGE_BUILDERS[name](cfgs[:1], schemes[:1])
+def _build(names, points, along) -> list[Stage]:
+    """The stages `names` at the points (`_Point`): a stage named in
+    `along` (every one if it is None) stacked over all the points, any
+    other built at the first point alone, which composes with the stacks
+    by broadcasting."""
+    return [_STAGE_BUILDERS[name](points if along is None or name in along
+                                  else points[:1])
             for name in names]
 
 
-def detection_stages(cfgs, schemes, along=None) -> list[Stage]:
+def detection_stages(points, along=None) -> list[Stage]:
     """The stages from absorption to storage (`_build`)."""
     names = ["absorb", "transport", "shuttle_in"]
-    if cfgs[0].case == CASE_B:
+    if points[0].cfg.case == CASE_B:
         names.append("hadamard")
-    return _build(names, cfgs, schemes, along)
+    return _build(names, points, along)
 
 
-def return_stages(cfgs, schemes, along=None) -> list[Stage]:
+def return_stages(points, along=None) -> list[Stage]:
     """The stages from storage to emission (`_build`)."""
     return _build(("storage", "shuttle_out", "transport_back", "emit"),
-                  cfgs, schemes, along)
+                  points, along)
 
 
 def end_to_end_stages(cfg: ScenarioConfig) -> list[Stage]:
-    scheme = cfg.scheme()
-    return detection_stages([cfg], [scheme]) + return_stages([cfg], [scheme])
+    points = [_Point(cfg, cfg.scheme())]
+    return detection_stages(points) + return_stages(points)
 
 
 def _compose(stages: list[Stage]) -> np.ndarray:
@@ -700,7 +702,7 @@ def run_detection(q, cfg: ScenarioConfig) -> DetectionResult:
     donor chain; returns the stored qubit (`logical_rho`, normalised) plus
     per-stage diagnostics."""
     c = pauli_vectors(_unit(q)[None])
-    stages = detection_stages([cfg], [cfg.scheme()])
+    stages = detection_stages([_Point(cfg, cfg.scheme())])
     leak, purity, entropy = _input_hole(stages[0], c)
     trace, vectors = _stage_trace(stages, c[:, 0])
     return DetectionResult(
@@ -841,28 +843,33 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     points share its sweep.
 
     Every point's config is built before any stage, and a value its field
-    refuses is refused as a KeyError naming the parameter.  A sweep over
-    two or more distinct values whose every point has the first point's
-    composed PTM and absorb hole rows, each to 1e-12 of the first point's
-    largest entry, is refused as flat.
+    refuses is refused as a KeyError naming the parameter and the value; a
+    refused band scheme keeps its error class and names them too.  A sweep
+    over two or more distinct values whose every point has the first
+    point's composed PTM and absorb hole rows, each to 1e-12 of the first
+    point's largest entry, is refused as flat.
     """
     set_value = _setter(cfg, param)
     touched = _SWEEPABLE[param]
     values = [float(v) for v in values]
-    points = []
+    cfgs = []
     for v in values:
         try:
-            points.append(set_value(v))
+            cfgs.append(set_value(v))
         except ValueError as exc:
             raise KeyError(f"sweeping {param} to {v!r}: {exc}") from None
-    if not points:
+    if not cfgs:
         return []
-    amps = haar_qubits(points[0].seed, points[0].mc_samples)
-    schemes = [points[0].scheme()]
-    schemes += ([sub.scheme() for sub in points[1:]] if "scheme" in touched
-                else schemes * (len(points) - 1))
-    stages = (detection_stages(points, schemes, touched)
-              + return_stages(points, schemes, touched))
+    points = []
+    for v, sub in zip(values, cfgs):
+        try:
+            scheme = (sub.scheme() if not points or "scheme" in touched
+                      else points[0].scheme)
+        except PolspinError as exc:
+            raise type(exc)(f"sweeping {param} to {v!r}: {exc}") from None
+        points.append(_Point(sub, scheme))
+    amps = haar_qubits(cfgs[0].seed, cfgs[0].mc_samples)
+    stages = detection_stages(points, touched) + return_stages(points, touched)
     # one composed PTM per point, also where no stage is stacked (one point,
     # or a parameter that touches no stage of this case)
     rs = np.array(np.broadcast_to(_compose(stages), (len(points), 4, 4)))
@@ -880,13 +887,9 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
         rs, [x.swapaxes(0, 1).reshape(-1, *x.shape[2:]) for x in holes], amps)
     if len(holes) == 1:
         holes *= len(fids)
-    return [{"param": param,
-             "value": v,
-             "mean_fidelity": fid["mean_fidelity"],
-             "stderr": fid["stderr"],
-             "success_prob": fid["success_probability"],
-             "leakage": hole["leakage"],
-             "hole_purity": hole["hole_purity_mean"]}
+    return [{"param": param, "value": v, "mean_fidelity": fid["mean_fidelity"],
+             "stderr": fid["stderr"], "success_prob": fid["success_probability"],
+             "leakage": hole["leakage"], "hole_purity": hole["hole_purity_mean"]}
             for v, fid, hole in zip(values, fids, holes)]
 
 

@@ -100,14 +100,14 @@ _PROBES = 0.5 * np.array([PAULIS[0] + 1j * PAULIS[3],
 
 def choi_of_map(apply_map) -> np.ndarray:
     """Choi matrix ¼ Σ_k Φ(σ_k) ⊗ σ_kᵀ of a linear qubit map rho -> rho'
-    given as a callable, probed on two inputs.
+    given as a callable, probed once, on the (2, 2, 2) stack of two inputs.
 
-    Precondition: the map preserves Hermiticity, Φ(A†) = Φ(A)†, as every
+    Preconditions: the map takes a (..., 2, 2) stack, each matrix mapped as
+    it would be alone, and preserves Hermiticity, Φ(A†) = Φ(A)†, as every
     CP map does.  Then Φ(σ_0) = Φ(P_0) + Φ(P_0)†, Φ(σ_3) = −i(Φ(P_0) −
-    Φ(P_0)†), and likewise σ_1, σ_2 from P_1, so two runs of the map fix
-    all four Pauli images.
+    Φ(P_0)†), and likewise σ_1, σ_2 from P_1: two probes fix all four.
     """
-    a, b = (np.asarray(apply_map(p), dtype=complex) for p in _PROBES)
+    a, b = np.asarray(apply_map(_PROBES), dtype=complex)
     ah, bh = a.conj().T, b.conj().T
     images = np.array([a + ah, b + bh, -1j * (b - bh), -1j * (a - ah)])
     return 0.25 * np.einsum("kab,kdc->acbd", images, PAULIS).reshape(4, 4)

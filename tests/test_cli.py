@@ -94,6 +94,20 @@ def test_run_heavy_hole_above_light_holes_exit_3(tmp_path, capsys):
                               "lies 44.7095 ueV above the light-hole doublet")
 
 
+def test_sweep_to_a_heavy_hole_topmost_field_names_the_point(tmp_path, capsys):
+    """A sweep point whose band scheme is refused names the parameter and
+    the value, as a config error does, and keeps the scheme's error."""
+    cfg = write_config(tmp_path, material={
+        "g_cb": 0.4, "g_lh": 0.1, "g_hh_normal": 1.0,
+        "strain_splitting_ueV": 150.0})
+    code, out, err = run_cli(["--config", cfg, "sweep", "--param",
+                              "field.b_tesla", "--from", "1", "--to", "10",
+                              "--steps", "4"], capsys)
+    assert (code, out) == (3, "")
+    assert err.startswith("scenario error: HeavyHoleTopmost: sweeping "
+                          "field.b_tesla to 7.0: hh mJ=+3/2 lies ")
+
+
 def test_levels_zero_field_warns(tmp_path, capsys):
     cfg = write_config(tmp_path, case="degenerate",
                        field={"b_tesla": 0.0},

@@ -7,7 +7,7 @@ import pytest
 from polspin.noise import (NoiseModel, coherence_factor, dephasing_kraus,
                            transport_kraus)
 from polspin.bands import FieldConfig, INAS_GAAS_QW
-from polspin.pipeline import ScenarioConfig, _STAGE_BUILDERS, _storage
+from polspin.pipeline import ScenarioConfig, _Point, _STAGE_BUILDERS, _storage
 from polspin.qstate import (PAULIS, choi_from_ptm, density_from_pauli, is_cptp,
                             pauli_vectors, ptm_from_kraus)
 
@@ -40,7 +40,7 @@ def dephased(state, t_ns, t2_ns):
 
 def transport_ptm(noise):
     cfg = ScenarioConfig(noise=noise)
-    return _STAGE_BUILDERS["transport"]([cfg], [cfg.scheme()]).ptm
+    return _STAGE_BUILDERS["transport"]([_Point(cfg, cfg.scheme())]).ptm
 
 
 def test_zero_time_identity():
@@ -113,7 +113,7 @@ def test_dephasing_is_cptp_for_all_times():
     for t in (0.0, 1.0, 50.0, 100.0, 1e4):
         assert is_cptp(choi_from_ptm(dephasing_ptm(t, 100.0)), tol=1e-10)
     for t in (0.0, 1e4, 1e9):
-        storage = _storage([ScenarioConfig(storage_time_ns=t)], [None]).ptm
+        storage = _storage([_Point(ScenarioConfig(storage_time_ns=t), None)]).ptm
         assert is_cptp(choi_from_ptm(storage), tol=1e-10)
 
 
@@ -167,9 +167,9 @@ def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
     t2 = rotated_ptm(coherence_factor(noise.transport_time_ns, noise.t2_iii_v_ns))
     fraction = rotated_ptm(1.0 - noise.transport_dephasing_fraction)
     keep = 1.0 - noise.transport_loss
-    forward = _STAGE_BUILDERS["transport"]([cfg], [scheme]).ptm
+    forward = _STAGE_BUILDERS["transport"]([_Point(cfg, scheme)]).ptm
     assert np.max(np.abs(forward - keep * fraction @ t2)) < 1e-15
-    back = _STAGE_BUILDERS["transport_back"]([cfg], [scheme]).ptm
+    back = _STAGE_BUILDERS["transport_back"]([_Point(cfg, scheme)]).ptm
     assert np.max(np.abs(back - keep * t2)) < 1e-15
 
 
@@ -193,7 +193,7 @@ def test_eigenbasis_transport_is_the_computational_one(case, g_cb, name, noise):
     when g_cb < 0: dephasing in them is bit for bit the unrotated channel."""
     cfg = ScenarioConfig(case=case, noise=noise,
                          material=replace(INAS_GAAS_QW, g_cb=g_cb))
-    stage = _STAGE_BUILDERS[name]([cfg], [cfg.scheme()])
+    stage = _STAGE_BUILDERS[name]([_Point(cfg, cfg.scheme())])
     assert np.array_equal(stage.ptm,
                           _computational_transport_ptm(noise, name == "transport"))
 

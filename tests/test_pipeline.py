@@ -795,14 +795,16 @@ def test_branch_weights_ignore_absorption_efficiency():
 def test_sweep_builds_untouched_stages_once(monkeypatch):
     """A sweep calls each stage's builder once: with every point for the
     stages its parameter touches, with the first point alone for the
-    others.  Absorb and the shuttles still run their physics per point,
-    and the Monte Carlo pass gets the hole rows of each absorb stage
-    built: one per point when the parameter touches absorb, else one."""
+    others.  Absorb still runs its physics per point; the two shuttles
+    share one chain run per point they are built at, one per point when
+    the parameter is the gate error, else one in total.  The Monte Carlo
+    pass gets the hole rows of each absorb stage built: one per point
+    when the parameter touches absorb, else one."""
     builds = {}
     for name, build in pipeline._STAGE_BUILDERS.items():
-        def counted_build(cfgs, schemes, _name=name, _build=build):
-            builds.setdefault(_name, []).append(len(cfgs))
-            return _build(cfgs, schemes)
+        def counted_build(points, _name=name, _build=build):
+            builds.setdefault(_name, []).append(len(points))
+            return _build(points)
 
         monkeypatch.setitem(pipeline._STAGE_BUILDERS, name, counted_build)
     targets = ((pipeline, "absorption_branches"),
@@ -818,15 +820,15 @@ def test_sweep_builds_untouched_stages_once(monkeypatch):
         monkeypatch.setattr(module, name, counted)
     cfg = cfg_case_b(hadamard_time_ns=0.17862, chain=ChainParams(3, 2, 0.01))
     # the stages each 3-point sweep touches, and the calls (absorb stages
-    # for the kernel) in the order of targets: the shuttles build two
-    # chain maps per point
+    # for the kernel) in the order of targets: both shuttles read one
+    # chain map per point
     cases = {"noise.transport_time_ns": ([0.0, 10.0, 20.0],
                                          {"transport", "transport_back"},
-                                         [1, 2, 1]),
+                                         [1, 1, 1]),
              "window.bandwidth_ueV": ([50.0, 300.0, 1200.0], {"absorb"},
-                                      [3, 2, 3]),
+                                      [3, 1, 3]),
              "chain.gate_error": ([0.0, 0.01, 0.02],
-                                  {"shuttle_in", "shuttle_out"}, [1, 6, 1])}
+                                  {"shuttle_in", "shuttle_out"}, [1, 3, 1])}
     for param, (values, touched, counts) in cases.items():
         builds.clear()
         calls.update((name, 0) for _, name in targets)
@@ -1020,8 +1022,10 @@ def test_stacked_stage_rows_equal_single_point_builds(param, monkeypatch):
     if "scheme" not in pipeline._SWEEPABLE[param]:
         schemes.append([points[0].scheme()] * len(points))
     for point_schemes in schemes:
-        stacked = (pipeline.detection_stages(points, point_schemes)
-                   + pipeline.return_stages(points, point_schemes))
+        records = [pipeline._Point(p, scheme)
+                   for p, scheme in zip(points, point_schemes)]
+        stacked = (pipeline.detection_stages(records)
+                   + pipeline.return_stages(records))
         composed = _compose(stacked)
         for i, single in enumerate(singles):
             assert [st.name for st in stacked] == [st.name for st in single]
@@ -1398,23 +1402,32 @@ def test_scenario_report_builds_no_donor_chain(name, monkeypatch):
     assert len(calls) == probes
 
 
-def test_scenario_report_runs_two_chains_per_shuttle_stage(monkeypatch):
-    """Each shuttle stage runs one hop once per probe: 2 stages x 2 probes,
-    each a single exchange gate on a two-site chain, whatever the chain's
-    length."""
+def test_scenario_report_runs_one_chain(monkeypatch):
+    """Both shuttle stages read one hop, run once on the stack of both
+    probes: one chain map applied, one shuttle and a single exchange gate
+    on a two-site chain, whatever the chain's length."""
     calls = {"fresh_chain": [], "shuttle": [], "exchange_gate": []}
+    applies = []
+    original_map = processor.site_channel_map
+
+    def counted_map(*args):
+        apply = original_map(*args)
+        return lambda rho: applies.append(rho.shape) or apply(rho)
+
+    monkeypatch.setattr(processor, "site_channel_map", counted_map)
     for name, seen in calls.items():
         original = getattr(processor, name)
         monkeypatch.setattr(processor, name, lambda *args, _seen=seen,
                             _original=original: _seen.append(args)
                             or _original(*args))
     for n_sites in (2, 6, 40):
-        for seen in calls.values():
+        for seen in (*calls.values(), applies):
             seen.clear()
         scenario_report(cfg_case_a(chain=ChainParams(n_sites, n_sites - 1, 0.01),
                                    mc_samples=20))
-        assert len(calls["shuttle"]) == len(calls["exchange_gate"]) == 4, n_sites
-        assert {args[0] for args in calls["fresh_chain"]} == {2}, n_sites
+        assert applies == [(2, 2, 2)], n_sites
+        assert len(calls["shuttle"]) == len(calls["exchange_gate"]) == 1, n_sites
+        assert [args[0] for args in calls["fresh_chain"]] == [2], n_sites
 
 
 def test_one_site_report_runs_no_chain(monkeypatch):
@@ -1440,16 +1453,27 @@ def test_shuttle_ptm_matches_dense_chain(n):
     |hops|, equals the dense n-site chain simulation and the depolarizing
     closed form, for every (from, to)."""
     for eps in (0.0, 0.01, 0.3, 0.75, 1.0):
-        chain = ChainParams(n, 0, eps)
+        cfg = cfg_case_a(chain=ChainParams(n, 0, eps))
+        point = pipeline._Point(cfg, cfg.scheme())
         for start in range(n):
             for stop in range(n):
-                got = pipeline._shuttle_ptm(chain, start, stop)
+                got = pipeline._shuttle_ptm(point, stop - start)
                 dense = ptm_from_choi(choi_of_map(
                     site_channel_map(n, start, stop, eps)))
                 where = (n, start, stop, eps)
                 assert np.max(np.abs(got - dense)) < 1e-12, where
                 assert np.max(np.abs(
                     got - _depolarizing_ptm(eps, stop - start))) < 1e-12, where
+
+
+def test_one_hop_is_the_same_in_both_directions():
+    """The hop both shuttles read, probed rightward, is the hop probed
+    leftward: SWAP then depolarizing on both sites is mirror-symmetric."""
+    for eps in (0.0, 1e-3, 0.01, 0.3, 0.5, 0.75, 0.9, 1.0):
+        cfg = cfg_case_a(chain=ChainParams(2, 1, eps))
+        right = pipeline._Point(cfg, cfg.scheme()).hop
+        left = ptm_from_choi(choi_of_map(site_channel_map(2, 1, 0, eps)))
+        assert np.max(np.abs(right - left)) <= 1e-15, eps
 
 
 def test_forty_site_chain_report():

@@ -412,6 +412,23 @@ def test_site_channel_map_equals_hermitian_split(n, start, stop, eps):
     assert np.max(np.abs(got - want)) < 1e-12
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_site_channel_map_stack_equals_single_runs(n):
+    """The chain map applied to a stack of matrices is, bit for bit, the
+    map applied to each matrix alone, for every (from, to)."""
+    rng = np.random.default_rng(70 + n)
+    for eps in (0.0, 0.01, 0.3):
+        for start in range(n):
+            for stop in range(n):
+                apply = site_channel_map(n, start, stop, eps)
+                stack = (rng.standard_normal((3, 2, 2))
+                         + 1j * rng.standard_normal((3, 2, 2)))
+                got = apply(stack)
+                assert got.shape == (3, 2, 2)
+                for one, rho2 in zip(got, stack):
+                    assert np.array_equal(one, apply(rho2)), (start, stop, eps)
+
+
 @pytest.mark.parametrize("n,start,stop,eps", [(4, 0, 3, 0.01), (5, 0, 4, 0.05),
                                               (6, 2, 0, 0.1), (8, 0, 7, 0.01)])
 def test_site_channel_map_closed_form(n, start, stop, eps):

@@ -282,8 +282,11 @@ def test_choi_of_map_two_probes_match_oracles(n_ops):
 
 def test_choi_of_map_needs_hermiticity_not_cp():
     # the transpose preserves Hermiticity but is not completely positive
-    choi = choi_of_map(lambda rho: rho.T)
-    assert np.max(np.abs(choi - _choi_by_matrix_units(lambda rho: rho.T))) < 1e-12
+    def transpose(rho):
+        return rho.swapaxes(-1, -2)
+
+    choi = choi_of_map(transpose)
+    assert np.max(np.abs(choi - _choi_by_matrix_units(transpose))) < 1e-12
     assert np.max(np.abs(ptm_from_choi(choi) - np.diag([1, 1, -1, 1]))) < 1e-12
     assert not is_cptp(choi, tol=1e-8)
     # rho -> rho X does not preserve Hermiticity: two probes cannot fix it
@@ -320,5 +323,6 @@ def test_cptp_rejects_non_finite(bad):
 def test_process_fidelity_identity_and_depolarizing():
     assert process_fidelity(choi_from_ptm(np.eye(4))) == pytest.approx(1.0, abs=1e-12)
     # fully depolarizing: rho -> I/2, entanglement fidelity 1/4
-    choi = choi_of_map(lambda rho: np.trace(rho) * np.eye(2) / 2)
+    choi = choi_of_map(lambda rho: np.trace(rho, axis1=-2, axis2=-1)[
+        ..., None, None] * np.eye(2) / 2)
     assert process_fidelity(choi) == pytest.approx(0.25, abs=1e-12)
