@@ -181,10 +181,11 @@ def zeeman_splitting(g: float, b_tesla: float) -> float:
 
 
 def precession_period(g_cb: float, b_tesla: float) -> float:
-    """Larmor period 2πħ/(g·µB·B) in ns."""
-    if g_cb <= 0 or b_tesla <= 0:
-        raise NoPrecession("precession period requires g > 0 and B > 0")
-    return 2.0 * math.pi * HBAR_UEV_NS / zeeman_splitting(g_cb, b_tesla)
+    """Larmor period 2πħ/(|g|·µB·B) in ns: the sign of g orders the two
+    levels, not the size of their splitting."""
+    if g_cb == 0 or b_tesla == 0:
+        raise NoPrecession("precession period requires g != 0 and B > 0")
+    return 2.0 * math.pi * HBAR_UEV_NS / zeeman_splitting(abs(g_cb), b_tesla)
 
 
 _SQ2 = 1.0 / math.sqrt(2.0)
@@ -322,8 +323,8 @@ class ResolvabilityReport:
     valence_resolved: bool
     conduction_unresolved: bool
     window_within_strain: bool
-    valence_margin_uev: float      # g_lh·µB·B - bandwidth
-    conduction_margin_uev: float   # bandwidth - g_cb·µB·B
+    valence_margin_uev: float      # |g_lh|·µB·B - bandwidth
+    conduction_margin_uev: float   # bandwidth - |g_cb|·µB·B
 
     @property
     def ok(self) -> bool:
@@ -334,11 +335,12 @@ class ResolvabilityReport:
 def resolvability_check(window: SpectralWindow, material: MaterialParams,
                         field: FieldConfig) -> ResolvabilityReport:
     """Check that the window resolves the valence doublet but not the
-    conduction doublet, and stays well below the strain splitting."""
+    conduction doublet, and stays well below the strain splitting.  Each
+    doublet's splitting is |g|·µB·B, whatever the sign of g."""
     if field.b_tesla <= 0:
         raise ValueError("resolvability requires B > 0")
-    dv = zeeman_splitting(material.g_lh, field.b_tesla)
-    dc = zeeman_splitting(material.g_cb, field.b_tesla)
+    dv = zeeman_splitting(abs(material.g_lh), field.b_tesla)
+    dc = zeeman_splitting(abs(material.g_cb), field.b_tesla)
     bw = window.bandwidth_uev
     return ResolvabilityReport(
         valence_resolved=bw < dv,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .bands import (CASE_B, DEGENERATE, FieldConfig, MaterialParams,
                     SpectralWindow, resolvability_check)
-from .errors import PolspinError
+from .errors import ConfigError, PolspinError
 from .noise import NoiseModel
 from .pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                        choi_verdict, dot_constraint_check, json_key,
@@ -55,10 +55,6 @@ def _complex9(z: complex) -> str:
 # ---------------------------------------------------------------------------
 # config loading
 # ---------------------------------------------------------------------------
-
-class ConfigError(ValueError):
-    pass
-
 
 def _number(v, name: str) -> float:
     """A JSON number (integer or float); not a bool or a numeric string."""
@@ -440,10 +436,8 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write {out}: {exc}") from None
         return code
-    except (ConfigError, KeyError) as exc:
-        # str() of a KeyError quotes its message
-        message = exc.args[0] if isinstance(exc, KeyError) else exc
-        sys.stderr.write(f"config error: {message}\n")
+    except ConfigError as exc:
+        sys.stderr.write(f"config error: {exc}\n")
         return 2
     except (PolspinError, ValueError) as exc:
         sys.stderr.write(f"scenario error: {type(exc).__name__}: {exc}\n")

@@ -5,6 +5,11 @@ class PolspinError(Exception):
     """Base class for all simulator errors."""
 
 
+class ConfigError(ValueError):
+    """Raised for a config, sweep or command-line value that the program
+    refuses as input; the CLI exits 2 on it."""
+
+
 class HeavyHoleTopmost(PolspinError):
     """Raised when a coherent-transfer scheme is requested but the heavy-hole
     band sits on top (compressive strain), which cannot produce the required

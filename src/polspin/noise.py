@@ -1,7 +1,7 @@
-"""Decoherence channels as Kraus operators: pure T2 dephasing and the
-wafer-crossing transport between the III-V absorber and the group-IV
-storage section.  The pipeline stages turn them into Pauli transfer
-matrices.
+"""Decoherence channels as Kraus operators: pure T2 dephasing, the one
+channel of the storage stage and of each leg of the wafer-crossing
+transport between the III-V absorber and the group-IV storage section.
+The pipeline stages turn them into Pauli transfer matrices.
 
 Only phase damping is modelled (the coherence budget is T2-driven; no T1).
 The decay law is exponential: off-diagonal elements in the relevant energy
@@ -78,21 +78,3 @@ def dephasing_kraus(gamma) -> np.ndarray:
         raise ValueError("gamma must lie in [0, 1]")
     weights = np.sqrt((1.0 + g[..., None] * _DEPHASING_SIGNS) / 2.0)
     return weights[..., None, None] * _DEPHASING_PAIR
-
-
-def transport_kraus(gamma, basis, extra=None) -> np.ndarray:
-    """Kraus operators of one transport leg, stacked, in the energy
-    eigenbasis held as the columns of basis: the III-V T2 phase damping
-    with survival gamma, which the forward leg follows with the dephasing
-    of survival `extra` (1 − transport_dephasing_fraction), so that its
-    operators are the four products of the two Kraus pairs.  gamma and
-    extra are floats or arrays of P points, and basis one (2, 2) matrix or
-    a (P, 2, 2) stack; the result is (n, 2, 2), or (P, n, 2, 2) for P
-    points."""
-    kraus = dephasing_kraus(gamma)
-    if extra is not None:
-        products = (dephasing_kraus(extra)[..., None, :, :]
-                    @ kraus[..., None, :, :, :])
-        kraus = products.reshape(kraus.shape[:-3] + (-1, 2, 2))
-    u = np.asarray(basis, dtype=complex)[..., None, :, :]
-    return u @ kraus @ u.conj().swapaxes(-1, -2)

@@ -54,7 +54,7 @@ from .bands import (BandScheme, CASE_A, CASE_B, DEGENERATE, FieldConfig,
                     MaterialParams, INAS_GAAS_QW, SpectralWindow,
                     build_level_scheme, degenerate_scheme)
 from .constants import H_OVER_E2_OHM, charging_energy_uev, thermal_energy_uev
-from .errors import PolspinError
+from .errors import ConfigError, PolspinError
 from .noise import NoiseModel
 from .qstate import (PAULIS, choi_from_ptm, choi_of_map, density_from_pauli,
                      is_cptp, pauli_vectors, process_fidelity, ptm_from_choi,
@@ -237,9 +237,13 @@ def _absorb(points) -> Stage:
     """The absorb stage, with the hole rows of its physical branches, which
     refuse them if they are dark.  Its branches are the physical ones in
     the logical frame, scaled by the absorption efficiency and renormalised
-    if need be so that sum K†K <= I."""
+    if need be so that sum K†K <= I.  A split case's frame puts mJ=+1/2 (A)
+    or psi+ (B) on top, true only for g_lh > 0; any other g_lh is refused."""
     kraus, holes = [], []
     for cfg, scheme in ((p.cfg, p.scheme) for p in points):
+        if cfg.case != DEGENERATE and not cfg.material.g_lh > 0:
+            raise ValueError(f"case {cfg.case} needs g_lh > 0, got "
+                             f"{cfg.material.g_lh!r}")
         branches = absorption_branches(scheme, cfg.window, cfg.compensate)
         physical = [br.kraus for br in branches]
         holes.append(_hole_rows(physical,
@@ -254,18 +258,19 @@ def _absorb(points) -> Stage:
 
 
 def _transport_leg(points, forward: bool) -> Stage:
-    """The forward or return transport, dephasing in the scheme's energy
-    eigenbasis.  Case B's pre-readout frame is the mS frame, whose
-    eigenstates are the ± superpositions; case A's and the degenerate
-    eigenbases are the mS states (swapped when g_cb < 0), in which the
-    channel is the unrotated one bit for bit."""
+    """The forward or return transport: one phase-damping pair of survival
+    γ = exp(-t/T2), times 1 − transport_dephasing_fraction on the forward
+    leg (two phase dampings in one basis are one, of the product survival),
+    in the scheme's energy eigenbasis.  Case B's are the ± superpositions
+    of the mS frame; case A's and the degenerate are the mS states (swapped
+    when g_cb < 0), in which the channel is the unrotated one bit for bit."""
     noises = [p.cfg.noise for p in points]
-    kraus = noise_mod.transport_kraus(
-        _stack([noise_mod.coherence_factor(nm.transport_time_ns,
-                                           nm.t2_iii_v_ns) for nm in noises]),
-        _stack([p.scheme.eigenbasis for p in points]),
-        _stack([1.0 - nm.transport_dephasing_fraction for nm in noises])
-        if forward else None)
+    gamma = _stack([noise_mod.coherence_factor(nm.transport_time_ns,
+                                               nm.t2_iii_v_ns)
+                    * (1.0 - nm.transport_dephasing_fraction if forward else 1.0)
+                    for nm in noises])
+    u = _stack([p.scheme.eigenbasis for p in points])[..., None, :, :]
+    kraus = u @ noise_mod.dephasing_kraus(gamma) @ u.conj().swapaxes(-1, -2)
     keep = np.asarray(_stack([1.0 - nm.transport_loss for nm in noises]))
     return Stage("transport" if forward else "transport_back",
                  keep[..., None, None] * ptm_from_kraus(kraus))
@@ -812,13 +817,13 @@ def _setter(cfg: ScenarioConfig, param: str):
     window gets SpectralWindow(v) from a bandwidth sweep; its other window
     fields have no window to sweep."""
     if param not in _SWEEPABLE:
-        raise KeyError(f"unknown sweep parameter {param!r}; "
-                       f"choose from {', '.join(sweep_parameters())}")
+        raise ConfigError(f"unknown sweep parameter {param!r}; "
+                          f"choose from {', '.join(sweep_parameters())}")
     section, _, key = param.rpartition(".")
     owner = getattr(cfg, section) if section else cfg
     if owner is None:
         if key != "bandwidth_ueV":
-            raise KeyError(f"sweeping {param} needs a window in the config")
+            raise ConfigError(f"sweeping {param} needs a window in the config")
         return lambda v: replace(cfg, window=SpectralWindow(v))
     name = next(f.name for f in fields(owner) if json_key(f.name) == key)
     if not section:
@@ -843,11 +848,12 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     points share its sweep.
 
     Every point's config is built before any stage, and a value its field
-    refuses is refused as a KeyError naming the parameter and the value; a
-    refused band scheme keeps its error class and names them too.  A sweep
-    over two or more distinct values whose every point has the first
-    point's composed PTM and absorb hole rows, each to 1e-12 of the first
-    point's largest entry, is refused as flat.
+    refuses is refused as a ConfigError naming the parameter and the
+    value; a refused band scheme keeps its error class and names them
+    too.  A sweep over two or more distinct values whose every point has
+    the first point's composed PTM and absorb hole rows, each to 1e-12 of
+    the first point's largest entry, is refused as flat, and an unknown
+    parameter or a window field swept with no window: ConfigErrors too.
     """
     set_value = _setter(cfg, param)
     touched = _SWEEPABLE[param]
@@ -857,7 +863,7 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
         try:
             cfgs.append(set_value(v))
         except ValueError as exc:
-            raise KeyError(f"sweeping {param} to {v!r}: {exc}") from None
+            raise ConfigError(f"sweeping {param} to {v!r}: {exc}") from None
     if not cfgs:
         return []
     points = []
@@ -880,9 +886,9 @@ def sweep(cfg: ScenarioConfig, param: str, values) -> list[dict]:
     if len(set(values)) > 1 and all(
             np.max(np.abs(x - x[0])) <= 1e-12 * np.max(np.abs(x[0]))
             for x in (rs, *holes)):
-        raise KeyError(f"sweeping {param} has no effect: every point of "
-                       f"case {cfg.case} has the first point's channel and "
-                       "hole forms")
+        raise ConfigError(f"sweeping {param} has no effect: every point of "
+                          f"case {cfg.case} has the first point's channel "
+                          "and hole forms")
     fids, holes = _mc_stats(
         rs, [x.swapaxes(0, 1).reshape(-1, *x.shape[2:]) for x in holes], amps)
     if len(holes) == 1:

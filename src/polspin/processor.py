@@ -8,8 +8,8 @@ parameter per touched site.
 
 Gates act locally on the dense 2^n x 2^n chain matrix, or a stack of them:
 a d x d gate is contracted with the sites' axes, O(d 4^n), and no 2^n x 2^n
-operator is built.  The chain is linear and preserves Hermiticity, so one
-run on two stacked probes fixes a shuttle's qubit map.  Both pipeline
+operator is built.  The chain is linear, so one run on the stacked four
+Paulis fixes a shuttle's qubit map.  Both pipeline
 shuttle stages read one run of a single hop on a two-site chain, raised to
 the number of hops (`pipeline._shuttle_ptm`), so their cost does not grow
 with the chain; the n-site simulation here is their oracle.
@@ -35,7 +35,7 @@ class DonorChain:
     contract with the axes of the sites they touch, O(d 4^n) for a d x d
     gate, without building a 2^n x 2^n operator.  Every operation is
     linear, so `rho` may be any operator: `site_channel_map` runs the chain
-    once on the stacked non-Hermitian probes of `qstate.choi_of_map`."""
+    once on the stacked Paulis of `qstate.choi_of_map`."""
 
     n_sites: int
     rho: np.ndarray = field(repr=False)
@@ -146,8 +146,8 @@ def site_channel_map(n_sites: int, from_site: int, to_site: int,
     to_site, as a linear function on a (..., 2, 2) stack of matrices.
 
     Obtained by driving the full chain simulation once on the given stack;
-    the simulation is linear and preserves Hermiticity, so one run on the
-    two stacked probes of `qstate.choi_of_map` gives the whole map.
+    the simulation is linear, so one run on the four stacked Paulis of
+    `qstate.choi_of_map` gives the whole map.
     Ancilla sites start in |0> and exchange is a permutation of tensor
     factors, so the data-qubit map extracted this way is exact, not an
     approximation.

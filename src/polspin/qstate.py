@@ -12,11 +12,11 @@ trace preserving iff the first row of R is (1, 0, 0, 0).  The Choi matrix,
 output factor first, is (1/d) Σ_kl Φ(|k><l|) ⊗ |k><l| = ¼ Σ_ij R_ij σ_i ⊗ σ_jᵀ:
 one fixed change of basis each way (`choi_from_ptm`, `ptm_from_choi`).
 
-A channel given by Kraus operators K goes to its PTM through its
-superoperator S = Σ_k K ⊗ K̄ (row-major vec), R = ½ Re(V† S V) with vec σ_j
-the columns of V: one product of the stacked operators and one constant
-matrix, however many operators there are, and for a stack of channels one
-of each per channel (`ptm_from_kraus`).
+Kraus operators K go to their PTM through their Choi matrix ½ Σ_k vec K
+(vec K)† (row-major vec), one product of the stacked operators, and the
+change of basis of `ptm_from_choi`; for a stack of channels, one of each
+per channel (`ptm_from_kraus`).  A map given as a callable is run once, on
+the stack of the four Paulis (`choi_of_map`).
 """
 
 from __future__ import annotations
@@ -44,33 +44,31 @@ def entanglement_entropy(amplitudes: np.ndarray) -> float:
 PAULIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]],
                    [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]], dtype=complex)
 _CHOI_BASIS = np.array([np.kron(a, b.T) for a in PAULIS for b in PAULIS])
-# V† · V as one map: row 4 i + j, column (a, b, c, d) holds
-# conj(σ_i[a, c]) σ_j[b, d], the weight of K[a, b] K̄[c, d] in R_ij
-_SANDWICH = np.einsum("iac,jbd->ijabcd", PAULIS.conj(), PAULIS).reshape(16, 16)
+# R_ij = tr(C · σ_i ⊗ σ_jᵀ) is row 4 i + j, conj(σ_i ⊗ σ_jᵀ) flattened (the
+# basis is Hermitian), times vec C; adding 0.0 turns -0.0 parts into 0.0
+_TO_PTM = _CHOI_BASIS.conj().reshape(16, 16) + 0.0
 
 
 def ptm_from_kraus(kraus) -> np.ndarray:
     """Pauli transfer matrix of rho -> sum_k K rho K† on a qubit: (4, 4) for
     n Kraus operators (n, 2, 2), (..., 4, 4) for stacks (..., n, 2, 2).
 
-    Row-major vec takes K ρ K† to (K ⊗ K̄) vec ρ, so the channel's
-    superoperator is S = Σ_k K ⊗ K̄ and R = ½ Re(V† S V), where the columns
-    of V are vec σ_j.  S is formed in its reshuffled order, Σ_k vec K
-    (vec K)†, which is one product of the stacked, flattened Kraus
-    operators; V† · V is then the constant (16, 16) `_SANDWICH`, applied
-    to each S as a matrix-vector product, whatever the stack.
+    The channel's Choi matrix, output factor first, is ½ Σ_k vec K
+    (vec K)† (row-major vec), one product of the stacked, flattened Kraus
+    operators; `_TO_PTM` takes it to R as in `ptm_from_choi`, one
+    matrix-vector product per channel, whatever the stack.
     """
     k = np.asarray(kraus, dtype=complex)
     stack = k.shape[:-3]
     k = k.reshape(stack + (-1, 4))
     s = k.swapaxes(-1, -2) @ k.conj()
-    return 0.5 * (_SANDWICH @ s.reshape(stack + (16, 1))).real.reshape(
+    return 0.5 * (_TO_PTM @ s.reshape(stack + (16, 1))).real.reshape(
         stack + (4, 4))
 
 
 def ptm_from_choi(choi: np.ndarray) -> np.ndarray:
     """R_ij = tr(choi · σ_i ⊗ σ_jᵀ); real for a Hermitian Choi matrix."""
-    return np.einsum("kab,ba->k", _CHOI_BASIS, choi).real.reshape(4, 4)
+    return (_TO_PTM @ np.ravel(choi)).real.reshape(4, 4)
 
 
 def choi_from_ptm(ptm: np.ndarray) -> np.ndarray:
@@ -93,23 +91,13 @@ def density_from_pauli(c: np.ndarray) -> np.ndarray:
     return 0.5 * np.einsum("i,iab->ab", c, PAULIS)
 
 
-# probes P_0 = (σ_0 + iσ_3)/2 and P_1 = (σ_1 + iσ_2)/2 = |0><1|
-_PROBES = 0.5 * np.array([PAULIS[0] + 1j * PAULIS[3],
-                          PAULIS[1] + 1j * PAULIS[2]])
-
-
 def choi_of_map(apply_map) -> np.ndarray:
     """Choi matrix ¼ Σ_k Φ(σ_k) ⊗ σ_kᵀ of a linear qubit map rho -> rho'
-    given as a callable, probed once, on the (2, 2, 2) stack of two inputs.
-
-    Preconditions: the map takes a (..., 2, 2) stack, each matrix mapped as
-    it would be alone, and preserves Hermiticity, Φ(A†) = Φ(A)†, as every
-    CP map does.  Then Φ(σ_0) = Φ(P_0) + Φ(P_0)†, Φ(σ_3) = −i(Φ(P_0) −
-    Φ(P_0)†), and likewise σ_1, σ_2 from P_1: two probes fix all four.
+    given as a callable that maps each matrix of a (..., 2, 2) stack as it
+    would map it alone; run once, on the (4, 2, 2) stack of the Paulis.
+    The map need be neither completely positive nor Hermiticity preserving.
     """
-    a, b = np.asarray(apply_map(_PROBES), dtype=complex)
-    ah, bh = a.conj().T, b.conj().T
-    images = np.array([a + ah, b + bh, -1j * (b - bh), -1j * (a - ah)])
+    images = np.asarray(apply_map(PAULIS), dtype=complex)
     return 0.25 * np.einsum("kab,kdc->acbd", images, PAULIS).reshape(4, 4)
 
 

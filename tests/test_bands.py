@@ -1,5 +1,6 @@
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,6 +57,34 @@ def test_precession_scaling_and_errors():
         precession_period(0.4, 0.0)
     with pytest.raises(NoPrecession):
         precession_period(0.0, 1.0)
+
+
+@pytest.mark.parametrize("g", [-0.4, 0.0, 0.4])
+@pytest.mark.parametrize("b", [-1.0, 0.0, 1.0])
+def test_no_precession_only_at_zero_g_or_field(g, b):
+    """A negative g precesses as |g| does; a negative field is refused as a
+    bad value, not as a field that does not precess."""
+    if g == 0 or b == 0:
+        with pytest.raises(NoPrecession):
+            precession_period(g, b)
+    elif b < 0:
+        with pytest.raises(ValueError, match="non-negative"):
+            precession_period(g, b)
+    else:
+        assert precession_period(g, b) == precession_period(abs(g), b)
+
+
+@pytest.mark.parametrize("bandwidth", [10.0, 20.0, 100.0, 600.0])
+@pytest.mark.parametrize("g_cb,g_lh", [(0.44, 8.87), (0.4, 0.1), (2.0, 3.0)])
+def test_sign_of_g_is_not_a_size(g_cb, g_lh, bandwidth):
+    """The splittings compared with the window are magnitudes: g and −g
+    give one report."""
+    window, field = SpectralWindow(bandwidth), FieldConfig(1.0)
+    material = replace(INAS_GAAS_QW, g_cb=g_cb, g_lh=g_lh)
+    want = resolvability_check(window, material, field)
+    for sign_cb, sign_lh in ((-1, 1), (1, -1), (-1, -1)):
+        flipped = replace(material, g_cb=sign_cb * g_cb, g_lh=sign_lh * g_lh)
+        assert resolvability_check(window, flipped, field) == want
 
 
 def test_period_splitting_consistency():

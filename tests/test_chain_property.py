@@ -235,7 +235,9 @@ def test_low_strain_heavy_hole_on_top_is_refused(tmp_path_factory, case, g_lh,
     """g_lh below g_hh_normal at a weak strain: where case A's field lifts
     the heavy hole mJ=+3/2 above the light-hole doublet the config is
     refused, exit 3; case B's in-plane heavy-hole g-factor is 0, so it
-    never is, and every config not refused reports unit figures."""
+    never is.  Else a g_lh <= 0, whose light hole on top is not the one
+    the case's frame takes, is refused, exit 3, and every config not
+    refused reports unit figures."""
     doc = {"case": case, "field": {"b_tesla": b},
            "window": {"bandwidth_ueV": 100.0}, "mc_samples": 50,
            "material": {"g_cb": 0.4, "g_lh": g_lh, "g_hh_normal": g_hh,
@@ -245,6 +247,11 @@ def test_low_strain_heavy_hole_on_top_is_refused(tmp_path_factory, case, g_lh,
     if case == "A" and heavy > abs(zeeman_splitting(g_lh, b)) / 2.0:
         assert (code, rep) == (3, None)
         assert err.startswith("scenario error: HeavyHoleTopmost: hh mJ=+3/2 ")
+        return
+    if g_lh <= 0:
+        assert (code, rep) == (3, None)
+        assert err.startswith(f"scenario error: ValueError: case {case} needs "
+                              "g_lh > 0")
         return
     assert (code, err) == (0, "")
     _assert_unit_figures(rep)

@@ -68,6 +68,46 @@ def test_levels_negative_g_cb_ascending(tmp_path, capsys):
     assert out.index("cb mS=+1/2") < out.index("cb mS=-1/2")
 
 
+@pytest.mark.parametrize("g_cb,g_lh,bandwidth,want", [
+    (-0.44, 8.87, 20.0, ["conduction_splitting_ueV: 25.4688799",
+                         "conduction_unresolved: false",
+                         "conduction_margin_ueV: -5.46887992"]),
+    (0.44, -8.87, 100.0, ["valence_splitting_ueV: 513.429466",
+                          "valence_resolved: true",
+                          "valence_margin_ueV: 413.429466"])])
+def test_levels_negative_g_resolvability_reads_the_splitting(
+        tmp_path, capsys, g_cb, g_lh, bandwidth, want):
+    """The window is compared with each doublet's splitting, whatever the
+    sign of its g-factor."""
+    cfg = write_config(tmp_path, window={"bandwidth_ueV": bandwidth},
+                       material={"g_cb": g_cb, "g_lh": g_lh,
+                                 "strain_splitting_ueV": 20000.0})
+    code, out, _ = run_cli(["--config", cfg, "levels"], capsys)
+    assert code == 0
+    lines = out.splitlines()
+    assert all(line in lines for line in want), out
+
+
+@pytest.mark.parametrize("g_lh", [-8.87, 0.0])
+@pytest.mark.parametrize("case", ["A", "B"])
+def test_split_case_without_positive_g_lh_exit_3(tmp_path, capsys, case, g_lh):
+    """A split case's logical frame puts the light hole mJ=+1/2 or psi+ on
+    top, which needs g_lh > 0: every command that builds the stages
+    refuses the config, naming g_lh; `levels` still prints the scheme."""
+    cfg = write_config(tmp_path, case=case, window=None,
+                       material={"g_cb": 0.4, "g_lh": g_lh,
+                                 "strain_splitting_ueV": 20000.0})
+    sweep = ["sweep", "--param", "storage_time_ns", "--from", "0", "--to", "10",
+             "--steps", "2"]
+    for command in (["run"], ["tomography"], sweep):
+        code, out, err = run_cli(["--config", cfg, *command], capsys)
+        assert (code, out) == (3, ""), command
+        assert err.startswith(f"scenario error: ValueError: case {case} needs "
+                              f"g_lh > 0, got {g_lh!r}"), err
+    code, out, _ = run_cli(["--config", cfg, "levels"], capsys)
+    assert code == 0 and "valence_splitting_ueV" in out
+
+
 def test_levels_compressive_exit_3(tmp_path, capsys):
     cfg = write_config(tmp_path, material={
         "name": "compressive", "g_cb": 0.4, "g_lh": 8.87,
@@ -703,14 +743,25 @@ def test_sweep_unknown_param_exit_2(tmp_path, capsys):
 ], ids=["unknown", "offset_without_window"])
 def test_sweep_parameter_error_is_unquoted(tmp_path, capsys, param, window,
                                            message):
-    """A refused sweep parameter prints its message as is: str() of the
-    KeyError would wrap it in quotes."""
+    """A refused sweep parameter is a ConfigError, which prints its message
+    as is, unquoted."""
     cfg = write_config(tmp_path, window=window)
     code, out, err = run_cli(["--config", cfg, "sweep", "--param", param,
                               "--from", "0", "--to", "1", "--steps", "2"],
                              capsys)
     assert (code, out) == (2, "")
     assert err == f"config error: {message}\n"
+
+
+def test_key_error_in_a_run_is_not_a_config_error(tmp_path, monkeypatch):
+    """Only a ConfigError exits 2: a KeyError raised inside a run is a
+    fault of the program, not of its config, and is not caught."""
+    def broken(cfg):
+        raise KeyError("missing stage")
+
+    monkeypatch.setattr(cli, "scenario_report", broken)
+    with pytest.raises(KeyError, match="missing stage"):
+        main(["--config", write_config(tmp_path), "run"])
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])

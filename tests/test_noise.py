@@ -4,8 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polspin.noise import (NoiseModel, coherence_factor, dephasing_kraus,
-                           transport_kraus)
+from polspin.noise import NoiseModel, coherence_factor, dephasing_kraus
 from polspin.bands import FieldConfig, INAS_GAAS_QW
 from polspin.pipeline import ScenarioConfig, _Point, _STAGE_BUILDERS, _storage
 from polspin.qstate import (PAULIS, choi_from_ptm, density_from_pauli, is_cptp,
@@ -118,12 +117,11 @@ def test_dephasing_is_cptp_for_all_times():
 
 
 def test_dephasing_in_rotated_basis():
-    # dephasing in the x eigenbasis keeps the x populations: |+> is a
-    # fixed point of full dephasing there
-    basis = np.array([[SQ2, SQ2], [SQ2, -SQ2]], dtype=complex)
-    t2 = transport_kraus(coherence_factor(1e9, 1.0), basis)
-    out = apply_ptm(ptm_from_kraus(t2), plus())
-    assert plus_fidelity(out) == pytest.approx(1.0, abs=1e-12)
+    # case B's transport dephases in the x eigenbasis and keeps the x
+    # populations: |+> is a fixed point of full dephasing there
+    cfg = ScenarioConfig(case="B", noise=NoiseModel(transport_time_ns=1e9))
+    r = _STAGE_BUILDERS["transport"]([_Point(cfg, cfg.scheme())]).ptm
+    assert plus_fidelity(apply_ptm(r, plus())) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_transport_low_noise_bound():
@@ -154,9 +152,9 @@ TRANSPORT_NOISE = [NoiseModel(),
 @pytest.mark.parametrize("case,field", [("A", FieldConfig(1.0)),
                                         ("B", FieldConfig(1.0))])
 def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
-    """The forward stage's one Kraus set, the products of the T2 pair and
-    the fraction pair, is the fraction channel after the T2 channel, each
-    in the energy eigenbasis; the return stage is the T2 channel alone."""
+    """The forward stage's one Kraus pair, of the product of the two
+    survivals, is the fraction channel after the T2 channel, each in the
+    energy eigenbasis; the return stage is the T2 channel alone."""
     cfg = ScenarioConfig(case=case, field=field, noise=noise)
     scheme = cfg.scheme()
     u = scheme.eigenbasis if case == "B" else np.eye(2)
@@ -174,14 +172,12 @@ def test_forward_transport_is_product_of_its_two_channels(case, field, noise):
 
 
 def _computational_transport_ptm(noise, forward):
-    """A transport leg's PTM with its Kraus operators left in the
+    """A transport leg's PTM with its one Kraus pair left in the
     computational basis, unrotated."""
-    kraus = np.array(dephasing_kraus(coherence_factor(noise.transport_time_ns,
-                                                      noise.t2_iii_v_ns)))
+    gamma = coherence_factor(noise.transport_time_ns, noise.t2_iii_v_ns)
     if forward:
-        extra = np.array(dephasing_kraus(1.0 - noise.transport_dephasing_fraction))
-        kraus = (extra[:, None] @ kraus).reshape(-1, 2, 2)
-    return (1.0 - noise.transport_loss) * ptm_from_kraus(kraus)
+        gamma *= 1.0 - noise.transport_dephasing_fraction
+    return (1.0 - noise.transport_loss) * ptm_from_kraus(dephasing_kraus(gamma))
 
 
 @pytest.mark.parametrize("noise", TRANSPORT_NOISE, ids=repr)
@@ -234,23 +230,16 @@ def test_coherence_factor():
     assert dephasing_kraus(1.0)[1][0, 0] == 0.0
 
 
-def test_dephasing_and_transport_kraus_take_arrays():
-    """An array of survivals gives one Kraus set per entry, each bit for
-    bit the set of that survival alone, with one basis for all or one each;
-    an entry outside [0, 1] is refused."""
+def test_dephasing_kraus_takes_arrays():
+    """An array of survivals gives one Kraus pair per entry, each bit for
+    bit the pair of that survival alone; an entry outside [0, 1] is
+    refused."""
     gammas = [0.0, 0.3, 1.0]
     assert np.array_equal(dephasing_kraus(gammas),
                           np.array([dephasing_kraus(g) for g in gammas]))
-    bases = np.array([np.eye(2), [[SQ2, SQ2], [SQ2, -SQ2]],
-                      [[0.0, 1.0], [1.0, 0.0]]], dtype=complex)
-    extra = [1.0, 0.5, 0.9]
-    for basis in (bases[1], bases):
-        one = [transport_kraus(g, b, e) for g, b, e in zip(
-            gammas, np.broadcast_to(basis, (3, 2, 2)), extra)]
-        assert np.array_equal(transport_kraus(gammas, basis, extra), one)
-        assert np.array_equal(transport_kraus(gammas, basis),
-                              [transport_kraus(g, b) for g, b in zip(
-                                  gammas, np.broadcast_to(basis, (3, 2, 2)))])
+    assert np.array_equal(dephasing_kraus([gammas, gammas[::-1]]),
+                          np.array([[dephasing_kraus(g) for g in row]
+                                    for row in (gammas, gammas[::-1])]))
     for bad in ([0.5, 1.5], [-0.1], 2.0):
         with pytest.raises(ValueError, match="gamma must lie in"):
             dephasing_kraus(bad)

@@ -16,6 +16,7 @@ from polspin.pipeline import (ChainParams, DotConstraints, ScenarioConfig,
                               end_to_end_stages, _compose, _hole_rows,
                               _input_hole, _is_flat, _mc_stats)
 from polspin.bands import precession_period
+from polspin.errors import ConfigError
 from polspin.noise import coherence_factor, dephasing_kraus
 from polspin.processor import site_channel_map
 from polspin.qstate import (PAULIS, choi_of_map, density_from_pauli,
@@ -1150,7 +1151,7 @@ def test_sweep_with_no_stacked_stage_has_a_row_per_value(param, values):
 
 
 def test_sweep_unknown_parameter():
-    with pytest.raises(KeyError):
+    with pytest.raises(ConfigError):
         sweep(cfg_case_a(), "nonsense.path", [1.0])
 
 
@@ -1190,7 +1191,7 @@ def test_sweep_refuses_a_flat_sweep(name):
     assert np.max(np.abs(_compose(low) - _compose(high))) <= 1e-12
     for x, y in zip(low[0].hole_rows, high[0].hole_rows):
         assert np.max(np.abs(x - y)) <= 1e-12
-    with pytest.raises(KeyError) as exc:
+    with pytest.raises(ConfigError) as exc:
         sweep(cfg, param, values)
     assert exc.value.args == (f"sweeping {param} has no effect: every point "
                               f"of case {cfg.case} has the first point's "
@@ -1223,7 +1224,7 @@ def test_faint_efficiency_sweep_is_not_flat():
     assert rows[1]["success_prob"] == pytest.approx(
         2.0 * rows[0]["success_prob"], rel=1e-12)
     assert rows[0]["mean_fidelity"] == rows[1]["mean_fidelity"]
-    with pytest.raises(KeyError, match="has no effect"):
+    with pytest.raises(ConfigError, match="has no effect"):
         sweep(cfg_degenerate(absorption_efficiency=1e-13),
               "hadamard_time_ns", [1.0, 2.0])
 
@@ -1231,7 +1232,7 @@ def test_faint_efficiency_sweep_is_not_flat():
 def test_sweep_checks_every_value_before_any_stage():
     """The first point is dark, but the second's refused value is reported:
     every point's config is built before any stage."""
-    with pytest.raises(KeyError) as exc:
+    with pytest.raises(ConfigError) as exc:
         sweep(cfg_case_a(), "absorption_efficiency", [0.0, 2.0])
     assert exc.value.args == ("sweeping absorption_efficiency to 2.0: "
                               "absorption efficiency must lie in [0, 1]",)
@@ -1403,8 +1404,8 @@ def test_scenario_report_builds_no_donor_chain(name, monkeypatch):
 
 
 def test_scenario_report_runs_one_chain(monkeypatch):
-    """Both shuttle stages read one hop, run once on the stack of both
-    probes: one chain map applied, one shuttle and a single exchange gate
+    """Both shuttle stages read one hop, run once on the stack of the four
+    Paulis: one chain map applied, one shuttle and a single exchange gate
     on a two-site chain, whatever the chain's length."""
     calls = {"fresh_chain": [], "shuttle": [], "exchange_gate": []}
     applies = []
@@ -1425,7 +1426,7 @@ def test_scenario_report_runs_one_chain(monkeypatch):
             seen.clear()
         scenario_report(cfg_case_a(chain=ChainParams(n_sites, n_sites - 1, 0.01),
                                    mc_samples=20))
-        assert applies == [(2, 2, 2)], n_sites
+        assert applies == [(4, 2, 2)], n_sites
         assert len(calls["shuttle"]) == len(calls["exchange_gate"]) == 1, n_sites
         assert [args[0] for args in calls["fresh_chain"]] == [2], n_sites
 

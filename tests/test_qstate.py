@@ -268,9 +268,9 @@ def _kraus_map(kraus):
 
 @pytest.mark.parametrize("n_ops", [1, 2, 3, 4])
 def test_choi_of_map_two_probes_match_oracles(n_ops):
-    """Trace-preserving, conditional and unnormalized Kraus maps: the two
-    probes give the Choi matrix of the four matrix units and the PTM of
-    the Kraus operators."""
+    """Trace-preserving, conditional and unnormalized Kraus maps: the four
+    Pauli probes give the Choi matrix of the four matrix units and the PTM
+    of the Kraus operators."""
     rng = np.random.default_rng(40 + n_ops)
     for _ in range(20):
         raw = rng.standard_normal((n_ops, 2, 2)) + 1j * rng.standard_normal((n_ops, 2, 2))
@@ -280,7 +280,7 @@ def test_choi_of_map_two_probes_match_oracles(n_ops):
             assert np.max(np.abs(ptm_from_choi(choi) - ptm_from_kraus(kraus))) < 1e-12
 
 
-def test_choi_of_map_needs_hermiticity_not_cp():
+def test_choi_of_map_needs_neither_hermiticity_nor_cp():
     # the transpose preserves Hermiticity but is not completely positive
     def transpose(rho):
         return rho.swapaxes(-1, -2)
@@ -289,10 +289,10 @@ def test_choi_of_map_needs_hermiticity_not_cp():
     assert np.max(np.abs(choi - _choi_by_matrix_units(transpose))) < 1e-12
     assert np.max(np.abs(ptm_from_choi(choi) - np.diag([1, 1, -1, 1]))) < 1e-12
     assert not is_cptp(choi, tol=1e-8)
-    # rho -> rho X does not preserve Hermiticity: two probes cannot fix it
+    # rho -> rho X does not preserve Hermiticity; the four Paulis fix it
     x = np.array([[0, 1], [1, 0]], dtype=complex)
-    wrong = choi_of_map(lambda rho: rho @ x)
-    assert np.max(np.abs(wrong - _choi_by_matrix_units(lambda rho: rho @ x))) > 0.1
+    choi = choi_of_map(lambda rho: rho @ x)
+    assert np.max(np.abs(choi - _choi_by_matrix_units(lambda rho: rho @ x))) < 1e-12
 
 
 def test_ptm_acts_on_pauli_vectors():

@@ -12,10 +12,13 @@ phases):
 The conduction state is |S, s>, and <orbital|r|S> is the orbital's unit
 vector with the spin kept, so a valence electron in |v> recombines with a
 conduction spin s through the dipole <v|r|S s>, the complex conjugate of
-the Cartesian vector of v's spin-s part.
+the Cartesian vector of v's spin-s part, and a photon of polarization ε
+lifts it into S s with the amplitude <S s|ε·r|v>, ε dotted into that
+Cartesian vector.
 
-Only emission is checked here.  Case A's linear absorption channels carry
-a known disagreement with these vectors and are left out."""
+Emission is checked, and absorption through the circular channels.  Case
+A's linear absorption channels carry a known disagreement with these
+vectors and are left out."""
 
 import math
 from dataclasses import replace
@@ -23,12 +26,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from polspin.bands import (CASE_A, CASE_B, FieldConfig, INAS_GAAS_QW,
-                           MaterialParams, build_level_scheme,
+from polspin.bands import (CASE_A, CASE_B, DEGENERATE, FieldConfig,
+                           INAS_GAAS_QW, MaterialParams, build_level_scheme,
                            degenerate_scheme)
 from polspin.transfer import (_CANONICAL_EMISSIONS, _RECOMBINING_HOLES,
-                              _canonical_schemes, _emission_key,
-                              branch_dipole_vectors, emission_map, ls_table)
+                              _canonical_schemes, _dipole_blocks,
+                              _emission_key, branch_dipole_vectors,
+                              emission_map, ls_table)
 
 _S2, _S6 = 1.0 / math.sqrt(2.0), 1.0 / math.sqrt(6.0)
 X, Y, Z = np.eye(3)
@@ -148,3 +152,44 @@ def test_heavy_and_light_hole_te_tm_ratios():
             CASE_A, replace(INAS_GAAS_QW, g_lh=g_lh), FieldConfig(1.0))
         got = _te_tm(branch_dipole_vectors(scheme))
         assert np.max(np.abs(np.subtract(got, (1 / 6, 2 / 3)))) < 1e-15
+
+
+def _circular_vectors(k):
+    """(σ+, σ−) along the unit vector of k: ε± = ∓(x̂ ± i ŷ′)/√2 with
+    ŷ′ = k̂ × x̂, so that σ± carries ±1 unit of angular momentum along k.
+    Both canonical k's are normal to x̂, which fixes the phase between
+    the two."""
+    k = np.asarray(k, dtype=float) / np.linalg.norm(k)
+    y = np.cross(k, X)
+    return np.array([-_S2 * (X + 1j * y), _S2 * (X - 1j * y)])
+
+
+def _circular_schemes():
+    """Every scheme absorbing circular light, with the levels to check:
+    all four of case B, for either light hole on top, and the degenerate
+    scheme's two heavy holes."""
+    split = [build_level_scheme(CASE_B, replace(INAS_GAAS_QW, g_lh=g_lh),
+                                FieldConfig(1.0)) for g_lh in (8.87, -8.87)]
+    degenerate = degenerate_scheme()
+    return ([(s, s.valence_levels) for s in split]
+            + [(degenerate, [degenerate.valence_levels[i]
+                             for i in _RECOMBINING_HOLES[DEGENERATE]])])
+
+
+@pytest.mark.parametrize("scheme,levels", _circular_schemes(),
+                         ids=["B-positive-g_lh", "B-negative-g_lh",
+                              "degenerate"])
+def test_circular_absorption_blocks_are_the_cartesian_amplitudes(scheme,
+                                                                 levels):
+    """Each level's block D[s, p] of `_dipole_blocks`, for σ± along the
+    scheme's canonical k, is the oracle amplitude <S s|ε_p·r|v> of that
+    level, every block of the scheme up to one constant of modulus 1, to
+    1e-15."""
+    eps = _circular_vectors(scheme.canonical_k)
+    states = np.array([lv.state for lv in levels])
+    want = np.einsum("vj,jis,pi->vsp", states, LUTTINGER_KOHN, eps)
+    got = np.array(_dipole_blocks(states, ("sigma_plus", "sigma_minus"),
+                                  int(np.sign(scheme.canonical_k[2]))))
+    c, residual = _one_constant(got, want)
+    assert residual < 1e-15
+    assert abs(abs(c) - 1.0) < 1e-15
